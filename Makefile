@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast lint bench bench-full bench-smoke bench-guard campaign-smoke churn-smoke multiring-smoke obs-smoke wire-fuzz-smoke examples figures clean
+.PHONY: install test test-fast lint bench bench-full bench-smoke bench-guard perf-smoke campaign-smoke churn-smoke multiring-smoke obs-smoke wire-fuzz-smoke examples figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -55,6 +55,15 @@ bench-guard:
 		--out bench_results/fresh/churn_convergence.json
 	$(PYTHON) -m repro.bench.guard --baseline bench_results \
 		--fresh bench_results/fresh
+
+# The repo's benchmark (BENCHMARK.json, perf/README.md), shortened:
+# all four workloads — UDP ring saturated and paced, the 10G simulation,
+# the in-process Spread cluster — through both passes with their
+# correctness checks, then the benchmark's own test suite (not part of
+# tier-1).  Results land in perf/out/.  This is what CI runs.
+perf-smoke:
+	$(PYTHON) perf/run.py --smoke
+	$(PYTHON) -m pytest perf/tests -q
 
 # Small seeded fault-injection campaign: crashes, partitions, token
 # drops and loss swaps against accelerated and original-Ring configs;

@@ -44,12 +44,13 @@ PAYLOAD_SIZE = 1350
 def _run_once(cap):
     config = ProtocolConfig.accelerated(
         accelerated_window=20, jumbo_datagram_bytes=cap)
-    cluster = SimCluster(N_NODES, GIGABIT, SPREAD, config, seed=1,
-                         payload_size=PAYLOAD_SIZE)
     delivered = [0]
-    for node in cluster.nodes.values():
-        node._deliver_callback = lambda p, m: delivered.__setitem__(
-            0, delivered[0] + 1)
+    cluster = SimCluster(
+        N_NODES, GIGABIT, SPREAD, config, seed=1,
+        payload_size=PAYLOAD_SIZE,
+        deliver_callback=lambda p, m: delivered.__setitem__(
+            0, delivered[0] + 1),
+    )
     cluster.inject_at_rate(OFFERED_BPS, duration_s=DURATION_S)
     start = time.process_time()
     result = cluster.run(DURATION_S, warmup_s=WARMUP_S,

@@ -26,6 +26,10 @@ SANS_IO_MODULES = (
     "repro.membership",
     "repro.multiring",
     "repro.totem",
+    # The driver core's in-process clients: IO-free today, and the
+    # deterministic oracles depend on them staying so.
+    "repro.harness",
+    "repro.spreadlike",
 )
 
 #: IO/concurrency modules the sans-IO packages may not import.

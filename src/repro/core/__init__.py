@@ -2,7 +2,9 @@
 
 This package implements the paper's contribution as a pure state machine:
 drivers feed tokens and data messages in, and get ordered action lists
-out.  See :class:`repro.core.Participant` for the entry point.
+out.  See :class:`repro.core.Participant` for the entry point, and
+:class:`repro.core.RingDriver` for the one loop that runs it on every
+substrate.
 
 Typical use::
 
@@ -30,6 +32,7 @@ from .actions import (
 from .buffer import ReceiveBuffer
 from .config import PriorityMethod, ProtocolConfig, Service
 from .delivery import DeliveryEngine
+from .driver import DriverPort, Inbox, RingDriver
 from .errors import (
     ConfigurationError,
     DeliveryInvariantError,
@@ -58,6 +61,7 @@ __all__ = [
     "Ring", "Token", "DataMessage", "initial_token",
     "Action", "SendData", "SendToken", "Deliver", "Discard",
     "deliveries", "sends", "token_of",
+    "RingDriver", "Inbox", "DriverPort",
     "ReceiveBuffer", "DeliveryEngine", "PriorityTracker", "RetransmitTracker",
     "EventHub", "FlowControlDecision", "new_message_budget", "updated_fcc",
     "AcceleratedWindowTuner", "TunerConfig",

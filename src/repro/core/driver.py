@@ -1,0 +1,287 @@
+"""The one daemon loop around the sans-IO participant.
+
+The paper's daemon is a single-threaded loop around one state machine:
+read the token or the data socket by the Section III-D priority rule,
+run the returned actions *in order*, resend the token on a timer.  This
+module is that loop, once.  The loopback harness, the simulator and the
+UDP emulation all drive their participants through :class:`RingDriver`
+and supply only a :class:`DriverPort` — how a datagram, a token, a
+delivery and a timer are realised there (DESIGN.md section 3.1).
+
+A substrate that charges CPU time exposes ``port.pauses``; the loop
+then *yields* the matching pause before each effect, which makes it a
+generator the simulation kernel runs as a process.  Elsewhere
+``pauses`` is ``None``, no effect is ever preceded by a yield, and
+:meth:`RingDriver.step` runs one input to completion.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from itertools import chain
+from typing import Any, Callable, Deque, Iterable, List, Optional, Protocol
+
+from .actions import Deliver, Discard, SendData, SendToken
+from .coalesce import JUMBO_COUNT_BYTES, JUMBO_ENTRY_BYTES, JumboDatagram
+from .messages import DataMessage, Token
+
+#: Appended to a token handling's action list so the last coalesced
+#: batch flushes through the same code as every other one.
+_END_OF_ACTIONS = (None,)
+
+
+class DriverPort(Protocol):
+    """What a substrate supplies to :class:`RingDriver`."""
+
+    #: Read each time the loop starts, so whatever the substrate's
+    #: attribute holds then (an instrumented stand-in, say) is called.
+    participant: Any
+    #: ``None``, or the CPU charges to yield before each effect:
+    #: ``recv_token``/``send_token`` (one pause each) and
+    #: ``recv_data``/``send_data``/``deliver`` (payload bytes -> pause).
+    pauses: Any
+    #: With pauses only: what to yield while both inboxes are empty, and
+    #: ``unwrap(item)`` — the payload of a dequeued data item (there the
+    #: data inbox holds the substrate's own datagram envelopes).
+    idle: Any
+    unwrap: Callable[[Any], Any]
+    #: The substrate's clock; only read with a tracer attached.
+    clock: Callable[[], float]
+
+    def multicast(self, message: DataMessage) -> None: ...
+    def multicast_batch(self, messages: List[DataMessage],
+                        datagram_bytes: int) -> None: ...
+    def send_token(self, token: Token, dst: int) -> None: ...
+    def deliver(self, message: DataMessage) -> None: ...
+    def discard(self, upto: int) -> None: ...
+    def set_timer(self, delay_s: float, fn: Callable, *args: Any) -> None: ...
+
+
+class Inbox:
+    """The token socket and the data socket of one ring member."""
+
+    __slots__ = ("tokens", "data")
+
+    def __init__(self) -> None:
+        self.tokens: Deque[Any] = deque()
+        self.data: Deque[Any] = deque()
+
+    def pick(self, token_has_priority: bool) -> Optional[Deque[Any]]:
+        """The queue to read next (Section III-D), ``None`` when idle.
+
+        A token is always read when no data is pending, so neither
+        priority method can deadlock.
+        """
+        tokens = self.tokens
+        if tokens and (token_has_priority or not self.data):
+            return tokens
+        return self.data or None
+
+    def clear(self) -> None:
+        self.tokens.clear()
+        self.data.clear()
+
+
+class RingDriver(Inbox):
+    """One participant's daemon loop over a :class:`DriverPort`."""
+
+    __slots__ = ("port", "header_bytes", "tokens_resent", "_stepper",
+                 "trace_send", "trace_delivery", "trace_coalesce")
+
+    def __init__(self, port: DriverPort, header_bytes: int = 0) -> None:
+        super().__init__()
+        self.port = port
+        #: Datagram header in the substrate's size model: with the count
+        #: prefix, what an empty coalesced datagram weighs against the cap.
+        self.header_bytes = header_bytes
+        self.tokens_resent = 0
+        self._stepper = None
+        self.set_trace_hooks()
+
+    def set_trace_hooks(
+        self,
+        send: Optional[Callable] = None,
+        delivery: Optional[Callable] = None,
+        coalesce: Optional[Callable] = None,
+    ) -> None:
+        """Install lifecycle-trace hooks (repro.obs.lifecycle).
+
+        ``send(message, retransmission, coalesced)`` fires when the
+        substrate accepted a data datagram; ``delivery(message,
+        t_ordered, t_delivered)`` once per delivered message —
+        ``t_ordered`` the instant the participant returned the Deliver
+        action, ``t_delivered`` the instant the delivery (and, where
+        modelled, its CPU charge) finished, both on the port's clock;
+        ``coalesce(messages)`` when a batch of two or more forms.  With
+        no tracer the hooks are ``None`` and the send/deliver paths pay
+        one ``is not None`` test each, nothing else.
+        """
+        self.trace_send = send
+        self.trace_delivery = delivery
+        self.trace_coalesce = coalesce
+
+    def step(self) -> bool:
+        """Handle one pending input to completion; False when idle.
+
+        For ports without pauses.  One stepping :meth:`run` is kept
+        across calls (its set-up costs as much as a small input), begun
+        at the first input so it sees the port as it is by then.
+        """
+        if not self.tokens and not self.data:
+            return False
+        stepper = self._stepper
+        if stepper is None:
+            stepper = self._stepper = self.run(stepping=True)
+        try:
+            next(stepper)
+        except BaseException:
+            self._stepper = None  # spent by the raise: begin afresh
+            raise
+        return True
+
+    def run(self, stepping: bool = False):
+        """The loop, as a generator.
+
+        Yields what ``port.pauses`` and ``port.idle`` hold — a pause
+        always *before* the effect it pays for, so a frame reaches the
+        NIC and a message reaches the application when its CPU charge
+        ends, not when it starts — and, when ``stepping``, ``None``
+        after each input (resume it only with an input pending).
+        """
+        port = self.port
+        participant = port.participant
+        on_token = participant.on_token
+        on_data = participant.on_data
+        # Direct read of the priority tracker's flag: the public
+        # ``participant.token_has_priority`` property costs two Python
+        # calls per input, and this loop runs once per frame.
+        priority = participant._priority
+        config = participant.config
+        # Consecutive sends coalesce into datagrams of at most ``cap``
+        # bytes.  No cap is a cap nothing fits under: every packet then
+        # flushes alone, through the same code as a coalesced batch.
+        cap = config.jumbo_datagram_bytes or 0
+        base = self.header_bytes + JUMBO_COUNT_BYTES
+        batch: List[SendData] = []
+        batch_bytes = base
+        pauses = port.pauses
+        if pauses is not None:
+            unwrap = port.unwrap
+            recv_pauses = pauses.recv_data
+            deliver_pauses = pauses.deliver
+        deliver = port.deliver
+        tokens = self.tokens
+        data = self.data
+        pick = self.pick
+        while True:
+            if not tokens and not data:
+                yield port.idle
+                continue
+            queue = pick(priority._token_high)
+            item = queue.popleft()
+            if queue is tokens:
+                if pauses is not None:
+                    yield pauses.recv_token
+                handled: Iterable = (chain(on_token(item), _END_OF_ACTIONS),)
+            else:
+                if pauses is not None:
+                    item = unwrap(item)
+                    # One receive syscall however many packets the
+                    # datagram coalesces — what jumbo framing buys here.
+                    yield recv_pauses[item.payload_size]
+                # ``on_data`` returns only Deliver actions (delivery is
+                # the sole side effect of receiving a data message), so
+                # there is never a batch left to flush.
+                if type(item) is JumboDatagram:
+                    handled = map(on_data, item.messages)
+                else:
+                    handled = (on_data(item),)
+            for actions in handled:
+                if not actions:
+                    continue
+                # Hooks are read as they are needed, not captured above:
+                # a tracer may attach after the loop was spawned.
+                trace_delivery = self.trace_delivery
+                if trace_delivery is not None:
+                    # The participant returned this list now: every
+                    # Deliver in it was ordered (released) at this
+                    # instant, before any charge below shifts the clock.
+                    t_ordered = port.clock()
+                for action in actions:
+                    # Exact-type dispatch: the action algebra is a closed
+                    # union (repro.core.actions.Action), so this equals
+                    # the isinstance chain and is cheaper per action.
+                    kind = type(action)
+                    # A batch flushes when the next packet would overflow
+                    # it and before any other action — the SendToken must
+                    # keep its place after the pre-token sends (that
+                    # order IS the acceleration).  Coalescing never spans
+                    # action lists, so it adds no batching delay.
+                    if batch and (
+                        kind is not SendData
+                        or batch_bytes + JUMBO_ENTRY_BYTES
+                        + action.message.payload_size > cap
+                    ):
+                        count = len(batch)
+                        coalesced = count > 1
+                        if pauses is not None:
+                            # One send syscall for the whole datagram.
+                            yield pauses.send_data[
+                                batch_bytes - base - JUMBO_ENTRY_BYTES * count
+                            ]
+                        if coalesced:
+                            messages = [send.message for send in batch]
+                            port.multicast_batch(messages, batch_bytes)
+                        else:
+                            # A lone packet travels plain: same bytes,
+                            # same cost as without coalescing.
+                            port.multicast(batch[0].message)
+                        trace_send = self.trace_send
+                        if trace_send is not None:
+                            if coalesced and self.trace_coalesce is not None:
+                                self.trace_coalesce(messages)
+                            for send in batch:
+                                trace_send(send.message, send.retransmission,
+                                           coalesced)
+                        batch.clear()
+                        batch_bytes = base
+                    if kind is Deliver:
+                        message = action.message
+                        if pauses is not None:
+                            yield deliver_pauses[message.payload_size]
+                        deliver(message)
+                        if trace_delivery is not None:
+                            trace_delivery(message, t_ordered, port.clock())
+                    elif kind is SendData:
+                        batch.append(action)
+                        batch_bytes += (
+                            JUMBO_ENTRY_BYTES + action.message.payload_size
+                        )
+                    elif kind is SendToken:
+                        if pauses is not None:
+                            yield pauses.send_token
+                        port.send_token(action.token, action.dst)
+                        port.set_timer(config.token_retransmit_timeout_s,
+                                       self.resend_token, action, 0)
+                    elif kind is Discard:
+                        port.discard(action.upto)
+            if stepping:
+                yield
+
+    def resend_token(self, send: SendToken, attempt: int) -> bool:
+        """The retransmission timer armed for ``send`` fired: resend and
+        re-arm unless the ring demonstrably moved on; True if resent."""
+        port = self.port
+        participant = port.participant
+        if participant.last_token_sent is not send.token:
+            return False  # we have handled a newer token since
+        if participant.progress_since_token_send():
+            return False
+        config = participant.config
+        if attempt >= config.token_retransmit_limit:
+            return False  # membership's problem now (token loss declared)
+        self.tokens_resent += 1
+        port.send_token(send.token, send.dst)
+        port.set_timer(config.token_retransmit_timeout_s,
+                       self.resend_token, send, attempt + 1)
+        return True

@@ -12,29 +12,35 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..core import (
     DataMessage,
-    Deliver,
-    Discard,
     Participant,
     ProtocolConfig,
     Ring,
-    SendData,
-    SendToken,
     Service,
     Token,
     initial_token,
 )
+from ..core.driver import RingDriver
 from .transport import UdpTransport
 
 
 class EmulatedNode(threading.Thread):
-    """One participant on real UDP sockets, in its own thread."""
+    """One participant on real UDP sockets, in its own thread.
+
+    The loop body is :class:`repro.core.driver.RingDriver`; the node is
+    its port (the transport, the delivery queue, a wall-clock timer)
+    and feeds its inboxes from the sockets.
+    """
 
     #: Socket poll granularity; bounds timer latency, not throughput.
     POLL_INTERVAL_S = 0.001
+
+    #: Driver port: no CPU cost model, wall clock.
+    pauses = None
+    clock = staticmethod(time.monotonic)
 
     def __init__(
         self,
@@ -51,32 +57,17 @@ class EmulatedNode(threading.Thread):
         # Outgoing data datagrams carry the configuration id on the wire.
         transport.ring_id = ring.ring_id
         self.participant = Participant(pid, ring, config)
+        self.driver = RingDriver(self)
         #: Thread-safe application queues.
         self._submissions: "queue.Queue[Tuple[Any, Service]]" = queue.Queue()
         self.delivered: "queue.Queue[DataMessage]" = queue.Queue()
         self._stop_event = threading.Event()
-        self._pending_tokens: List[Token] = []
-        self._pending_data: List[DataMessage] = []
-        self._token_sent_at: Optional[float] = None
-        self._token_resends = 0
-        self.tokens_resent = 0
-        # Lifecycle-trace hooks (repro.obs.lifecycle), None when no
-        # tracer is attached — same contract as SimNode.
-        self._trace_send = None
-        self._trace_delivery = None
-        self._trace_coalesce = None
+        #: The one armed timer: (monotonic deadline, fn, args).
+        self._timer: Optional[Tuple[float, Callable, tuple]] = None
 
-    def set_trace_hooks(self, send=None, delivery=None,
-                        coalesce=None) -> None:
-        """Install lifecycle-trace driver hooks (attach before start()).
-
-        Same contract as ``SimNode.set_trace_hooks``; ``delivery``
-        receives raw ``time.monotonic()`` readings (the tracer holds
-        the epoch).
-        """
-        self._trace_send = send
-        self._trace_delivery = delivery
-        self._trace_coalesce = coalesce
+    @property
+    def tokens_resent(self) -> int:
+        return self.driver.tokens_resent
 
     # -- application API (any thread) -------------------------------------
 
@@ -96,17 +87,27 @@ class EmulatedNode(threading.Thread):
 
     def inject_first_token(self) -> None:
         """Leader only: start the ring."""
-        self._pending_tokens.append(initial_token(self.ring.ring_id))
+        self.driver.tokens.append(initial_token(self.ring.ring_id))
 
     # -- the node loop -------------------------------------------------------
 
     def run(self) -> None:
+        driver = self.driver
         try:
             while not self._stop_event.is_set():
                 self._drain_submissions()
-                self._poll_network()
-                self._process_one()
-                self._maybe_retransmit_token()
+                # Block briefly only when there is nothing at all to do.
+                idle = not driver.tokens and not driver.data
+                data, tokens = self.transport.poll(
+                    self.POLL_INTERVAL_S if idle else 0.0
+                )
+                driver.data.extend(data)
+                driver.tokens.extend(tokens)
+                driver.step()
+                timer = self._timer
+                if timer is not None and time.monotonic() >= timer[0]:
+                    self._timer = None
+                    timer[1](*timer[2])
         finally:
             self.transport.close()
 
@@ -118,100 +119,30 @@ class EmulatedNode(threading.Thread):
                 return
             self.participant.submit(payload, service)
 
-    def _poll_network(self) -> None:
-        # Block briefly only when there is nothing at all to do.
-        idle = not self._pending_tokens and not self._pending_data
-        timeout = self.POLL_INTERVAL_S if idle else 0.0
-        data, tokens = self.transport.poll(timeout)
-        self._pending_data.extend(data)
-        self._pending_tokens.extend(tokens)
+    # -- the driver's port ------------------------------------------------------
 
-    def _process_one(self) -> None:
-        participant = self.participant
-        token_pending = bool(self._pending_tokens)
-        data_pending = bool(self._pending_data)
-        if not token_pending and not data_pending:
-            return
-        take_token = token_pending and (
-            participant.token_has_priority or not data_pending
+    def multicast(self, message: DataMessage) -> None:
+        self.transport.send_data(message)
+
+    def multicast_batch(self, messages, _datagram_bytes: int) -> None:
+        # The transport regroups by encoded size under the same cap.
+        self.transport.send_data_batch(
+            messages, self.config.jumbo_datagram_bytes
         )
-        if take_token:
-            token = self._pending_tokens.pop(0)
-            self._execute(participant.on_token(token))
-        else:
-            message = self._pending_data.pop(0)
-            self._execute(participant.on_data(message))
 
-    def _execute(self, actions) -> None:
-        # With coalescing configured, consecutive SendData actions are
-        # batched and flushed as jumbo datagrams; the batch also flushes
-        # before any other action so the token keeps its place after the
-        # pre-token sends (that ordering IS the acceleration).
-        jumbo_cap = self.config.jumbo_datagram_bytes
-        trace_send = self._trace_send
-        trace_delivery = self._trace_delivery
-        if trace_delivery is not None:
-            # The participant returned this batch at the current
-            # instant: every Deliver in it was ordered (released) now.
-            t_ordered = time.monotonic()
-        batch: List[DataMessage] = []
-        for action in actions:
-            if isinstance(action, SendData):
-                if jumbo_cap is None:
-                    self.transport.send_data(action.message)
-                    if trace_send is not None:
-                        trace_send(action.message, action.retransmission,
-                                   False)
-                else:
-                    batch.append(action.message)
-                continue
-            if batch:
-                self._flush_batch(batch, jumbo_cap)
-                batch = []
-            if isinstance(action, SendToken):
-                if action.dst == self.pid:
-                    self._pending_tokens.append(action.token)
-                else:
-                    self.transport.send_token(action.token, action.dst)
-                self._token_sent_at = time.monotonic()
-                self._token_resends = 0
-            elif isinstance(action, Deliver):
-                self.delivered.put(action.message)
-                if trace_delivery is not None:
-                    trace_delivery(action.message, t_ordered, time.monotonic())
-            elif isinstance(action, Discard):
-                pass
-        if batch:
-            self._flush_batch(batch, jumbo_cap)
-
-    def _flush_batch(self, batch: List[DataMessage], jumbo_cap: int) -> None:
-        self.transport.send_data_batch(batch, jumbo_cap)
-        trace_send = self._trace_send
-        if trace_send is not None:
-            coalesced = len(batch) > 1
-            if coalesced and self._trace_coalesce is not None:
-                self._trace_coalesce(batch)
-            for message in batch:
-                trace_send(message, False, coalesced)
-
-    def _maybe_retransmit_token(self) -> None:
-        participant = self.participant
-        if self._token_sent_at is None or participant.last_token_sent is None:
-            return
-        if participant.progress_since_token_send():
-            self._token_sent_at = None
-            return
-        timeout = self.config.token_retransmit_timeout_s
-        if time.monotonic() - self._token_sent_at < timeout:
-            return
-        if self._token_resends >= self.config.token_retransmit_limit:
-            return
-        token = participant.last_token_sent
-        dst = self.ring.successor(self.pid)
+    def send_token(self, token: Token, dst: int) -> None:
         if dst == self.pid:
-            self._pending_tokens.append(token)
+            self.driver.tokens.append(token)
         else:
             self.transport.send_token(token, dst)
-        self._token_sent_at = time.monotonic()
-        self._token_resends += 1
-        self.tokens_resent += 1
+
+    def deliver(self, message: DataMessage) -> None:
+        self.delivered.put(message)
+
+    def discard(self, upto: int) -> None:
+        """The participant already released its buffer; nothing to do."""
+
+    def set_timer(self, delay_s: float, fn: Callable, *args: Any) -> None:
+        # A newer token send supersedes the armed resend (which would
+        # find ``last_token_sent`` changed and do nothing anyway).
+        self._timer = (time.monotonic() + delay_s, fn, args)

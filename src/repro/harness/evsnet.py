@@ -14,6 +14,7 @@ from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set
 
 from ..core import ProtocolConfig, Service
+from ..core.driver import Inbox
 from ..evs import EVSChecker
 from ..membership import EVSProcess, MembershipTimeouts, Outgoing, State
 
@@ -38,9 +39,10 @@ class EVSNetwork:
         #: Earlier incarnations of restarted pids, oldest first.  Their
         #: delivered prefixes still matter for EVS checking.
         self.archived: Dict[int, List[EVSProcess]] = {}
+        #: Per process: control messages, and the two ring sockets.
+        #: Entries are ``(src, payload)`` pairs.
         self._ctrl: Dict[int, Deque] = {p: deque() for p in self.pids}
-        self._token: Dict[int, Deque] = {p: deque() for p in self.pids}
-        self._data: Dict[int, Deque] = {p: deque() for p in self.pids}
+        self._ring: Dict[int, Inbox] = {p: Inbox() for p in self.pids}
         self.steps = 0
         for pid in self.pids:
             self._route(pid, self.processes[pid].bootstrap())
@@ -77,8 +79,7 @@ class EVSNetwork:
         self.pids.append(pid)
         self.processes[pid] = process
         self._ctrl[pid] = deque()
-        self._token[pid] = deque()
-        self._data[pid] = deque()
+        self._ring[pid] = Inbox()
         # The newcomer lands in the largest current group (the healed
         # network in the common case); use set_partition for control.
         target = max(self._groups, key=len) if self._groups else set()
@@ -116,8 +117,7 @@ class EVSNetwork:
         """Process failure: no more steps, inboxes dropped."""
         self.crashed.add(pid)
         self._ctrl[pid].clear()
-        self._token[pid].clear()
-        self._data[pid].clear()
+        self._ring[pid].clear()
         for group in self._groups:
             group.discard(pid)
 
@@ -136,9 +136,10 @@ class EVSNetwork:
 
     def _drop_cross_partition_traffic(self) -> None:
         # Queued messages carry their source; drop those no longer
-        # reachable.  (Entries are (src, payload) pairs.)
+        # reachable.
         for pid in self.pids:
-            for queue in (self._ctrl[pid], self._token[pid], self._data[pid]):
+            ring = self._ring[pid]
+            for queue in (self._ctrl[pid], ring.tokens, ring.data):
                 kept = [(src, m) for (src, m) in queue if self.connected(src, pid)]
                 queue.clear()
                 queue.extend(kept)
@@ -166,28 +167,22 @@ class EVSNetwork:
 
     def _step_one(self, pid: int) -> bool:
         process = self.processes[pid]
-        ctrl, token_q, data_q = self._ctrl[pid], self._token[pid], self._data[pid]
+        ctrl, ring = self._ctrl[pid], self._ring[pid]
         if ctrl:
             src, message = ctrl.popleft()
             self._route(pid, process.handle_ctrl(message, src))
             return True
-        token_pending, data_pending = bool(token_q), bool(data_q)
-        if not token_pending and not data_pending:
+        queue = ring.pick(process.token_has_priority)
+        if queue is None:
             return False
-        take_token = token_pending and (
-            process.token_has_priority or not data_pending
-        )
-        if take_token:
-            src, (ring_id, token) = token_q.popleft()
-            self._route(pid, process.handle_token(ring_id, token, src))
-        else:
-            src, (ring_id, message) = data_q.popleft()
-            self._route(pid, process.handle_data(ring_id, message, src))
+        src, (ring_id, payload) = queue.popleft()
+        handle = (process.handle_token if queue is ring.tokens
+                  else process.handle_data)
+        self._route(pid, handle(ring_id, payload, src))
         return True
 
     def _route(self, src: int, outgoing: List[Outgoing]) -> None:
         for out in outgoing:
-            queue_name = out.kind
             if out.dst is not None:
                 targets = [out.dst] if self.connected(src, out.dst) else []
             else:
@@ -196,9 +191,10 @@ class EVSNetwork:
                     if pid != src and pid not in self.crashed
                 ]
             for dst in targets:
-                queue = {"ctrl": self._ctrl, "token": self._token,
-                         "data": self._data}[queue_name]
-                queue[dst].append((src, out.payload))
+                ring = self._ring[dst]
+                queue = {"ctrl": self._ctrl[dst], "token": ring.tokens,
+                         "data": ring.data}[out.kind]
+                queue.append((src, out.payload))
 
     # -- invariant checking -------------------------------------------------------
 
@@ -241,7 +237,7 @@ class EVSNetwork:
                 return False
             if tuple(process.ring.members) != tuple(live):
                 return False
-            if self._ctrl[pid] or self._data[pid]:
+            if self._ctrl[pid] or self._ring[pid].data:
                 return False
         ring_ids = {self.processes[pid].ring.ring_id for pid in live}
         return len(ring_ids) == 1

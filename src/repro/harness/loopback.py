@@ -13,23 +13,21 @@ discrete-event substrate in :mod:`repro.sim`, not here.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
+from functools import partial
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core import (
     DataMessage,
-    Deliver,
-    Discard,
     EventHub,
     Participant,
     ProtocolConfig,
     Ring,
-    SendData,
-    SendToken,
     Service,
     Token,
     initial_token,
 )
+from ..core.driver import RingDriver
 
 #: Optional drop predicates: return True to lose the message on that link.
 DataDropRule = Callable[[DataMessage, int], bool]
@@ -59,8 +57,10 @@ class LoopbackRing:
         self.participants: Dict[int, Participant] = {
             pid: Participant(pid, self.ring, self.config, self.hub) for pid in self.ring
         }
-        self._token_inbox: Dict[int, Deque[Token]] = {p: deque() for p in self.ring}
-        self._data_inbox: Dict[int, Deque[DataMessage]] = {p: deque() for p in self.ring}
+        self._drivers: Dict[int, RingDriver] = {
+            pid: RingDriver(self._port(pid, participant))
+            for pid, participant in self.participants.items()
+        }
         self._drop_data = drop_data
         self._drop_token = drop_token
         self._check_stability = check_stability
@@ -98,15 +98,15 @@ class LoopbackRing:
         if self._started:
             raise RuntimeError("ring already started")
         self._started = True
-        self._token_inbox[self.ring.leader].append(
+        self._drivers[self.ring.leader].tokens.append(
             initial_token(self.ring.ring_id)
         )
 
     def step(self) -> bool:
         """Let each participant process at most one input; False if idle."""
         progressed = False
-        for pid in self.ring:
-            if self._step_one(pid):
+        for driver in self._drivers.values():
+            if driver.step():
                 progressed = True
         if progressed:
             self.steps_taken += 1
@@ -192,56 +192,50 @@ class LoopbackRing:
         return [m.payload for m in self.delivered[pid]]
 
     def all_quiet(self) -> bool:
-        return all(not q for q in self._data_inbox.values()) and all(
-            not q for q in self._token_inbox.values()
-        )
+        return not any(d.data or d.tokens for d in self._drivers.values())
 
     def _total_delivered(self) -> int:
         return sum(len(log) for log in self.delivered.values())
 
     def _all_data_done(self) -> bool:
         return (
-            all(not q for q in self._data_inbox.values())
+            not any(d.data for d in self._drivers.values())
             and all(p.backlog == 0 for p in self.participants.values())
         )
 
     # -- internals --------------------------------------------------------------
 
-    def _step_one(self, pid: int) -> bool:
-        participant = self.participants[pid]
-        token_q = self._token_inbox[pid]
-        data_q = self._data_inbox[pid]
-        if not token_q and not data_q:
-            return False
-        take_token = bool(token_q) and (participant.token_has_priority or not data_q)
-        if take_token:
-            actions = participant.on_token(token_q.popleft())
-        else:
-            actions = participant.on_data(data_q.popleft())
-        self._execute(pid, actions)
-        return True
+    def _port(self, pid: int, participant: Participant) -> SimpleNamespace:
+        """``pid``'s driver port: its effects land on the shared ring.
 
-    def _execute(self, pid: int, actions) -> None:
-        for action in actions:
-            if isinstance(action, SendData):
-                self._route_data(action.message, source=pid)
-            elif isinstance(action, SendToken):
-                self._route_token(action.token, action.dst, allow_drop=True)
-            elif isinstance(action, Deliver):
-                self._record_delivery(pid, action.message)
-            elif isinstance(action, Discard):
-                self.discarded_upto[pid] = max(
-                    self.discarded_upto[pid], action.upto
-                )
+        No cost model and no clock: the driver loop never yields, and
+        token retransmission is the test's call (:meth:`retransmit_token`).
+        """
+        def multicast_batch(messages, _datagram_bytes: int) -> None:
+            for message in messages:
+                self._route_data(pid, message)
 
-    def _route_data(self, message: DataMessage, source: int) -> None:
+        def discard(upto: int) -> None:
+            self.discarded_upto[pid] = max(self.discarded_upto[pid], upto)
+
+        return SimpleNamespace(
+            participant=participant, pauses=None,
+            multicast=partial(self._route_data, pid),
+            multicast_batch=multicast_batch,
+            send_token=partial(self._route_token, allow_drop=True),
+            deliver=partial(self._record_delivery, pid),
+            discard=discard,
+            set_timer=lambda *_timer: None,
+        )
+
+    def _route_data(self, source: int, message: DataMessage) -> None:
         for pid in self.ring:
             if pid == source:
                 continue
             if self._drop_data is not None and self._drop_data(message, pid):
                 self.data_drops += 1
                 continue
-            self._data_inbox[pid].append(message)
+            self._drivers[pid].data.append(message)
 
     def _route_token(self, token: Token, dst: int, allow_drop: bool) -> None:
         if (
@@ -251,7 +245,7 @@ class LoopbackRing:
         ):
             self.token_drops += 1
             return
-        self._token_inbox[dst].append(token)
+        self._drivers[dst].tokens.append(token)
 
     def _record_delivery(self, pid: int, message: DataMessage) -> None:
         self.delivered[pid].append(message)

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..core import Service
 from ..core.packing import PackedPayload
@@ -185,6 +185,16 @@ class LifecycleTracer:
             t, stage, 0, node, origin,
             seq & 0xFFFFFFFF, aux & 0xFFFFFFFF,
         ))
+
+    def watch_nodes(self, nodes: Dict[int, Any]) -> None:
+        """Wire every node: its participant's stages and its driver's."""
+        for pid, node in nodes.items():
+            self.watch_participant(pid, node.participant)
+            node.driver.set_trace_hooks(
+                send=self.make_send_hook(pid),
+                delivery=self.make_delivery_hook(pid),
+                coalesce=self.make_coalesce_hook(pid),
+            )
 
     # -- participant stages ---------------------------------------------------
 
@@ -413,13 +423,7 @@ def sim_tracer(cluster, label: str = "") -> LifecycleTracer:
         clock_kind=CLOCK_SIM,
         label=label,
     )
-    for pid, node in cluster.nodes.items():
-        tracer.watch_participant(pid, node.participant)
-        node.set_trace_hooks(
-            send=tracer.make_send_hook(pid),
-            delivery=tracer.make_delivery_hook(pid),
-            coalesce=tracer.make_coalesce_hook(pid),
-        )
+    tracer.watch_nodes(cluster.nodes)
     return tracer
 
 
@@ -440,12 +444,5 @@ def emulation_tracer(
         label=label,
         epoch=t0,
     )
-    for node in ring.nodes.values():
-        pid = node.pid
-        tracer.watch_participant(pid, node.participant)
-        node.set_trace_hooks(
-            send=tracer.make_send_hook(pid),
-            delivery=tracer.make_delivery_hook(pid),
-            coalesce=tracer.make_coalesce_hook(pid),
-        )
+    tracer.watch_nodes(ring.nodes)
     return tracer

@@ -29,11 +29,11 @@ from .faults import (
 from .latency import LatencyRecorder, LatencySummary, summarize
 from .node import SimNode
 from .profiles import DAEMON, LIBRARY, PROFILES, SPREAD, CostProfile
-from .evs_node import GossipSimNode, SimEVSCluster, SimEVSNode
+from .evs_node import SimEVSCluster, SimEVSNode
 from .trace import RoundStats, RoundTracer
 
 __all__ = [
-    "GossipSimNode", "SimEVSCluster", "SimEVSNode",
+    "SimEVSCluster", "SimEVSNode",
     "SimCluster", "SimResult", "run_point",
     "SimNode",
     "FaultSchedule", "FaultScheduleError",

@@ -12,10 +12,12 @@ data port, like Totem's; the regular token keeps its own port.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..core import ProtocolConfig, Service
+from ..core.driver import Inbox
 from ..membership import (
     EVSProcess,
     GossipConfig,
@@ -40,7 +42,20 @@ _CTRL_SIZE = 256
 
 
 class SimEVSNode:
-    """One EVSProcess bound to the simulated network."""
+    """One EVSProcess bound to the simulated network.
+
+    Given a peer list, failure detection rides a SWIM gossip detector:
+    the Totem controller's own all-to-all probe broadcasts are disabled
+    (``probes_enabled = False``) and a :class:`GossipDetector` pings
+    one random peer per protocol period, feeding suspicion verdicts
+    into the membership state machine via ``notify_peer_alive`` /
+    ``notify_peer_failed``.  Gather/commit still forms the actual views
+    — gossip only decides *when* to start one and about *whom*.
+
+    Gossip frames are charged their real wire size (the codec's
+    measured base + per-update sizes), so the control-traffic counters
+    reflect what a deployment would put on the network.
+    """
 
     #: How much simulated time one logical membership tick represents.
     TICK_INTERVAL_S = 0.001
@@ -55,6 +70,9 @@ class SimEVSNode:
         config: Optional[ProtocolConfig] = None,
         timeouts: Optional[MembershipTimeouts] = None,
         payload_size: int = 1350,
+        peers: Optional[Tuple[int, ...]] = None,
+        gossip_config: Optional[GossipConfig] = None,
+        gossip_seed: int = 0,
     ) -> None:
         self.sim = sim
         self.pid = pid
@@ -63,12 +81,17 @@ class SimEVSNode:
         self.payload_size = payload_size
         self._config = config
         self._timeouts = timeouts
-        self.process = EVSProcess(pid, config, timeouts)
+        #: Static host list the detector boots from (a restarted daemon
+        #: re-reads its config file; it does NOT remember incarnations);
+        #: ``None`` keeps the controller's own probe flooding.
+        self._peers = peers
+        self._gossip_config = gossip_config or GossipConfig()
+        self._gossip_seed = gossip_seed
         self.nic = Nic(sim, pid, spec, switch.receive)
         switch.attach(pid, self._on_frame)
         self._ctrl_queue: Deque[Tuple[Any, int]] = deque()
-        self._token_queue: Deque[Tuple[int, Any, int]] = deque()
-        self._data_queue: Deque[Tuple[int, Any, int]] = deque()
+        #: The two ring sockets; entries are (ring_id, payload, src).
+        self._ring = Inbox()
         self._wakeup = sim.signal("evsnode%d" % pid)
         self.crashed = False
         #: Control-plane traffic accounting (membership + failure
@@ -83,9 +106,29 @@ class SimEVSNode:
         #: still matters for EVS checking: a crashed process's delivered
         #: prefix must be consistent with the survivors').
         self.archived_processes: List[EVSProcess] = []
-        self._cpu = sim.spawn(self._cpu_loop(), "evscpu%d" % pid)
-        self._ticker = sim.spawn(self._tick_loop(), "evstick%d" % pid)
-        self._route(self.process.bootstrap())
+        self._boot(EVSProcess(pid, config, timeouts), "%d" % pid)
+
+    def _boot(self, process: EVSProcess, tag: str) -> None:
+        """Start one incarnation: its process, sim loops and detector."""
+        self.process = process
+        spawn = self.sim.spawn
+        self._loops = [
+            spawn(self._cpu_loop(), "evscpu" + tag),
+            spawn(self._tick_loop(), "evstick" + tag),
+        ]
+        self._route(process.bootstrap())
+        self.detector: Optional[GossipDetector] = None
+        if self._peers is not None:
+            process.probes_enabled = False
+            self.detector = GossipDetector(
+                self.pid,
+                self._gossip_config,
+                # New incarnation -> new probe/jitter stream, still
+                # deterministic for a given (cluster seed, pid, restart#).
+                seed=self._gossip_seed * 1000003 + self.incarnation,
+            )
+            self.detector.seed_members(self._peers)
+            self._loops.append(spawn(self._gossip_loop(), "gossiptick" + tag))
 
     # -- control -----------------------------------------------------------
 
@@ -99,11 +142,10 @@ class SimEVSNode:
         if self.crashed:
             return
         self.crashed = True
-        self._cpu.interrupt()
-        self._ticker.interrupt()
+        for loop in self._loops:
+            loop.interrupt()
         self._ctrl_queue.clear()
-        self._token_queue.clear()
-        self._data_queue.clear()
+        self._ring.clear()
 
     def restart(self) -> None:
         """Boot a fresh incarnation after a crash.
@@ -119,17 +161,13 @@ class SimEVSNode:
         self.crashed = False
         self.incarnation += 1
         self.archived_processes.append(self.process)
-        self.process = EVSProcess(
-            self.pid, self._config, self._timeouts,
-            stable_ring_seq=self.process.stable_ring_seq,
+        self._boot(
+            EVSProcess(
+                self.pid, self._config, self._timeouts,
+                stable_ring_seq=self.process.stable_ring_seq,
+            ),
+            "%d.%d" % (self.pid, self.incarnation),
         )
-        self._cpu = self.sim.spawn(
-            self._cpu_loop(), "evscpu%d.%d" % (self.pid, self.incarnation)
-        )
-        self._ticker = self.sim.spawn(
-            self._tick_loop(), "evstick%d.%d" % (self.pid, self.incarnation)
-        )
-        self._route(self.process.bootstrap())
 
     def submit(self, payload: Any, service: Service = Service.AGREED) -> None:
         self.process.submit(payload, service, self.payload_size)
@@ -158,22 +196,28 @@ class SimEVSNode:
         kind = frame.payload[0]
         if frame.traffic is Traffic.TOKEN:
             _kind, ring_id, token = frame.payload
-            self._token_queue.append((ring_id, token, frame.src))
+            self._ring.tokens.append((ring_id, token, frame.src))
         elif kind == _CTRL:
             _kind, message = frame.payload
             self.ctrl_frames_received += 1
             self._ctrl_queue.append((message, frame.src))
         else:
             _kind, ring_id, message = frame.payload
-            self._data_queue.append((ring_id, message, frame.src))
+            self._ring.data.append((ring_id, message, frame.src))
         self._wakeup.fire()
+
+    def _send_ctrl(self, dst: Optional[int], size: int, message: Any) -> None:
+        frame = Frame(self.pid, dst, Traffic.DATA, size, (_CTRL, message))
+        self.ctrl_frames_sent += 1
+        self.ctrl_bytes_sent += frame.size
+        self.nic.send(frame)
 
     def _route(self, outgoing: List[Outgoing]) -> None:
         for out in outgoing:
             if out.kind == "token":
                 ring_id, token = out.payload
                 if out.dst == self.pid:
-                    self._token_queue.append((ring_id, token, self.pid))
+                    self._ring.tokens.append((ring_id, token, self.pid))
                     self._wakeup.fire()
                     continue
                 self.nic.send(
@@ -187,145 +231,24 @@ class SimEVSNode:
                           message.payload_size + self.profile.header_bytes,
                           (_DATA, ring_id, message))
                 )
+            elif out.dst == self.pid:
+                self._ctrl_queue.append((out.payload, self.pid))
+                self._wakeup.fire()
             else:
-                frame = Frame(self.pid, out.dst, Traffic.DATA,
-                              _CTRL_SIZE, (_CTRL, out.payload))
-                if out.dst == self.pid:
-                    self._ctrl_queue.append((out.payload, self.pid))
-                    self._wakeup.fire()
-                else:
-                    self.ctrl_frames_sent += 1
-                    self.ctrl_bytes_sent += frame.size
-                    self.nic.send(frame)
-
-    # -- processes ------------------------------------------------------------------
-
-    def _handle_ctrl(self, message: Any, src: int) -> None:
-        """Dispatch one control message (subclasses add detector traffic)."""
-        self._route(self.process.handle_ctrl(message, src))
-
-    def _cpu_loop(self):
-        profile = self.profile
-        while True:
-            if self._ctrl_queue:
-                message, src = self._ctrl_queue.popleft()
-                yield Timeout(profile.recv_token_cpu_s)
-                self._handle_ctrl(message, src)
-                continue
-            token_pending = bool(self._token_queue)
-            data_pending = bool(self._data_queue)
-            if not token_pending and not data_pending:
-                yield self._wakeup
-                continue
-            take_token = token_pending and (
-                self.process.token_has_priority or not data_pending
-            )
-            if take_token:
-                ring_id, token, src = self._token_queue.popleft()
-                yield Timeout(profile.recv_token_cpu_s)
-                self._route(self.process.handle_token(ring_id, token, src))
-            else:
-                ring_id, message, src = self._data_queue.popleft()
-                yield Timeout(profile.data_recv_cost(message.payload_size))
-                self._route(self.process.handle_data(ring_id, message, src))
-
-    def _tick_loop(self):
-        while True:
-            yield Timeout(self.TICK_INTERVAL_S)
-            self._route(self.process.tick())
-
-
-class GossipSimNode(SimEVSNode):
-    """EVS node whose failure detection rides a SWIM gossip detector.
-
-    The Totem controller's own all-to-all probe broadcasts are disabled
-    (``probes_enabled = False``); instead a :class:`GossipDetector`
-    pings one random peer per protocol period and feeds suspicion
-    verdicts into the membership state machine via
-    ``notify_peer_alive`` / ``notify_peer_failed``.  Gather/commit
-    still forms the actual views — gossip only decides *when* to start
-    one and about *whom*.
-
-    Gossip frames are charged their real wire size (the codec's
-    measured base + per-update sizes), so the control-traffic counters
-    reflect what a deployment would put on the network.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        pid: int,
-        spec: LinkSpec,
-        profile: CostProfile,
-        switch: Switch,
-        config: Optional[ProtocolConfig] = None,
-        timeouts: Optional[MembershipTimeouts] = None,
-        payload_size: int = 1350,
-        peers: Tuple[int, ...] = (),
-        gossip_config: Optional[GossipConfig] = None,
-        gossip_seed: int = 0,
-    ) -> None:
-        #: Static host list the detector boots from (a restarted daemon
-        #: re-reads its config file; it does NOT remember incarnations).
-        self._peers = tuple(peers)
-        self._gossip_config = gossip_config or GossipConfig()
-        self._gossip_seed = gossip_seed
-        super().__init__(sim, pid, spec, profile, switch,
-                         config, timeouts, payload_size)
-        self.process.probes_enabled = False
-        self.detector = self._make_detector()
-        self._gossip_ticker = sim.spawn(
-            self._gossip_loop(), "gossiptick%d" % pid
-        )
-
-    def _make_detector(self) -> GossipDetector:
-        detector = GossipDetector(
-            self.pid,
-            self._gossip_config,
-            # New incarnation -> new probe/jitter stream, still
-            # deterministic for a given (cluster seed, pid, restart#).
-            seed=self._gossip_seed * 1000003 + self.incarnation,
-        )
-        detector.seed_members(self._peers)
-        return detector
-
-    # -- fault controls ----------------------------------------------------
-
-    def crash(self) -> None:
-        if self.crashed:
-            return
-        super().crash()
-        self._gossip_ticker.interrupt()
-
-    def restart(self) -> None:
-        super().restart()
-        self.process.probes_enabled = False
-        self.detector = self._make_detector()
-        self._gossip_ticker = self.sim.spawn(
-            self._gossip_loop(),
-            "gossiptick%d.%d" % (self.pid, self.incarnation),
-        )
-
-    # -- gossip glue -------------------------------------------------------
-
-    @staticmethod
-    def _gossip_size(message: Any) -> int:
-        base = (
-            GOSSIP_REQ_BASE_SIZE
-            if isinstance(message, GossipPingReq)
-            else GOSSIP_BASE_SIZE
-        )
-        return base + len(message.updates) * GOSSIP_UPDATE_SIZE
+                self._send_ctrl(out.dst, _CTRL_SIZE, out.payload)
 
     def _dispatch_gossip(self, sends, events) -> None:
         for dst, message in sends:
             if dst == self.pid:
                 continue
-            frame = Frame(self.pid, dst, Traffic.DATA,
-                          self._gossip_size(message), (_CTRL, message))
-            self.ctrl_frames_sent += 1
-            self.ctrl_bytes_sent += frame.size
-            self.nic.send(frame)
+            base = (
+                GOSSIP_REQ_BASE_SIZE
+                if isinstance(message, GossipPingReq)
+                else GOSSIP_BASE_SIZE
+            )
+            self._send_ctrl(
+                dst, base + len(message.updates) * GOSSIP_UPDATE_SIZE, message
+            )
         for event in events:
             if isinstance(event, PeerConfirm):
                 self._route(self.process.notify_peer_failed(event.pid))
@@ -334,18 +257,43 @@ class GossipSimNode(SimEVSNode):
             # PeerSuspect is advisory: membership waits for the
             # confirm so one dropped ack can't force a view change.
 
-    def _handle_ctrl(self, message: Any, src: int) -> None:
-        if isinstance(message, GOSSIP_MESSAGE_TYPES):
-            sends, events = self.detector.handle(message, src)
-            self._dispatch_gossip(sends, events)
-            return
-        super()._handle_ctrl(message, src)
+    # -- processes ------------------------------------------------------------------
+
+    def _cpu_loop(self):
+        profile = self.profile
+        ring = self._ring
+        while True:
+            if self._ctrl_queue:
+                message, src = self._ctrl_queue.popleft()
+                yield Timeout(profile.recv_token_cpu_s)
+                if isinstance(message, GOSSIP_MESSAGE_TYPES):
+                    # Only a gossiping peer sends these, and the cluster
+                    # is all-gossip or all-probe, so a detector exists.
+                    self._dispatch_gossip(*self.detector.handle(message, src))
+                else:
+                    self._route(self.process.handle_ctrl(message, src))
+                continue
+            queue = ring.pick(self.process.token_has_priority)
+            if queue is None:
+                yield self._wakeup
+                continue
+            ring_id, payload, src = queue.popleft()
+            if queue is ring.tokens:
+                yield Timeout(profile.recv_token_cpu_s)
+                self._route(self.process.handle_token(ring_id, payload, src))
+            else:
+                yield Timeout(profile.data_recv_cost(payload.payload_size))
+                self._route(self.process.handle_data(ring_id, payload, src))
+
+    def _tick_loop(self):
+        while True:
+            yield Timeout(self.TICK_INTERVAL_S)
+            self._route(self.process.tick())
 
     def _gossip_loop(self):
         while True:
             yield Timeout(self.TICK_INTERVAL_S)
-            sends, events = self.detector.tick()
-            self._dispatch_gossip(sends, events)
+            self._dispatch_gossip(*self.detector.tick())
 
 
 class SimEVSCluster:
@@ -365,30 +313,17 @@ class SimEVSCluster:
         self.sim = Simulator()
         self.switch = Switch(self.sim, spec)
         self.gossip = gossip
-        # Kept for mid-run spawns (open-membership joins build new
-        # nodes from the same deployment parameters).
-        self._spec = spec
-        self._profile = profile
-        self._config = config
-        self._timeouts = timeouts
-        self._gossip_config = gossip_config
-        self._gossip_seed = gossip_seed
-        if gossip:
-            peers = tuple(range(n_nodes))
-            self.nodes: Dict[int, SimEVSNode] = {
-                pid: GossipSimNode(self.sim, pid, spec, profile,
-                                   self.switch, config, timeouts,
-                                   peers=peers,
-                                   gossip_config=gossip_config,
-                                   gossip_seed=gossip_seed)
-                for pid in range(n_nodes)
-            }
-        else:
-            self.nodes = {
-                pid: SimEVSNode(self.sim, pid, spec, profile, self.switch,
-                                config, timeouts)
-                for pid in range(n_nodes)
-            }
+        # Mid-run spawns (open-membership joins) build new nodes from
+        # the same deployment parameters: ``_new_node(pid, peers=...)``.
+        self._new_node = functools.partial(
+            SimEVSNode, self.sim, spec=spec, profile=profile,
+            switch=self.switch, config=config, timeouts=timeouts,
+            gossip_config=gossip_config, gossip_seed=gossip_seed,
+        )
+        peers = tuple(range(n_nodes)) if gossip else None
+        self.nodes: Dict[int, SimEVSNode] = {
+            pid: self._new_node(pid, peers=peers) for pid in range(n_nodes)
+        }
         self.metrics = MetricsRegistry()
         self._register_metrics()
 
@@ -414,14 +349,8 @@ class SimEVSCluster:
             )
         if pid in self.nodes:
             raise ValueError("pid %d already exists" % pid)
-        node = GossipSimNode(
-            self.sim, pid, self._spec, self._profile, self.switch,
-            self._config, self._timeouts,
-            peers=tuple(sorted(self.nodes)),
-            gossip_config=self._gossip_config,
-            gossip_seed=self._gossip_seed,
-        )
-        self.nodes[pid] = node
+        node = self.nodes[pid] = self._new_node(
+            pid, peers=tuple(sorted(self.nodes)))
         self._register_node_metrics(pid, node)
         return node
 

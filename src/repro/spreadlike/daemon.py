@@ -197,8 +197,8 @@ class SpreadDaemon:
             group=group, members=members, joined=tuple(joined),
             left=tuple(left), seq=seq,
         )
-        recipients = set(members) | set(left)
-        for client in recipients:
+        # Current members plus the leavers, each once, in a stable order.
+        for client in dict.fromkeys((*members, *left)):
             if client.daemon != self.pid:
                 continue
             session = self.sessions.get(client.name)

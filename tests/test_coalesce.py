@@ -187,11 +187,10 @@ def _run_sim(jumbo_bytes):
     delivered = {}
     config = ProtocolConfig.accelerated(
         accelerated_window=20, jumbo_datagram_bytes=jumbo_bytes)
-    cluster = SimCluster(4, GIGABIT, SPREAD, config, seed=1)
-    for pid, node in cluster.nodes.items():
-        delivered[pid] = []
-        node._deliver_callback = (
-            lambda p, m, pid=pid: delivered[pid].append(m.seq))
+    cluster = SimCluster(
+        4, GIGABIT, SPREAD, config, seed=1,
+        deliver_callback=lambda pid, m: delivered.setdefault(
+            pid, []).append(m.seq))
     cluster.inject_at_rate(600e6, duration_s=0.03)
     result = cluster.run(0.03, warmup_s=0.005, offered_bps=600e6)
     return delivered, result

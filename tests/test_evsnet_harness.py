@@ -37,11 +37,11 @@ def test_partition_drops_in_flight_traffic():
         net.submit(pid, ("m", pid))
     net.step()  # sends are now in flight
     had_queued = any(
-        net._data[pid] or net._token[pid] for pid in (1, 2, 3)
+        net._ring[pid].data or net._ring[pid].tokens for pid in (1, 2, 3)
     )
     net.set_partition({1}, {2}, {3})
     for pid in (1, 2, 3):
-        for src, _payload in net._data[pid]:
+        for src, _payload in net._ring[pid].data:
             assert net.connected(src, pid), "cross-partition message survived"
     assert had_queued  # the scenario actually exercised the drop path
 

@@ -24,6 +24,7 @@ import pytest
 
 from repro.core import ProtocolConfig, Service
 from repro.net import GIGABIT, TEN_GIGABIT
+from repro.net.loss import BernoulliLoss
 from repro.sim import DAEMON, LIBRARY, SPREAD
 from repro.sim.cluster import SimCluster
 
@@ -69,10 +70,10 @@ def _digest_cluster(cluster: SimCluster) -> str:
 
 
 def _run(config, profile, spec, payload_size, service, offered_bps,
-         duration_s=0.06, warmup_s=0.02, seed=7) -> str:
+         duration_s=0.06, warmup_s=0.02, seed=7, loss=None) -> str:
     cluster = SimCluster(
         8, spec, profile, config,
-        payload_size=payload_size, service=service, seed=seed,
+        payload_size=payload_size, service=service, seed=seed, loss=loss,
     )
     cluster.inject_at_rate(offered_bps, duration_s)
     cluster.run(duration_s, warmup_s, offered_bps=offered_bps)
@@ -110,6 +111,28 @@ SCENARIOS = {
             LIBRARY, TEN_GIGABIT, 8850, Service.AGREED, 1500e6,
         ),
         "33ea9ffff4b53f14b9d14f30b996f228788bedfb356e2454ed8e4b4d5e8274c8",
+    ),
+    # The next two were minted at the commit before the shared driver
+    # core (repro.core.driver) replaced the per-substrate action walks:
+    # they pin the coalescing walk and the retransmission / token-resend
+    # paths, which no scenario above reaches.
+    "accelerated_jumbo_10g": (
+        lambda: _run(
+            ProtocolConfig.accelerated(
+                personal_window=20, accelerated_window=12,
+                jumbo_datagram_bytes=8850,
+            ),
+            LIBRARY, TEN_GIGABIT, 1350, Service.AGREED, 5000e6,
+        ),
+        "f05851f93c7c91393340164122a2f3ebd3ba118a3ecee14ae0fbc68917060a6e",
+    ),
+    "accelerated_lossy_1g": (
+        lambda: _run(
+            ProtocolConfig.accelerated(personal_window=15, accelerated_window=10),
+            SPREAD, GIGABIT, 1350, Service.SAFE, 300e6,
+            loss=BernoulliLoss(0.02, seed=11),
+        ),
+        "619082f3f5c227f3c7bc190e7f5559cfcefc0d937645eca87ebc098e722adf76",
     ),
 }
 

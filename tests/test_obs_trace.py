@@ -21,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import ProtocolConfig
 from repro.net import GIGABIT
 from repro.obs.lifecycle import (
+    AUX_COALESCED,
+    AUX_RETRANSMISSION,
     STAGE_DELIVERED_AGREED,
     STAGE_DELIVERED_SAFE,
     STAGE_MULTICAST,
@@ -236,6 +238,34 @@ def test_stage_counts_are_consistent():
     retransmissions = stat("retransmissions_sent")
     assert 0 <= initiated + retransmissions - counts[STAGE_MULTICAST] <= slack
     assert 0 <= stat("delivered") - counts[STAGE_ORDERED] <= slack
+
+
+def test_retransmissions_keep_their_flag_under_coalescing():
+    """A retransmission answered into a jumbo batch is still stamped as
+    one: the flag rides each message through the driver's coalescing
+    walk instead of being reset when the batch flushes."""
+    from repro.net.loss import BernoulliLoss
+
+    config = ProtocolConfig.accelerated(
+        personal_window=12, accelerated_window=8, jumbo_datagram_bytes=8850,
+    )
+    cluster = SimCluster(4, GIGABIT, LIBRARY, config, seed=5,
+                         loss=BernoulliLoss(0.03, seed=9, spare_token=True))
+    tracer = cluster.attach_tracer()
+    # Injection stops at a third of the run: by the end every answered
+    # request has left the NIC, so stamps and stats counters agree.
+    cluster.inject_at_rate(600e6, 0.01)
+    cluster.run(0.03, 0.0, offered_bps=600e6)
+    multicasts = [r for r in tracer.to_records()
+                  if r.stage == STAGE_MULTICAST]
+    flagged = [r for r in multicasts if r.aux & AUX_RETRANSMISSION]
+    retransmissions = sum(
+        node.participant.stats.retransmissions_sent
+        for node in cluster.nodes.values()
+    )
+    assert len(flagged) == retransmissions > 0
+    # The case only bites when retransmissions actually rode in batches.
+    assert any(r.aux & AUX_COALESCED for r in flagged)
 
 
 def test_emulation_tracer_over_real_sockets(tmp_path):

@@ -88,12 +88,11 @@ def test_total_order_inside_simulation():
     # Capture per-node delivery sequences via the callback and compare.
     delivered = {}
 
-    cluster = SimCluster(4, GIGABIT, LIBRARY, ACCEL, seed=1)
-    for pid, node in cluster.nodes.items():
-        delivered[pid] = []
-        node._deliver_callback = (
-            lambda p, m, pid=pid: delivered[pid].append(m.seq)
-        )
+    cluster = SimCluster(
+        4, GIGABIT, LIBRARY, ACCEL, seed=1,
+        deliver_callback=lambda pid, m: delivered.setdefault(
+            pid, []).append(m.seq),
+    )
     cluster.inject_at_rate(200e6, duration_s=0.05)
     cluster.run(0.05, warmup_s=0.0, offered_bps=200e6)
     lengths = {p: len(s) for p, s in delivered.items()}

@@ -47,11 +47,10 @@ def test_single_node_cluster_runs():
 def test_two_node_cluster_total_order():
     delivered = {0: [], 1: []}
     config = ProtocolConfig.accelerated(personal_window=10, accelerated_window=5)
-    cluster = SimCluster(2, GIGABIT, LIBRARY, config)
-    for pid in (0, 1):
-        cluster.nodes[pid]._deliver_callback = (
-            lambda p, m, pid=pid: delivered[pid].append(m.seq)
-        )
+    cluster = SimCluster(
+        2, GIGABIT, LIBRARY, config,
+        deliver_callback=lambda pid, m: delivered[pid].append(m.seq),
+    )
     cluster.inject_at_rate(100e6, duration_s=0.03)
     cluster.run(0.03, warmup_s=0.0, offered_bps=100e6)
     shortest = min(len(delivered[0]), len(delivered[1]))
