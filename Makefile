@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast lint bench bench-full bench-smoke bench-guard perf-smoke campaign-smoke churn-smoke multiring-smoke obs-smoke wire-fuzz-smoke examples figures clean
+.PHONY: install test test-fast lint bench bench-full bench-smoke bench-guard perf-smoke perf-ab campaign-smoke churn-smoke multiring-smoke obs-smoke wire-fuzz-smoke examples figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -64,6 +64,17 @@ bench-guard:
 perf-smoke:
 	$(PYTHON) perf/run.py --smoke
 	$(PYTHON) -m pytest perf/tests -q
+
+# Parent against change on one BENCHMARK.json workload: REF is exported
+# to a temporary directory and perf/run.py runs in alternating order in
+# both trees, PAIRS times at the benchmark's run length; prints each
+# end-to-end metric's medians, quartiles, pairs won and the verdict
+# (scripts/perf_ab.py).  2 x PAIRS runs of ~40 s: not part of CI.
+W ?= udp_sat
+PAIRS ?= 10
+REF ?= HEAD~1
+perf-ab:
+	$(PYTHON) scripts/perf_ab.py --workload $(W) --pairs $(PAIRS) --ref $(REF)
 
 # Small seeded fault-injection campaign: crashes, partitions, token
 # drops and loss swaps against accelerated and original-Ring configs;

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from ..core import DataMessage, ProtocolConfig, Ring, Service
 from ..obs.registry import MetricsRegistry
@@ -47,6 +47,8 @@ class EmulatedRing:
         #: Lifecycle tracer, if attached (see :meth:`attach_tracer`).
         self.tracer = None
         self._started = False
+        #: Nodes whose death was already raised (each is raised once).
+        self._reported: Set[int] = set()
 
     def _register_metrics(self) -> None:
         """Bind every node's live counters into the unified registry."""
@@ -96,6 +98,15 @@ class EmulatedRing:
             node.stop()
         for node in self.nodes.values():
             node.join(timeout=2.0)
+        self._raise_dead_node()
+
+    def _raise_dead_node(self) -> None:
+        """Raise, once, what killed a node thread (``node.error``)."""
+        for pid, node in self.nodes.items():
+            if node.error is not None and pid not in self._reported:
+                self._reported.add(pid)
+                raise RuntimeError(
+                    "node %d died: %r" % (pid, node.error)) from node.error
 
     def __enter__(self) -> "EmulatedRing":
         return self.start()
@@ -128,6 +139,8 @@ class EmulatedRing:
                     progress = True
             if all(len(v) >= expected_per_node for v in collected.values()):
                 return collected
+            # A dead node took the token with it: do not wait it out.
+            self._raise_dead_node()
             if not progress:
                 time.sleep(0.002)
         counts = {pid: len(v) for pid, v in collected.items()}

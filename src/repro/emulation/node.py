@@ -1,10 +1,11 @@
 """A threaded node running the sans-IO participant over real sockets.
 
-One thread per node, mirroring the paper's single-threaded daemon: the
-loop reads the two sockets with the protocol's token/data priority
-rules, executes the participant's actions in order (including sending
-the token *before* the post-token multicasts — real acceleration over a
-real network stack), and retransmits the token on a wall-clock timer.
+One thread per node, mirroring the paper's single-threaded daemon: once
+woken, the loop drains its two sockets in one poll and handles that batch
+by the protocol's token/data priority rules (:meth:`EmulatedNode.run`),
+executes the participant's actions in order (including sending the token
+*before* the post-token multicasts — real acceleration over a real
+network stack), and retransmits the token on a wall-clock timer.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class EmulatedNode(threading.Thread):
     and feeds its inboxes from the sockets.
     """
 
-    #: Socket poll granularity; bounds timer latency, not throughput.
+    #: Longest block on idle sockets; bounds reaction time, not throughput.
     POLL_INTERVAL_S = 0.001
 
     #: Driver port: no CPU cost model, wall clock.
@@ -64,6 +65,8 @@ class EmulatedNode(threading.Thread):
         self._stop_event = threading.Event()
         #: The one armed timer: (monotonic deadline, fn, args).
         self._timer: Optional[Tuple[float, Callable, tuple]] = None
+        #: What killed the node thread, if anything did.
+        self.error: Optional[Exception] = None
 
     @property
     def tokens_resent(self) -> int:
@@ -92,22 +95,38 @@ class EmulatedNode(threading.Thread):
     # -- the node loop -------------------------------------------------------
 
     def run(self) -> None:
-        driver = self.driver
+        """One pass per socket wake-up: poll once, handle the batch.
+
+        A pass ends where the sockets could change what Section III-D
+        reads next: *the data inbox ran dry* (a token without priority
+        waits until a fresh poll found no data) or *the token has
+        priority and none is queued* (it may be in the socket).
+        Submissions, the stop flag and the timer are looked at once per
+        pass, which one poll's drain bounds (DESIGN.md section 3.1).
+        """
+        step = self.driver.step
+        tokens, data = self.driver.tokens, self.driver.data
+        # Read now, not at construction: the stand-ins a benchmark
+        # installs on the node before start() are what the loop calls.
+        poll = self.transport.poll
+        priority = self.participant._priority
         try:
             while not self._stop_event.is_set():
                 self._drain_submissions()
-                # Block briefly only when there is nothing at all to do.
-                idle = not driver.tokens and not driver.data
-                data, tokens = self.transport.poll(
-                    self.POLL_INTERVAL_S if idle else 0.0
-                )
-                driver.data.extend(data)
-                driver.tokens.extend(tokens)
-                driver.step()
+                # Block only when there is nothing at all to do.
+                wait = 0.0 if tokens or data else self.POLL_INTERVAL_S
+                fresh_data, fresh_tokens = poll(wait)
+                data.extend(fresh_data)
+                tokens.extend(fresh_tokens)
+                while step():
+                    if not data or (priority._token_high and not tokens):
+                        break
                 timer = self._timer
                 if timer is not None and time.monotonic() >= timer[0]:
                     self._timer = None
                     timer[1](*timer[2])
+        except Exception as exc:
+            self.error = exc  # EmulatedRing raises it in the caller
         finally:
             self.transport.close()
 

@@ -83,6 +83,8 @@ class UdpTransport:
             self._token_sock.getsockname()[1],
         )
         self._peers: Dict[int, PortPair] = {}
+        #: (pid, data address) of every other peer, per :meth:`set_peers`.
+        self._fanout: List[Tuple[int, Tuple[str, int]]] = []
         self._loss: Optional[SendLossRule] = None
         #: Configuration id stamped on outgoing data datagrams.
         self.ring_id = 0
@@ -101,6 +103,8 @@ class UdpTransport:
 
     def set_peers(self, peers: Dict[int, PortPair]) -> None:
         self._peers = dict(peers)
+        self._fanout = [(pid, (self.host, ports.data_port))
+                        for pid, ports in peers.items() if pid != self.pid]
 
     def set_loss_rule(self, rule: Optional[SendLossRule]) -> None:
         self._loss = rule
@@ -179,13 +183,16 @@ class UdpTransport:
                 time.monotonic() - self._capture_t0,
                 self.pid, None, TRAFFIC_DATA, blob,
             )
-        for pid, ports in self._peers.items():
-            if pid == self.pid:
-                continue
-            if self._loss is not None and self._loss("data", obj, pid):
-                continue
-            self._data_sock.sendto(blob, (self.host, ports.data_port))
-            self.datagrams_sent += 1
+        sendto, loss = self._data_sock.sendto, self._loss
+        if loss is None:
+            for _pid, address in self._fanout:
+                sendto(blob, address)
+            self.datagrams_sent += len(self._fanout)
+        else:
+            for pid, address in self._fanout:
+                if not loss("data", obj, pid):
+                    sendto(blob, address)
+                    self.datagrams_sent += 1
 
     def send_token(self, obj: Any, dst: int) -> None:
         blob = self._encode_checked(obj)
@@ -212,10 +219,11 @@ class UdpTransport:
         dropped rather than handed to the participant.
         """
         received = []
+        datagrams = 0
         expected = Token if want_token else DataMessage
         while True:
             try:
-                blob, _addr = sock.recvfrom(_RECV_BUFSIZE)
+                blob = sock.recv(_RECV_BUFSIZE)
             except BlockingIOError:
                 break
             if len(blob) > MAX_DATAGRAM:
@@ -228,21 +236,21 @@ class UdpTransport:
                 self.last_decode_error = str(exc)
                 continue
             message = decoded.message
-            if not want_token and type(message) is JumboDatagram:
+            if type(message) is expected:
+                received.append(message)
+            elif type(message) is JumboDatagram and not want_token:
                 # The codec guarantees every inner packet is a data
                 # message, so a jumbo is acceptable wherever one is.
                 received.extend(message.messages)
-                self.datagrams_received += 1
-                continue
-            if type(message) is not expected:
+            else:
                 self.drops_malformed += 1
                 self.last_decode_error = (
                     "%s frame on the %s socket"
                     % (decoded.kind, "token" if want_token else "data")
                 )
                 continue
-            received.append(message)
-            self.datagrams_received += 1
+            datagrams += 1
+        self.datagrams_received += datagrams
         return received
 
     def poll(self, timeout_s: float) -> Tuple[List[Any], List[Any]]:

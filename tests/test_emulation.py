@@ -126,3 +126,233 @@ def test_single_node_ring_over_sockets():
             ring.submit(0, i)
         collected = ring.collect_deliveries(expected_per_node=10, timeout_s=10.0)
     assert payloads_of(collected[0])[:10] == list(range(10))
+
+
+def test_dead_node_thread_is_raised_not_timed_out():
+    # 70 KB encodes past MAX_DATAGRAM: the send raises inside node 1's
+    # thread, which dies holding the token.  That must surface as the
+    # cause, at once, not as a delivery timeout 30 s later.
+    from repro.emulation import OversizedDatagramError
+
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="node 1 died") as excinfo:
+        with EmulatedRing(3) as ring:
+            ring.submit(1, b"x" * 70_000)
+            ring.collect_deliveries(expected_per_node=1, timeout_s=30.0)
+    assert time.monotonic() - started < 15.0
+    assert isinstance(excinfo.value.__cause__, OversizedDatagramError)
+    assert ring.nodes[1].error is excinfo.value.__cause__
+    assert not ring.nodes[1].is_alive()
+    ring.stop()  # raised once already: stopping again stays quiet
+
+
+def test_stop_raises_what_killed_a_node():
+    ring = EmulatedRing(3).start()
+    ring.submit(1, b"x" * 70_000)
+    ring.nodes[1].join(timeout=10.0)
+    assert not ring.nodes[1].is_alive()
+    with pytest.raises(RuntimeError, match="node 1 died"):
+        ring.stop()
+    for node in ring.nodes.values():
+        assert not node.is_alive()
+
+
+# -- the node loop's read rule, over a scripted transport (no sockets) -------
+
+class ScriptedTransport:
+    """Stands in for UdpTransport: canned polls, recorded sends.
+
+    Each script entry is ``(data, tokens)`` or a callable returning one
+    (called with the 1-based poll number).  When the script runs out the
+    node is stopped, so ``node.run()`` returns in the calling thread.
+    """
+
+    def __init__(self, script, log):
+        self.script = list(script)
+        self.log = log
+        self.polls = 0
+        self.ring_id = 0
+        self.node = None
+
+    def poll(self, timeout_s):
+        self.polls += 1
+        self.log.append(("poll", timeout_s))
+        if self.polls > len(self.script):
+            self.node.stop()
+            return [], []
+        entry = self.script[self.polls - 1]
+        return entry(self.polls) if callable(entry) else entry
+
+    def send_data(self, message):
+        self.log.append(("send_data", message))
+
+    def send_token(self, token, dst):
+        self.log.append(("send_token", token, dst))
+
+    def close(self):
+        self.log.append(("close",))
+
+
+class RecordingParticipant:
+    """Forwards to a Participant, logging each input it is handed."""
+
+    def __init__(self, target, log):
+        self._target = target
+        self._log = log
+
+    def on_data(self, message):
+        self._log.append(("on_data", message))
+        return self._target.on_data(message)
+
+    def on_token(self, token):
+        self._log.append(("on_token", token))
+        return self._target.on_token(token)
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+def scripted_node(pid, n_nodes, config, script):
+    """An unstarted node over a ScriptedTransport -> (node, log)."""
+    from repro.core import Ring
+    from repro.emulation.node import EmulatedNode
+
+    log = []
+    transport = ScriptedTransport(script, log)
+    node = EmulatedNode(pid, Ring.of(list(range(n_nodes))), config, transport)
+    node.participant = RecordingParticipant(node.participant, log)
+    transport.node = node
+    return node, log
+
+
+def first_round_of_leader(config, n_nodes, n_messages):
+    """What node 0 puts on the wire handling the first token with
+    ``n_messages`` submitted -> (data in send order, the token)."""
+    from repro.core import Participant, Ring, initial_token
+    from repro.core.actions import SendData, SendToken
+
+    ring = Ring.of(list(range(n_nodes)))
+    leader = Participant(0, ring, config)
+    for i in range(n_messages):
+        leader.submit(("m", i))
+    actions = leader.on_token(initial_token(ring.ring_id))
+    data = [a.message for a in actions if type(a) is SendData]
+    (token,) = [a.token for a in actions if type(a) is SendToken]
+    assert len(data) == n_messages
+    return data, token
+
+
+def kinds(log):
+    return [entry[0] for entry in log]
+
+
+def test_loop_handles_a_drained_batch_without_polling_again():
+    # (a) 40 datagrams out of one poll: no select between them.
+    config = ProtocolConfig(accelerated_window=0)
+    data, token = first_round_of_leader(config, 3, 40)
+    node, log = scripted_node(1, 3, config, [(data, []), ([], [token])])
+    node.run()
+    assert node.error is None
+    inputs = [e for e in log if e[0] in ("poll", "on_data", "on_token")]
+    assert kinds(inputs) == (["poll"] + ["on_data"] * 40
+                             + ["poll", "on_token", "poll"])
+    assert [e[1] for e in inputs[1:41]] == data
+    assert len(node.drain_delivered()) == 40
+    # Our token went on to node 2, through the transport.
+    assert [e[2] for e in log if e[0] == "send_token"] == [2]
+
+
+def test_loop_polls_at_once_when_the_token_gains_priority_unqueued():
+    # (b) The predecessor's first post-token datagram raises the token's
+    # priority; none is queued, so the token may be in the socket: the
+    # very next action is a poll, and the token it returns is read
+    # before the data still queued.
+    config = ProtocolConfig(accelerated_window=3)
+    data, token = first_round_of_leader(config, 3, 6)
+    pre = [m for m in data if not m.sent_after_token]
+    post = [m for m in data if m.sent_after_token]
+    assert pre and len(post) == 3 and data == pre + post
+    node, log = scripted_node(1, 3, config, [(data, []), ([], [token])])
+    node.run()
+    assert node.error is None
+    inputs = [e for e in log if e[0] in ("poll", "on_data", "on_token")]
+    raised = 1 + len(pre)  # index of the first post-token on_data
+    assert inputs[raised] == ("on_data", post[0])
+    assert inputs[raised + 1] == ("poll", 0.0)
+    assert inputs[raised + 2] == ("on_token", token)
+    assert inputs[raised + 3:raised + 5] == [("on_data", post[1]),
+                                             ("on_data", post[2])]
+    assert kinds(inputs[:raised]) == ["poll"] + ["on_data"] * len(pre)
+
+
+def test_loop_reads_a_low_priority_token_only_after_a_poll_found_no_data():
+    # (c) Original Ring: data never raises the token's priority, so a
+    # token queued beside data waits until the sockets hold no data.
+    config = ProtocolConfig(accelerated_window=0)
+    data, token = first_round_of_leader(config, 3, 4)
+    node, log = scripted_node(
+        1, 3, config, [(data[:3], [token]), (data[3:], []), ([], [])])
+    node.run()
+    assert node.error is None
+    inputs = [e for e in log if e[0] in ("poll", "on_data", "on_token")]
+    assert kinds(inputs) == ["poll", "on_data", "on_data", "on_data",
+                             "poll", "on_data", "poll", "on_token", "poll"]
+    # Never a blocking poll while the token waits in the inbox.
+    assert [e[1] for e in inputs if e[0] == "poll"][1:3] == [0.0, 0.0]
+
+
+def test_single_node_pass_ends_at_the_self_addressed_token():
+    # (d) On a 1-node ring the token is always queued; each pass must
+    # hand it on once and return to submissions and the stop flag.
+    def submit_on_third(poll_number):
+        node.submit("late")
+        return [], []
+
+    script = [([], [])] * 2 + [submit_on_third] + [([], [])] * 3
+    node, log = scripted_node(0, 1, ProtocolConfig(), script)
+    node.inject_first_token()
+    node.start()  # a thread, so an unbounded pass fails instead of hanging
+    node.join(timeout=10.0)
+    assert not node.is_alive()
+    assert node.error is None
+    # One token handling per pass, never a blocking poll while the token
+    # is queued; the stop set inside poll 7 ended the loop after its pass.
+    inputs = [e for e in log if e[0] in ("poll", "on_token")]
+    assert kinds(inputs) == ["poll", "on_token"] * 7
+    assert all(e[1] == 0.0 for e in inputs if e[0] == "poll")
+    assert log[-1] == ("close",)
+    # Submitted during poll 3, picked up at the top of pass 4.
+    assert [m.payload for m in node.drain_delivered()] == ["late"]
+
+
+def test_armed_resend_fires_in_the_pass_after_its_deadline(monkeypatch):
+    # (e) The timer is checked once per pass, against a clock the script
+    # advances: no resend before the deadline, one right after it.
+    from repro.emulation import node as node_module
+
+    class Clock:
+        now = 100.0
+
+        @classmethod
+        def monotonic(cls):
+            return cls.now
+
+    monkeypatch.setattr(node_module, "time", Clock)
+    config = ProtocolConfig(accelerated_window=0,
+                            token_retransmit_timeout_s=0.010)
+    _data, token = first_round_of_leader(config, 3, 0)
+
+    def advance(by):
+        def poll(_number):
+            Clock.now += by
+            return [], []
+        return poll
+
+    node, log = scripted_node(
+        1, 3, config, [([], [token]), advance(0.004), advance(0.007)])
+    node.run()
+    assert node.error is None
+    assert kinds(log) == ["poll", "on_token", "send_token",
+                          "poll", "poll", "send_token", "poll", "close"]
+    first, resent = [e for e in log if e[0] == "send_token"]
+    assert resent == first and node.tokens_resent == 1

@@ -162,3 +162,112 @@ def test_malformed_datagrams_counted_not_raised(pair):
     assert a.drops_malformed == 2
     assert a.datagrams_dropped == 2
     assert a.last_decode_error
+
+
+# -- fan-out, loss rule and capture, per destination --------------------------
+
+@pytest.fixture
+def trio():
+    transports = [UdpTransport(pid) for pid in range(3)]
+    peers = {t.pid: t.ports for t in transports}
+    for transport in transports:
+        transport.set_peers(peers)
+    yield transports
+    for transport in transports:
+        transport.close()
+
+
+def message(seq):
+    return DataMessage(seq=seq, pid=0, round=1, service=Service.AGREED,
+                       payload=b"m%d" % seq)
+
+
+def test_set_peers_again_rebuilds_the_fanout(trio):
+    a, b, c = trio
+    a.send_data(message(1))
+    assert [m.seq for m in drain(b)[0]] == [1]
+    assert [m.seq for m in drain(c)[0]] == [1]
+    assert a.datagrams_sent == 2
+    # Node 2 leaves: the next multicast must not reach it.
+    a.set_peers({0: a.ports, 1: b.ports})
+    a.send_data(message(2))
+    assert [m.seq for m in drain(b)[0]] == [2]
+    assert c.poll(0.05) == ([], [])
+    assert a.datagrams_sent == 3
+
+
+def test_loss_rule_sees_each_destination_and_drops_are_not_counted(trio):
+    a, b, c = trio
+    asked = []
+
+    def rule(kind, obj, dst):
+        asked.append((kind, obj, dst))
+        return dst == 1
+
+    a.set_loss_rule(rule)
+    sent = message(1)
+    a.send_data(sent)
+    token = Token(hop=4)
+    a.send_token(token, dst=1)
+    a.send_token(token, dst=2)
+    assert asked == [("data", sent, 1), ("data", sent, 2),
+                     ("token", token, 1), ("token", token, 2)]
+    assert a.datagrams_sent == 2  # one data copy and one token got out
+    data, tokens = drain(c)
+    assert [m.seq for m in data] == [1]
+    if not tokens:
+        tokens = drain(c)[1]
+    assert [t.hop for t in tokens] == [4]
+    assert b.poll(0.05) == ([], [])
+    # Lifting the rule restores the plain fan-out.
+    a.set_loss_rule(None)
+    a.send_data(message(2))
+    assert [m.seq for m in drain(b)[0]] == [2]
+    assert a.datagrams_sent == 4
+
+
+def test_capture_records_one_per_logical_multicast(trio):
+    a, _b, _c = trio
+    records = []
+
+    class Writer:
+        def write(self, t, src, dst, traffic, blob):
+            records.append((src, dst, traffic, blob))
+
+    a.set_capture(Writer())
+    a.send_data(message(1))
+    a.send_token(Token(hop=2), dst=1)
+    assert a.datagrams_sent == 3  # two fan-out copies and the token
+    from repro.wire.capture import TRAFFIC_DATA, TRAFFIC_TOKEN
+    from repro.wire.codec import decode
+
+    assert [(src, dst, traffic) for src, dst, traffic, _ in records] == [
+        (0, None, TRAFFIC_DATA), (0, 1, TRAFFIC_TOKEN)]
+    assert decode(records[0][3]).seq == 1
+
+
+def test_jumbo_on_token_socket_is_a_wrong_socket_drop(trio):
+    import socket
+
+    from repro.wire.codec import encode_jumbo
+
+    a, _b, _c = trio
+    blob = encode_jumbo([message(1), message(2)])
+    sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        sender.sendto(blob, ("127.0.0.1", a.ports.token_port))
+        sender.sendto(blob, ("127.0.0.1", a.ports.data_port))
+    finally:
+        sender.close()
+    data, tokens = [], []
+    import time
+
+    deadline = time.monotonic() + 2.0
+    while time.monotonic() < deadline and not (data and a.drops_malformed):
+        fresh_data, fresh_tokens = a.poll(0.05)
+        data.extend(fresh_data)
+        tokens.extend(fresh_tokens)
+    # Accepted as two messages where data is, refused where tokens are.
+    assert [m.seq for m in data] == [1, 2] and tokens == []
+    assert a.datagrams_received == 1 and a.drops_malformed == 1
+    assert "token socket" in a.last_decode_error
