@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast lint bench bench-full bench-smoke bench-guard perf-smoke perf-ab campaign-smoke churn-smoke multiring-smoke obs-smoke wire-fuzz-smoke examples figures clean
+.PHONY: install test test-fast lint bench bench-full bench-guard perf-smoke perf-ab campaign-smoke churn-smoke multiring-smoke obs-smoke wire-fuzz-smoke examples figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -30,15 +30,6 @@ bench:
 
 bench-full:
 	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only -q
-
-# Fast sanity pass: tier-1 tests + the kernel-throughput and codec
-# microbenchmarks (bench_results/kernel.json, codec.json).  This is
-# what CI runs.
-bench-smoke:
-	$(PYTHON) -m pytest tests/ -q
-	$(PYTHON) -m pytest benchmarks/test_kernel_events_per_sec.py -q
-	$(PYTHON) -m pytest benchmarks/test_codec_throughput.py -q
-	@cat bench_results/kernel.json bench_results/codec.json
 
 # Regression guard: regenerate the kernel, codec and observability
 # records into a scratch directory and compare against the committed
@@ -78,11 +69,12 @@ perf-ab:
 
 # Small seeded fault-injection campaign: crashes, partitions, token
 # drops and loss swaps against accelerated and original-Ring configs;
-# exits non-zero (leaving repro files in bench_results/campaigns/) on
-# any EVS violation.  This is what CI runs.
+# exits non-zero (leaving repro files beside the summary in the
+# git-ignored bench_results/fresh/campaigns/) on any EVS violation.
+# This is what CI runs.
 campaign-smoke:
 	$(PYTHON) -m repro.cli campaign --seed 1 --scenarios 4 --quiet
-	@ls bench_results/campaigns/
+	@ls bench_results/fresh/campaigns/
 
 # Gossip-membership churn smoke: the detector unit/fuzz suites, the
 # simulated churn-campaign smoke test, and one EVS-checked 50-node

@@ -12,8 +12,8 @@ run and lists every regressed metric.  The wide tolerance is
 deliberate: these are absolute rates measured on whatever machine CI
 hands us, so the guard is meant to catch real structural regressions
 (an accidentally de-inlined hot path, a quadratic slip) rather than
-box-to-box noise — relative claims (decode >= encode, wire >= pickle)
-are asserted inside the benchmarks themselves.
+box-to-box noise — machine-independent floors are asserted inside the
+benchmarks themselves.
 
 Improvements are reported, never required: committing a faster
 baseline is how the bar ratchets upward.

@@ -35,7 +35,7 @@ lifecycle traces (``.rtrace``)::
     python -m repro.cli report                  # seeded run -> metrics table
     python -m repro.cli report --json           # same, JSON snapshot
     python -m repro.cli trace-analyze run.rtrace
-    python -m repro.cli obs-sample --out-dir bench_results/obs
+    python -m repro.cli obs-sample              # -> bench_results/fresh/obs
 """
 
 from __future__ import annotations
@@ -495,9 +495,10 @@ def run_trace_analyze_command(argv: List[str]) -> int:
 def run_obs_sample_command(argv: List[str]) -> int:
     """Produce the reference observability artifacts from one run.
 
-    One seeded sim run yields the committed sample trace (binary and
-    JSONL flavors carry identical records) and the matching metrics
-    snapshot; ``trace-analyze`` and ``report`` render them.
+    One seeded sim run yields the sample trace (binary and JSONL
+    flavors carry identical records) and the matching metrics snapshot;
+    ``trace-analyze`` and ``report`` render them.  Same seed, same
+    bytes — which is why no copy is committed.
     """
     import json
 
@@ -507,7 +508,7 @@ def run_obs_sample_command(argv: List[str]) -> int:
                     "metrics snapshot from a seeded sim run.",
     )
     parser.add_argument(
-        "--out-dir", default=os.path.join("bench_results", "obs"),
+        "--out-dir", default=os.path.join("bench_results", "fresh", "obs"),
         help="directory for sim_sample.rtrace/.jsonl and "
              "metrics_sample.json",
     )
@@ -722,7 +723,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="cluster size per scenario (default: 3)",
     )
     campaign_group.add_argument(
-        "--out-dir", default=os.path.join("bench_results", "campaigns"),
+        "--out-dir",
+        default=os.path.join("bench_results", "fresh", "campaigns"),
         help="where summaries and repro files land",
     )
     campaign_group.add_argument(

@@ -14,7 +14,7 @@ the lifecycle tracer's per-message stages cannot afford.)
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, DefaultDict, Dict, List
+from typing import Any, Callable, DefaultDict, List
 
 Subscriber = Callable[..., None]
 
@@ -32,15 +32,14 @@ DUPLICATE_TOKEN = "duplicate_token"      # (pid, token)
 class EventHub:
     """A tiny synchronous pub/sub used for protocol observability."""
 
-    __slots__ = ("_subscribers", "counts", "active")
+    __slots__ = ("_subscribers", "active")
 
     def __init__(self) -> None:
         self._subscribers: DefaultDict[str, List[Subscriber]] = defaultdict(list)
-        self.counts: Dict[str, int] = defaultdict(int)
         #: True once anything has subscribed.  Hot emitters (one emit per
-        #: data message) check this and fall back to a bare counter
-        #: increment, skipping the keyword-dict build for the common
-        #: nobody-is-listening case (benchmarks, sweeps).
+        #: data message) check this and skip the call altogether in the
+        #: common nobody-is-listening case (benchmarks, sweeps); the
+        #: totals live in :class:`~repro.core.participant.ParticipantStats`.
         self.active = False
 
     def subscribe(self, event: str, fn: Subscriber) -> None:
@@ -48,11 +47,7 @@ class EventHub:
         self.active = True
 
     def emit(self, event: str, *args: Any) -> None:
-        self.counts[event] += 1
         subscribers = self._subscribers.get(event)
         if subscribers:
             for fn in subscribers:
                 fn(*args)
-
-    def count(self, event: str) -> int:
-        return self.counts.get(event, 0)

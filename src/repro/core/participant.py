@@ -368,8 +368,6 @@ class Participant:
                 ev.TOKEN_HANDLED, self.pid, token, token_out,
                 decision.allowed_new, num_retrans,
             )
-        else:
-            hub.counts[ev.TOKEN_HANDLED] += 1
         return actions
 
     # ------------------------------------------------------------------
@@ -391,21 +389,16 @@ class Participant:
         stats = self.stats
         hub = self.hub
         active = hub.active
-        counts = hub.counts
         if not is_new:
             stats.data_duplicates += 1
             if active:
                 hub.emit(ev.DATA_RECEIVED, self.pid, message, False)
-            else:
-                counts[ev.DATA_RECEIVED] += 1
             return []
         stats.data_received += 1
         if self._trace_received is not None:
             self._trace_received(message)
         if active:
             hub.emit(ev.DATA_RECEIVED, self.pid, message, True)
-        else:
-            counts[ev.DATA_RECEIVED] += 1
         deliverable = self._delivery.collect_deliverable(self._buffer)
         if not deliverable:
             return []
@@ -413,8 +406,6 @@ class Participant:
         if active:
             for delivered in deliverable:
                 hub.emit(ev.MESSAGE_DELIVERED, self.pid, delivered)
-        else:
-            counts[ev.MESSAGE_DELIVERED] += len(deliverable)
         return [Deliver(delivered) for delivered in deliverable]
 
     # ------------------------------------------------------------------
@@ -477,8 +468,6 @@ class Participant:
                 trace_sent(message)
             if active:
                 hub.emit(ev.MESSAGE_SENT, self.pid, message)
-            else:
-                hub.counts[ev.MESSAGE_SENT] += 1
         return pre, post
 
     def _my_retransmission_requests(self) -> List[int]:
@@ -521,8 +510,6 @@ class Participant:
             self.stats.delivered += 1
             if active:
                 hub.emit(ev.MESSAGE_DELIVERED, self.pid, delivered)
-            else:
-                hub.counts[ev.MESSAGE_DELIVERED] += 1
         discard_to = self._delivery.discardable_upto()
         released = self._buffer.discard_upto(discard_to)
         if released:

@@ -25,9 +25,10 @@ from ..core.messages import DataMessage, Token
 from ..wire.capture import TRAFFIC_DATA, TRAFFIC_TOKEN, CaptureWriter
 from ..wire.codec import (
     HEADER_SIZE,
+    TYPE_NAMES,
     DecodeError,
     EncodeError,
-    decode_detail,
+    decode,
     encode,
 )
 
@@ -230,12 +231,11 @@ class UdpTransport:
                 self.drops_oversize += 1
                 continue
             try:
-                decoded = decode_detail(blob)
+                message = decode(blob)
             except DecodeError as exc:
                 self.drops_malformed += 1
                 self.last_decode_error = str(exc)
                 continue
-            message = decoded.message
             if type(message) is expected:
                 received.append(message)
             elif type(message) is JumboDatagram and not want_token:
@@ -244,9 +244,10 @@ class UdpTransport:
                 received.extend(message.messages)
             else:
                 self.drops_malformed += 1
+                # decode() accepted the frame, so byte 3 is a known type.
                 self.last_decode_error = (
                     "%s frame on the %s socket"
-                    % (decoded.kind, "token" if want_token else "data")
+                    % (TYPE_NAMES[blob[3]], "token" if want_token else "data")
                 )
                 continue
             datagrams += 1

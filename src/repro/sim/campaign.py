@@ -39,8 +39,9 @@ from .faults import (
 )
 from .profiles import LIBRARY, CostProfile
 
-#: Where repro files and campaign summaries land.
-DEFAULT_OUT_DIR = os.path.join("bench_results", "campaigns")
+#: Where repro files and campaign summaries land: under the git-ignored
+#: scratch tree, so a run never rewrites a tracked file.
+DEFAULT_OUT_DIR = os.path.join("bench_results", "fresh", "campaigns")
 
 #: The two protocol configurations every scenario runs against
 #: (Section III-D: window 0 + conservative priority IS the original
@@ -160,29 +161,28 @@ def generate_schedule(rng: random.Random, n_nodes: int,
     return schedule
 
 
-def run_scenario(
-    schedule: FaultSchedule,
-    accelerated_window: int,
-    options: CampaignOptions,
-    observability: Optional[Dict] = None,
+def run_fault_workload(
+    cluster: SimEVSCluster,
+    install: Callable[[SimEVSCluster, Callable[[int], None]], None],
+    horizon_s: float,
+    payload_prefix: str,
+    options: Any,
+    cleanup: Callable[[SimEVSCluster], None],
+    corrupt_logs: Optional[Callable[[Dict], None]] = None,
 ) -> Tuple[bool, List[str], Dict[str, int]]:
-    """Run one schedule against one configuration.
+    """Ordered traffic under a fault load, then the EVS verdict.
 
-    Returns ``(converged, violations, delivered_counts)``.  The flow:
-    converge cold, start per-node workload injectors, install the
-    schedule, run the horizon, then clean up (heal, clear filters and
-    loss, restart every crashed node), stop the workload, re-converge
-    and drain, and finally check every incarnation's log.
+    The run every fault campaign shares: converge cold, start one
+    workload injector per node, ``install(cluster, start_injector)`` the
+    fault load (``start_injector(pid)`` serves nodes the load itself
+    brings to life), run ``horizon_s``, ``cleanup(cluster)`` what the
+    load left behind, restart every crashed node, stop the workload,
+    re-converge, drain, and check every incarnation's log.  ``options``
+    supplies ``submit_interval_s``, ``converge_timeout_s``, ``drain_s``.
 
-    When ``observability`` (a dict) is passed, it is filled in place
-    with the run's drop counters and per-class traffic breakdown — the
-    campaign summary threads these into its JSON without changing this
-    function's return shape.
+    Returns ``(converged, violations, delivered)``; ``delivered`` counts
+    application messages per ``"pid.incarnation"`` log.
     """
-    cluster = SimEVSCluster(
-        options.n_nodes, options.spec, options.profile,
-        _config_for(accelerated_window), _TIMEOUTS,
-    )
     cluster.run_until_converged(timeout_s=options.converge_timeout_s)
 
     submitted: Dict[Tuple[int, int], List[Any]] = {}
@@ -196,25 +196,24 @@ def run_scenario(
                 return
             if node.crashed:
                 continue
-            payload = "m%d.%d.%d" % (node.pid, node.incarnation, counter)
+            payload = "%s%d.%d.%d" % (
+                payload_prefix, node.pid, node.incarnation, counter)
             counter += 1
             node.submit(payload)
             submitted.setdefault(
                 (node.pid, node.incarnation), []
             ).append(payload)
 
+    def start_injector(pid: int) -> None:
+        cluster.sim.spawn(injector(cluster.nodes[pid]), "inject%d" % pid)
+
     for pid in sorted(cluster.nodes):
-        node = cluster.nodes[pid]
-        cluster.sim.spawn(injector(node), "inject%d" % pid)
+        start_injector(pid)
+    install(cluster, start_injector)
+    cluster.run_for(horizon_s)
 
-    schedule.install(cluster)
-    cluster.run_for(options.horizon_s)
-
-    # Cleanup: make the world whole again so the run can quiesce.
-    cluster.heal()
-    cluster.switch.clear_fault_filters()
-    for pid in cluster.switch.host_ids:
-        cluster.switch.set_port_loss(pid, no_loss)
+    # Make the world whole again so the run can quiesce.
+    cleanup(cluster)
     for pid in sorted(cluster.nodes):
         if cluster.nodes[pid].crashed:
             cluster.restart(pid)
@@ -227,8 +226,8 @@ def run_scenario(
     cluster.run_for(options.drain_s)
 
     logs = cluster.logs()
-    if options.corrupt_logs is not None:
-        options.corrupt_logs(logs)
+    if corrupt_logs is not None:
+        corrupt_logs(logs)
     # Self-delivery holds for the final incarnation of every live node
     # (cleanup restarted the crashed ones); earlier incarnations died
     # mid-flight and EVS does not promise them delivery.
@@ -250,9 +249,43 @@ def run_scenario(
         )
         for key, log in sorted(logs.items())
     }
+    return converged, checker.violations, delivered
+
+
+def run_scenario(
+    schedule: FaultSchedule,
+    accelerated_window: int,
+    options: CampaignOptions,
+    observability: Optional[Dict] = None,
+) -> Tuple[bool, List[str], Dict[str, int]]:
+    """Run one schedule against one configuration.
+
+    Returns :func:`run_fault_workload`'s ``(converged, violations,
+    delivered_counts)``.  When ``observability`` (a dict) is passed, it
+    is filled in place with the run's drop counters and per-class
+    traffic breakdown — the campaign summary threads these into its JSON
+    without changing this function's return shape.
+    """
+    cluster = SimEVSCluster(
+        options.n_nodes, options.spec, options.profile,
+        _config_for(accelerated_window), _TIMEOUTS,
+    )
+
+    def heal_everything(cluster: SimEVSCluster) -> None:
+        cluster.heal()
+        cluster.switch.clear_fault_filters()
+        for pid in cluster.switch.host_ids:
+            cluster.switch.set_port_loss(pid, no_loss)
+
+    outcome = run_fault_workload(
+        cluster,
+        lambda cluster, _start_injector: schedule.install(cluster),
+        options.horizon_s, "m", options, heal_everything,
+        corrupt_logs=options.corrupt_logs,
+    )
     if observability is not None:
         observability.update(collect_observability(cluster))
-    return converged, checker.violations, delivered
+    return outcome
 
 
 def collect_observability(cluster: SimEVSCluster) -> Dict:

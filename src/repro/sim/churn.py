@@ -33,8 +33,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core import ProtocolConfig
 from ..evs import EVSChecker
 from ..membership import GossipConfig, MembershipTimeouts
-from ..net import GIGABIT, LinkSpec, Timeout
-from .campaign import collect_observability
+from ..net import GIGABIT, LinkSpec
+from .campaign import collect_observability, run_fault_workload
 from .evs_node import SimEVSCluster
 from .faults import Churn, FaultSchedule, Flap, Join
 from .profiles import LIBRARY, CostProfile
@@ -135,42 +135,20 @@ def run_churn_scenario(options: ChurnOptions) -> Dict[str, Any]:
         )
     cluster = _build_cluster(options.n_nodes, options.gossip, options.seed,
                              options.spec, options.profile)
-    cluster.run_until_converged(timeout_s=options.converge_timeout_s)
-
-    submitted: Dict[Tuple[int, int], List[Any]] = {}
-    stop = {"flag": False}
-
-    def injector(node):
-        counter = 0
-        while True:
-            yield Timeout(options.submit_interval_s)
-            if stop["flag"]:
-                return
-            if node.crashed:
-                continue
-            payload = "c%d.%d.%d" % (node.pid, node.incarnation, counter)
-            counter += 1
-            node.submit(payload)
-            submitted.setdefault(
-                (node.pid, node.incarnation), []
-            ).append(payload)
-
-    for pid in sorted(cluster.nodes):
-        cluster.sim.spawn(injector(cluster.nodes[pid]), "churninj%d" % pid)
-
     schedule = churn_schedule(options)
-    base_s = cluster.sim.now
-    schedule.install(cluster, base_time_s=base_s)
-    # Joiners start submitting ordered traffic shortly after they
-    # spawn, so their deliveries are EVS-checked like everyone else's.
-    for event in schedule.events:
-        if isinstance(event, Join):
-            cluster.sim.call_at(
-                base_s + event.at_s + 0.02,
-                lambda pid=event.pid: cluster.sim.spawn(
-                    injector(cluster.nodes[pid]), "churninj%d" % pid
-                ),
-            )
+
+    def install(cluster, start_injector):
+        base_s = cluster.sim.now
+        schedule.install(cluster, base_time_s=base_s)
+        # Joiners start submitting ordered traffic shortly after they
+        # spawn, so their deliveries are EVS-checked like everyone else's.
+        for event in schedule.events:
+            if isinstance(event, Join):
+                cluster.sim.call_at(
+                    base_s + event.at_s + 0.02,
+                    lambda pid=event.pid: start_injector(pid),
+                )
+
     horizon_s = (
         0.1 + options.churn_period_s * (options.churn_events + 1)
         + options.churn_down_s
@@ -181,31 +159,11 @@ def run_churn_scenario(options: ChurnOptions) -> Dict[str, Any]:
             options.join_start_s
             + options.joins * options.join_period_s + 0.3,
         )
-    cluster.run_for(horizon_s)
-
-    # Cleanup: restart whatever the generator left down, quiesce.
-    for pid in sorted(cluster.nodes):
-        if cluster.nodes[pid].crashed:
-            cluster.restart(pid)
-    stop["flag"] = True
-    converged = True
-    try:
-        cluster.run_until_converged(timeout_s=options.converge_timeout_s)
-    except RuntimeError:
-        converged = False
-    cluster.run_for(options.drain_s)
-
-    logs = cluster.logs()
-    final_keys = {
-        (pid, node.incarnation)
-        for pid, node in cluster.nodes.items() if not node.crashed
-    }
-    relevant_submitted = {
-        key: payloads for key, payloads in submitted.items()
-        if key in final_keys
-    }
-    checker = EVSChecker()
-    checker.check_logs(logs, relevant_submitted)
+    # Churn leaves only crashed nodes behind, which the shared run
+    # restarts: no cleanup of its own.
+    converged, violations, delivered = run_fault_workload(
+        cluster, install, horizon_s, "c", options, lambda cluster: None,
+    )
 
     incarnations = {
         pid: node.incarnation for pid, node in cluster.nodes.items()
@@ -222,15 +180,12 @@ def run_churn_scenario(options: ChurnOptions) -> Dict[str, Any]:
         "schedule": schedule.to_jsonable(),
         "horizon_s": round(horizon_s, 4),
         "converged": converged,
-        "violations": checker.violations,
+        "violations": violations,
         "total_restarts": sum(incarnations.values()),
         "ctrl": cluster.ctrl_traffic(),
         "drops": observability["drops"],
         "traffic": observability["traffic"],
-        "delivered_total": sum(
-            sum(1 for event in log if not hasattr(event, "configuration"))
-            for log in logs.values()
-        ),
+        "delivered_total": sum(delivered.values()),
     }
 
 

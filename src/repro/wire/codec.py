@@ -32,7 +32,6 @@ software from a configuration).
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from typing import Any, Dict, NamedTuple, Tuple
@@ -747,70 +746,72 @@ def _check_count(count: int, reader: _Reader, min_item_bytes: int) -> None:
         )
 
 
-class Decoded(NamedTuple):
-    """One decoded frame plus its envelope metadata."""
+#: Complement of the known data flags, for one-test validation.
+_DATA_FLAGS_UNKNOWN = ~(_DATA_FLAG_POST_TOKEN | _DATA_FLAG_HAS_TIMESTAMP)
 
-    kind: str
-    message: Any
-    ring_id: int
+# Pre-bound per-datagram names: every received datagram pays these
+# lookups, so resolve them once at import instead of per decode.
+_CRC32 = zlib.crc32
+_HEADER_UNPACK = _HEADER.unpack_from
+_DATA_BODY_UNPACK = _DATA_BODY.unpack_from
+_DATA_BODY_SIZE = _DATA_BODY.size
 
 
-def _decode_data_fixed(blob, pos: int, end: int):
-    """Unpack the fixed data body at ``pos``; returns the raw field tuple.
+def _decode_data_body(blob, start: int, end: int) -> DataMessage:
+    """Decode the data body at ``blob[start:end]``.
 
-    Shared by the eager decoder and the lazy :class:`FrameView` peek:
-    validation of the fixed fields happens here, payload decoding does
-    not.
+    The one place a data body is unpacked and validated: a plain data
+    frame, every entry of a jumbo datagram and the frame nested in a
+    recovery-data message all come through here, so none of them can
+    accept what another rejects.
     """
-    if pos + _DATA_BODY.size > end:
+    pos = start + _DATA_BODY_SIZE
+    if pos > end:
         raise DecodeError("truncated frame body")
-    fields = _DATA_BODY.unpack_from(blob, pos)
-    (ring_id, seq, pid, round_, stamp, payload_size,
-     service_code, flags, payload_kind, _reserved) = fields
-    service = _SERVICE_BY_CODE.get(service_code)
-    if service is None:
+    (_ring_id, seq, pid, round_, stamp, payload_size, service_code,
+     flags, payload_kind, _reserved) = _DATA_BODY_UNPACK(blob, start)
+    try:
+        service = _SERVICE_BY_CODE[service_code]
+    except KeyError:
         raise DecodeError("unknown service code %d" % service_code)
-    if flags & ~(_DATA_FLAG_POST_TOKEN | _DATA_FLAG_HAS_TIMESTAMP):
+    if flags & _DATA_FLAGS_UNKNOWN:
         raise DecodeError("unknown data flags 0x%02x" % flags)
-    submitted_at = stamp if flags & _DATA_FLAG_HAS_TIMESTAMP else None
-    if submitted_at is not None and math.isnan(submitted_at):
-        raise DecodeError("NaN submission timestamp")
-    return (ring_id, seq, pid, round_, service, payload_size,
-            flags, payload_kind, submitted_at)
-
-
-def _decode_data_payload(blob, pos: int, end: int, payload_kind: int):
-    """Decode the (possibly TLV) payload region of a data body."""
-    if payload_kind == _PAYLOAD_NONE:
-        if pos != end:
-            raise DecodeError("payload bytes on a payload-less data message")
-        return None
+    if flags & _DATA_FLAG_HAS_TIMESTAMP:
+        if stamp != stamp:  # NaN without a math.isnan call
+            raise DecodeError("NaN submission timestamp")
+        submitted_at = stamp
+    else:
+        submitted_at = None
     if payload_kind == _PAYLOAD_RAW:
         # The single necessary copy: the payload becomes an independent
         # bytes object (a plain slice when the buffer is already bytes).
         payload = blob[pos:end]
-        return payload if type(payload) is bytes else bytes(payload)
-    if payload_kind == _PAYLOAD_VALUE:
+        if type(payload) is not bytes:
+            payload = bytes(payload)
+    elif payload_kind == _PAYLOAD_NONE:
+        if pos != end:
+            raise DecodeError("payload bytes on a payload-less data message")
+        payload = None
+    elif payload_kind == _PAYLOAD_VALUE:
         reader = _Reader(blob, pos, end)
         payload = _decode_value(reader)
         reader.done()
-        return payload
-    raise DecodeError("unknown payload kind %d" % payload_kind)
-
-
-def _decode_data_body(blob, pos: int, end: int) -> Tuple[DataMessage, int]:
-    (ring_id, seq, pid, round_, service, payload_size,
-     flags, payload_kind, submitted_at) = _decode_data_fixed(blob, pos, end)
-    payload = _decode_data_payload(
-        blob, pos + _DATA_BODY.size, end, payload_kind
-    )
-    # Positional construction: this is the decode hot path and the
-    # keyword form measurably slows it down.
-    message = DataMessage(
-        seq, pid, round_, service, payload, payload_size,
-        bool(flags & _DATA_FLAG_POST_TOKEN), submitted_at,
-    )
-    return message, ring_id
+    else:
+        raise DecodeError("unknown payload kind %d" % payload_kind)
+    # Direct slot stores instead of the dataclass __init__: measurably
+    # faster, and every received datagram pays it.  DataMessage has no
+    # __post_init__ and exactly these eight fields; keep in sync with
+    # repro.core.messages.
+    message = DataMessage.__new__(DataMessage)
+    message.seq = seq
+    message.pid = pid
+    message.round = round_
+    message.service = service
+    message.payload = payload
+    message.payload_size = payload_size
+    message.sent_after_token = flags & _DATA_FLAG_POST_TOKEN != 0
+    message.submitted_at = submitted_at
+    return message
 
 
 #: Bulk rtr formats, one per entry count (tokens carry few requests, so
@@ -879,63 +880,17 @@ def _decode_member_info(reader: _Reader) -> MemberInfo:
     )
 
 
-def _check_frame(blob) -> int:
-    """Validate magic, version, length and CRC; returns the message type.
-
-    Zero-copy on every path, including errors: the input buffer (bytes,
-    bytearray or memoryview) is never materialized with ``bytes()`` and
-    the CRC is computed over a memoryview slice of the body, not a copy.
-    """
-    blob_len = len(blob)
-    if blob_len < HEADER_SIZE:
-        raise DecodeError(
-            "datagram of %d bytes is shorter than the %d-byte header"
-            % (blob_len, HEADER_SIZE)
-        )
-    magic, version, msg_type, body_len, crc = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise DecodeError("bad magic %r" % magic)
-    if version != WIRE_VERSION:
-        raise DecodeError(
-            "unsupported wire version %d (this build speaks %d)"
-            % (version, WIRE_VERSION)
-        )
-    if HEADER_SIZE + body_len != blob_len:
-        raise DecodeError(
-            "body length %d disagrees with datagram size %d"
-            % (body_len, blob_len)
-        )
-    if zlib.crc32(memoryview(blob)[HEADER_SIZE:]) & 0xFFFFFFFF != crc:
-        raise DecodeError("CRC mismatch")
-    return msg_type
-
-
-#: Complement of the known data flags, for one-test validation.
-_DATA_FLAGS_UNKNOWN = ~(_DATA_FLAG_POST_TOKEN | _DATA_FLAG_HAS_TIMESTAMP)
-
-# Pre-bound hot-path callables and offsets: every datagram pays these
-# lookups, so resolve them once at import instead of per decode.
-_CRC32 = zlib.crc32
-_HEADER_UNPACK = _HEADER.unpack_from
-_DATA_BODY_UNPACK = _DATA_BODY.unpack_from
-_DATA_PAYLOAD_OFFSET = HEADER_SIZE + _DATA_BODY.size
-
-
 def decode(blob) -> Any:
     """Strictly decode one datagram to its protocol message.
 
-    Accepts ``bytes``, ``bytearray`` or ``memoryview`` without copying
-    the input (only the message payload is materialized).  Raises
+    Accepts ``bytes``, ``bytearray`` or ``memoryview`` and never copies
+    the input, error paths included: the CRC runs over a memoryview
+    slice of the body and only a message payload is copied out.  Raises
     :class:`DecodeError` on anything that is not a well-formed frame of
     the current wire version.
 
-    The data and token branches intentionally inline the frame check and
-    body decode (rather than calling :func:`_check_frame` and
-    :func:`_decode_data_body`): this is the per-datagram hot path and
-    the Python call overhead of the layered helpers is measurable at
-    wire rate.  The helpers remain the single source of truth for the
-    lazy :class:`FrameView` and :func:`decode_detail` paths; keep the
-    two in sync.
+    The only reader of the frame header, and what the UDP transport
+    calls per datagram.
     """
     # The unpack itself is the type/length guard: struct.error means the
     # buffer is shorter than the header, TypeError means it is not a
@@ -966,63 +921,15 @@ def decode(blob) -> Any:
     if _CRC32(memoryview(blob)[HEADER_SIZE:]) & 0xFFFFFFFF != crc:
         raise DecodeError("CRC mismatch")
     if msg_type == TYPE_DATA:
-        pos = _DATA_PAYLOAD_OFFSET
-        if pos > end:
-            raise DecodeError("truncated frame body")
-        (ring_id, seq, pid, round_, stamp, payload_size,
-         service_code, flags, payload_kind,
-         _reserved) = _DATA_BODY_UNPACK(blob, HEADER_SIZE)
-        try:
-            service = _SERVICE_BY_CODE[service_code]
-        except KeyError:
-            raise DecodeError("unknown service code %d" % service_code)
-        if flags & _DATA_FLAGS_UNKNOWN:
-            raise DecodeError("unknown data flags 0x%02x" % flags)
-        if flags & _DATA_FLAG_HAS_TIMESTAMP:
-            if stamp != stamp:  # NaN without a math.isnan call
-                raise DecodeError("NaN submission timestamp")
-            submitted_at = stamp
-        else:
-            submitted_at = None
-        if payload_kind == _PAYLOAD_RAW:
-            # The single necessary copy: the payload becomes an
-            # independent bytes object (a plain slice for bytes input).
-            payload = blob[pos:end]
-            if type(payload) is not bytes:
-                payload = bytes(payload)
-        elif payload_kind == _PAYLOAD_NONE:
-            if pos != end:
-                raise DecodeError("payload bytes on a payload-less data message")
-            payload = None
-        elif payload_kind == _PAYLOAD_VALUE:
-            reader = _Reader(blob, pos, end)
-            payload = _decode_value(reader)
-            reader.done()
-        else:
-            raise DecodeError("unknown payload kind %d" % payload_kind)
-        # Direct slot stores instead of the dataclass __init__: measurably
-        # faster on the per-datagram path.  DataMessage has no
-        # __post_init__ and exactly these eight fields; keep in sync with
-        # repro.core.messages.
-        message = DataMessage.__new__(DataMessage)
-        message.seq = seq
-        message.pid = pid
-        message.round = round_
-        message.service = service
-        message.payload = payload
-        message.payload_size = payload_size
-        message.sent_after_token = flags & _DATA_FLAG_POST_TOKEN != 0
-        message.submitted_at = submitted_at
-        return message
+        return _decode_data_body(blob, HEADER_SIZE, end)
     if msg_type == TYPE_TOKEN:
         return _decode_token_body(blob, HEADER_SIZE, end)
     if msg_type == TYPE_JUMBO:
-        return _decode_jumbo_body(blob, HEADER_SIZE, end)[0]
-    return _decode_control(blob, msg_type, end)[0]
+        return _decode_jumbo_body(blob, HEADER_SIZE, end)
+    return _decode_control(blob, msg_type, end)
 
 
-def _decode_jumbo_body(blob, pos: int, end: int) -> Tuple[JumboDatagram, int]:
-    """Decode a jumbo body to (JumboDatagram, first packet's ring_id)."""
+def _decode_jumbo_body(blob, pos: int, end: int) -> JumboDatagram:
     if pos + _U32.size > end:
         raise DecodeError("truncated frame body")
     (count,) = _U32.unpack_from(blob, pos)
@@ -1035,8 +942,7 @@ def _decode_jumbo_body(blob, pos: int, end: int) -> Tuple[JumboDatagram, int]:
             "jumbo packet count %d exceeds datagram capacity" % count
         )
     messages = []
-    ring_id = 0
-    for index in range(count):
+    for _ in range(count):
         if end - pos < entry_size:
             raise DecodeError("jumbo entry overruns the datagram")
         inner_type, body_len = _JUMBO_ENTRY.unpack_from(blob, pos)
@@ -1049,24 +955,19 @@ def _decode_jumbo_body(blob, pos: int, end: int) -> Tuple[JumboDatagram, int]:
         inner_end = pos + body_len
         if inner_end > end:
             raise DecodeError("jumbo entry overruns the datagram")
-        message, inner_ring = _decode_data_body(blob, pos, inner_end)
-        if index == 0:
-            ring_id = inner_ring
-        messages.append(message)
+        messages.append(_decode_data_body(blob, pos, inner_end))
         pos = inner_end
     if pos != end:
         raise DecodeError("trailing bytes after jumbo entries")
-    return JumboDatagram(tuple(messages)), ring_id
+    return JumboDatagram(tuple(messages))
 
 
-def _decode_control(blob, msg_type: int, end: int) -> Tuple[Any, int]:
-    """Decode the rare control-plane frame types; returns (message, ring_id)."""
+def _decode_control(blob, msg_type: int, end: int) -> Any:
+    """Decode the rare control-plane frame types."""
     reader = _Reader(blob, HEADER_SIZE, end)
-    ring_id = 0
     if msg_type == TYPE_PROBE:
         sender, probe_ring = reader.unpack(_PROBE_BODY)
         message = ProbeMessage(sender=sender, ring_id=probe_ring)
-        ring_id = probe_ring
     elif msg_type == TYPE_JOIN:
         sender, ring_seq = reader.unpack(_JOIN_BODY)
         proc_set = _decode_pid_set(reader)
@@ -1085,7 +986,6 @@ def _decode_control(blob, msg_type: int, end: int) -> Tuple[Any, int]:
             new_ring_id=new_ring_id, members=members,
             rotation=rotation, collected=collected,
         )
-        ring_id = new_ring_id
     elif msg_type == TYPE_RECOVERY_DATA:
         sender, old_ring_id, nested_len = reader.unpack(_RECOVERY_BODY)
         nested = decode(reader.take(nested_len))
@@ -1094,11 +994,9 @@ def _decode_control(blob, msg_type: int, end: int) -> Tuple[Any, int]:
         message = RecoveryData(
             sender=sender, old_ring_id=old_ring_id, message=nested,
         )
-        ring_id = old_ring_id
     elif msg_type == TYPE_RECOVERY_COMPLETE:
         sender, new_ring_id = reader.unpack(_RECOVERY_DONE_BODY)
         message = RecoveryComplete(sender=sender, new_ring_id=new_ring_id)
-        ring_id = new_ring_id
     elif msg_type in (TYPE_GOSSIP_PING, TYPE_GOSSIP_ACK):
         sender, incarnation, probe_id = reader.unpack(_GOSSIP_BODY)
         updates = _decode_gossip_updates(reader)
@@ -1117,7 +1015,7 @@ def _decode_control(blob, msg_type: int, end: int) -> Tuple[Any, int]:
     else:
         raise DecodeError("unknown message type %d" % msg_type)
     reader.done()
-    return message, ring_id
+    return message
 
 
 def _decode_gossip_updates(reader: _Reader) -> Tuple[GossipUpdate, ...]:
@@ -1132,113 +1030,41 @@ def _decode_gossip_updates(reader: _Reader) -> Tuple[GossipUpdate, ...]:
     return tuple(updates)
 
 
+class Decoded(NamedTuple):
+    """One decoded frame plus its envelope metadata."""
+
+    kind: str
+    message: Any
+    ring_id: int
+
+
+#: Where a frame's configuration id lives once it is decoded: a field
+#: of the message for these types; data and jumbo frames carry it in the
+#: (first) data body only, and join/gossip frames have none.
+_RING_ID_FIELD = {
+    TYPE_TOKEN: "ring_id",
+    TYPE_PROBE: "ring_id",
+    TYPE_COMMIT_TOKEN: "new_ring_id",
+    TYPE_RECOVERY_DATA: "old_ring_id",
+    TYPE_RECOVERY_COMPLETE: "new_ring_id",
+}
+_JUMBO_FIRST_BODY = HEADER_SIZE + _U32.size + _JUMBO_ENTRY.size
+
+
 def decode_detail(blob) -> Decoded:
-    """Strictly decode one datagram, keeping envelope metadata.
+    """:func:`decode` plus the envelope: frame kind and ring id.
 
-    Accepts ``bytes``, ``bytearray`` or ``memoryview`` without copying
-    the input (only message payload bytes are materialized).  Raises
-    :class:`DecodeError` on anything that is not a well-formed frame of
-    the current wire version.
+    For the tools that show frames (capture readers, ``cli decode``);
+    the envelope is read back from bytes :func:`decode` has validated.
     """
-    if not isinstance(blob, (bytes, bytearray, memoryview)):
-        raise DecodeError("expected bytes, got %r" % type(blob).__name__)
-    msg_type = _check_frame(blob)
-    end = len(blob)
+    message = decode(blob)
+    msg_type = blob[3]
     if msg_type == TYPE_DATA:
-        message, ring_id = _decode_data_body(blob, HEADER_SIZE, end)
-    elif msg_type == TYPE_TOKEN:
-        message = _decode_token_body(blob, HEADER_SIZE, end)
-        ring_id = message.ring_id
+        (ring_id,) = _U64.unpack_from(blob, HEADER_SIZE)
     elif msg_type == TYPE_JUMBO:
-        message, ring_id = _decode_jumbo_body(blob, HEADER_SIZE, end)
+        (ring_id,) = _U64.unpack_from(blob, _JUMBO_FIRST_BODY)
+    elif msg_type in _RING_ID_FIELD:
+        ring_id = getattr(message, _RING_ID_FIELD[msg_type])
     else:
-        message, ring_id = _decode_control(blob, msg_type, end)
-    return Decoded(TYPE_NAMES[msg_type], message, ring_id)
-
-
-class FrameView:
-    """Lazy view of one validated data/token frame.
-
-    ``decode_frame`` validates the envelope and unpacks the fixed body
-    fields eagerly — enough for routing, filtering and statistics — but
-    defers TLV/payload decoding until :attr:`message` is first read.
-    Header-only consumers (capture summaries, per-type counters,
-    ring-id demultiplexers) therefore never pay for payload decoding.
-
-    Only ``data`` and ``token`` frames support the lazy split; control
-    frames (probe/join/commit/recovery) are rare and decode eagerly.
-    """
-
-    __slots__ = ("kind", "ring_id", "_blob", "_type", "_fixed", "_message")
-
-    def __init__(self, blob, msg_type: int, ring_id: int, fixed):
-        self.kind = TYPE_NAMES[msg_type]
-        self.ring_id = ring_id
-        self._blob = blob
-        self._type = msg_type
-        self._fixed = fixed
-        self._message = None
-
-    # -- header-only accessors (no payload decode) ----------------------
-    @property
-    def seq(self) -> int:
-        # Data fixed tuple: (ring_id, seq, ...); token: (ring_id, hop, seq, ...)
-        return self._fixed[1 if self._type == TYPE_DATA else 2]
-
-    @property
-    def pid(self) -> int:
-        """Sender pid for data frames; ``None`` for tokens."""
-        return self._fixed[2] if self._type == TYPE_DATA else None
-
-    @property
-    def payload_size(self) -> int:
-        """Declared payload size for data frames; 0 for tokens."""
-        return self._fixed[5] if self._type == TYPE_DATA else 0
-
-    # -- full decode, on demand ----------------------------------------
-    @property
-    def message(self) -> Any:
-        """The decoded protocol message (payload decoded on first access)."""
-        message = self._message
-        if message is None:
-            blob = self._blob
-            if self._type == TYPE_DATA:
-                (_, seq, pid, round_, service, payload_size,
-                 flags, payload_kind, submitted_at) = self._fixed
-                payload = _decode_data_payload(
-                    blob, HEADER_SIZE + _DATA_BODY.size, len(blob), payload_kind
-                )
-                message = DataMessage(
-                    seq, pid, round_, service, payload, payload_size,
-                    bool(flags & _DATA_FLAG_POST_TOKEN), submitted_at,
-                )
-            else:
-                message = _decode_token_body(blob, HEADER_SIZE, len(blob))
-            self._message = message
-            self._blob = None  # release the buffer once fully decoded
-        return message
-
-
-def decode_frame(blob) -> Any:
-    """Decode one datagram lazily where possible.
-
-    Returns a :class:`FrameView` for data and token frames — envelope
-    and fixed fields validated, payload decoding deferred — and a plain
-    :class:`Decoded` for the rare control-plane frame types.
-    """
-    if not isinstance(blob, (bytes, bytearray, memoryview)):
-        raise DecodeError("expected bytes, got %r" % type(blob).__name__)
-    msg_type = _check_frame(blob)
-    if msg_type == TYPE_DATA:
-        fixed = _decode_data_fixed(blob, HEADER_SIZE, len(blob))
-        return FrameView(blob, msg_type, fixed[0], fixed)
-    if msg_type == TYPE_TOKEN:
-        if HEADER_SIZE + _TOKEN_BODY.size > len(blob):
-            raise DecodeError("truncated frame body")
-        fixed = _TOKEN_BODY.unpack_from(blob, HEADER_SIZE)
-        return FrameView(blob, msg_type, fixed[0], fixed)
-    if msg_type == TYPE_JUMBO:
-        message, ring_id = _decode_jumbo_body(blob, HEADER_SIZE, len(blob))
-    else:
-        message, ring_id = _decode_control(blob, msg_type, len(blob))
+        ring_id = 0
     return Decoded(TYPE_NAMES[msg_type], message, ring_id)

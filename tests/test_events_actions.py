@@ -34,14 +34,6 @@ def test_subscribe_and_emit():
     assert seen == [(1,), (2,)]
 
 
-def test_counts_track_all_events_even_without_subscribers():
-    hub = EventHub()
-    hub.emit("silent")
-    hub.emit("silent")
-    assert hub.count("silent") == 2
-    assert hub.count("never") == 0
-
-
 def test_multiple_subscribers_called_in_order():
     hub = EventHub()
     order = []

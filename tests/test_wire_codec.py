@@ -228,6 +228,77 @@ def test_unknown_service_code_rejected():
         decode(bytes(blob))
 
 
+# One data-body decoder serves a plain frame, every jumbo entry and the
+# frame nested in recovery-data: a body one of them rejects, all reject,
+# in the same words.  Offsets into the fixed body (<QQQQdIBBBB):
+# submitted_at 32, service 44, flags 45, payload kind 46.
+
+def _framed(msg_type, body):
+    return struct.pack("<2sBBII", b"AR", 1, msg_type, len(body),
+                       zlib.crc32(body) & 0xFFFFFFFF) + bytes(body)
+
+
+def _as_plain(body):
+    return _framed(codec.TYPE_DATA, body)
+
+
+def _as_second_jumbo_entry(body):
+    good = encode(data_message())[codec.HEADER_SIZE:]
+    entries = b"".join(
+        struct.pack("<BI", codec.TYPE_DATA, len(entry)) + bytes(entry)
+        for entry in (good, body)
+    )
+    return _framed(codec.TYPE_JUMBO, struct.pack("<I", 2) + entries)
+
+
+def _as_recovery_nested(body):
+    nested = _framed(codec.TYPE_DATA, body)
+    return _framed(codec.TYPE_RECOVERY_DATA,
+                   struct.pack("<QQI", 1, 3, len(nested)) + nested)
+
+
+def _unknown_flag_bit(body):
+    body[45] |= 0x80
+
+
+def _nan_timestamp(body):
+    struct.pack_into("<d", body, 32, float("nan"))
+
+
+def _unknown_service(body):
+    body[44] = 99
+
+
+def _payload_on_payload_less(body):
+    body[46] = 0  # payload kind "none", payload bytes still attached
+
+
+def _truncated_fixed_body(body):
+    del body[codec._DATA_BODY.size - 1:]
+
+
+@pytest.mark.parametrize("corrupt, text", [
+    (_unknown_flag_bit, "unknown data flags 0x82"),
+    (_nan_timestamp, "NaN submission timestamp"),
+    (_unknown_service, "unknown service code 99"),
+    (_payload_on_payload_less,
+     "payload bytes on a payload-less data message"),
+    (_truncated_fixed_body, "truncated frame body"),
+], ids=["flag-bit", "nan-timestamp", "service-code", "stray-payload",
+        "truncated"])
+def test_data_body_checks_hold_wherever_a_data_body_travels(corrupt, text):
+    body = bytearray(encode(data_message())[codec.HEADER_SIZE:])
+    wrappings = (_as_plain, _as_second_jumbo_entry, _as_recovery_nested)
+    for wrap in wrappings:
+        decode(wrap(body))  # the intact body is accepted everywhere
+    corrupt(body)
+    for wrap in wrappings:
+        for decoder in (decode, decode_detail):
+            with pytest.raises(DecodeError) as caught:
+                decoder(wrap(body))
+            assert str(caught.value) == text, wrap.__name__
+
+
 def test_hostile_count_rejected_without_allocation():
     # A 4-byte count field claiming 2**31 tuple items in a tiny body must
     # fail fast, not attempt a giant allocation.

@@ -30,17 +30,36 @@ EXAMPLES = settings(
 
 # -- decoder properties ------------------------------------------------------
 
+def _rejection(decoder, blob):
+    """The DecodeError text ``decoder`` raises on ``blob``; None if it
+    accepts.  Anything but DecodeError propagates and fails the test."""
+    try:
+        decoder(blob)
+    except codec.DecodeError as exc:
+        return str(exc)
+    return None
+
+
+def clean_and_consistent(blob):
+    """Strict decoding fails cleanly, and ``decode_detail`` rejects
+    exactly what ``decode`` rejects, in the same words."""
+    return fuzz.is_clean_failure(blob) and (
+        _rejection(codec.decode_detail, blob)
+        == _rejection(codec.decode, blob)
+    )
+
+
 @EXAMPLES
 @given(blob=st.binary(max_size=512))
 def test_arbitrary_bytes_never_crash_the_decoder(blob):
-    assert fuzz.is_clean_failure(blob)
+    assert clean_and_consistent(blob)
 
 
 @EXAMPLES
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_mutated_valid_frames_never_crash_the_decoder(seed):
     for blob in fuzz.corpus(seed, 40):
-        assert fuzz.is_clean_failure(blob)
+        assert clean_and_consistent(blob)
 
 
 @EXAMPLES
@@ -51,7 +70,7 @@ def test_each_mutator_is_crash_free(blob, seed):
 
     rng = random.Random(seed)
     for mutator in fuzz.MUTATORS:
-        assert fuzz.is_clean_failure(mutator(blob, rng))
+        assert clean_and_consistent(mutator(blob, rng))
 
 
 def test_corpus_is_deterministic_and_fully_rejected():

@@ -17,7 +17,7 @@ import pytest
 from repro.core import Service, Token
 from repro.core.messages import DataMessage
 from repro.wire import codec
-from repro.wire.codec import DecodeError, decode, decode_detail, decode_frame, encode
+from repro.wire.codec import DecodeError, decode, decode_detail, encode
 
 
 class TrackingBytes(bytes):
@@ -120,44 +120,3 @@ def test_decode_detail_accepts_memoryview():
     assert detail.kind == "data"
     assert detail.ring_id == 9
     assert detail.message == data_message()
-
-
-def test_frame_view_defers_the_payload_copy():
-    blob = tracked(data_message(payload=b"x" * 64, payload_size=64))
-    view = decode_frame(blob)
-    # Header-only access: seq/pid/size readable, nothing copied yet.
-    assert (view.kind, view.seq, view.pid, view.payload_size) == \
-        ("data", 7, 2, 64)
-    assert blob.slices == []
-    assert blob.materializations == 0
-    # First .message access decodes (and copies) the payload, once.
-    message = view.message
-    assert message.payload == b"x" * 64
-    assert blob.slices == [(PAYLOAD_OFFSET, len(blob))]
-    # Cached: a second access neither re-decodes nor re-copies.
-    assert view.message is message
-    assert len(blob.slices) == 1
-
-
-def test_frame_view_token_header_fields():
-    token = Token(ring_id=6, hop=41, seq=1000, aru=990, fcc=17, rtr=(991,))
-    blob = tracked(token)
-    view = decode_frame(blob)
-    assert (view.kind, view.ring_id, view.seq) == ("token", 6, 1000)
-    assert view.pid is None and view.payload_size == 0
-    assert view.message == token
-    assert blob.materializations == 0
-
-
-def test_frame_view_still_validates_the_envelope():
-    corrupted = bytearray(encode(data_message()))
-    corrupted[-1] ^= 0x01
-    with pytest.raises(DecodeError, match="CRC"):
-        decode_frame(bytes(corrupted))
-
-
-def test_decode_frame_falls_back_to_eager_for_control_frames():
-    from repro.membership.messages import ProbeMessage
-    result = decode_frame(encode(ProbeMessage(sender=3, ring_id=4)))
-    assert result.kind == "probe"
-    assert result.message == ProbeMessage(sender=3, ring_id=4)
