@@ -6,12 +6,13 @@ already increment, and the drivers' trace hooks cost one ``is not
 None`` test per action when no tracer is attached.  This benchmark
 pins both claims with numbers:
 
-* ``sim_events_per_sec_off_best`` — the representative 8-node sim mix
-  (the same workload as ``kernel.json``'s ``sim_events_per_sec_best``)
-  with no tracer attached.  The bench guard holds this to the same
-  envelope as the kernel record, so "tracing off" can never quietly
-  become "tracing cheap".
-* ``sim_events_per_sec_on_best`` — the identical seeded run with a
+* ``sim_msgs_per_cpu_s_off_best`` — the representative 8-node sim mix
+  (the same workload and unit as ``kernel.json``'s
+  ``sim_msgs_per_cpu_s_best``: messages delivered at every node per CPU
+  second) with no tracer attached.  The bench guard holds this to the
+  same envelope as the kernel record, so "tracing off" can never
+  quietly become "tracing cheap".
+* ``sim_msgs_per_cpu_s_on_best`` — the identical seeded run with a
   lifecycle tracer attached and every hub/driver stage stamping.
 * ``tracing_throughput_ratio`` — on/off; the committed record must
   stay >= 0.90 (<= 10% overhead with tracing ON, the issue's target);
@@ -54,7 +55,9 @@ def _one_run(traced):
     cluster.run(DURATION_S, 0.03, offered_bps=OFFERED_BPS)
     elapsed = time.process_time() - start
     records = len(tracer) if tracer is not None else 0
-    return cluster.sim.event_count, elapsed, records
+    delivered = min(node.participant.stats.delivered
+                    for node in cluster.nodes.values())
+    return cluster.sim.event_count, delivered, elapsed, records
 
 
 def test_obs_overhead():
@@ -65,29 +68,31 @@ def test_obs_overhead():
     on_samples = []
     trace_records = 0
     for _ in range(REPEATS):
-        events, elapsed, _records = _one_run(traced=False)
-        assert events > 100_000, "workload too small to measure"
-        off_samples.append(events / elapsed)
-        events_on, elapsed_on, trace_records = _one_run(traced=True)
+        events, delivered, elapsed, _records = _one_run(traced=False)
+        assert delivered > 1_000, "workload too small to measure"
+        off_samples.append(delivered / elapsed)
+        events_on, delivered_on, elapsed_on, trace_records = _one_run(
+            traced=True)
         # Tracing must not change the simulation itself, only observe it.
-        assert events_on == events, (
+        assert (events_on, delivered_on) == (events, delivered), (
             "tracer perturbed the event stream: %d vs %d"
             % (events_on, events)
         )
-        on_samples.append(events_on / elapsed_on)
+        on_samples.append(delivered_on / elapsed_on)
 
     off_best = max(off_samples)
     on_best = max(on_samples)
     ratio = on_best / off_best
     record = {
         "benchmark": "obs_overhead",
-        "sim_events_per_sec_off_best": round(off_best),
-        "sim_events_per_sec_off_samples": [round(s) for s in off_samples],
-        "sim_events_per_sec_on_best": round(on_best),
-        "sim_events_per_sec_on_samples": [round(s) for s in on_samples],
+        "sim_msgs_per_cpu_s_off_best": round(off_best),
+        "sim_msgs_per_cpu_s_off_samples": [round(s) for s in off_samples],
+        "sim_msgs_per_cpu_s_on_best": round(on_best),
+        "sim_msgs_per_cpu_s_on_samples": [round(s) for s in on_samples],
         "tracing_throughput_ratio": round(ratio, 4),
         "tracing_overhead_frac": round(1.0 - ratio, 4),
         "trace_records_per_run": trace_records,
+        "msgs_per_run": delivered,
         "events_per_run": events,
         "repeats": REPEATS,
         "sim_duration_s": DURATION_S,
@@ -105,4 +110,4 @@ def test_obs_overhead():
         "tracing overhead %.1f%% is past the in-test 25%% floor"
         % ((1.0 - ratio) * 100.0)
     )
-    assert off_best > 50_000
+    assert off_best > 1_000

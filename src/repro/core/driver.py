@@ -54,7 +54,11 @@ class DriverPort(Protocol):
     def send_token(self, token: Token, dst: int) -> None: ...
     def deliver(self, message: DataMessage) -> None: ...
     def discard(self, upto: int) -> None: ...
-    def set_timer(self, delay_s: float, fn: Callable, *args: Any) -> None: ...
+    def set_timer(self, delay_s: float, fn: Callable, *args: Any) -> None:
+        """Arm the port's one resend deadline: ``fn(*args)`` after
+        ``delay_s``.  A newer call supersedes the armed one — the loop
+        arms it per token send, and a superseded ``resend_token`` would
+        find ``last_token_sent`` changed and do nothing anyway."""
 
 
 class Inbox:

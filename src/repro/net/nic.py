@@ -4,29 +4,24 @@ The sending side of a host.  The protocol stack hands datagrams to the
 NIC instantly (the CPU cost of the send syscall is charged by the host
 model in :mod:`repro.sim.node`); the NIC clocks them onto the wire one at
 a time at the link rate, which is what creates the serialization delay
-that dominates 1-gigabit behaviour in the paper.
+that dominates 1-gigabit behaviour in the paper.  The clocking itself is
+:class:`repro.net.line.TransmitLine`'s arithmetic.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque
+from typing import Callable
 
-from heapq import heappush
-
-from .engine import Simulator, Timeout
+from .engine import Simulator
 from .frames import Frame
+from .line import TransmitLine
 from .links import LinkSpec
 
 
-class Nic:
+class Nic(TransmitLine):
     """Transmit path of one host: bounded byte queue + line-rate clocking."""
 
-    __slots__ = (
-        "sim", "host_id", "spec", "_deliver_to_switch", "_queue",
-        "_queued_bytes", "_queue_limit", "_wakeup", "_sim_ready",
-        "frames_sent", "bytes_sent", "drops_overflow", "_process",
-    )
+    __slots__ = ()
 
     def __init__(
         self,
@@ -35,21 +30,8 @@ class Nic:
         spec: LinkSpec,
         deliver_to_switch: Callable[[Frame], None],
     ) -> None:
-        self.sim = sim
-        self.host_id = host_id
-        self.spec = spec
-        self._deliver_to_switch = deliver_to_switch
-        self._queue: Deque[Frame] = deque()
-        self._queued_bytes = 0
-        self._queue_limit = spec.nic_queue_bytes
-        self._wakeup = sim.signal("nic%d.tx" % host_id)
-        self._sim_ready = sim._ready
-        self.frames_sent = 0
-        self.bytes_sent = 0
-        self.drops_overflow = 0
-        self._process = sim.spawn(self._tx_loop(), "nic%d" % host_id)
-
-    # -- host-facing API ---------------------------------------------------
+        super().__init__(sim, host_id, spec, deliver_to_switch,
+                         spec.nic_queue_bytes)
 
     def send(self, frame: Frame) -> bool:
         """Enqueue a datagram for transmission.
@@ -58,65 +40,24 @@ class Nic:
         the equivalent of a qdisc overflow.  The protocol's flow control
         is what keeps this from happening in correct configurations.
         """
-        wire = frame.wire
-        if self._queued_bytes + wire > self._queue_limit:
-            self.drops_overflow += 1
+        when = self._admit(frame.wire)
+        if when is None:
             return False
         frame.sent_at = self.sim.now
-        self._queue.append(frame)
-        self._queued_bytes += wire
-        # Inlined Signal.fire (value=None): one call per datagram sent.
-        waiters = self._wakeup._waiters
-        if waiters:
-            self._sim_ready.extend(waiters)
-            waiters.clear()
+        self._launch(when, frame)
         return True
 
     @property
-    def queued_bytes(self) -> int:
-        return self._queued_bytes
+    def is_idle(self) -> bool:
+        """No frame is waiting (one may still be on the wire)."""
+        return not self._read()
 
     @property
-    def is_idle(self) -> bool:
-        return not self._queue
+    def frames_sent(self) -> int:
+        self._read()
+        return self._frames_done
 
-    # -- internals ----------------------------------------------------------
-
-    def _tx_loop(self):
-        # Hot loop: one iteration per frame sent by this host.  Locals are
-        # cached and the serialization delay is computed with the exact
-        # same operations as LinkSpec.serialization_s (bit-identical
-        # floats keep runs reproducible against older kernels).
-        spec = self.spec
-        queue = self._queue
-        wakeup = self._wakeup
-        rate_bps = spec.rate_bps
-        propagation_s = spec.propagation_s
-        sim = self.sim
-        heap = sim._queue
-        ready = sim._ready
-        tie = sim._tie
-        deliver = self._deliver_to_switch
-        # Timeouts are immutable and wire sizes repeat, so the
-        # serialization pauses are cached per size.
-        timeouts: dict = {}
-        while True:
-            if not queue:
-                yield wakeup
-                continue
-            frame = queue.popleft()
-            wire = frame.wire
-            self._queued_bytes -= wire
-            pause = timeouts.get(wire)
-            if pause is None:
-                pause = timeouts[wire] = Timeout(wire * 8.0 / rate_bps)
-            yield pause
-            self.frames_sent += 1
-            self.bytes_sent += wire
-            # Inlined sim.call_in (one fewer Python call per frame); the
-            # branch mirrors call_in's zero-delay ready-queue fast path.
-            if propagation_s:
-                heappush(heap, (sim.now + propagation_s, next(tie),
-                                (deliver, (frame,))))
-            else:
-                ready.append((deliver, (frame,)))
+    @property
+    def bytes_sent(self) -> int:
+        self._read()
+        return self._bytes_done

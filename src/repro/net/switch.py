@@ -8,19 +8,19 @@ is safe (the reason the ``Accelerated_window`` must be tuned, Section
 III-C of the paper).
 
 A multicast frame is replicated at the crossbar into every other port's
-output queue; each output queue drains at line rate.  Frames are never
-reordered on a single port; loss happens only on buffer overflow or via
-an injected loss model.
+output queue; each output queue drains at line rate
+(:class:`repro.net.line.TransmitLine`).  Frames are never reordered on a
+single port; loss happens only on buffer overflow or via an injected
+loss model.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from heapq import heappush
-from typing import Callable, Deque, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
-from .engine import Simulator, Timeout
+from .engine import Simulator
 from .frames import Frame, Traffic
+from .line import TransmitLine, push_arrival
 from .links import LinkSpec
 from .loss import LossModel, no_loss
 
@@ -32,15 +32,10 @@ from .loss import LossModel, no_loss
 TRAFFIC_CLASSES = ("data", "jumbo", "token", "gossip", "ctrl")
 
 
-class SwitchPort:
+class SwitchPort(TransmitLine):
     """One output port: bounded byte queue draining at line rate."""
 
-    __slots__ = (
-        "sim", "host_id", "spec", "_deliver", "_loss", "_queue",
-        "_queued_bytes", "_queue_limit", "_wakeup", "_sim_ready",
-        "frames_forwarded", "bytes_forwarded", "drops_overflow",
-        "drops_injected", "max_queue_bytes", "_process",
-    )
+    __slots__ = ("_loss", "drops_injected")
 
     def __init__(
         self,
@@ -50,84 +45,40 @@ class SwitchPort:
         deliver: Callable[[Frame], None],
         loss: LossModel = no_loss,
     ) -> None:
-        self.sim = sim
-        self.host_id = host_id
-        self.spec = spec
-        self._deliver = deliver
+        super().__init__(sim, host_id, spec, deliver, spec.port_buffer_bytes)
         self._loss = loss
-        self._queue: Deque[Frame] = deque()
-        self._queued_bytes = 0
-        self._queue_limit = spec.port_buffer_bytes
-        self._wakeup = sim.signal("port%d.tx" % host_id)
-        self._sim_ready = sim._ready
-        self.frames_forwarded = 0
-        self.bytes_forwarded = 0
-        self.drops_overflow = 0
         self.drops_injected = 0
-        self.max_queue_bytes = 0
-        self._process = sim.spawn(self._tx_loop(), "port%d" % host_id)
 
-    def enqueue(self, frame: Frame) -> None:
+    def _accept(self, frame: Frame) -> Optional[float]:
+        """Injected loss, then the buffer: the instant ``frame`` reaches
+        the host, or ``None`` when it was dropped (and counted)."""
         loss = self._loss
         if loss is not no_loss and loss(frame):
             self.drops_injected += 1
-            return
-        wire = frame.wire
-        queued = self._queued_bytes + wire
-        if queued > self._queue_limit:
-            self.drops_overflow += 1
-            return
-        self._queue.append(frame)
-        self._queued_bytes = queued
-        if queued > self.max_queue_bytes:
-            self.max_queue_bytes = queued
-        # Inlined Signal.fire (value=None): one call per frame replicated
-        # to this port.
-        waiters = self._wakeup._waiters
-        if waiters:
-            self._sim_ready.extend(waiters)
-            waiters.clear()
+            return None
+        return self._admit(frame.wire)
+
+    def enqueue(self, frame: Frame) -> None:
+        when = self._accept(frame)
+        if when is not None:
+            self._launch(when, frame)
 
     @property
-    def queued_bytes(self) -> int:
-        return self._queued_bytes
+    def frames_forwarded(self) -> int:
+        self._read()
+        return self._frames_done
 
-    def _tx_loop(self):
-        # Hot loop: one iteration per frame leaving this port.  The
-        # serialization delay uses the exact same float operations as
-        # LinkSpec.serialization_s so results stay bit-identical.
-        queue = self._queue
-        wakeup = self._wakeup
-        rate_bps = self.spec.rate_bps
-        propagation_s = self.spec.propagation_s
-        sim = self.sim
-        heap = sim._queue
-        ready = sim._ready
-        tie = sim._tie
-        deliver = self._deliver
-        # Timeouts are immutable and wire sizes repeat, so the
-        # serialization pauses are cached per size.
-        timeouts: dict = {}
-        while True:
-            if not queue:
-                yield wakeup
-                continue
-            frame = queue.popleft()
-            wire = frame.wire
-            self._queued_bytes -= wire
-            pause = timeouts.get(wire)
-            if pause is None:
-                pause = timeouts[wire] = Timeout(wire * 8.0 / rate_bps)
-            yield pause
-            self.frames_forwarded += 1
-            self.bytes_forwarded += wire
-            # Inlined sim.call_in (one fewer Python call per frame); the
-            # branch mirrors call_in's zero-delay ready-queue fast path.
-            if propagation_s:
-                heappush(heap, (sim.now + propagation_s, next(tie),
-                                (deliver, (frame,))))
-            else:
-                ready.append((deliver, (frame,)))
+    @property
+    def bytes_forwarded(self) -> int:
+        self._read()
+        return self._bytes_done
+
+
+def _deliver_copies(delivers: List[Callable[[Frame], None]],
+                    frame: Frame) -> None:
+    """One multicast's copies that reach their hosts at one instant."""
+    for deliver in delivers:
+        deliver(frame)
 
 
 class Switch:
@@ -144,10 +95,10 @@ class Switch:
         self.sim = sim
         self.spec = spec
         self._ports: Dict[int, SwitchPort] = {}
-        #: Per-source multicast fan-out: list of enqueue methods of every
-        #: *other* port, in attach order (the replication order at the
-        #: crossbar).  Built lazily, invalidated on attach and on
-        #: partition changes (the fan-out respects port groups).
+        #: Per-source multicast fan-out: every *other* port, in attach
+        #: order (the replication order at the crossbar).  Built lazily,
+        #: invalidated on attach and on partition changes (the fan-out
+        #: respects port groups).
         self._fanout: Dict[int, list] = {}
         #: host -> partition group key; None means fully connected.
         #: Hosts absent from the mapping while a partition is active are
@@ -348,21 +299,24 @@ class Switch:
             src = frame.src
             fanout = self._fanout.get(src)
             if fanout is None:
-                if self._partition is None:
-                    fanout = [
-                        port.enqueue
-                        for host_id, port in self._ports.items()
-                        if host_id != src
-                    ]
-                else:
-                    fanout = [
-                        port.enqueue
-                        for host_id, port in self._ports.items()
-                        if host_id != src and self.connected(src, host_id)
-                    ]
-                self._fanout[src] = fanout
-            for enqueue in fanout:
-                enqueue(frame)
+                fanout = self._fanout[src] = [
+                    port for host_id, port in self._ports.items()
+                    if host_id != src and self.connected(src, host_id)
+                ]
+            # One calendar entry per run of copies due at one instant:
+            # pushed one by one their ties would be consecutive, so
+            # nothing could run between them anyway.  On idle ports —
+            # any load the buffers absorb — that is one entry for all.
+            runs: List[tuple] = []  # (instant, [deliver, ...])
+            for port in fanout:
+                when = port._accept(frame)
+                if when is not None:
+                    if not runs or runs[-1][0] != when:
+                        runs.append((when, []))
+                    runs[-1][1].append(port._deliver)
+            for when, delivers in runs:
+                push_arrival(self.sim, self.spec.propagation_s, when,
+                             _deliver_copies, (delivers, frame))
         else:
             port = self._ports.get(frame.dst)
             if port is None:

@@ -11,6 +11,7 @@ message is available, and vice versa.
 from __future__ import annotations
 
 import functools
+from heapq import heappush
 from typing import Any, Callable, Optional
 
 from ..core import (
@@ -74,7 +75,7 @@ class SimNode:
         "sim", "pid", "profile", "spec", "recorder", "participant",
         "nic", "driver", "pauses", "idle", "clock", "deliver",
         "_tokens", "_data", "_data_queue_bytes", "_socket_buffer_bytes",
-        "_sim_ready", "socket_drops", "_process",
+        "_sim_ready", "socket_drops", "_process", "_deadline",
     )
 
     def __init__(
@@ -110,6 +111,9 @@ class SimNode:
         self.clock = functools.partial(getattr, sim, "now")
         self._sim_ready = sim._ready
         self.socket_drops = 0
+        #: The armed resend ``(when, fn, args)``; None with no calendar
+        #: entry in flight.
+        self._deadline: Optional[tuple] = None
         self._process = sim.spawn(self.driver.run(), "cpu%d" % pid)
 
     @property
@@ -208,4 +212,27 @@ class SimNode:
         """Garbage collection is free compared to the rest."""
 
     def set_timer(self, delay_s: float, fn: Callable, *args: Any) -> None:
-        self.sim.call_at(self.sim.now + delay_s, fn, *args)
+        """One deadline, one calendar entry: a newer call supersedes the
+        armed one (see :meth:`repro.core.driver.DriverPort.set_timer`)."""
+        sim = self.sim
+        now = sim.now
+        armed = self._deadline is not None
+        # The instant ``sim.call_at(now + delay_s, ...)`` arrives at.
+        when = now + ((now + delay_s) - now)
+        self._deadline = (when, fn, args)
+        if not armed:
+            heappush(sim._queue, (when, next(sim._tie),
+                                  (self._on_deadline, ())))
+
+    def _on_deadline(self) -> None:
+        when, fn, args = self._deadline
+        sim = self.sim
+        if when > sim.now:
+            # Superseded while armed: sleep on to the latest deadline,
+            # pushed as the absolute instant stored when it was set (not
+            # re-derived through ``call_at``'s ``now + (when - now)``).
+            heappush(sim._queue, (when, next(sim._tie),
+                                  (self._on_deadline, ())))
+        else:
+            self._deadline = None
+            fn(*args)

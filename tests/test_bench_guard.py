@@ -12,7 +12,7 @@ def write_records(directory, kernel=None, codec=None, churn=None, obs=None,
     directory.mkdir(parents=True, exist_ok=True)
     kernel_record = {
         "events_per_sec_best": 3_000_000,
-        "sim_events_per_sec_best": 700_000,
+        "sim_msgs_per_cpu_s_best": 12_000,
     }
     kernel_record.update(kernel or {})
     codec_record = {
@@ -35,8 +35,8 @@ def write_records(directory, kernel=None, codec=None, churn=None, obs=None,
     if churn:
         churn_record["metrics"].update(churn)
     obs_record = {
-        "sim_events_per_sec_off_best": 700_000,
-        "sim_events_per_sec_on_best": 650_000,
+        "sim_msgs_per_cpu_s_off_best": 12_000,
+        "sim_msgs_per_cpu_s_on_best": 11_000,
         "tracing_throughput_ratio": 0.93,
     }
     obs_record.update(obs or {})
@@ -112,7 +112,7 @@ def test_tracing_ratio_regression_fails(tmp_path):
     # Throughputs hold but the on/off ratio collapses: tracing got
     # expensive even though the box got no slower.
     write_records(tmp_path / "fresh",
-                  obs={"sim_events_per_sec_on_best": 480_000,
+                  obs={"sim_msgs_per_cpu_s_on_best": 8_000,
                        "tracing_throughput_ratio": 0.69})     # -26%
     regressions, _ = guard.compare(
         str(tmp_path / "base"), str(tmp_path / "fresh"))
@@ -131,7 +131,7 @@ def test_missing_metric_is_an_error(tmp_path):
     write_records(tmp_path / "base")
     write_records(tmp_path / "fresh")
     record = json.loads((tmp_path / "fresh" / "kernel.json").read_text())
-    del record["sim_events_per_sec_best"]
+    del record["sim_msgs_per_cpu_s_best"]
     (tmp_path / "fresh" / "kernel.json").write_text(json.dumps(record))
     with pytest.raises(guard.GuardError, match="not found"):
         guard.compare(str(tmp_path / "base"), str(tmp_path / "fresh"))

@@ -1,17 +1,23 @@
 """Golden fingerprints: the hot-path optimizations must not move a bit.
 
-Each scenario runs a small canonical simulation and folds *everything
-observable* into one SHA-256 — every latency sample, every per-node
-protocol counter, every switch/NIC drop counter, the exact kernel event
-count and final simulated time.  The expected digests were computed
-before the zero-copy/coalescing/kernel rewrites landed; if any of those
-changes alters a single float anywhere in a run, the digest moves and
-this test names the scenario that diverged.
+Each scenario runs a small canonical simulation and pins two things
+**separately**:
 
-This is the same gate PR 1 used for the first kernel fast-path: the
-optimizations are allowed to make the simulator *faster*, never
-*different*.  When a deliberate semantic change lands (new default, new
-event source), recompute the digests by calling each scenario builder in
+* a SHA-256 over *every result* — each latency sample, each per-node
+  protocol counter, each switch/port/NIC counter and the final
+  simulated time — and
+* the kernel's exact event count, as a plain integer.
+
+An optimisation may make the simulator *faster, never different*: a PR
+that removes kernel events re-pins the integers (old -> new listed in
+CHANGES.md) and must leave the six digests alone, so a changed float
+cannot hide behind a re-minted hash.  The digests below were minted at
+the commit *before* the fabric's transmit lines became arithmetic
+(ISSUE 22) — from the parent's generator NIC and switch ports — and
+matched unchanged after it; only the six event counts moved.
+
+When a deliberate semantic change lands (new default, new event
+source), recompute the digests by calling each scenario builder in
 ``SCENARIOS`` and pasting the new values, and justify the diff in the
 commit message.
 """
@@ -30,7 +36,7 @@ from repro.sim.cluster import SimCluster
 
 
 def _digest_cluster(cluster: SimCluster) -> str:
-    """Deterministic digest of one finished run's full observable state."""
+    """Deterministic digest of one finished run's results (no event count)."""
     h = hashlib.sha256()
     emit = h.update
 
@@ -39,7 +45,6 @@ def _digest_cluster(cluster: SimCluster) -> str:
         emit(b"\n")
 
     line("now", cluster.sim.now)
-    line("events", cluster.sim.event_count)
     line("switch", cluster.switch.frames_received,
          cluster.switch.drops_partition, cluster.switch.drops_fault)
     for host_id in cluster.switch.host_ids:
@@ -56,7 +61,8 @@ def _digest_cluster(cluster: SimCluster) -> str:
              s.data_duplicates, s.delivered, s.discarded,
              node.backlog, node.participant.local_aru,
              node.participant.delivered_upto, node.socket_drops,
-             node.tokens_resent, node.nic.drops_overflow)
+             node.tokens_resent, node.nic.drops_overflow,
+             node.nic.frames_sent, node.nic.bytes_sent)
     recorder = cluster.recorder
     for node_id in sorted(recorder.delivered_bytes):
         line("delivered", node_id, recorder.delivered_bytes[node_id],
@@ -70,31 +76,33 @@ def _digest_cluster(cluster: SimCluster) -> str:
 
 
 def _run(config, profile, spec, payload_size, service, offered_bps,
-         duration_s=0.06, warmup_s=0.02, seed=7, loss=None) -> str:
+         duration_s=0.06, warmup_s=0.02, seed=7, loss=None):
     cluster = SimCluster(
         8, spec, profile, config,
         payload_size=payload_size, service=service, seed=seed, loss=loss,
     )
     cluster.inject_at_rate(offered_bps, duration_s)
     cluster.run(duration_s, warmup_s, offered_bps=offered_bps)
-    return _digest_cluster(cluster)
+    return _digest_cluster(cluster), cluster.sim.event_count
 
 
-#: scenario name -> (builder, expected SHA-256).
+#: scenario name -> (builder, expected results SHA-256, expected events).
 SCENARIOS = {
     "accelerated_agreed_1g": (
         lambda: _run(
             ProtocolConfig.accelerated(personal_window=15, accelerated_window=10),
             SPREAD, GIGABIT, 1350, Service.AGREED, 400e6,
         ),
-        "c4e3479e51b639cee31bf6bb060c79016c24ec04b7834f68897fb472546c627f",
+        "765e010ec4718a5dd4283166014fa79c5cf417cd3a302a6de338851bd644b46f",
+        125_601,
     ),
     "original_safe_1g": (
         lambda: _run(
             ProtocolConfig.original_ring(personal_window=15),
             DAEMON, GIGABIT, 1350, Service.SAFE, 250e6,
         ),
-        "1e370bfba2d5f83de5bb5a41b7fc8f7f60df45a2e09a6004ba27145fac8450dd",
+        "88118978ca0740df574c9e9ee19987cf562e820d55110686d9f271a6b66927c9",
+        76_274,
     ),
     "accelerated_packed_small_10g": (
         lambda: _run(
@@ -103,19 +111,19 @@ SCENARIOS = {
             ),
             LIBRARY, TEN_GIGABIT, 200, Service.AGREED, 600e6,
         ),
-        "d46a904afa8f4cf886d463446b73096590dbfcffeb1cb00f009c5dbe845096ad",
+        "5e99bbbb52ffe1bdcdaa695798376203e15d533d8814926ebfdd8c01b11cb474",
+        524_895,
     ),
     "accelerated_large_payload_10g": (
         lambda: _run(
             ProtocolConfig.accelerated(personal_window=10, accelerated_window=6),
             LIBRARY, TEN_GIGABIT, 8850, Service.AGREED, 1500e6,
         ),
-        "33ea9ffff4b53f14b9d14f30b996f228788bedfb356e2454ed8e4b4d5e8274c8",
+        "d7a113216dffaa3989d445aa572300cc84836e0b275958825226108bb0509700",
+        112_149,
     ),
-    # The next two were minted at the commit before the shared driver
-    # core (repro.core.driver) replaced the per-substrate action walks:
-    # they pin the coalescing walk and the retransmission / token-resend
-    # paths, which no scenario above reaches.
+    # The next two pin the coalescing walk and the retransmission /
+    # token-resend paths, which no scenario above reaches.
     "accelerated_jumbo_10g": (
         lambda: _run(
             ProtocolConfig.accelerated(
@@ -124,7 +132,8 @@ SCENARIOS = {
             ),
             LIBRARY, TEN_GIGABIT, 1350, Service.AGREED, 5000e6,
         ),
-        "f05851f93c7c91393340164122a2f3ebd3ba118a3ecee14ae0fbc68917060a6e",
+        "819526e1762f4517d1166dd99e668fca29f19195ce3d5b1ce70908a9f8c4a281",
+        584_852,
     ),
     "accelerated_lossy_1g": (
         lambda: _run(
@@ -132,16 +141,39 @@ SCENARIOS = {
             SPREAD, GIGABIT, 1350, Service.SAFE, 300e6,
             loss=BernoulliLoss(0.02, seed=11),
         ),
-        "619082f3f5c227f3c7bc190e7f5559cfcefc0d937645eca87ebc098e722adf76",
+        "193463e4d15f52b1b0419a66f4c74d752727bbeb28daaea2573ac5d352c38557",
+        81_949,
     ),
 }
 
 
+@pytest.fixture(scope="module")
+def runs():
+    """Each scenario runs once for both of its tests."""
+    cache = {}
+
+    def run(name):
+        if name not in cache:
+            cache[name] = SCENARIOS[name][0]()
+        return cache[name]
+
+    return run
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_golden_fingerprint(name):
-    build, expected = SCENARIOS[name]
-    digest = build()
-    assert digest == expected, (
+def test_golden_fingerprint(name, runs):
+    digest, _events = runs(name)
+    assert digest == SCENARIOS[name][1], (
         "scenario %r fingerprint changed: got %s — a hot-path change "
         "altered observable simulation results" % (name, digest)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_event_count(name, runs):
+    _digest, events = runs(name)
+    assert events == SCENARIOS[name][2], (
+        "scenario %r now takes %d kernel events: if the results digest "
+        "still matches, re-pin this integer and list old -> new in "
+        "CHANGES.md" % (name, events)
     )

@@ -76,7 +76,7 @@ def test_pinned_churn_meltdown_schedules_converge(seed):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="open bug: VS violation in transitional delivery (ROADMAP #6)",
+    reason="open bug: VS violation in transitional delivery (ROADMAP #1)",
 )
 def test_pinned_vs_violation_partition_during_transitional():
     """Known-open bug: a hypothesis-found schedule where processes 1

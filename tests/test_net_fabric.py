@@ -15,6 +15,7 @@ from repro.net import (
     Simulator,
     Switch,
     TargetedLoss,
+    Timeout,
     Traffic,
 )
 
@@ -263,3 +264,37 @@ def test_injected_loss_at_switch_port():
     sim.run()
     assert received[1] == []
     assert switch.port(1).drops_injected == 1
+
+
+# ---------------------------------------------------------------------------
+# Bounded state: the transmit line's settle records
+# ---------------------------------------------------------------------------
+
+def test_lines_keep_records_only_for_frames_still_on_the_line():
+    # Counters are settled lazily from per-frame records; with nobody
+    # reading one, every admit must still trim them: state is O(frames on
+    # the line), never O(frames ever sent).
+    smallest = data_frame(0, 1, size=64).wire
+    spec = GIGABIT.with_overrides(nic_queue_bytes=8 * smallest,
+                                  port_buffer_bytes=8 * smallest)
+    sim, switch, nics, received = make_fabric(spec=spec, hosts=(0, 1))
+    nic, port = nics[0], switch.port(1)
+    total = 50_000
+    longest = [0, 0]
+
+    def sender():
+        sent = 0
+        while sent < total:
+            for _ in range(5):  # bursts, so frames queue behind each other
+                sent += nic.send(data_frame(0, 1, size=64))
+            longest[0] = max(longest[0], len(nic._line))
+            longest[1] = max(longest[1], len(port._line))
+            yield Timeout(5 * GIGABIT.serialization_s(smallest))
+
+    sim.spawn(sender(), "sender")
+    sim.run()
+    # The buffer's worth of waiting frames, plus the one on the wire.
+    assert 1 < longest[0] <= 8 + 1 and 1 <= longest[1] <= 8 + 1
+    assert nic.frames_sent == port.frames_forwarded == total
+    assert len(received[1]) == total
+    assert not nic._line and not port._line  # a read settles the rest
