@@ -105,7 +105,8 @@ multiring-smoke:
 # must exit 0 over them.  This is what CI runs.
 obs-smoke:
 	$(PYTHON) -m pytest tests/test_obs_registry.py tests/test_obs_trace.py \
-		tests/test_metrics_conservation.py -q
+		tests/test_metrics_conservation.py tests/test_metrics_golden.py \
+		tests/test_net_monitors.py -q
 	rm -rf bench_results/fresh/obs
 	$(PYTHON) -m repro.cli obs-sample --out-dir bench_results/fresh/obs
 	$(PYTHON) -m repro.cli trace-analyze \

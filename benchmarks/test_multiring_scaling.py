@@ -21,12 +21,8 @@ for the seed and safe to guard at the normal bench-guard tolerance.
 import json
 import os
 
-from repro.multiring.bench import (
-    DEFAULT_MS,
-    scaling_sweep,
-    total_violations,
-    write_record,
-)
+from repro.multiring.bench import DEFAULT_MS, scaling_sweep, total_violations
+from repro.records import write_record
 
 RESULTS_DIR = os.environ.get("REPRO_BENCH_RESULTS", "bench_results")
 

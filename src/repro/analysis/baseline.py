@@ -18,6 +18,7 @@ import json
 import os
 from typing import Dict, List, Sequence, Set
 
+from ..records import write_record
 from .rules import Finding
 
 BASELINE_VERSION = 1
@@ -51,9 +52,7 @@ def write_baseline(path: str, findings: Sequence[Finding]) -> None:
         "tool": "python -m repro.cli lint --write-baseline",
         "suppressions": dict(sorted(suppressions.items())),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_record(payload, path)
 
 
 def split_by_baseline(findings: Sequence[Finding], baseline: Set[str],

@@ -46,6 +46,7 @@ import sys
 from typing import List, Optional
 
 from .bench import ALL_FIGURES, make_fig4, make_fig6, persist_figure, run_sweep
+from .records import write_record
 
 
 def _available() -> List[str]:
@@ -123,7 +124,6 @@ def run_churn_command(argv: List[str]) -> int:
         ChurnOptions,
         convergence_sweep,
         run_churn_scenario,
-        write_record,
     )
 
     parser = argparse.ArgumentParser(
@@ -222,7 +222,6 @@ def run_multiring_command(argv: List[str]) -> int:
         DEFAULT_RECORD_PATH,
         scaling_sweep,
         total_violations,
-        write_record,
     )
 
     parser = argparse.ArgumentParser(
@@ -303,7 +302,8 @@ def run_decode_command(argv: List[str]) -> int:
 def run_capture_sample_command(argv: List[str]) -> int:
     """Produce one small sim capture and one emulation capture.
 
-    These are the committed reference samples: the same decoder renders
+    The committed reference samples are these two files (regenerate them
+    with ``--out-dir bench_results/captures``): the same decoder renders
     both, proving the two worlds share one wire format.
     """
     import time
@@ -320,8 +320,10 @@ def run_capture_sample_command(argv: List[str]) -> int:
         description="Generate the reference sim/emulation .rcap samples.",
     )
     parser.add_argument(
-        "--out-dir", default=os.path.join("bench_results", "captures"),
-        help="directory for sim_sample.rcap and emu_sample.rcap",
+        "--out-dir", default=os.path.join("bench_results", "fresh", "captures"),
+        help="directory for sim_sample.rcap and emu_sample.rcap (default: "
+             "bench_results/fresh/captures; the committed samples live in "
+             "bench_results/captures)",
     )
     parser.add_argument(
         "--duration", type=float, default=0.01,
@@ -451,15 +453,13 @@ def run_report_command(argv: List[str]) -> int:
         )
         snapshot = cluster.metrics.snapshot()
 
-    rendered = json.dumps(snapshot, indent=2, sort_keys=True)
     if args.out is not None:
-        directory = os.path.dirname(args.out)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(args.out, "w") as handle:
-            handle.write(rendered + "\n")
+        write_record(snapshot, args.out)
         print("wrote %s" % args.out, file=sys.stderr)
-    print(rendered if args.as_json else format_metrics(snapshot))
+    if args.as_json:
+        print(json.dumps(snapshot, indent=2, sort_keys=True))
+    else:
+        print(format_metrics(snapshot))
     return 0
 
 
@@ -631,15 +631,10 @@ def run_lint_command(argv: List[str]) -> int:
         payload["baselined_count"] = len(baselined)
         payload["new_count"] = len(new)
         payload["new"] = [f.to_dict() for f in new]
-        rendered = json.dumps(payload, indent=2, sort_keys=True)
         if args.json_out == "-":
-            print(rendered)
+            print(json.dumps(payload, indent=2, sort_keys=True))
         else:
-            directory = os.path.dirname(args.json_out)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            with open(args.json_out, "w") as handle:
-                handle.write(rendered + "\n")
+            write_record(payload, args.json_out)
 
     if not args.quiet:
         for finding in new:

@@ -161,19 +161,6 @@ class Participant:
         """Application messages waiting for the token."""
         return len(self._pending)
 
-    def drain_pending(self) -> List[Tuple[Any, Service, int, Optional[float]]]:
-        """Remove and return the queued application messages.
-
-        Used by the membership layer to carry un-sent messages across a
-        configuration change into the participant of the new ring.
-        """
-        drained = [
-            (p.payload, p.service, p.payload_size, p.submitted_at)
-            for p in self._pending
-        ]
-        self._pending.clear()
-        return drained
-
     def rebind_ring(self, ring: Ring) -> None:
         """Install a new ring after a membership change.
 
@@ -251,11 +238,6 @@ class Participant:
     @property
     def last_received_hop(self) -> int:
         return self._last_received_hop
-
-    @property
-    def max_round_seen(self) -> int:
-        """Highest data-message round observed (token-loss detection)."""
-        return self._max_round_seen
 
     @property
     def last_token_sent(self) -> Optional[Token]:

@@ -21,29 +21,15 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence
 
 from .configuration import AppMessage
 from .semantics import (
+    PER_LOG_CHECKS,
     Event,
     EVSViolation,
-    check_agreed_gap_free,
-    check_messages_within_configuration,
-    check_no_duplicates,
     check_self_inclusion,
-    check_seq_order_within_configuration,
-    check_transitional_placement,
-    check_transitional_sandwich,
     check_virtual_synchrony,
 )
 
 #: Logs are keyed by pid or by (pid, incarnation).
 LogKey = Hashable
-
-_PER_LOG_CHECKS = (
-    check_messages_within_configuration,
-    check_seq_order_within_configuration,
-    check_transitional_placement,
-    check_agreed_gap_free,
-    check_transitional_sandwich,
-    check_no_duplicates,
-)
 
 
 def _pid_of(key: LogKey) -> int:
@@ -79,7 +65,7 @@ class EVSChecker:
         for key, log in logs.items():
             label = "log %r" % (key,)
             self._run(label, check_self_inclusion, log, _pid_of(key))
-            for check in _PER_LOG_CHECKS:
+            for check in PER_LOG_CHECKS:
                 self._run(label, check, log)
         self._run("cross-log", check_virtual_synchrony, logs)
         if submitted:

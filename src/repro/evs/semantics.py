@@ -235,14 +235,24 @@ def check_no_duplicates(log: Sequence[Event]) -> None:
             seen.add(key)
 
 
+#: The per-log axioms that follow :func:`check_self_inclusion` (the one
+#: that also needs the pid), in checking order — :func:`check_all` and
+#: :class:`~repro.evs.checker.EVSChecker` both walk this tuple.
+PER_LOG_CHECKS = (
+    check_messages_within_configuration,
+    check_seq_order_within_configuration,
+    check_transitional_placement,
+    check_agreed_gap_free,
+    check_transitional_sandwich,
+    check_no_duplicates,
+)
+
+
 def check_all(logs: Dict[int, Sequence[Event]]) -> None:
-    """Run every per-log axiom plus cross-log virtual synchrony."""
+    """Run every per-log axiom plus cross-log virtual synchrony; raises
+    the first violation."""
     for pid, log in logs.items():
         check_self_inclusion(log, pid)
-        check_messages_within_configuration(log)
-        check_seq_order_within_configuration(log)
-        check_transitional_placement(log)
-        check_agreed_gap_free(log)
-        check_transitional_sandwich(log)
-        check_no_duplicates(log)
+        for check in PER_LOG_CHECKS:
+            check(log)
     check_virtual_synchrony(logs)

@@ -15,7 +15,6 @@ from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set
 
 from ..core import ProtocolConfig, Service
 from ..core.driver import Inbox
-from ..evs import EVSChecker
 from ..membership import EVSProcess, MembershipTimeouts, Outgoing, State
 
 
@@ -218,12 +217,6 @@ class EVSNetwork:
                 collected[(pid, incarnation)] = old.app_log
             collected[(pid, len(earlier))] = process.app_log
         return collected
-
-    def check_invariants(self) -> None:
-        """Assert every EVS axiom over all processes' logs."""
-        checker = EVSChecker()
-        checker.check_logs(self.logs())
-        checker.assert_ok()
 
     # -- convergence helpers ------------------------------------------------------
 

@@ -191,9 +191,6 @@ class LoopbackRing:
     def delivered_payloads(self, pid: int) -> List[Any]:
         return [m.payload for m in self.delivered[pid]]
 
-    def all_quiet(self) -> bool:
-        return not any(d.data or d.tokens for d in self._drivers.values())
-
     def _total_delivered(self) -> int:
         return sum(len(log) for log in self.delivered.values())
 

@@ -270,11 +270,6 @@ class GossipDetector:
             m.pid: (m.incarnation, m.status) for m in self._members.values()
         }
 
-    def alive_pids(self) -> List[int]:
-        return sorted(
-            m.pid for m in self._members.values() if m.status != DEAD
-        )
-
     def status_of(self, pid: int) -> Optional[int]:
         member = self._members.get(pid)
         return None if member is None else member.status

@@ -23,7 +23,6 @@ look healthy.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, Optional, Sequence
 
@@ -148,15 +147,3 @@ def total_violations(record: Dict[str, Any]) -> int:
         entry["evs_violations"] + entry["cross_ring_violations"]
         for entry in record["sweep"]
     )
-
-
-def write_record(record: Dict[str, Any],
-                 path: str = DEFAULT_RECORD_PATH) -> str:
-    """Byte-stable record file (sorted keys, no wall-clock anywhere)."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core import ProtocolConfig, Service
@@ -170,29 +171,16 @@ class MultiRingSimCluster:
         for name in ("rounds_merged", "skips_filled", "entries_merged",
                      "markers_seen"):
             metrics.bind("multiring.merge." + name, merger, name)
-        metrics.bind_fn("multiring.merge.frontier_round",
-                        (lambda: merger.frontier), kind="gauge")
-        for ring_index in range(self.n_rings):
-            metrics.bind_fn(
-                "multiring.merge.ring_lag_rounds",
-                (lambda i=ring_index: merger.ring_lag(i)),
-                node=ring_index, kind="gauge",
-            )
-            metrics.bind_fn(
-                "multiring.merge.pending_entries",
-                (lambda i=ring_index: merger.pending_entries(i)),
-                node=ring_index, kind="gauge",
-            )
-            metrics.bind_fn(
-                "multiring.ring.groups",
-                (lambda i=ring_index: len(self.shards[i])),
-                node=ring_index, kind="gauge",
-            )
-            metrics.bind_fn(
-                "multiring.ring.delivered_entries",
-                (lambda i=ring_index: len(self.streams[i][0])),
-                node=ring_index, kind="counter",
-            )
+        metrics.bind("multiring.merge.frontier_round", merger, "frontier")
+        for i in range(self.n_rings):
+            metrics.bind_fn("multiring.merge.ring_lag_rounds",
+                            partial(merger.ring_lag, i), node=i)
+            metrics.bind_fn("multiring.merge.pending_entries",
+                            partial(merger.pending_entries, i), node=i)
+            metrics.bind_fn("multiring.ring.groups",
+                            (lambda i=i: len(self.shards[i])), node=i)
+            metrics.bind_fn("multiring.ring.delivered_entries",
+                            (lambda i=i: len(self.streams[i][0])), node=i)
 
     # -- workload ----------------------------------------------------------
 

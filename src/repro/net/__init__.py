@@ -8,7 +8,7 @@ Public surface::
 
     from repro.net import Simulator, Timeout, Signal
     from repro.net import Frame, Traffic, LinkSpec, GIGABIT, TEN_GIGABIT
-    from repro.net import Nic, Switch, FabricMonitor
+    from repro.net import Nic, Switch, register_fabric_metrics
 """
 
 from .engine import Latch, Process, Signal, SimulationError, Simulator, Timeout
@@ -23,7 +23,7 @@ from .loss import (
     derive_port_loss,
     no_loss,
 )
-from .monitors import FabricMonitor, FabricSnapshot
+from .monitors import register_fabric_metrics, register_switch_metrics
 from .nic import Nic
 from .switch import Switch, SwitchPort
 
@@ -35,5 +35,5 @@ __all__ = [
     "BernoulliLoss", "TargetedLoss", "SequenceLoss", "ReceiverLoss",
     "PerFragmentLoss",
     "Nic", "Switch", "SwitchPort",
-    "FabricMonitor", "FabricSnapshot",
+    "register_fabric_metrics", "register_switch_metrics",
 ]

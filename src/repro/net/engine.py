@@ -107,10 +107,6 @@ class Signal:
             for process in waiters:
                 append((process._step, (value,)))
 
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
     def __repr__(self) -> str:
         return "Signal(%s, waiters=%d)" % (self.name, len(self._waiters))
 

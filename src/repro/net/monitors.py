@@ -1,124 +1,40 @@
-"""Network observability: byte/frame accounting across the fabric.
+"""The fabric's counters in a :class:`~repro.obs.registry.MetricsRegistry`.
 
-Used by benchmarks to report achieved utilization and by tests to assert
-conservation properties (bytes in == bytes out + drops).  When a
-:class:`repro.obs.registry.MetricsRegistry` is attached
-(:meth:`FabricMonitor.register_metrics`), every fabric counter is also
-readable through the registry's unified namespace — the monitor stays
-the thin aggregation shim over the same live NIC/switch attributes.
+Every metric is a bound view over a live NIC, switch-port or switch
+attribute, read only when a snapshot is taken — nothing on the frame
+path changes.  Per-node scopes use the NIC/port host id; switch-wide
+counters are unscoped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Iterable
 
-from .engine import Simulator, Timeout
 from .nic import Nic
 from .switch import Switch
 
 
-@dataclass(slots=True)
-class FabricSnapshot:
-    """Aggregated counters at one instant."""
-
-    time: float
-    frames_sent: int
-    bytes_sent: int
-    frames_forwarded: int
-    switch_drops: int
-    nic_drops: int
-    max_port_queue_bytes: int
-    #: Switch-ingress frames per traffic class ("data", "jumbo", "token",
-    #: "gossip", "ctrl") — conservation asserts can separate the control
-    #: plane from the data plane.
-    frames_by_class: Dict[str, int] = field(default_factory=dict)
-    #: Switch-ingress wire bytes per traffic class.
-    bytes_by_class: Dict[str, int] = field(default_factory=dict)
+def register_fabric_metrics(registry, switch: Switch,
+                            nics: Iterable[Nic]) -> None:
+    """Bind every NIC, every switch port and the switch-wide counters."""
+    for nic in nics:
+        pid = nic.host_id
+        for attr in ("frames_sent", "bytes_sent", "drops_overflow"):
+            registry.bind("net.nic." + attr, nic, attr, node=pid)
+    for host_id in switch.host_ids:
+        port = switch.port(host_id)
+        for attr in ("frames_forwarded", "bytes_forwarded", "drops_overflow",
+                     "drops_injected", "queued_bytes", "max_queue_bytes"):
+            registry.bind("net.port." + attr, port, attr, node=host_id)
+    register_switch_metrics(registry, switch)
 
 
-class FabricMonitor:
-    """Aggregates NIC and switch counters; can sample queue depths."""
-
-    __slots__ = ("sim", "switch", "nics", "samples")
-
-    def __init__(self, sim: Simulator, switch: Switch, nics: List[Nic]) -> None:
-        self.sim = sim
-        self.switch = switch
-        self.nics = nics
-        self.samples: List[FabricSnapshot] = []
-
-    def snapshot(self) -> FabricSnapshot:
-        ports = [self.switch.port(h) for h in self.switch.host_ids]
-        return FabricSnapshot(
-            time=self.sim.now,
-            frames_sent=sum(n.frames_sent for n in self.nics),
-            bytes_sent=sum(n.bytes_sent for n in self.nics),
-            frames_forwarded=sum(p.frames_forwarded for p in ports),
-            switch_drops=self.switch.total_drops(),
-            nic_drops=sum(n.drops_overflow for n in self.nics),
-            max_port_queue_bytes=max((p.max_queue_bytes for p in ports), default=0),
-            frames_by_class=dict(self.switch.class_frames),
-            bytes_by_class=dict(self.switch.class_bytes),
-        )
-
-    def register_metrics(self, registry) -> None:
-        """Expose the fabric counters through a MetricsRegistry.
-
-        Every metric is a zero-cost bound view over the same live NIC /
-        switch-port attributes this monitor already sums — nothing on
-        the frame path changes.  Per-node scopes use the NIC/port host
-        id; switch-wide counters are unscoped.
-        """
-        for nic in self.nics:
-            pid = nic.host_id
-            registry.bind("net.nic.frames_sent", nic, "frames_sent", node=pid)
-            registry.bind("net.nic.bytes_sent", nic, "bytes_sent", node=pid)
-            registry.bind("net.nic.drops_overflow", nic, "drops_overflow",
-                          node=pid)
-        for host_id in self.switch.host_ids:
-            port = self.switch.port(host_id)
-            registry.bind("net.port.frames_forwarded", port,
-                          "frames_forwarded", node=host_id)
-            registry.bind("net.port.bytes_forwarded", port,
-                          "bytes_forwarded", node=host_id)
-            registry.bind("net.port.drops_overflow", port,
-                          "drops_overflow", node=host_id)
-            registry.bind("net.port.drops_injected", port,
-                          "drops_injected", node=host_id)
-            registry.bind("net.port.queued_bytes", port, "queued_bytes",
-                          node=host_id, kind="gauge")
-            registry.bind("net.port.max_queue_bytes", port,
-                          "max_queue_bytes", node=host_id, kind="gauge")
-        switch = self.switch
-        registry.bind("net.switch.frames_received", switch, "frames_received")
-        registry.bind("net.switch.drops_partition", switch, "drops_partition")
-        registry.bind("net.switch.drops_fault", switch, "drops_fault")
-        for cls in switch.class_frames:
-            registry.bind_fn(
-                "net.switch.class.%s.frames" % cls,
-                (lambda c=cls: switch.class_frames.get(c, 0)),
-                kind="counter",
-            )
-            registry.bind_fn(
-                "net.switch.class.%s.bytes" % cls,
-                (lambda c=cls: switch.class_bytes.get(c, 0)),
-                kind="counter",
-            )
-
-    def sample_periodically(self, interval_s: float) -> None:
-        """Spawn a process recording a snapshot every ``interval_s``."""
-
-        def sampler():
-            while True:
-                yield Timeout(interval_s)
-                self.samples.append(self.snapshot())
-
-        self.sim.spawn(sampler(), "fabric-monitor")
-
-    def utilization(self, link_rate_bps: float, window_s: float) -> float:
-        """Fraction of one link's capacity used by forwarded bytes/window."""
-        if window_s <= 0:
-            return 0.0
-        snap = self.snapshot()
-        return (snap.bytes_sent * 8.0 / window_s) / link_rate_bps
+def register_switch_metrics(registry, switch: Switch) -> None:
+    """Bind the switch-wide ingress, drop and per-traffic-class counters."""
+    for attr in ("frames_received", "drops_partition", "drops_fault"):
+        registry.bind("net.switch." + attr, switch, attr)
+    for cls in switch.class_frames:
+        registry.bind_fn("net.switch.class.%s.frames" % cls,
+                         (lambda c=cls: switch.class_frames.get(c, 0)))
+        registry.bind_fn("net.switch.class.%s.bytes" % cls,
+                         (lambda c=cls: switch.class_bytes.get(c, 0)))

@@ -54,6 +54,9 @@ class SwitchPort(TransmitLine):
         the host, or ``None`` when it was dropped (and counted)."""
         loss = self._loss
         if loss is not no_loss and loss(frame):
+            # An admit attempt all the same: a reader later in this
+            # event still stands inside the instant (rule (a)).
+            self._epoch = self.sim._event_count
             self.drops_injected += 1
             return None
         return self._admit(frame.wire)

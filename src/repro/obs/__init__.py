@@ -2,11 +2,11 @@
 
 Two instruments, one namespace:
 
-* :class:`MetricsRegistry` (:mod:`repro.obs.registry`) — named
-  counters/gauges/histograms with per-node and cluster-aggregated
-  views and JSON snapshot/delta export.  The legacy counters
-  (FabricMonitor, participant stats, gossip control traffic, transport
-  drops) re-register through it as zero-cost bound views.
+* :class:`MetricsRegistry` (:mod:`repro.obs.registry`) — named views
+  onto the counters the system already keeps (NIC, switch-port and
+  switch counters, participant stats, gossip control traffic,
+  transport drops), read only at snapshot time, with per-node scopes,
+  cluster sums and a byte-stable JSON snapshot.
 
 * :class:`LifecycleTracer` (:mod:`repro.obs.lifecycle`) — stamps each
   message's journey through the paper's pipeline stages into a
@@ -36,15 +36,11 @@ from .lifecycle import (
     STAGE_TOKEN_HANDLED,
     LifecycleTracer,
 )
-from .registry import Counter, Gauge, Histogram, MetricsRegistry, RegistryError
+from .registry import MetricsRegistry
 from .report import analyze, analyze_path, format_metrics, format_report
 
 __all__ = [
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "RegistryError",
     "LifecycleTracer",
     "STAGE_NAMES",
     "STAGE_ORIGINATED",

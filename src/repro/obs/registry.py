@@ -1,243 +1,43 @@
 """One metrics registry for every layer of the system.
 
-The repo's observability used to live in disconnected fragments: NIC and
-switch-port attributes summed by :class:`~repro.net.monitors.FabricMonitor`,
-per-participant :class:`~repro.core.participant.ParticipantStats`, the
-gossip nodes' control-traffic counters, and the UDP transport's drop
-counters.  The :class:`MetricsRegistry` absorbs all of them into one
-named, node-scoped namespace with cluster-aggregated views and a
-byte-stable JSON snapshot/delta export — without touching any hot path.
-
-Two instrument families make that possible:
-
-* **Owned instruments** (:class:`Counter`, :class:`Gauge`,
-  :class:`Histogram`): created through the registry, incremented by the
-  code that owns them.  The hot-path operations (``inc``, ``set``,
-  ``observe``) are attribute arithmetic on ``__slots__`` — no
-  allocation, no dict lookup, no branching on "is anyone listening".
-
-* **Bound metrics** (:meth:`MetricsRegistry.bind` /
-  :meth:`MetricsRegistry.bind_fn`): a *view* onto a counter that already
-  exists as a plain attribute somewhere (``nic.frames_sent``,
-  ``transport.drops_malformed``).  The owning code keeps its bare
-  ``+= 1`` — literally zero added cost — and the registry reads the
-  attribute only at snapshot time.  This is how the legacy counters
-  "re-register" through the registry while their existing APIs stay
-  intact as thin shims.
+Every counter the system reports already exists as a plain attribute
+somewhere — ``nic.frames_sent``, ``stats.tokens_handled``,
+``transport.drops_malformed`` — incremented with a bare ``+= 1`` by the
+code that owns it.  The :class:`MetricsRegistry` holds one kind of
+metric: a *view* onto such a value, read only when a snapshot is taken.
+:meth:`MetricsRegistry.bind` views an attribute,
+:meth:`MetricsRegistry.bind_fn` a value that needs computing; neither
+adds anything to a hot path.  The registry gives them one named,
+node-scoped namespace with cluster sums and a byte-stable JSON
+snapshot.
 
 Naming scheme (see ``docs/OBSERVABILITY.md``): dotted
 ``layer.component.metric`` paths, lower_snake_case leaves, e.g.
 ``net.nic.frames_sent``, ``core.participant.tokens_handled``,
-``membership.gossip.ctrl_frames_sent``.  The node scope is the integer
-pid; ``node=None`` means a cluster-wide (unscoped) instrument.
+``membership.gossip.messages_sent``.  The node scope is the integer
+pid; ``node=None`` means a cluster-wide (unscoped) metric.
 """
 
 from __future__ import annotations
 
-import json
-from bisect import bisect_left
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "RegistryError",
-]
+from ..records import write_record
 
-
-class RegistryError(ValueError):
-    """Conflicting registration (same name+node, different kind)."""
-
-
-class Counter:
-    """Monotonically increasing count.  ``inc`` is a bare slot add."""
-
-    __slots__ = ("name", "node", "value")
-    kind = "counter"
-
-    def __init__(self, name: str, node: Optional[int] = None) -> None:
-        self.name = name
-        self.node = node
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def get(self) -> int:
-        return self.value
-
-
-class Gauge:
-    """Point-in-time level (queue depth, window size, backlog)."""
-
-    __slots__ = ("name", "node", "value")
-    kind = "gauge"
-
-    def __init__(self, name: str, node: Optional[int] = None) -> None:
-        self.name = name
-        self.node = node
-        self.value = 0
-
-    def set(self, value) -> None:
-        self.value = value
-
-    def inc(self, amount=1) -> None:
-        self.value += amount
-
-    def dec(self, amount=1) -> None:
-        self.value -= amount
-
-    def get(self):
-        return self.value
-
-
-class Histogram:
-    """Fixed-bucket histogram; ``observe`` is a C-level bisect + two adds.
-
-    ``bounds`` are the inclusive upper edges of the finite buckets; one
-    implicit overflow bucket catches everything beyond the last edge.
-    The bucket layout is fixed at registration so observation never
-    allocates, and two histograms with the same bounds merge exactly
-    (cluster aggregation, snapshot deltas).
-    """
-
-    __slots__ = ("name", "node", "bounds", "counts", "count", "sum")
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        bounds: Tuple[float, ...],
-        node: Optional[int] = None,
-    ) -> None:
-        if not bounds:
-            raise RegistryError("histogram %r needs at least one bound" % name)
-        ordered = tuple(float(b) for b in bounds)
-        if list(ordered) != sorted(set(ordered)):
-            raise RegistryError(
-                "histogram %r bounds must be strictly increasing: %r"
-                % (name, bounds)
-            )
-        self.name = name
-        self.node = node
-        self.bounds = ordered
-        self.counts = [0] * (len(ordered) + 1)
-        self.count = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.sum += value
-
-    def percentile(self, q: float) -> float:
-        """Upper-edge estimate of the ``q`` quantile (0 <= q <= 1).
-
-        Returns the upper bound of the bucket holding the quantile
-        sample; the overflow bucket reports the last finite edge.
-        """
-        if self.count == 0:
-            return 0.0
-        rank = max(1, int(q * self.count + 0.5))
-        seen = 0
-        for index, bucket in enumerate(self.counts):
-            seen += bucket
-            if seen >= rank:
-                return self.bounds[min(index, len(self.bounds) - 1)]
-        return self.bounds[-1]
-
-    def get(self) -> Dict[str, Any]:
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "count": self.count,
-            "sum": self.sum,
-        }
-
-
-class _Bound:
-    """A registry view onto somebody else's live attribute."""
-
-    __slots__ = ("name", "node", "kind", "_obj", "_attr")
-
-    def __init__(self, name, node, kind, obj, attr) -> None:
-        self.name = name
-        self.node = node
-        self.kind = kind
-        self._obj = obj
-        self._attr = attr
-
-    def get(self):
-        return getattr(self._obj, self._attr)
-
-
-class _BoundFn:
-    """A registry view computed by a callable at snapshot time."""
-
-    __slots__ = ("name", "node", "kind", "_fn")
-
-    def __init__(self, name, node, kind, fn) -> None:
-        self.name = name
-        self.node = node
-        self.kind = kind
-        self._fn = fn
-
-    def get(self):
-        return self._fn()
+__all__ = ["MetricsRegistry"]
 
 
 class MetricsRegistry:
-    """Named counters/gauges/histograms with per-node and cluster views."""
+    """Named views with per-node scopes and cluster sums."""
 
     __slots__ = ("_metrics",)
 
     def __init__(self) -> None:
-        #: (name, node) -> instrument, in registration order.
-        self._metrics: Dict[Tuple[str, Optional[int]], Any] = {}
+        #: (name, node) -> reader, in registration order.
+        self._metrics: Dict[Tuple[str, Optional[int]], Callable[[], Any]] = {}
 
     # -- registration -------------------------------------------------------
-
-    def _register(self, metric) -> Any:
-        key = (metric.name, metric.node)
-        existing = self._metrics.get(key)
-        if existing is not None:
-            if existing.kind != metric.kind:
-                raise RegistryError(
-                    "metric %r node=%r already registered as %s, not %s"
-                    % (metric.name, metric.node, existing.kind, metric.kind)
-                )
-            return existing
-        self._metrics[key] = metric
-        return metric
-
-    def counter(self, name: str, node: Optional[int] = None) -> Counter:
-        """Create (or fetch) an owned counter."""
-        return self._register(Counter(name, node))
-
-    def gauge(self, name: str, node: Optional[int] = None) -> Gauge:
-        """Create (or fetch) an owned gauge."""
-        return self._register(Gauge(name, node))
-
-    def histogram(
-        self,
-        name: str,
-        bounds: Tuple[float, ...],
-        node: Optional[int] = None,
-    ) -> Histogram:
-        """Create (or fetch) an owned fixed-bucket histogram."""
-        existing = self._metrics.get((name, node))
-        if existing is not None:
-            if existing.kind != "histogram" or existing.bounds != tuple(
-                float(b) for b in bounds
-            ):
-                raise RegistryError(
-                    "histogram %r node=%r already registered with "
-                    "different layout" % (name, node)
-                )
-            return existing
-        return self._register(Histogram(name, bounds, node))
 
     def bind(
         self,
@@ -245,32 +45,30 @@ class MetricsRegistry:
         obj: Any,
         attr: str,
         node: Optional[int] = None,
-        kind: str = "counter",
     ) -> None:
-        """Absorb an existing attribute counter with zero hot-path cost.
+        """View an existing attribute counter with zero hot-path cost.
 
         The owning object keeps incrementing its plain attribute; the
         registry reads ``getattr(obj, attr)`` only when a snapshot is
         taken.  Re-binding the same (name, node) replaces the view —
         restarts re-bind their fresh incarnation's counters.
         """
-        self._metrics[(name, node)] = _Bound(name, node, kind, obj, attr)
+        self._metrics[(name, node)] = partial(getattr, obj, attr)
 
     def bind_fn(
         self,
         name: str,
         fn: Callable[[], Any],
         node: Optional[int] = None,
-        kind: str = "gauge",
     ) -> None:
         """Like :meth:`bind` for values that need computing."""
-        self._metrics[(name, node)] = _BoundFn(name, node, kind, fn)
+        self._metrics[(name, node)] = fn
 
     # -- reading ------------------------------------------------------------
 
     def value(self, name: str, node: Optional[int] = None):
-        """The exact value of one instrument (KeyError if absent)."""
-        return self._metrics[(name, node)].get()
+        """The exact value of one view (KeyError if absent)."""
+        return self._metrics[(name, node)]()
 
     def names(self) -> List[str]:
         """Every registered metric name, sorted, node scopes collapsed."""
@@ -283,126 +81,42 @@ class MetricsRegistry:
         })
 
     def total(self, name: str):
-        """Cluster aggregate: sum across every node scope (and unscoped).
-
-        Counters and gauges sum; histograms merge bucket-wise (layouts
-        must match).  KeyError when the name is entirely unknown.
-        """
+        """Cluster aggregate: the sum across every node scope (and
+        unscoped).  KeyError when the name is entirely unknown."""
         values = [
-            metric.get()
-            for (metric_name, _node), metric in self._metrics.items()
+            read()
+            for (metric_name, _node), read in self._metrics.items()
             if metric_name == name
         ]
         if not values:
             raise KeyError(name)
-        if isinstance(values[0], dict):
-            return _merge_histograms(values)
         return sum(values)
 
-    # -- snapshots ----------------------------------------------------------
-
     def snapshot(self) -> Dict[str, Any]:
-        """One JSON-ready view: per-node blocks plus cluster aggregates.
+        """One JSON-ready view: per-node blocks plus cluster sums.
 
         Shape::
 
             {"schema": 1,
              "nodes":   {"<pid>": {"<name>": value, ...}, ...},
-             "cluster": {"<name>": aggregated-value, ...}}
+             "cluster": {"<name>": summed-value, ...}}
 
-        Counter/gauge values are numbers; histogram values are
-        ``{"bounds", "counts", "count", "sum"}`` dicts.  Keys sort
-        deterministically so two snapshots of identical state are
-        byte-identical when dumped with ``sort_keys=True``.
+        Keys sort deterministically so two snapshots of identical state
+        are byte-identical when dumped with ``sort_keys=True``.
         """
         nodes: Dict[str, Dict[str, Any]] = {}
         cluster: Dict[str, Any] = {}
-        for (name, node), metric in self._metrics.items():
-            value = metric.get()
+        for (name, node), read in self._metrics.items():
+            value = read()
             if node is not None:
                 nodes.setdefault(str(node), {})[name] = value
-            previous = cluster.get(name)
-            if previous is None:
-                cluster[name] = value
-            elif isinstance(previous, dict):
-                cluster[name] = _merge_histograms([previous, value])
-            else:
-                cluster[name] = previous + value
+            cluster[name] = cluster[name] + value if name in cluster else value
         return {
             "schema": 1,
             "nodes": {k: dict(sorted(v.items())) for k, v in sorted(nodes.items())},
             "cluster": dict(sorted(cluster.items())),
         }
 
-    def delta(self, previous: Dict[str, Any]) -> Dict[str, Any]:
-        """Snapshot minus ``previous`` (an earlier :meth:`snapshot`).
-
-        Counters and histogram counts subtract; a metric absent from
-        ``previous`` reports its full current value (treated as starting
-        from zero).  Gauges cannot meaningfully subtract across
-        processes restarts, so they subtract too — interpret gauge
-        deltas as level changes.
-        """
-        current = self.snapshot()
-        return {
-            "schema": 1,
-            "nodes": {
-                node: _diff_block(
-                    block, previous.get("nodes", {}).get(node, {})
-                )
-                for node, block in current["nodes"].items()
-            },
-            "cluster": _diff_block(
-                current["cluster"], previous.get("cluster", {})
-            ),
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
     def write_json(self, path: str) -> str:
-        with open(path, "w") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
-        return path
-
-
-def _merge_histograms(values: List[Dict[str, Any]]) -> Dict[str, Any]:
-    first = values[0]
-    bounds = first["bounds"]
-    counts = list(first["counts"])
-    total = first["count"]
-    total_sum = first["sum"]
-    for value in values[1:]:
-        if value["bounds"] != bounds:
-            raise RegistryError(
-                "cannot merge histograms with different bounds"
-            )
-        for index, bucket in enumerate(value["counts"]):
-            counts[index] += bucket
-        total += value["count"]
-        total_sum += value["sum"]
-    return {"bounds": bounds, "counts": counts, "count": total, "sum": total_sum}
-
-
-def _diff_block(current: Dict[str, Any], previous: Dict[str, Any]) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    for name, value in current.items():
-        before = previous.get(name)
-        if isinstance(value, dict):
-            if isinstance(before, dict) and before["bounds"] == value["bounds"]:
-                out[name] = {
-                    "bounds": value["bounds"],
-                    "counts": [
-                        c - p for c, p in zip(value["counts"], before["counts"])
-                    ],
-                    "count": value["count"] - before["count"],
-                    "sum": value["sum"] - before["sum"],
-                }
-            else:
-                out[name] = value
-        elif isinstance(before, (int, float)):
-            out[name] = value - before
-        else:
-            out[name] = value
-    return out
+        """Write :meth:`snapshot` as a byte-stable JSON record."""
+        return write_record(self.snapshot(), path)

@@ -27,6 +27,7 @@ from ..core import ProtocolConfig
 from ..evs import EVSChecker
 from ..membership import MembershipTimeouts
 from ..net import GIGABIT, LinkSpec, Timeout, no_loss
+from ..records import write_record
 from .evs_node import SimEVSCluster
 from .faults import (
     Crash,
@@ -436,15 +437,10 @@ def _emit_repro(schedule: FaultSchedule, result: ScenarioResult,
         "original_schedule": schedule.to_jsonable(),
         "schedule_human": shrunk.describe(),
     }
-    os.makedirs(options.out_dir, exist_ok=True)
     name = "repro_seed%d_s%d_aw%d.json" % (
         options.seed, result.index, result.accelerated_window
     )
-    path = os.path.join(options.out_dir, name)
-    with open(path, "w") as handle:
-        json.dump(repro, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+    return write_record(repro, os.path.join(options.out_dir, name))
 
 
 def write_summary(summary: Dict, out_dir: str) -> str:
@@ -453,15 +449,10 @@ def write_summary(summary: Dict, out_dir: str) -> str:
     The filename carries seed AND scenario count so a smoke-sized run
     never clobbers a full campaign's standing summary.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(
+    return write_record(summary, os.path.join(
         out_dir,
         "campaign_seed%d_n%d.json" % (summary["seed"], summary["scenarios"]),
-    )
-    with open(path, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+    ))
 
 
 def replay_repro(path: str) -> Tuple[bool, List[str]]:

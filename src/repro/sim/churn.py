@@ -25,7 +25,6 @@ seed reproduces the record byte for byte.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -317,15 +316,3 @@ def convergence_sweep(
         "sweep": sweep,
         "metrics": metrics,
     }
-
-
-def write_record(record: Dict[str, Any],
-                 path: str = DEFAULT_RECORD_PATH) -> str:
-    """Byte-stable record file (sorted keys, no wall-clock anywhere)."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path

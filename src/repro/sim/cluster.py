@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..core import ProtocolConfig, Ring, Service, initial_token
-from ..net import (
-    FabricMonitor,
-    LinkSpec,
-    Simulator,
-    Switch,
-    Timeout,
-)
+from ..net import LinkSpec, Simulator, Switch, Timeout, register_fabric_metrics
 from ..net.loss import LossModel, derive_port_loss, no_loss
 from ..obs.registry import MetricsRegistry
 from .latency import LatencyRecorder, LatencySummary
@@ -106,9 +100,6 @@ class SimCluster:
         if loss is not None:
             for pid in self.ring:
                 self.switch.set_port_loss(pid, derive_port_loss(loss, pid))
-        self.monitor = FabricMonitor(
-            self.sim, self.switch, [n.nic for n in self.nodes.values()]
-        )
         self.metrics = MetricsRegistry()
         self._register_metrics()
         #: Lifecycle tracer, if attached (see :meth:`attach_tracer`).
@@ -138,9 +129,10 @@ class SimCluster:
             metrics.bind_fn(
                 "core.participant.backlog",
                 (lambda participant=node.participant: participant.backlog),
-                node=pid, kind="gauge",
+                node=pid,
             )
-        self.monitor.register_metrics(metrics)
+        register_fabric_metrics(
+            metrics, self.switch, [n.nic for n in self.nodes.values()])
 
     # -- capture ---------------------------------------------------------------
 

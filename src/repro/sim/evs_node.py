@@ -29,7 +29,16 @@ from ..membership import (
     State,
 )
 from ..membership.gossip import GOSSIP_MESSAGE_TYPES, GossipPingReq
-from ..net import Frame, LinkSpec, Nic, Simulator, Switch, Timeout, Traffic
+from ..net import (
+    Frame,
+    LinkSpec,
+    Nic,
+    Simulator,
+    Switch,
+    Timeout,
+    Traffic,
+    register_switch_metrics,
+)
 from ..obs.registry import MetricsRegistry
 from ..wire import GOSSIP_BASE_SIZE, GOSSIP_REQ_BASE_SIZE, GOSSIP_UPDATE_SIZE
 from .profiles import CostProfile
@@ -358,23 +367,8 @@ class SimEVSCluster:
         metrics = self.metrics
         for pid, node in self.nodes.items():
             self._register_node_metrics(pid, node)
-        switch = self.switch
-        metrics.bind("net.switch.frames_received", switch, "frames_received")
-        metrics.bind("net.switch.drops_partition", switch, "drops_partition")
-        metrics.bind("net.switch.drops_fault", switch, "drops_fault")
-        metrics.bind_fn("net.switch.drops_port", switch.total_drops,
-                        kind="counter")
-        for cls in switch.class_frames:
-            metrics.bind_fn(
-                "net.switch.class.%s.frames" % cls,
-                (lambda c=cls: switch.class_frames.get(c, 0)),
-                kind="counter",
-            )
-            metrics.bind_fn(
-                "net.switch.class.%s.bytes" % cls,
-                (lambda c=cls: switch.class_bytes.get(c, 0)),
-                kind="counter",
-            )
+        register_switch_metrics(metrics, self.switch)
+        metrics.bind_fn("net.switch.drops_port", self.switch.total_drops)
 
     def _register_node_metrics(self, pid: int, node: SimEVSNode) -> None:
         """Expose one node's membership/gossip counters in the registry.
@@ -391,10 +385,7 @@ class SimEVSCluster:
                      "ctrl_bytes_sent", node=pid)
         metrics.bind("membership.ctrl_frames_received", node,
                      "ctrl_frames_received", node=pid)
-        metrics.bind_fn(
-            "membership.incarnation",
-            (lambda n=node: n.incarnation), node=pid, kind="gauge",
-        )
+        metrics.bind("membership.incarnation", node, "incarnation", node=pid)
         metrics.bind("net.nic.frames_sent", node.nic, "frames_sent",
                      node=pid)
         metrics.bind("net.nic.bytes_sent", node.nic, "bytes_sent",
@@ -402,13 +393,12 @@ class SimEVSCluster:
         if self.gossip:
             metrics.bind_fn(
                 "membership.gossip.messages_sent",
-                (lambda n=node: n.detector.messages_sent),
-                node=pid, kind="counter",
+                (lambda n=node: n.detector.messages_sent), node=pid,
             )
             metrics.bind_fn(
                 "membership.gossip.false_suspicions_refuted",
                 (lambda n=node: n.detector.false_suspicions_refuted),
-                node=pid, kind="counter",
+                node=pid,
             )
 
     def run_for(self, seconds: float) -> None:

@@ -55,25 +55,14 @@ class RoundTracer:
     def register_metrics(self, registry) -> None:
         """Expose the round aggregates through a MetricsRegistry."""
         for pid in self.cluster.ring:
-            registry.bind_fn(
-                "sim.rounds.token_handlings",
-                (lambda p=pid: len(self.handle_times[p])),
-                node=pid, kind="counter",
-            )
-            registry.bind_fn(
-                "sim.rounds.post_token_sends",
-                (lambda p=pid: self.post_token_sends[p]),
-                node=pid, kind="counter",
-            )
-            registry.bind_fn(
-                "sim.rounds.new_messages",
-                (lambda p=pid: self.new_messages[p]),
-                node=pid, kind="counter",
-            )
-        registry.bind_fn("sim.rounds.mean_round_s", self.mean_round_s,
-                         kind="gauge")
-        registry.bind_fn("sim.rounds.overlap_fraction",
-                         self.overlap_fraction, kind="gauge")
+            registry.bind_fn("sim.rounds.token_handlings",
+                             (lambda p=pid: len(self.handle_times[p])), node=pid)
+            registry.bind_fn("sim.rounds.post_token_sends",
+                             (lambda p=pid: self.post_token_sends[p]), node=pid)
+            registry.bind_fn("sim.rounds.new_messages",
+                             (lambda p=pid: self.new_messages[p]), node=pid)
+        registry.bind_fn("sim.rounds.mean_round_s", self.mean_round_s)
+        registry.bind_fn("sim.rounds.overlap_fraction", self.overlap_fraction)
 
     def _make_token_hook(self, node_pid: int):
         def hook(pid: int, received, sent, new_messages, retransmissions) -> None:

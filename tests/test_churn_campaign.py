@@ -14,8 +14,8 @@ from repro.sim.churn import (
     churn_schedule,
     convergence_sweep,
     run_churn_scenario,
-    write_record,
 )
+from repro.records import write_record
 from repro.sim.faults import Churn, FaultSchedule, Flap
 
 

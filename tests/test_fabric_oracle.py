@@ -25,7 +25,6 @@ from reference_fabric import ReferenceNic, ReferenceSwitch, ReferenceSwitchPort
 from repro.net import (
     GIGABIT,
     BernoulliLoss,
-    FabricMonitor,
     Frame,
     Nic,
     Simulator,
@@ -34,14 +33,16 @@ from repro.net import (
     Timeout,
     Traffic,
     no_loss,
+    register_fabric_metrics,
 )
+from repro.obs import MetricsRegistry
 
 HOSTS = (0, 1, 2, 3)
 MAX_WIRE = Frame(0, None, Traffic.DATA, 9000, None).wire
 #: Probe periods at 1 Gbps, scaled with the line rate like the gaps (in
 #: bit times): no sum of those gaps and serialisation delays hits them.
 PROBE_S = 3.1415926e-6
-MONITOR_S = 7.0710678e-6
+SAMPLE_S = 7.0710678e-6
 
 
 def bit_times(spec):
@@ -232,13 +233,23 @@ def run_fabric(reference, spec, ops, loss_rate, partition_at):
             loss,
         )
     nic = (ReferenceNic if reference else Nic)(sim, 0, spec, switch.receive)
-    monitor = FabricMonitor(sim, switch, [nic])
-    monitor.sample_periodically(MONITOR_S * 1e9 * bit_times(spec))
+    # Every fabric counter, read through the registry the product uses,
+    # inside events, at two periodic probes and after the run.
+    registry = MetricsRegistry()
+    register_fabric_metrics(registry, switch, [nic])
+    samples = []
+
+    def sampler():
+        while True:
+            yield Timeout(SAMPLE_S * 1e9 * bit_times(spec))
+            samples.append((sim.now, registry.snapshot()))
+
+    sim.spawn(sampler(), "sampler")
     log = []
 
     def read(label):
         log.append((label, sim.now, nic.queued_bytes, nic.is_idle,
-                    monitor.snapshot(), switch.drop_report(),
+                    registry.snapshot(), switch.drop_report(),
                     [switch.port(h).queued_bytes for h in HOSTS],
                     [switch.port(h).bytes_forwarded for h in HOSTS]))
 
@@ -270,7 +281,7 @@ def run_fabric(reference, spec, ops, loss_rate, partition_at):
     end = now + 6 * MAX_WIRE * 8.0 / spec.rate_bps
     sim.run(until=end)
     read("end")
-    return arrivals, log, monitor.samples
+    return arrivals, log, samples
 
 
 @settings(max_examples=150, deadline=None,
@@ -332,6 +343,34 @@ def test_rule_a_boundary_instant_inside_an_event_and_after_the_run():
         "after": (done_first, wire, 1),
         "end": (0, 3, 2 * wire),
     }
+
+
+def test_rule_a_an_admit_lost_to_injected_loss_still_stands_inside_the_instant():
+    wire = frame(0, 1, 1430, None).wire
+    done_first = wire * 8.0 / GIGABIT.rate_bps
+
+    def build(reference):
+        sim = Simulator()
+        port = (ReferenceSwitchPort if reference else SwitchPort)(
+            sim, 1, GIGABIT, lambda item: None,
+            lambda item: item.payload == "lost")
+        seen = {}
+
+        def at_the_boundary():
+            # After an earlier run returned, the only admit attempt of
+            # this event is one injected loss drops: the reader still
+            # stands inside the instant, where first is not yet sent.
+            port.enqueue(frame(0, 1, 1430, "lost"))
+            seen["inside"] = (port.frames_forwarded, port.drops_injected)
+
+        sim.call_in(0.0, port.enqueue, frame(0, 1, 1430, "first"))
+        sim.call_in(done_first, at_the_boundary)
+        sim.run(until=done_first / 2)
+        sim.run()
+        seen["end"] = port.frames_forwarded
+        return seen
+
+    assert both(build) == {"inside": (0, 1), "end": 1}
 
 
 @pytest.mark.parametrize("propagation_s, switch_latency_s",

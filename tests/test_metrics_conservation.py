@@ -1,12 +1,12 @@
-"""Metric conservation: the registry, the monitor, and the raw counters
-must be three views of the same numbers.
+"""Metric conservation: the registry and the raw counters must be two
+views of the same numbers.
 
 The unified :class:`~repro.obs.registry.MetricsRegistry` only *binds*
 views over counters the hot paths already maintain, so on any seeded
-run its per-node values, its cluster aggregates, the
-:class:`~repro.net.monitors.FabricMonitor` snapshot, and the
-participants' own stats must agree exactly — any drift means a counter
-was double-registered or a shim stopped being a shim.
+run its per-node values and cluster sums must agree exactly with the
+NIC, switch-port, switch and participant attributes summed by hand —
+any drift means a counter was double-registered or a view stopped
+reading the live attribute.
 """
 
 from repro.core import ProtocolConfig
@@ -44,43 +44,48 @@ def test_registry_matches_participant_stats_exactly():
 
 def test_registry_matches_fabric_monitor_exactly():
     cluster, _ = _run_cluster()
-    snap = cluster.monitor.snapshot()
     metrics = cluster.metrics
-    assert metrics.total("net.nic.frames_sent") == snap.frames_sent
-    assert metrics.total("net.nic.bytes_sent") == snap.bytes_sent
-    assert metrics.total("net.port.frames_forwarded") == snap.frames_forwarded
-    assert metrics.total("net.nic.drops_overflow") == snap.nic_drops
-    # Per-node NIC views agree with the raw attributes.
-    for node in cluster.nodes.values():
-        pid = node.pid
-        assert metrics.value("net.nic.frames_sent", node=pid) == (
-            node.nic.frames_sent
-        )
+    nics = [node.nic for node in cluster.nodes.values()]
+    ports = [cluster.switch.port(h) for h in cluster.switch.host_ids]
+    for name, devices in (("net.nic.frames_sent", nics),
+                          ("net.nic.bytes_sent", nics),
+                          ("net.nic.drops_overflow", nics),
+                          ("net.port.frames_forwarded", ports),
+                          ("net.port.bytes_forwarded", ports),
+                          ("net.port.max_queue_bytes", ports)):
+        attr = name.rsplit(".", 1)[1]
+        assert metrics.total(name) == sum(getattr(d, attr) for d in devices)
+        # Per-node views agree with the raw attributes.
+        for device in devices:
+            assert metrics.value(name, node=device.host_id) == getattr(
+                device, attr)
+    assert metrics.total("net.nic.frames_sent") > 0
 
 
 def test_traffic_class_breakdown_conserves_switch_totals():
     cluster, _ = _run_cluster()
-    snap = cluster.monitor.snapshot()
     switch = cluster.switch
-    # The per-class breakdown partitions switch ingress exactly.
-    assert sum(snap.frames_by_class.values()) == switch.frames_received
-    assert snap.frames_by_class == dict(switch.class_frames)
-    # And the registry's bound per-class views read the same numbers.
-    for cls, frames in snap.frames_by_class.items():
-        assert cluster.metrics.value(
-            "net.switch.class.%s.frames" % cls
-        ) == frames
-        assert cluster.metrics.value(
-            "net.switch.class.%s.bytes" % cls
-        ) == snap.bytes_by_class[cls]
+    metrics = cluster.metrics
+    by_class = {
+        cls: metrics.value("net.switch.class.%s.frames" % cls)
+        for cls in switch.class_frames
+    }
+    # The registry's per-class views read the switch's own breakdown,
+    # which partitions switch ingress exactly.
+    assert by_class == dict(switch.class_frames)
+    assert sum(by_class.values()) == metrics.value(
+        "net.switch.frames_received") == switch.frames_received
+    for cls, wire_bytes in switch.class_bytes.items():
+        assert metrics.value("net.switch.class.%s.bytes" % cls) == wire_bytes
 
 
 def test_frame_conservation_across_the_fabric():
     cluster, result = _run_cluster()
-    snap = cluster.monitor.snapshot()
+    metrics = cluster.metrics
     # Every frame a NIC accepted reached switch ingress (the sim fabric
     # has no lossy segment between NIC and switch).
-    assert snap.frames_sent == cluster.switch.frames_received
+    assert metrics.total("net.nic.frames_sent") == (
+        cluster.switch.frames_received)
     # Switch ingress fans out: forwarded + dropped covers every
     # (frame, egress-port) pair the forwarding decision produced.
     total_ports_drops = sum(
@@ -90,24 +95,24 @@ def test_frame_conservation_across_the_fabric():
     )
     # Multicast data fans to n-1 ports and unicast tokens to one, so
     # rather than re-deriving the exact fan-out mix, check the
-    # accounting identity: registry, snapshot and switch agree.
-    assert snap.switch_drops == cluster.switch.total_drops()
-    assert cluster.metrics.total("net.port.drops_overflow") + (
-        cluster.metrics.total("net.port.drops_injected")
-    ) == total_ports_drops
-    assert result.switch_drops == snap.switch_drops
+    # accounting identity: registry, switch and result agree.
+    assert metrics.total("net.port.drops_overflow") + (
+        metrics.total("net.port.drops_injected")
+    ) == total_ports_drops == cluster.switch.total_drops()
+    assert result.switch_drops == total_ports_drops
 
 
 def test_snapshot_delta_of_identical_state_is_zero():
     cluster, _ = _run_cluster()
     before = cluster.metrics.snapshot()
-    delta = cluster.metrics.delta(before)
-    for block in list(delta["nodes"].values()) + [delta["cluster"]]:
+    after = cluster.metrics.snapshot()
+    # Reading is side-effect free: every view, per node and summed,
+    # reads the same number twice.
+    assert after == before
+    for pid, block in after["nodes"].items():
         for name, value in block.items():
-            if isinstance(value, dict):
-                assert value["count"] == 0
-            else:
-                assert value == 0, "metric %s drifted by %r" % (name, value)
+            drift = value - before["nodes"][pid][name]
+            assert drift == 0, "metric %s drifted by %r" % (name, drift)
 
 
 def test_registry_snapshot_totals_match_sim_result():

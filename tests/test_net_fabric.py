@@ -8,7 +8,6 @@ from repro.net import (
     TEN_GIGABIT,
     WIRE_OVERHEAD,
     BernoulliLoss,
-    FabricMonitor,
     Frame,
     Nic,
     SequenceLoss,
@@ -17,7 +16,9 @@ from repro.net import (
     TargetedLoss,
     Timeout,
     Traffic,
+    register_fabric_metrics,
 )
+from repro.obs import MetricsRegistry
 
 
 def make_fabric(spec=GIGABIT, hosts=(0, 1, 2, 3)):
@@ -180,12 +181,19 @@ def test_byte_conservation():
         nics[0].send(data_frame(0, None))
         nics[1].send(data_frame(1, 2))
     sim.run()
-    monitor = FabricMonitor(sim, switch, list(nics.values()))
-    snap = monitor.snapshot()
+    registry = MetricsRegistry()
+    register_fabric_metrics(registry, switch, nics.values())
     # Each multicast is forwarded to 3 ports, each unicast to 1.
-    assert snap.frames_sent == 40
-    assert snap.frames_forwarded == 20 * 3 + 20
-    assert snap.switch_drops == 0
+    assert registry.total("net.nic.frames_sent") == 40
+    assert registry.total("net.port.frames_forwarded") == 20 * 3 + 20
+    assert switch.total_drops() == 0
+    # The registry's byte views are the raw counters: every byte a NIC
+    # sent was forwarded once per egress port it fanned out to.
+    sent = [nics[h].bytes_sent for h in (0, 1)]
+    forwarded = [switch.port(h).bytes_forwarded for h in switch.host_ids]
+    assert registry.total("net.nic.bytes_sent") == sum(sent)
+    assert registry.total("net.port.bytes_forwarded") == sum(forwarded)
+    assert sum(forwarded) == 3 * sent[0] + sent[1]
 
 
 def test_attach_duplicate_host_rejected():

@@ -4,83 +4,28 @@ import json
 
 import pytest
 
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    RegistryError,
-)
+from repro.obs.registry import MetricsRegistry
 
 
-# -- instruments -------------------------------------------------------------
+class _Owner:
+    def __init__(self, hits=0, level=0):
+        self.hits = hits
+        self.level = level
+
+
+# -- views -------------------------------------------------------------------
 
 def test_counter_and_gauge_basics():
     registry = MetricsRegistry()
-    c = registry.counter("core.test.count", node=0)
-    c.inc()
-    c.inc(4)
-    assert c.get() == 5
-    g = registry.gauge("core.test.level", node=0)
-    g.set(7)
-    g.inc(3)
-    g.dec()
-    assert g.get() == 9
+    owner = _Owner()
+    registry.bind("core.test.count", owner, "hits", node=0)
+    registry.bind_fn("core.test.level", lambda: owner.level * 3, node=0)
+    owner.hits += 5
+    owner.level = 3
     assert registry.value("core.test.count", node=0) == 5
     assert registry.value("core.test.level", node=0) == 9
-
-
-def test_registering_same_name_returns_same_instrument():
-    registry = MetricsRegistry()
-    a = registry.counter("x", node=1)
-    b = registry.counter("x", node=1)
-    assert a is b
-    # Different node scope is a different instrument.
-    c = registry.counter("x", node=2)
-    assert c is not a
-
-
-def test_kind_conflict_raises():
-    registry = MetricsRegistry()
-    registry.counter("x", node=1)
-    with pytest.raises(RegistryError):
-        registry.gauge("x", node=1)
-    with pytest.raises(RegistryError):
-        registry.histogram("x", (1.0, 2.0), node=1)
-
-
-def test_histogram_bounds_validation():
-    with pytest.raises(RegistryError):
-        Histogram("h", ())
-    with pytest.raises(RegistryError):
-        Histogram("h", (2.0, 1.0))
-    with pytest.raises(RegistryError):
-        Histogram("h", (1.0, 1.0))
-    registry = MetricsRegistry()
-    registry.histogram("h", (1.0, 2.0))
-    with pytest.raises(RegistryError):
-        registry.histogram("h", (1.0, 3.0))
-
-
-def test_histogram_observe_and_percentile():
-    h = Histogram("lat", (1.0, 10.0, 100.0))
-    for value in (0.5, 0.7, 5.0, 50.0, 500.0):
-        h.observe(value)
-    assert h.count == 5
-    assert h.sum == pytest.approx(556.2)
-    # Buckets: <=1: 2, <=10: 1, <=100: 1, overflow: 1.
-    assert h.counts == [2, 1, 1, 1]
-    assert h.percentile(0.5) == 10.0
-    # The overflow bucket reports the last finite edge.
-    assert h.percentile(1.0) == 100.0
-    assert Histogram("empty", (1.0,)).percentile(0.5) == 0.0
-
-
-# -- bound views -------------------------------------------------------------
-
-class _Owner:
-    def __init__(self):
-        self.hits = 0
+    owner.level -= 1
+    assert registry.value("core.test.level", node=0) == 6
 
 
 def test_bind_reads_live_attribute_at_snapshot_time():
@@ -90,19 +35,43 @@ def test_bind_reads_live_attribute_at_snapshot_time():
     assert registry.value("app.hits", node=3) == 0
     owner.hits += 11
     assert registry.value("app.hits", node=3) == 11
-    # Re-binding replaces the view (restart semantics).
-    fresh = _Owner()
-    registry.bind("app.hits", fresh, "hits", node=3)
-    assert registry.value("app.hits", node=3) == 0
+
+
+def test_rebinding_replaces_the_view():
+    registry = MetricsRegistry()
+    old, fresh = _Owner(hits=7), _Owner(hits=2)
+    registry.bind("app.hits", old, "hits", node=1)
+    registry.bind("app.hits", _Owner(hits=100), "hits", node=2)
+    # Restart semantics: the fresh incarnation's counter replaces the
+    # old one's; a view of another kind replaces it the same way.
+    registry.bind("app.hits", fresh, "hits", node=1)
+    assert registry.value("app.hits", node=1) == 2
+    registry.bind_fn("app.hits", lambda: 40, node=1)
+    assert registry.value("app.hits", node=1) == 40
+    # The other node scope is a separate view, untouched.
+    assert registry.value("app.hits", node=2) == 100
+    assert registry.total("app.hits") == 140
+    assert registry.snapshot()["nodes"]["1"] == {"app.hits": 40}
 
 
 def test_bind_fn_computes_at_snapshot_time():
     registry = MetricsRegistry()
     state = {"depth": 2}
-    registry.bind_fn("app.depth", lambda: state["depth"], kind="gauge")
+    registry.bind_fn("app.depth", lambda: state["depth"])
     assert registry.value("app.depth") == 2
     state["depth"] = 9
     assert registry.value("app.depth") == 9
+
+
+def test_unknown_metric_raises_key_error():
+    registry = MetricsRegistry()
+    registry.bind("app.hits", _Owner(), "hits", node=0)
+    with pytest.raises(KeyError):
+        registry.value("app.hits", node=1)
+    with pytest.raises(KeyError):
+        registry.value("app.misses", node=0)
+    with pytest.raises(KeyError):
+        registry.total("app.misses")
 
 
 # -- aggregation -------------------------------------------------------------
@@ -110,89 +79,56 @@ def test_bind_fn_computes_at_snapshot_time():
 def test_total_sums_across_node_scopes():
     registry = MetricsRegistry()
     for pid in range(3):
-        registry.counter("c", node=pid).inc(pid + 1)
-    registry.counter("c").inc(10)  # unscoped participates too
+        registry.bind("c", _Owner(hits=pid + 1), "hits", node=pid)
+    registry.bind("c", _Owner(hits=10), "hits")  # unscoped participates too
     assert registry.total("c") == 1 + 2 + 3 + 10
-    with pytest.raises(KeyError):
-        registry.total("missing")
-
-
-def test_total_merges_histograms_bucketwise():
-    registry = MetricsRegistry()
-    for pid in range(2):
-        h = registry.histogram("h", (1.0, 2.0), node=pid)
-        h.observe(0.5)
-        h.observe(1.5 + pid)
-    merged = registry.total("h")
-    assert merged["count"] == 4
-    assert merged["counts"] == [2, 1, 1]
-    assert merged["sum"] == pytest.approx(0.5 + 1.5 + 0.5 + 2.5)
 
 
 def test_names_and_nodes():
     registry = MetricsRegistry()
-    registry.counter("b", node=2)
-    registry.counter("a", node=1)
-    registry.counter("a", node=2)
-    registry.gauge("c")
+    owner = _Owner()
+    registry.bind("b", owner, "hits", node=2)
+    registry.bind("a", owner, "hits", node=1)
+    registry.bind("a", owner, "hits", node=2)
+    registry.bind_fn("c", lambda: 0)
     assert registry.names() == ["a", "b", "c"]
     assert registry.nodes() == [1, 2]
 
 
 # -- snapshots ---------------------------------------------------------------
 
-def _small_registry():
+def _small_registry(order=(0, 1)):
     registry = MetricsRegistry()
-    registry.counter("k", node=0).inc(3)
-    registry.counter("k", node=1).inc(4)
-    registry.gauge("g", node=0).set(5)
-    registry.histogram("h", (1.0,), node=0).observe(0.5)
+    owners = {0: _Owner(hits=3, level=5), 1: _Owner(hits=4, level=0)}
+    for pid in order:
+        registry.bind("k", owners[pid], "hits", node=pid)
+    registry.bind("g", owners[0], "level", node=0)
+    registry.bind_fn("mean", lambda: 0.25)
     return registry
 
 
 def test_snapshot_shape_and_aggregates():
     snap = _small_registry().snapshot()
     assert snap["schema"] == 1
-    assert snap["nodes"]["0"]["k"] == 3
+    assert snap["nodes"]["0"] == {"g": 5, "k": 3}
     assert snap["nodes"]["1"]["k"] == 4
-    assert snap["cluster"]["k"] == 7
-    assert snap["cluster"]["g"] == 5
-    assert snap["cluster"]["h"]["count"] == 1
+    assert snap["cluster"] == {"g": 5, "k": 7, "mean": 0.25}
 
 
 def test_snapshot_is_byte_stable():
-    a = _small_registry().to_json()
-    b = _small_registry().to_json()
+    a = json.dumps(_small_registry().snapshot(), indent=2, sort_keys=True)
+    # Registration order does not reach the rendered snapshot.
+    b = json.dumps(_small_registry(order=(1, 0)).snapshot(), indent=2,
+                   sort_keys=True)
     assert a == b
-    # And round-trips as JSON.
-    assert json.loads(a)["cluster"]["k"] == 7
-
-
-def test_delta_subtracts_counters_and_histograms():
-    registry = _small_registry()
-    before = registry.snapshot()
-    # Mutate: counters advance, histogram sees one more observation.
-    registry.counter("k", node=0).inc(10)
-    registry.histogram("h", (1.0,), node=0).observe(2.0)
-    delta = registry.delta(before)
-    assert delta["nodes"]["0"]["k"] == 10
-    assert delta["nodes"]["1"]["k"] == 0
-    assert delta["cluster"]["k"] == 10
-    assert delta["cluster"]["h"]["count"] == 1
-    assert delta["cluster"]["h"]["counts"] == [0, 1]
-
-
-def test_delta_treats_missing_previous_as_zero():
-    registry = MetricsRegistry()
-    registry.counter("new", node=0).inc(6)
-    delta = registry.delta({"schema": 1, "nodes": {}, "cluster": {}})
-    assert delta["nodes"]["0"]["new"] == 6
-    assert delta["cluster"]["new"] == 6
+    assert list(json.loads(a)) == ["cluster", "nodes", "schema"]
 
 
 def test_write_json(tmp_path):
     registry = _small_registry()
-    path = registry.write_json(str(tmp_path / "snap.json"))
+    path = registry.write_json(str(tmp_path / "deeper" / "snap.json"))
     with open(path) as handle:
-        loaded = json.load(handle)
-    assert loaded == registry.snapshot()
+        blob = handle.read()
+    assert blob == json.dumps(registry.snapshot(), indent=2,
+                              sort_keys=True) + "\n"
+    assert json.loads(blob) == registry.snapshot()
