@@ -124,6 +124,11 @@ wire-fuzz-smoke:
 figures:
 	$(PYTHON) -m repro.cli all
 
+# The seven end-user scripts; any exception fails the target, and five
+# also assert their own results.  They drive the Spread-like layer
+# (group_chat, replicated_kv_store), the driver over UDP (real_sockets),
+# membership and the simulator.  About 10 s; they write nothing tracked.
+# This is what CI runs.
 examples:
 	for script in examples/*.py; do \
 		echo "== $$script =="; \

@@ -113,8 +113,9 @@ class RingDriver(Inbox):
         ``send(message, retransmission, coalesced)`` fires when the
         substrate accepted a data datagram; ``delivery(message,
         t_ordered, t_delivered)`` once per delivered message —
-        ``t_ordered`` the instant the participant returned the Deliver
-        action, ``t_delivered`` the instant the delivery (and, where
+        ``t_ordered`` the instant the participant released the message
+        (a Deliver action from ``on_token``, or in ``on_data``'s
+        list), ``t_delivered`` the instant the delivery (and, where
         modelled, its CPU charge) finished, both on the port's clock;
         ``coalesce(messages)`` when a batch of two or more forms.  With
         no tracer the hooks are ``None`` and the send/deliver paths pay
@@ -186,23 +187,7 @@ class RingDriver(Inbox):
             if queue is tokens:
                 if pauses is not None:
                     yield pauses.recv_token
-                handled: Iterable = (chain(on_token(item), _END_OF_ACTIONS),)
-            else:
-                if pauses is not None:
-                    item = unwrap(item)
-                    # One receive syscall however many packets the
-                    # datagram coalesces — what jumbo framing buys here.
-                    yield recv_pauses[item.payload_size]
-                # ``on_data`` returns only Deliver actions (delivery is
-                # the sole side effect of receiving a data message), so
-                # there is never a batch left to flush.
-                if type(item) is JumboDatagram:
-                    handled = map(on_data, item.messages)
-                else:
-                    handled = (on_data(item),)
-            for actions in handled:
-                if not actions:
-                    continue
+                actions = on_token(item)
                 # Hooks are read as they are needed, not captured above:
                 # a tracer may attach after the loop was spawned.
                 trace_delivery = self.trace_delivery
@@ -211,7 +196,7 @@ class RingDriver(Inbox):
                     # Deliver in it was ordered (released) at this
                     # instant, before any charge below shifts the clock.
                     t_ordered = port.clock()
-                for action in actions:
+                for action in chain(actions, _END_OF_ACTIONS):
                     # Exact-type dispatch: the action algebra is a closed
                     # union (repro.core.actions.Action), so this equals
                     # the isinstance chain and is cheaper per action.
@@ -269,6 +254,32 @@ class RingDriver(Inbox):
                                        self.resend_token, action, 0)
                     elif kind is Discard:
                         port.discard(action.upto)
+            else:
+                if pauses is not None:
+                    item = unwrap(item)
+                    # One receive syscall however many packets the
+                    # datagram coalesces — what jumbo framing buys here.
+                    yield recv_pauses[item.payload_size]
+                # ``on_data`` returns the messages it released: delivery
+                # is the sole effect of receiving data, so there is no
+                # action to dispatch and never a batch to flush.
+                if type(item) is JumboDatagram:
+                    released: Iterable = map(on_data, item.messages)
+                else:
+                    released = (on_data(item),)
+                for messages in released:
+                    if not messages:
+                        continue
+                    trace_delivery = self.trace_delivery
+                    if trace_delivery is not None:
+                        # Released now, as a token's Deliver actions are.
+                        t_ordered = port.clock()
+                    for message in messages:
+                        if pauses is not None:
+                            yield deliver_pauses[message.payload_size]
+                        deliver(message)
+                        if trace_delivery is not None:
+                            trace_delivery(message, t_ordered, port.clock())
             if stepping:
                 yield
 

@@ -1,9 +1,10 @@
 """The Accelerated Ring participant: the paper's core contribution.
 
 A :class:`Participant` is a sans-IO state machine.  Drivers feed it the
-token (:meth:`Participant.on_token`) and data messages
-(:meth:`Participant.on_data`); each call returns an **ordered** list of
-:mod:`actions <repro.core.actions>` for the driver to execute.
+token (:meth:`Participant.on_token`), which returns an **ordered** list
+of :mod:`actions <repro.core.actions>` for the driver to execute, and
+data messages (:meth:`Participant.on_data`), which return the messages
+they released for delivery.
 
 Token handling follows Section III-A of the paper exactly:
 
@@ -356,8 +357,13 @@ class Participant:
     # Data handling (Section III-B)
     # ------------------------------------------------------------------
 
-    def on_data(self, message: DataMessage) -> List[Action]:
-        """Handle a received data message; returns delivery actions."""
+    def on_data(self, message: DataMessage) -> List[DataMessage]:
+        """Handle a received data message; returns the messages it
+        released for delivery, in seq order.
+
+        Delivery is the only effect receiving data can have, so the
+        messages come back bare — no Deliver action around each.
+        """
         if message.round > self._max_round_seen:
             self._max_round_seen = message.round
         is_new = self._buffer.insert(message)
@@ -388,7 +394,7 @@ class Participant:
         if active:
             for delivered in deliverable:
                 hub.emit(ev.MESSAGE_DELIVERED, self.pid, delivered)
-        return [Deliver(delivered) for delivered in deliverable]
+        return deliverable
 
     # ------------------------------------------------------------------
     # Internals

@@ -67,6 +67,8 @@ class LoopbackRing:
         self._on_deliver = on_deliver
         #: Per-participant delivery logs: list of DataMessage in order.
         self.delivered: Dict[int, List[DataMessage]] = {p: [] for p in self.ring}
+        #: Sum of the delivery logs' lengths, kept as they grow.
+        self._total_delivered = 0
         #: Per-participant discard high watermark.
         self.discarded_upto: Dict[int, int] = {p: 0 for p in self.ring}
         self.steps_taken = 0
@@ -129,7 +131,7 @@ class LoopbackRing:
         idle_token_rounds = 0
         hops_per_round = len(self.ring)
         last_hop_seen = -1
-        last_delivered = self._total_delivered()
+        last_delivered = self._total_delivered
         for step in range(max_steps):
             if not self.step():
                 return step
@@ -140,7 +142,7 @@ class LoopbackRing:
             # before everyone's safe bound catches up.  Counting those
             # rotations as idle parks the token with deliverable
             # messages still pending.
-            delivered = self._total_delivered()
+            delivered = self._total_delivered
             if delivered != last_delivered:
                 last_delivered = delivered
                 idle_token_rounds = 0
@@ -190,9 +192,6 @@ class LoopbackRing:
 
     def delivered_payloads(self, pid: int) -> List[Any]:
         return [m.payload for m in self.delivered[pid]]
-
-    def _total_delivered(self) -> int:
-        return sum(len(log) for log in self.delivered.values())
 
     def _all_data_done(self) -> bool:
         return (
@@ -246,12 +245,16 @@ class LoopbackRing:
 
     def _record_delivery(self, pid: int, message: DataMessage) -> None:
         self.delivered[pid].append(message)
+        self._total_delivered += 1
         if self._on_deliver is not None:
             self._on_deliver(pid, message)
-        if self._check_stability and message.service.requires_stability:
+        if self._check_stability and message.service is Service.SAFE:
+            seq = message.seq
             for other_pid, other in self.participants.items():
-                if not other.buffer.has(message.seq):
+                # A seq at or below the local aru is held (or was
+                # discarded as stable): ``buffer.has`` only for the rest.
+                if seq > other.local_aru and not other.buffer.has(seq):
                     raise StabilityViolation(
                         "pid %d delivered Safe seq %d before pid %d received it"
-                        % (pid, message.seq, other_pid)
+                        % (pid, seq, other_pid)
                     )

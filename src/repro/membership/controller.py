@@ -238,7 +238,9 @@ class EVSProcess:
         # delivered) even while membership is forming, so recovery has
         # as much as possible to work with.
         self._ticks_since_token = 0
-        return self._run_participant_actions(self.participant.on_data(message))
+        for delivered in self.participant.on_data(message):
+            self._log_delivery(delivered)
+        return []
 
     def bootstrap(self) -> List[Outgoing]:
         """Announce ourselves at startup: enter Gather immediately.
@@ -325,20 +327,23 @@ class EVSProcess:
                     Outgoing("token", (self.ring.ring_id, action.token), dst=action.dst)
                 )
             elif isinstance(action, Deliver):
-                message = action.message
-                self.app_log.append(
-                    AppMessage(
-                        ring_id=self.ring.ring_id,
-                        seq=message.seq,
-                        sender=message.pid,
-                        payload=message.payload,
-                        safe=message.service.requires_stability,
-                        transitional=False,
-                    )
-                )
+                self._log_delivery(action.message)
             elif isinstance(action, Discard):
                 pass
         return out
+
+    def _log_delivery(self, message: DataMessage) -> None:
+        """Append a message delivered in the regular configuration."""
+        self.app_log.append(
+            AppMessage(
+                ring_id=self.ring.ring_id,
+                seq=message.seq,
+                sender=message.pid,
+                payload=message.payload,
+                safe=message.service.requires_stability,
+                transitional=False,
+            )
+        )
 
     # ------------------------------------------------------------------
     # Gather

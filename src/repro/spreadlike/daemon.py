@@ -11,7 +11,7 @@ makes group views and message sets mutually consistent everywhere.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List
+from typing import Any, Callable, Deque, Dict, List, Tuple
 
 from ..core import DataMessage, Service
 from .groups import GroupTable
@@ -42,9 +42,13 @@ class ClientSession:
         self.inbox: Deque[Any] = deque()
         self.connected = True
 
-    def enqueue(self, event: Any) -> None:
+    def enqueue(self, event: Any) -> bool:
+        """Queue an event for the client; False (dropped) once it has
+        disconnected, even before the disconnect is ordered."""
         if self.connected:
             self.inbox.append(event)
+            return True
+        return False
 
     def drain(self) -> List[Any]:
         events = list(self.inbox)
@@ -53,22 +57,36 @@ class ClientSession:
 
 
 class SpreadDaemon:
-    """One daemon: local sessions + a replica of the group table."""
+    """One daemon: local sessions + a replica of the group table.
+
+    Casts route from a fan-out table (target groups -> local member
+    names) derived from the group table and dropped whenever its
+    ``version`` moves: membership changes are rare next to casts.
+    """
 
     def __init__(self, pid: int, submit: RingSubmit) -> None:
         self.pid = pid
         self._submit = submit
         self.groups = GroupTable()
+        #: name -> session, from ``connect`` until the session's
+        #: ClientDisconnect is ordered here: the name is in use till then.
         self.sessions: Dict[str, ClientSession] = {}
+        self._fanout: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        self._fanout_version = self.groups.version
+        #: Events accepted into a client inbox (a disconnected session's
+        #: drops are not counted).
         self.messages_routed = 0
         self.notices_sent = 0
 
     # -- session management ----------------------------------------------
 
     def connect(self, name: str) -> ClientSession:
-        if name in self.sessions and self.sessions[name].connected:
+        if name in self.sessions:
+            # Routing goes by name, so reusing it before the old session's
+            # disconnect is ordered would hand the newcomer its traffic
+            # (Spread likewise rejects a private name that is not unique).
             raise SpreadError(
-                "client name %r already connected to daemon %d" % (name, self.pid)
+                "client name %r in use at daemon %d" % (name, self.pid)
             )
         session = ClientSession(ClientId(self.pid, name))
         self.sessions[name] = session
@@ -76,6 +94,8 @@ class SpreadDaemon:
 
     def disconnect(self, name: str) -> None:
         session = self._session(name)
+        if not session.connected:
+            return  # its ClientDisconnect is already in the ordered stream
         session.connected = False
         self._submit(ClientDisconnect(session.client_id), Service.AGREED)
 
@@ -146,49 +166,60 @@ class SpreadDaemon:
                     payload.group, left=(payload.client,), seq=message.seq
                 )
         elif isinstance(payload, ClientDisconnect):
-            for group in self.groups.disconnect(payload.client):
-                self._notify_membership(
-                    group, left=(payload.client,), seq=message.seq
-                )
+            client = payload.client
+            for group in self.groups.disconnect(client):
+                self._notify_membership(group, left=(client,), seq=message.seq)
+            if client.daemon == self.pid:
+                self.sessions.pop(client.name, None)  # the name is free again
         else:
             raise SpreadError("unknown ring payload %r" % (payload,))
 
     def _route_cast(self, cast: GroupCast, message: DataMessage) -> None:
         """Deliver to local members of the target groups, once per client."""
+        groups = cast.groups
+        version = self.groups.version
+        if self._fanout_version != version:
+            self._fanout = {}
+            self._fanout_version = version
+        names = self._fanout.get(groups)
+        if names is None:
+            names = self._fanout[groups] = self._local_targets(groups)
+        event = GroupMessage(
+            groups, cast.sender, cast.payload, message.service, message.seq
+        )
+        sessions = self.sessions
+        routed = 0
+        for name in names:
+            session = sessions.get(name)
+            if session is not None and session.enqueue(event):
+                routed += 1
+        self.messages_routed += routed
+
+    def _local_targets(self, groups: Tuple[str, ...]) -> Tuple[str, ...]:
+        """The local members of ``groups`` by name, each once, in join
+        order group by group: a fan-out table entry."""
         target_names = []
         seen = set()
-        for group in cast.groups:
+        for group in groups:
             for client in self.groups.members(group):
                 if client.daemon != self.pid or client in seen:
                     continue
                 seen.add(client)
                 target_names.append(client.name)
-        event = GroupMessage(
-            groups=cast.groups,
-            sender=cast.sender,
-            payload=cast.payload,
-            service=message.service,
-            seq=message.seq,
-        )
-        for name in target_names:
-            session = self.sessions.get(name)
-            if session is not None:
-                session.enqueue(event)
-                self.messages_routed += 1
+        return tuple(target_names)
 
     def _route_private(self, cast: PrivateCast, message: DataMessage) -> None:
         if cast.dst.daemon != self.pid:
             return
         session = self.sessions.get(cast.dst.name)
-        if session is not None:
-            session.enqueue(
-                PrivateMessage(
-                    sender=cast.sender,
-                    payload=cast.payload,
-                    service=message.service,
-                    seq=message.seq,
-                )
+        if session is not None and session.enqueue(
+            PrivateMessage(
+                sender=cast.sender,
+                payload=cast.payload,
+                service=message.service,
+                seq=message.seq,
             )
+        ):
             self.messages_routed += 1
 
     def _notify_membership(self, group: str, joined=(), left=(), seq: int = 0) -> None:
@@ -202,6 +233,5 @@ class SpreadDaemon:
             if client.daemon != self.pid:
                 continue
             session = self.sessions.get(client.name)
-            if session is not None:
-                session.enqueue(notice)
+            if session is not None and session.enqueue(notice):
                 self.notices_sent += 1

@@ -18,6 +18,10 @@ class GroupTable:
 
     def __init__(self) -> None:
         self._groups: Dict[str, List[ClientId]] = {}
+        #: Bumped by every join or leave that changed the table
+        #: (``disconnect`` leaves through :meth:`leave`): anything derived
+        #: from the membership is current while this has not moved.
+        self.version = 0
 
     def members(self, group: str) -> Tuple[ClientId, ...]:
         return tuple(self._groups.get(group, ()))
@@ -39,6 +43,7 @@ class GroupTable:
         if client in members:
             return False
         members.append(client)
+        self.version += 1
         return True
 
     def leave(self, group: str, client: ClientId) -> bool:
@@ -49,6 +54,7 @@ class GroupTable:
         members.remove(client)
         if not members:
             del self._groups[group]
+        self.version += 1
         return True
 
     def disconnect(self, client: ClientId) -> Tuple[str, ...]:

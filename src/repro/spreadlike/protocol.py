@@ -11,6 +11,7 @@ consistent group views.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, Tuple
 
@@ -65,10 +66,15 @@ class PrivateCast:
     payload: Any
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GroupCast:
     """A multi-group multicast: one message, ordered once, delivered to
-    every member of every listed group exactly once."""
+    every member of every listed group exactly once.
+
+    This and :class:`GroupMessage` are plain-store value objects (the
+    idiom :mod:`repro.core.actions` documents): built on the per-message
+    path, where a frozen ``__init__`` costs ~3x.  Nothing may mutate them.
+    """
 
     groups: Tuple[str, ...]
     sender: ClientId
@@ -77,7 +83,7 @@ class GroupCast:
 
 # --- events the client receives --------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GroupMessage:
     """An ordered data message delivered to a group member."""
 
@@ -109,6 +115,11 @@ class MembershipNotice:
     seq: int = 0
 
 
+#: ``\s`` on a ``str`` pattern matches exactly the code points for which
+#: ``str.isspace`` holds (checked over all of them by the tests).
+_WHITESPACE = re.compile(r"\s").search
+
+
 def validate_group_name(group: str) -> None:
     if not group:
         raise SpreadError("empty group name")
@@ -116,5 +127,5 @@ def validate_group_name(group: str) -> None:
         raise SpreadError(
             "group name %r exceeds %d characters" % (group, MAX_GROUP_NAME)
         )
-    if any(ch.isspace() for ch in group):
+    if _WHITESPACE(group):
         raise SpreadError("group name %r contains whitespace" % group)

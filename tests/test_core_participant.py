@@ -288,8 +288,10 @@ def test_data_message_delivery_in_order():
         DataMessage(seq=1, pid=2, round=1, service=Service.AGREED),
     ]
     assert participant.on_data(out_of_order[0]) == []
-    actions = participant.on_data(out_of_order[1])
-    assert [m.seq for m in deliveries(actions)] == [1, 2]
+    # on_data returns the released messages themselves, in seq order.
+    released = participant.on_data(out_of_order[1])
+    assert released == [out_of_order[1], out_of_order[0]]
+    assert [m.seq for m in released] == [1, 2]
 
 
 def test_duplicate_data_counted_not_redelivered():

@@ -37,7 +37,8 @@ def message(seq, size=1000, pid=1):
 
 
 class CannedParticipant:
-    """Returns scripted action lists; exposes what the driver reads."""
+    """Returns scripted action lists (``on_token``) and released-message
+    lists (``on_data``); exposes what the driver reads."""
 
     def __init__(self, config=None, on_token=(), on_data=None):
         self.config = config or ProtocolConfig()
@@ -227,8 +228,7 @@ def test_sends_at_the_end_of_the_list_still_flush():
 
 def test_received_jumbo_datagram_feeds_each_packet_in_order():
     participant = CannedParticipant(on_data={
-        1: [Deliver(message(1))], 2: [], 3: [Deliver(message(2)),
-                                             Deliver(message(3))],
+        1: [message(1)], 2: [], 3: [message(2), message(3)],
     })
     port = RecordingPort(participant, timed=True)
     driver = RingDriver(port, HEADER)

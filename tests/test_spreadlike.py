@@ -71,6 +71,16 @@ def test_group_name_validation():
         validate_group_name("x" * 100)
 
 
+def test_group_name_whitespace_is_str_isspace_on_every_code_point():
+    rejected = []
+    for code in range(0x110000):
+        try:
+            validate_group_name("g" + chr(code))
+        except SpreadError:
+            rejected.append(code)
+    assert rejected == [c for c in range(0x110000) if chr(c).isspace()]
+
+
 # ---------------------------------------------------------------------------
 # Cluster behaviour
 # ---------------------------------------------------------------------------
@@ -252,6 +262,53 @@ def test_duplicate_client_name_rejected():
     cluster.client("dup", daemon=0)
     with pytest.raises(SpreadError):
         cluster.client("dup", daemon=0)
+
+
+def test_name_in_use_until_its_disconnect_is_ordered():
+    cluster = SpreadCluster(3)
+    a = cluster.client("a", daemon=1)
+    a.join("secret")
+    cluster.flush()
+    b = cluster.client("b", daemon=0)
+    b.multicast("secret", "m1")
+    a.disconnect()
+    # Routing goes by name: a newcomer under "a" now would receive m1 and
+    # the old session's leave notice for "secret".
+    with pytest.raises(SpreadError):
+        cluster.client("a", daemon=1)
+    cluster.flush()
+    a2 = cluster.client("a", daemon=1)
+    assert a2.client_id == a.client_id and a2.connected
+    b.multicast("secret", "m2")
+    b.send_private(a2.client_id, "hello")
+    cluster.flush()
+    # None of the predecessor's traffic; a private send by name is new.
+    assert [e.payload for e in a2.receive()] == ["hello"]
+    a2.join("fresh")
+    cluster.flush()
+    (notice,) = a2.receive()
+    assert notice.group == "fresh" and notice.members == (a2.client_id,)
+
+
+def test_routing_counts_only_events_a_session_accepted():
+    cluster = SpreadCluster(2)
+    a = cluster.client("a", daemon=0)
+    b = cluster.client("b", daemon=1)
+    a.join("g")
+    b.join("g")
+    cluster.flush()
+    here, there = cluster.daemons[0], cluster.daemons[1]
+    routed, notices = here.messages_routed, here.notices_sent
+    routed_there = there.messages_routed
+    b.multicast("g", "m")
+    b.send_private(a.client_id, "p")
+    a.disconnect()  # not yet ordered: a's session drops what arrives
+    cluster.flush()
+    # The cast, the private message and a's own leave notice all reached
+    # a dropped session; none of them counts.
+    assert (here.messages_routed, here.notices_sent) == (routed, notices)
+    assert there.messages_routed == routed_there + 1  # b's own copy
+    assert [e.payload for e in b.receive_messages()] == ["m"]
 
 
 def test_same_name_different_daemons_ok():
