@@ -30,6 +30,8 @@ SANS_IO_MODULES = (
     # deterministic oracles depend on them staying so.
     "repro.harness",
     "repro.spreadlike",
+    # The Section V comparators: simulated hosts, like repro.sim.
+    "repro.baselines",
 )
 
 #: IO/concurrency modules the sans-IO packages may not import.

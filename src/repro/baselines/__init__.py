@@ -1,9 +1,13 @@
 """Non-token total-order comparators (Section V of the paper)."""
 
-from .ringpaxos import RingPaxosResult, run_ringpaxos_point
-from .sequencer import SequencerResult, run_sequencer_point
+from .comparators import (
+    BaselineHost,
+    BaselineResult,
+    run_ringpaxos_point,
+    run_sequencer_point,
+)
 
 __all__ = [
-    "run_sequencer_point", "SequencerResult",
-    "run_ringpaxos_point", "RingPaxosResult",
+    "run_sequencer_point", "run_ringpaxos_point",
+    "BaselineHost", "BaselineResult",
 ]

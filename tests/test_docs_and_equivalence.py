@@ -27,7 +27,7 @@ def test_required_documents_exist():
 def test_design_inventory_mentions_real_modules():
     design = (REPO / "DESIGN.md").read_text()
     for module in ("participant.py", "controller.py", "switch.py",
-                   "profiles.py", "autotune.py", "sequencer.py"):
+                   "profiles.py", "autotune.py", "comparators.py"):
         assert module in design, module
 
 
