@@ -3,7 +3,7 @@ implementation cost profiles."""
 
 import pytest
 
-from repro.baselines import run_sequencer_point
+from repro.baselines import comparators, run_sequencer_point
 from repro.evs import AppMessage, ConfigChange, Configuration, ConfigurationKind
 from repro.net import GIGABIT, TEN_GIGABIT
 from repro.sim import DAEMON, LIBRARY, PROFILES, SPREAD
@@ -105,6 +105,29 @@ def test_sequencer_saturates_on_coordinator_cpu():
         duration_s=0.06, warmup_s=0.02,
     )
     assert result.saturated or result.achieved_bps < 2500e6
+
+
+def test_coordinator_socket_buffer_holds_its_cap(monkeypatch):
+    # Node 0's own submissions share its socket buffer with the remote
+    # ones: at the end of a saturated run every inbox holds exactly the
+    # bytes its buffer counts, and no more than the buffer admits.
+    hosts = []
+
+    class Recorded(comparators.BaselineHost):
+        def __init__(self, *args):
+            super().__init__(*args)
+            hosts.append(self)
+
+    monkeypatch.setattr(comparators, "BaselineHost", Recorded)
+    result = run_sequencer_point(
+        SPREAD, TEN_GIGABIT, 3000e6, n_nodes=8,
+        duration_s=0.06, warmup_s=0.02,
+    )
+    assert result.socket_drops > 0
+    for host in hosts:
+        queued = sum(frame.wire for frame in host.inbox)
+        assert queued == host._inbox_bytes, host.pid
+        assert queued <= TEN_GIGABIT.socket_buffer_bytes, host.pid
 
 
 def test_sequencer_zero_rate():
