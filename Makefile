@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast lint bench bench-full bench-guard perf-smoke perf-ab campaign-smoke churn-smoke multiring-smoke obs-smoke wire-fuzz-smoke examples figures clean
+.PHONY: install test test-fast lint bench bench-full bench-guard perf-smoke perf-ab campaign-smoke churn-smoke multiring-smoke obs-smoke wire-fuzz-smoke examples figures census clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -123,6 +123,14 @@ wire-fuzz-smoke:
 
 figures:
 	$(PYTHON) -m repro.cli all
+
+# Call census (scripts/call_census.py): tier-1, the examples, CLI smokes
+# and perf/run.py --smoke under a profile hook in every interpreter, then
+# the functions under src/repro none of them entered and those only
+# tier-1 entered, with line spans.  Every Python call pays the hook, so
+# this takes several times tier-1's time: not part of CI.
+census:
+	$(PYTHON) scripts/call_census.py
 
 # The seven end-user scripts; any exception fails the target, and five
 # also assert their own results.  They drive the Spread-like layer

@@ -57,10 +57,6 @@ class PriorityTracker:
     def token_has_priority(self) -> bool:
         return self._token_high
 
-    @property
-    def method(self) -> PriorityMethod:
-        return self._method
-
     def note_token_handled(self, hop: int) -> None:
         """Called after we handle the token for hop ``hop``.
 

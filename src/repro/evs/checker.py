@@ -93,10 +93,6 @@ class EVSChecker:
                 % (len(missing), missing[0])
             )
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
     def assert_ok(self) -> None:
         if self.violations:
             raise EVSViolation(

@@ -85,10 +85,6 @@ class CommitToken:
                 return info
         return None
 
-    @property
-    def complete(self) -> bool:
-        return {i.pid for i in self.collected} == set(self.members)
-
 
 @dataclass(frozen=True)
 class RecoveryData:

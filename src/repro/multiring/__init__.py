@@ -28,14 +28,13 @@ simulator in: :mod:`repro.multiring.sim` holds
 scaling sweep behind ``python -m repro.cli multiring``.
 """
 
-from .checker import CrossRingChecker, CrossRingViolation
+from .checker import CrossRingChecker
 from .merge import MergedEntry, MergeError, RoundMerger, merge_fingerprint
 from .messages import MARKER_WIRE_SIZE, RoundMarker
 from .partition import RingPartitioner
 
 __all__ = [
     "CrossRingChecker",
-    "CrossRingViolation",
     "MARKER_WIRE_SIZE",
     "MergeError",
     "MergedEntry",

@@ -15,10 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .merge import MergedEntry
 
 
-class CrossRingViolation(AssertionError):
-    """The merged order is not a legal interleaving of ring orders."""
-
-
 class CrossRingChecker:
     """Validates one merged order against its per-ring sources."""
 
@@ -128,10 +124,3 @@ class CrossRingChecker:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def assert_ok(self) -> None:
-        if self.violations:
-            raise CrossRingViolation(
-                "%d cross-ring violation(s):\n%s"
-                % (len(self.violations), "\n".join(self.violations))
-            )

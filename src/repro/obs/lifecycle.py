@@ -172,20 +172,6 @@ class LifecycleTracer:
 
     # -- stamping ------------------------------------------------------------
 
-    def stamp(
-        self, stage: int, node: int, origin: int, seq: int, aux: int = 0
-    ) -> None:
-        self.stamp_at(self._clock(), stage, node, origin, seq, aux)
-
-    def stamp_at(
-        self, t: float, stage: int, node: int, origin: int, seq: int,
-        aux: int = 0,
-    ) -> None:
-        self._buf.extend(RECORD_STRUCT.pack(
-            t, stage, 0, node, origin,
-            seq & 0xFFFFFFFF, aux & 0xFFFFFFFF,
-        ))
-
     def watch_nodes(self, nodes: Dict[int, Any]) -> None:
         """Wire every node: its participant's stages and its driver's."""
         for pid, node in nodes.items():
@@ -373,12 +359,8 @@ class LifecycleTracer:
     def __len__(self) -> int:
         return len(self._buf) // RECORD_SIZE
 
-    @property
-    def records(self) -> List[TraceRecord]:
-        """Decoded stamps in event order (a fresh list per access)."""
-        return self.to_records()
-
     def to_records(self) -> List[TraceRecord]:
+        """Decoded stamps in event order (a fresh list per call)."""
         return [
             TraceRecord(t, stage, node, origin, seq, aux)
             for t, stage, _reserved, node, origin, seq, aux

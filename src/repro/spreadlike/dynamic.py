@@ -125,15 +125,5 @@ class DynamicSpreadCluster:
         self.net.run_until_converged()
         self._pump_logs()
 
-    def partition(self, *groups) -> None:
-        self.net.set_partition(*groups)
-        self.net.run_until_converged()
-        self._pump_logs()
-
-    def heal(self) -> None:
-        self.net.heal()
-        self.net.run_until_converged()
-        self._pump_logs()
-
     def group_view(self, daemon: int, group: str):
         return self.daemons[daemon].groups.members(group)

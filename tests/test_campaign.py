@@ -1,10 +1,12 @@
 """Campaign runner: clean runs, determinism, violation catching."""
 
+import functools
 import json
 import os
+import re
 
-from repro.sim import CampaignOptions, FaultSchedule, run_campaign
-from repro.sim.campaign import corrupt_first_log
+from repro.sim import CampaignOptions, FaultSchedule, campaign, run_campaign
+from repro.sim.campaign import corrupt_first_log, replay_repro
 
 
 def _options(tmp_path, **overrides):
@@ -68,3 +70,28 @@ def test_injected_violation_caught_and_shrunk(tmp_path):
     # A violation message names a concrete axiom, not just "failed".
     assert any("seq" in v or "synchrony" in v or "contiguous" in v
                for v in run["violations"])
+
+
+def test_replay_repro_returns_the_recorded_verdict(tmp_path, monkeypatch):
+    summary = run_campaign(_options(
+        tmp_path, windows=(2,), corrupt_logs=corrupt_first_log,
+    ))
+    path = summary["results"][0]["runs"][0]["repro"]
+    with open(path) as handle:
+        recorded = json.load(handle)["violations"]
+    # The shrunk schedule is empty: the faults alone replay clean ...
+    assert replay_repro(path) == (True, [])
+    # ... and under the same log corruption the replay reports the
+    # violations the file records; only the delivered sequences they
+    # quote differ, since the file's come from the unshrunk run.
+    monkeypatch.setattr(
+        campaign, "CampaignOptions",
+        functools.partial(CampaignOptions, corrupt_logs=corrupt_first_log),
+    )
+    converged, violations = replay_repro(path)
+    assert converged
+
+    def unquoted(messages):
+        return [re.sub(r"\[[\d, ]*\]", "[...]", m) for m in messages]
+
+    assert violations and unquoted(violations) == unquoted(recorded)
