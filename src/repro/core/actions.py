@@ -4,11 +4,12 @@ The protocol core is sans-IO: handling a message returns an *ordered* list
 of actions, and the driver (simulator, real-socket emulation, or an
 in-process harness) executes them in order, attributing time/cost as it
 sees fit.  Actions are value objects: field-based equality and hashing
-(``unsafe_hash``) with a plain-store ``__init__`` — frozen dataclasses
-pay ~3x the construction cost via ``object.__setattr__``, and actions
-are built on the per-delivery hot path.  Nothing may mutate an action
-after construction.  The ordering is semantically load-bearing — in particular the
-position of :class:`SendToken` between the pre-token and post-token
+(``unsafe_hash``; :class:`Deliver` excepted, it carries a list) with a
+plain-store ``__init__`` — frozen dataclasses pay ~3x the construction
+cost via ``object.__setattr__``, and actions are built on the
+per-message hot path.  Nothing may mutate an action after construction.
+The ordering is semantically load-bearing — in particular the position
+of :class:`SendToken` between the pre-token and post-token
 :class:`SendData` actions is the entire point of the Accelerated Ring
 protocol.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Union
 
-from .config import Service
 from .messages import DataMessage, Token
 
 
@@ -39,15 +39,13 @@ class SendToken:
     dst: int
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class Deliver:
-    """Hand a message to the application, in total order."""
+    """Hand the run a token handling released to the application, in
+    total order: the delivery engine's list itself, not a copy (so a
+    Deliver compares by value but is not hashable)."""
 
-    message: DataMessage
-
-    @property
-    def service(self) -> Service:
-        return self.message.service
+    messages: List[DataMessage]
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -62,7 +60,7 @@ Action = Union[SendData, SendToken, Deliver, Discard]
 
 def deliveries(actions: List[Action]) -> List[DataMessage]:
     """The messages delivered by an action list, in order."""
-    return [a.message for a in actions if isinstance(a, Deliver)]
+    return [m for a in actions if isinstance(a, Deliver) for m in a.messages]
 
 
 def sends(actions: List[Action]) -> List[DataMessage]:

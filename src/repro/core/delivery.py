@@ -27,7 +27,7 @@ class DeliveryEngine:
     """Tracks the delivery frontier and the Safe stability bound."""
 
     __slots__ = ("_delivered_upto", "_safe_bound", "_aru_sent_this_round",
-                 "_aru_sent_last_round", "total_delivered")
+                 "_aru_sent_last_round")
 
     def __init__(self) -> None:
         self._delivered_upto = 0
@@ -35,7 +35,6 @@ class DeliveryEngine:
         #: aru values on the last two tokens sent by this participant.
         self._aru_sent_this_round: Optional[int] = None
         self._aru_sent_last_round: Optional[int] = None
-        self.total_delivered = 0
 
     # -- state ----------------------------------------------------------------
 
@@ -78,7 +77,8 @@ class DeliveryEngine:
         out: List[DataMessage] = []
         # Direct read of the buffer's seq index: ``buffer.get`` is a
         # one-line wrapper around this dict, and this loop runs twice per
-        # received message (the hit and the gap that stops it).
+        # message that fills the frontier (the hit and the slot that
+        # stops it).
         get = buffer._messages.get
         safe_bound = self._safe_bound
         next_seq = self._delivered_upto + 1
@@ -98,7 +98,6 @@ class DeliveryEngine:
             next_seq += 1
         if out:
             self._delivered_upto = next_seq - 1
-            self.total_delivered += len(out)
         return out
 
     def discardable_upto(self) -> int:

@@ -192,9 +192,9 @@ class RingDriver(Inbox):
                 # a tracer may attach after the loop was spawned.
                 trace_delivery = self.trace_delivery
                 if trace_delivery is not None:
-                    # The participant returned this list now: every
-                    # Deliver in it was ordered (released) at this
-                    # instant, before any charge below shifts the clock.
+                    # The participant returned this list now: the run in
+                    # its Deliver was ordered (released) at this instant,
+                    # before any charge below shifts the clock.
                     t_ordered = port.clock()
                 for action in chain(actions, _END_OF_ACTIONS):
                     # Exact-type dispatch: the action algebra is a closed
@@ -235,12 +235,13 @@ class RingDriver(Inbox):
                         batch.clear()
                         batch_bytes = base
                     if kind is Deliver:
-                        message = action.message
-                        if pauses is not None:
-                            yield deliver_pauses[message.payload_size]
-                        deliver(message)
-                        if trace_delivery is not None:
-                            trace_delivery(message, t_ordered, port.clock())
+                        for message in action.messages:
+                            if pauses is not None:
+                                yield deliver_pauses[message.payload_size]
+                            deliver(message)
+                            if trace_delivery is not None:
+                                trace_delivery(message, t_ordered,
+                                               port.clock())
                     elif kind is SendData:
                         batch.append(action)
                         batch_bytes += (
@@ -272,7 +273,7 @@ class RingDriver(Inbox):
                         continue
                     trace_delivery = self.trace_delivery
                     if trace_delivery is not None:
-                        # Released now, as a token's Deliver actions are.
+                        # Released now, as a token's Deliver run is.
                         t_ordered = port.clock()
                     for message in messages:
                         if pauses is not None:

@@ -49,17 +49,6 @@ class DataMessage:
     #: Submission timestamp in the driver's clock (latency accounting).
     submitted_at: Optional[float] = None
 
-    def as_post_token(self) -> "DataMessage":
-        """The same message flagged as sent after the token."""
-        if self.sent_after_token:
-            return self
-        # Hand-rolled copy: this runs for every accelerated-window message
-        # of every round, and dataclasses.replace is ~10x slower.
-        return DataMessage(
-            self.seq, self.pid, self.round, self.service, self.payload,
-            self.payload_size, True, self.submitted_at,
-        )
-
     def __repr__(self) -> str:
         return "DataMessage(seq=%d, pid=%d, round=%d, %s%s)" % (
             self.seq, self.pid, self.round, self.service.value,

@@ -237,10 +237,6 @@ class Participant:
         return self.ring.successor(self.pid)
 
     @property
-    def last_received_hop(self) -> int:
-        return self._last_received_hop
-
-    @property
     def last_token_sent(self) -> Optional[Token]:
         """The exact token we last sent — retransmitted on timeout."""
         return self._last_token_sent
@@ -294,13 +290,13 @@ class Participant:
         decision = new_message_budget(
             self.config, token, len(self._pending), num_retrans
         )
-        pre_messages, post_messages = self._initiate_messages(
+        messages, split = self._initiate_messages(
             decision.allowed_new, token.seq, my_hop
         )
-        created = len(pre_messages) + len(post_messages)
-        for message in pre_messages:
+        created = len(messages)
+        for message in messages[:split]:
             actions.append(SendData(message))
-            self.stats.messages_sent_pre_token += 1
+        self.stats.messages_sent_pre_token += split
         new_seq = token.seq + created
 
         # -- our own retransmission requests ------------------------------
@@ -321,25 +317,21 @@ class Participant:
         fcc_out = updated_fcc(token, self._sent_last_round, num_retrans + created)
         self._sent_last_round = num_retrans + created
 
-        token_out = token.evolve(
-            hop=my_hop,
-            seq=new_seq,
-            aru=new_aru,
-            aru_id=new_aru_id,
-            fcc=fcc_out,
-            rtr=rtr_out,
+        token_out = Token(
+            token.ring_id, my_hop, new_seq, new_aru, new_aru_id, fcc_out,
+            rtr_out,
         )
         actions.append(SendToken(token_out, self.successor))
         self._last_token_sent = token_out
 
         # -- 3. post-token phase: flush the accelerated queue ------------
-        for message in post_messages:
+        for message in messages[split:]:
             actions.append(SendData(message))
-            self.stats.messages_sent_post_token += 1
+        self.stats.messages_sent_post_token += created - split
 
         # -- 4. deliver and discard --------------------------------------
         self._delivery.note_token_sent(new_aru)
-        actions.extend(self._deliver_and_discard())
+        self._deliver_and_discard(actions)
 
         self._priority.note_token_handled(my_hop)
         self.stats.tokens_handled += 1
@@ -387,7 +379,14 @@ class Participant:
             self._trace_received(message)
         if active:
             hub.emit(ev.DATA_RECEIVED, self.pid, message, True)
-        deliverable = self._delivery.collect_deliverable(self._buffer)
+        # Every entry point leaves the frontier collected: the slot above
+        # it is empty or holds a Safe message beyond the stability bound,
+        # and only a token moves that bound.  So a message that does not
+        # fill that slot cannot release anything, and the walk is skipped.
+        delivery = self._delivery
+        if message.seq != delivery._delivered_upto + 1:
+            return []
+        deliverable = delivery.collect_deliverable(self._buffer)
         if not deliverable:
             return []
         stats.delivered += len(deliverable)
@@ -402,61 +401,55 @@ class Participant:
 
     def _initiate_messages(
         self, allowed: int, base_seq: int, my_hop: int
-    ) -> Tuple[List[DataMessage], List[DataMessage]]:
-        """Create this round's new messages, split into pre/post-token.
+    ) -> Tuple[List[DataMessage], int]:
+        """Create this round's new messages; returns them, in seq order,
+        and how many of them go out before the token.
 
         Mirrors the paper's queue construction: messages are prepared in
         submission order; once the queue holds more than
         ``Accelerated_window`` messages the overflow is multicast
         immediately (pre-token), and whatever remains in the queue (at
-        most the accelerated window) is sent post-token.
+        most the accelerated window) is sent post-token.  The split is
+        known before any message is built, so each is built once, with
+        its final ``sent_after_token``.
 
         With ``pack_messages`` enabled, each protocol packet greedily
         packs queued small messages up to the MTU budget (Spread's
         built-in packing); flow control counts packets.
         """
-        messages: List[DataMessage] = []
-        for _offset in range(allowed):
-            if not self._pending:
-                break
-            if self.config.pack_messages:
-                payload, service, size, submitted_at = pack_next(
-                    self._pending, self.config.max_packet_payload
-                )
-            else:
-                pending = self._pending.popleft()
-                payload = pending.payload
-                service = pending.service
-                size = pending.payload_size
-                submitted_at = pending.submitted_at
-            messages.append(
-                DataMessage(
-                    seq=base_seq + len(messages) + 1,
-                    pid=self.pid,
-                    round=my_hop,
-                    service=service,
-                    payload=payload,
-                    payload_size=size,
-                    submitted_at=submitted_at,
-                )
+        pending = self._pending
+        if self.config.pack_messages:
+            # A packet's extent is known only once it is packed.
+            limit = self.config.max_packet_payload
+            sources: List[_PendingMessage] = []
+            while pending and len(sources) < allowed:
+                sources.append(_PendingMessage(*pack_next(pending, limit)))
+        else:
+            popleft = pending.popleft
+            sources = [popleft() for _ in range(min(allowed, len(pending)))]
+        split = len(sources) - min(len(sources), self._accelerated_window)
+        pid = self.pid
+        messages = [
+            DataMessage(
+                base_seq + n, pid, my_hop, source.service, source.payload,
+                source.payload_size, n > split, source.submitted_at,
             )
-        post_count = min(len(messages), self._accelerated_window)
-        split = len(messages) - post_count
-        pre = messages[:split]
-        post = [m.as_post_token() for m in messages[split:]]
+            for n, source in enumerate(sources, 1)
+        ]
+        insert = self._buffer.insert
         hub = self.hub
         active = hub.active
         trace_sent = self._trace_sent
-        for message in pre + post:
+        for message in messages:
             # Our own messages are in our buffer from the moment they are
             # prepared (the loopback copy, if any, is a duplicate).
-            self._buffer.insert(message)
-            self.stats.messages_initiated += 1
+            insert(message)
             if trace_sent is not None:
                 trace_sent(message)
             if active:
-                hub.emit(ev.MESSAGE_SENT, self.pid, message)
-        return pre, post
+                hub.emit(ev.MESSAGE_SENT, pid, message)
+        self.stats.messages_initiated += len(messages)
+        return messages, split
 
     def _my_retransmission_requests(self) -> List[int]:
         missing = self._retransmit.my_new_requests(self._buffer)
@@ -489,22 +482,23 @@ class Participant:
             return local, None
         return token.aru, token.aru_id
 
-    def _deliver_and_discard(self) -> List[Action]:
-        actions: List[Action] = []
-        hub = self.hub
-        active = hub.active
-        for delivered in self._delivery.collect_deliverable(self._buffer):
-            actions.append(Deliver(delivered))
-            self.stats.delivered += 1
-            if active:
-                hub.emit(ev.MESSAGE_DELIVERED, self.pid, delivered)
+    def _deliver_and_discard(self, actions: List[Action]) -> None:
+        """Append step 4's actions: the released run as one Deliver (the
+        delivery engine's list, uncopied), then the Discard."""
+        deliverable = self._delivery.collect_deliverable(self._buffer)
+        if deliverable:
+            actions.append(Deliver(deliverable))
+            self.stats.delivered += len(deliverable)
+            hub = self.hub
+            if hub.active:
+                for delivered in deliverable:
+                    hub.emit(ev.MESSAGE_DELIVERED, self.pid, delivered)
         discard_to = self._delivery.discardable_upto()
         released = self._buffer.discard_upto(discard_to)
         if released:
             actions.append(Discard(discard_to))
             self.stats.discarded += released
             self.hub.emit(ev.MESSAGES_DISCARDED, self.pid, discard_to)
-        return actions
 
     def __repr__(self) -> str:
         return "Participant(pid=%d, aru=%d, delivered=%d, backlog=%d)" % (

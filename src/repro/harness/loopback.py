@@ -61,6 +61,9 @@ class LoopbackRing:
             pid: RingDriver(self._port(pid, participant))
             for pid, participant in self.participants.items()
         }
+        #: The highest token hop any participant has handled, kept where
+        #: a token is routed: every handling sends the next hop at once.
+        self._highest_hop = -1
         self._drop_data = drop_data
         self._drop_token = drop_token
         self._check_stability = check_stability
@@ -147,9 +150,7 @@ class LoopbackRing:
                 last_delivered = delivered
                 idle_token_rounds = 0
             if self._all_data_done():
-                current_hop = max(
-                    p.last_received_hop for p in self.participants.values()
-                )
+                current_hop = self._highest_hop
                 if current_hop >= last_hop_seen + hops_per_round:
                     idle_token_rounds += 1
                     last_hop_seen = current_hop
@@ -157,9 +158,7 @@ class LoopbackRing:
                     return step
             else:
                 idle_token_rounds = 0
-                last_hop_seen = max(
-                    p.last_received_hop for p in self.participants.values()
-                )
+                last_hop_seen = self._highest_hop
         raise RuntimeError("run() did not settle within %d steps" % max_steps)
 
     def run_rounds(self, rounds: int, max_steps: int = 1_000_000) -> None:
@@ -194,10 +193,14 @@ class LoopbackRing:
         return [m.payload for m in self.delivered[pid]]
 
     def _all_data_done(self) -> bool:
-        return (
-            not any(d.data for d in self._drivers.values())
-            and all(p.backlog == 0 for p in self.participants.values())
-        )
+        # Read after every step: no generator or property call per member.
+        for driver in self._drivers.values():
+            if driver.data:
+                return False
+        for participant in self.participants.values():
+            if participant._pending:
+                return False
+        return True
 
     # -- internals --------------------------------------------------------------
 
@@ -234,6 +237,10 @@ class LoopbackRing:
             self._drivers[pid].data.append(message)
 
     def _route_token(self, token: Token, dst: int, allow_drop: bool) -> None:
+        # The sender handled hop ``token.hop - 1``, even if this copy is
+        # lost; a retransmitted token is an older one and moves nothing.
+        if token.hop > self._highest_hop + 1:
+            self._highest_hop = token.hop - 1
         if (
             allow_drop
             and self._drop_token is not None
@@ -252,8 +259,10 @@ class LoopbackRing:
             seq = message.seq
             for other_pid, other in self.participants.items():
                 # A seq at or below the local aru is held (or was
-                # discarded as stable): ``buffer.has`` only for the rest.
-                if seq > other.local_aru and not other.buffer.has(seq):
+                # discarded as stable), and the aru is at or above the
+                # discard mark: the seq index only for the rest.
+                buffer = other._buffer
+                if seq > buffer._local_aru and seq not in buffer._messages:
                     raise StabilityViolation(
                         "pid %d delivered Safe seq %d before pid %d received it"
                         % (pid, seq, other_pid)

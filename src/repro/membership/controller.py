@@ -327,7 +327,8 @@ class EVSProcess:
                     Outgoing("token", (self.ring.ring_id, action.token), dst=action.dst)
                 )
             elif isinstance(action, Deliver):
-                self._log_delivery(action.message)
+                for message in action.messages:
+                    self._log_delivery(message)
             elif isinstance(action, Discard):
                 pass
         return out

@@ -299,7 +299,7 @@ class LifecycleTracer:
 
         Called once per delivered message, after the delivery executed.
         ``t_ordered`` is the driver-clock instant the participant
-        returned the Deliver action (the delivery engine's release
+        returned the released run (the delivery engine's release
         time, captured before any delivery CPU charge); ``t_delivered``
         the instant delivery completed.  Both are raw driver-clock
         readings — the hook subtracts the tracer epoch — and the pair

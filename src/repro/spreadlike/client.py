@@ -68,10 +68,12 @@ class SpreadClient:
         return self._session.drain()
 
     def receive_messages(self) -> List[GroupMessage]:
-        return [e for e in self.receive() if isinstance(e, GroupMessage)]
+        """Drain pending group messages; other events stay queued."""
+        return self._session.drain(GroupMessage)
 
     def receive_private(self) -> List[PrivateMessage]:
-        return [e for e in self.receive() if isinstance(e, PrivateMessage)]
+        """Drain pending private messages; other events stay queued."""
+        return self._session.drain(PrivateMessage)
 
     def disconnect(self) -> None:
         if self._session.connected:

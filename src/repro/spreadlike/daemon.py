@@ -11,7 +11,7 @@ makes group views and message sets mutually consistent everywhere.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..core import DataMessage, Service
 from .groups import GroupTable
@@ -50,10 +50,15 @@ class ClientSession:
             return True
         return False
 
-    def drain(self) -> List[Any]:
+    def drain(self, kind: Optional[type] = None) -> List[Any]:
+        """Take the queued events, or only those of ``kind``: the others
+        then stay queued, in order, for a later drain."""
         events = list(self.inbox)
         self.inbox.clear()
-        return events
+        if kind is None:
+            return events
+        self.inbox.extend(e for e in events if not isinstance(e, kind))
+        return [e for e in events if isinstance(e, kind)]
 
 
 class SpreadDaemon:

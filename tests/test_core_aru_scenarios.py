@@ -109,17 +109,16 @@ def test_safe_bound_advances_only_after_two_full_arus():
     participants[1].submit(b"s", Service.SAFE)
     actions = participants[1].on_token(initial_token())
     token1 = token_of(actions)
-    from repro.core import SendData, Deliver
+    from repro.core import SendData, deliveries
 
     sends = [a.message for a in actions if isinstance(a, SendData)]
-    assert not any(isinstance(a, Deliver) for a in actions)
+    assert deliveries(actions) == []
     pump_data(participants, sends)
     token2, _ = handle(participants, 2, token1)
     assert token2.aru == 1
     # P1's second handling: its last two sent arus are (1, 1) -> bound 1.
     actions = participants[1].on_token(token2)
-    delivered = [a.message for a in actions if isinstance(a, Deliver)]
-    assert [m.seq for m in delivered] == [1]
+    assert [m.seq for m in deliveries(actions)] == [1]
     assert participants[1].safe_bound == 1
 
 
@@ -133,11 +132,9 @@ def test_singleton_participant_full_cycle():
     for _round in range(3):
         actions = participant.on_token(token)
         token = token_of(actions)
-        from repro.core import Deliver
+        from repro.core import deliveries
 
-        all_delivered.extend(
-            a.message.payload for a in actions if isinstance(a, Deliver)
-        )
+        all_delivered.extend(m.payload for m in deliveries(actions))
     assert all_delivered == ["a", "b"]
     assert participant.safe_bound >= 2
 

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.core import DeliveryEngine, ProtocolConfig, ReceiveBuffer, Service, Token
+from repro.core import (
+    DeliveryEngine,
+    Participant,
+    ProtocolConfig,
+    ReceiveBuffer,
+    Ring,
+    Service,
+    Token,
+    initial_token,
+)
 from repro.core.flow_control import new_message_budget, updated_fcc
 from repro.core.messages import DataMessage
 
@@ -142,10 +151,15 @@ def test_discardable_requires_delivery_and_stability():
     assert engine.discardable_upto() == 2
 
 
-def test_total_delivered_counter():
-    engine = DeliveryEngine()
-    buffer = ReceiveBuffer()
-    for seq in range(1, 6):
-        buffer.insert(msg(seq))
-    engine.collect_deliverable(buffer)
-    assert engine.total_delivered == 5
+def test_delivered_stat_counts_both_branches():
+    # ParticipantStats.delivered is the one delivery count: a token's
+    # released run and the runs on_data releases both add to it.
+    participant = Participant(1, Ring.of((1, 2)),
+                              ProtocolConfig(accelerated_window=0))
+    for i in range(3):
+        participant.submit(i)
+    participant.on_token(initial_token())
+    assert participant.stats.delivered == 3
+    assert participant.on_data(msg(5, pid=2)) == []
+    assert [m.seq for m in participant.on_data(msg(4, pid=2))] == [4, 5]
+    assert participant.stats.delivered == participant.delivered_upto == 5

@@ -28,21 +28,8 @@ def test_message_value_semantics():
     assert a != make_message(seq=2)
 
 
-def test_as_post_token_sets_flag_without_mutating():
-    message = make_message()
-    post = message.as_post_token()
-    assert post.sent_after_token
-    assert not message.sent_after_token
-    assert post.seq == message.seq and post.payload == message.payload
-
-
-def test_as_post_token_idempotent():
-    post = make_message().as_post_token()
-    assert post.as_post_token() is post
-
-
 def test_repr_mentions_post_token():
-    assert "post-token" in repr(make_message().as_post_token())
+    assert "post-token" in repr(make_message(sent_after_token=True))
     assert "post-token" not in repr(make_message())
 
 

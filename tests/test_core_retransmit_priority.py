@@ -7,8 +7,8 @@ from repro.core.retransmit import RetransmitTracker
 
 
 def msg(seq=1, pid=2, round=1, post=False):
-    message = DataMessage(seq=seq, pid=pid, round=round, service=Service.AGREED)
-    return message.as_post_token() if post else message
+    return DataMessage(seq=seq, pid=pid, round=round, service=Service.AGREED,
+                       sent_after_token=post)
 
 
 # ---------------------------------------------------------------------------

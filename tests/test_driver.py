@@ -113,14 +113,14 @@ def effects(port, *kinds):
 
 def token_round(config=None, timed=False):
     """pre-token sends 1-2 (1 a retransmission), token, post-token 3-7,
-    two deliveries, one discard — the shape of a real token handling."""
+    a released run of two, one discard — the shape of a real token
+    handling."""
     actions = [
         SendData(message(1), retransmission=True),
         SendData(message(2)),
         SendToken("TOKEN", 2),
         *[SendData(message(seq)) for seq in range(3, 8)],
-        Deliver(message(1)),
-        Deliver(message(2)),
+        Deliver([message(1), message(2)]),
         Discard(2),
     ]
     participant = CannedParticipant(config, on_token=actions)

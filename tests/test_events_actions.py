@@ -61,12 +61,12 @@ def test_subscriber_exception_propagates():
 def test_deliveries_extracts_in_order():
     actions = [
         SendData(msg(1)),
-        Deliver(msg(2)),
+        Deliver([msg(2), msg(3)]),
         SendToken(Token(), dst=2),
-        Deliver(msg(3)),
+        Deliver([msg(4)]),
         Discard(1),
     ]
-    assert [m.seq for m in deliveries(actions)] == [2, 3]
+    assert [m.seq for m in deliveries(actions)] == [2, 3, 4]
 
 
 def test_sends_extracts_data_only():
@@ -87,15 +87,21 @@ def test_token_of_requires_exactly_one():
     assert token_of([SendToken(token, 1)]) is token
 
 
-def test_deliver_exposes_service():
-    safe = DataMessage(seq=1, pid=1, round=1, service=Service.SAFE)
-    assert Deliver(safe).service is Service.SAFE
+def test_deliver_carries_a_released_run():
+    # One Deliver per token handling carries the whole released run, the
+    # list itself: value equality, but no hash over a mutable list.
+    run = [msg(1), DataMessage(seq=2, pid=1, round=1, service=Service.SAFE)]
+    deliver = Deliver(run)
+    assert deliver.messages is run
+    assert deliver == Deliver([msg(1), run[1]])
+    with pytest.raises(TypeError):
+        hash(deliver)
 
 
 def test_actions_value_semantics():
     # Actions are value objects, immutable by convention (``frozen`` was
-    # dropped for construction speed — one Deliver per delivered message
-    # is built in the hot path); hash and equality stay field-based.
+    # dropped for construction speed — a SendData per sent message is
+    # built in the hot path); hash and equality stay field-based.
     a = SendData(msg(1))
     b = SendData(msg(1))
     assert a == b

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core import Service
-from repro.spreadlike import PrivateMessage, SpreadCluster, SpreadError
+from repro.spreadlike import (
+    MembershipNotice,
+    PrivateMessage,
+    SpreadCluster,
+    SpreadError,
+)
 
 
 def test_private_message_delivered_to_target_only():
@@ -81,3 +86,26 @@ def test_disconnected_sender_cannot_send_private():
     cluster.flush()
     with pytest.raises(SpreadError):
         a.send_private(b.client_id, "zombie")
+
+
+def test_filtered_receives_leave_other_events_queued():
+    # receive_messages() and receive_private() each take their own kind
+    # only; every other event stays queued, in order, for a later call.
+    cluster = SpreadCluster(2)
+    a = cluster.client("a", daemon=0)
+    b = cluster.client("b", daemon=1)
+    b.join("g")
+    cluster.flush()
+    b.receive()
+    a.multicast("g", "cast")
+    a.send_private(b.client_id, "psst")
+    a.join("g")
+    a.send_private(b.client_id, "again")
+    cluster.flush()
+    assert [m.payload for m in b.receive_messages()] == ["cast"]
+    assert [m.payload for m in b.receive_private()] == ["psst", "again"]
+    assert b.receive_private() == [] and b.receive_messages() == []
+    (notice,) = b.receive()
+    assert isinstance(notice, MembershipNotice)
+    assert notice.group == "g" and notice.joined == (a.client_id,)
+    assert b.receive() == []
