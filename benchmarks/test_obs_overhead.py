@@ -13,7 +13,7 @@ pins both claims with numbers:
   same envelope as the kernel record, so "tracing off" can never
   quietly become "tracing cheap".
 * ``sim_msgs_per_cpu_s_on_best`` — the identical seeded run with a
-  lifecycle tracer attached and every hub/driver stage stamping.
+  lifecycle tracer attached and every participant/driver stage stamping.
 * ``tracing_throughput_ratio`` — on/off; the committed record must
   stay >= 0.90 (<= 10% overhead with tracing ON, the issue's target);
   the in-test floor is looser so slow shared CI boxes don't flake.

@@ -13,7 +13,10 @@ environment, such as ``perf/run.py``'s per-workload children.  It
 installs a ``sys.setprofile`` hook (and ``threading.setprofile`` for
 threads started later) that notes each code object entered; at exit the
 interpreter writes the ``(file, first line)`` of those under the census
-root.  The report then lists every function and method under the root,
+root.  An interpreter whose hook was replaced by then (a second
+``sys.setprofile`` or a profiler that did not restore it) lost every
+later call: it says so, naming its label, and exits with status 3, so
+the census fails rather than over-report.  The report then lists every function and method under the root,
 from the AST with its line span, that
 
 * no run entered ("never entered"), or
@@ -56,6 +59,7 @@ def _census(out, root, label):
             entered[id(code)] = code
 
     def dump():
+        replaced = sys.getprofile() is not hook
         sys.setprofile(None)
         keys = {(os.path.abspath(code.co_filename), code.co_firstlineno)
                 for code in entered.values()}
@@ -64,6 +68,14 @@ def _census(out, root, label):
         handle, name = tempfile.mkstemp(prefix=label + "-", dir=out)
         with os.fdopen(handle, "w") as stream:
             stream.writelines(lines)
+        if replaced:
+            # Calls made after the hook was replaced went uncounted.
+            sys.stdout.flush()
+            sys.stderr.write("call census: the %s run replaced the profile "
+                             "hook; its later calls were not counted\\n"
+                             % label)
+            sys.stderr.flush()
+            os._exit(3)
 
     atexit.register(dump)
     threading.setprofile(hook)

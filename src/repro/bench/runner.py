@@ -82,8 +82,11 @@ def run_sweep(
     return figure
 
 
-def persist_figure(figure: Figure, directory: str = RESULTS_DIR) -> str:
-    """Write markdown + CSV for a figure; returns the markdown path."""
+def persist_figure(figure: Figure, directory: Optional[str] = None) -> str:
+    """Write markdown + CSV for a figure (under :data:`RESULTS_DIR`, read
+    at call time, unless ``directory`` is given); returns the markdown
+    path."""
+    directory = directory or RESULTS_DIR
     os.makedirs(directory, exist_ok=True)
     md_path = os.path.join(directory, "%s.md" % figure.figure_id)
     with open(md_path, "w") as handle:

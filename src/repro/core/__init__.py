@@ -46,7 +46,6 @@ from .coalesce import (
     JumboDatagram,
     coalesce,
 )
-from .events import EventHub
 from .flow_control import FlowControlDecision, new_message_budget, updated_fcc
 from .messages import DataMessage, Token, initial_token
 from .packing import ITEM_HEADER_BYTES, PackedItem, PackedPayload, pack_next
@@ -63,7 +62,7 @@ __all__ = [
     "deliveries", "sends", "token_of",
     "RingDriver", "Inbox", "DriverPort",
     "ReceiveBuffer", "DeliveryEngine", "PriorityTracker", "RetransmitTracker",
-    "EventHub", "FlowControlDecision", "new_message_budget", "updated_fcc",
+    "FlowControlDecision", "new_message_budget", "updated_fcc",
     "AcceleratedWindowTuner", "TunerConfig",
     "PackedPayload", "PackedItem", "pack_next", "ITEM_HEADER_BYTES",
     "JumboDatagram", "coalesce", "DEFAULT_JUMBO_BYTES", "JUMBO_ENTRY_BYTES",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import events as ev
 from .participant import Participant
 
 
@@ -43,8 +42,9 @@ class TunerConfig:
 class AcceleratedWindowTuner:
     """Wires AIMD control of one participant's accelerated window.
 
-    Subscribes to the participant's event hub; no protocol changes are
-    required, and the tuner can be attached or detached at any time.
+    Observes the participant's ``token`` and ``retransmitted`` stages;
+    no protocol changes are required, and the tuner can be attached at
+    any time.
     """
 
     __slots__ = ("participant", "config", "_max_window",
@@ -61,8 +61,8 @@ class AcceleratedWindowTuner:
         self.epochs = 0
         self.increases = 0
         self.decreases = 0
-        participant.hub.subscribe(ev.TOKEN_HANDLED, self._on_token_handled)
-        participant.hub.subscribe(ev.RETRANSMISSION_SENT, self._on_retransmission)
+        participant.observe(token=self._on_token_handled,
+                            retransmitted=self._on_retransmission)
 
     @property
     def window(self) -> int:
@@ -70,18 +70,14 @@ class AcceleratedWindowTuner:
 
     # -- event handlers ----------------------------------------------------
 
-    def _on_retransmission(self, pid: int, message) -> None:
-        if pid != self.participant.pid:
-            return
+    def _on_retransmission(self, message) -> None:
         # Somebody requested one of our messages again.  Only post-token
         # messages implicate the overlap; pre-token losses happen to the
         # original protocol too and must not shrink the window.
         if message.pid == self.participant.pid and message.sent_after_token:
             self._own_post_token_losses += 1
 
-    def _on_token_handled(self, pid: int, *_args) -> None:
-        if pid != self.participant.pid:
-            return
+    def _on_token_handled(self, *_args) -> None:
         self._rounds_in_epoch += 1
         if self._rounds_in_epoch < self.config.epoch_rounds:
             return

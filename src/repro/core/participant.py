@@ -30,13 +30,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
-from . import events as ev
 from .actions import Action, Deliver, Discard, SendData, SendToken
 from .buffer import ReceiveBuffer
 from .config import ProtocolConfig, Service
 from .delivery import DeliveryEngine
 from .errors import TokenError
-from .events import EventHub
 from .flow_control import new_message_budget, updated_fcc
 from .messages import DataMessage, Token
 from .packing import pack_next
@@ -76,11 +74,11 @@ class Participant:
     """One member of an established ring running the ordering protocol."""
 
     __slots__ = (
-        "pid", "ring", "config", "hub", "stats",
+        "pid", "ring", "config", "stats",
         "_buffer", "_delivery", "_retransmit", "_priority", "_pending",
         "_accelerated_window", "_last_received_hop", "_sent_last_round",
         "_last_token_sent", "_max_round_seen",
-        "_trace_sent", "_trace_received", "_trace_token",
+        "_on_sent", "_on_received", "_on_token", "_on_retransmitted",
     )
 
     def __init__(
@@ -88,14 +86,12 @@ class Participant:
         pid: int,
         ring: Ring,
         config: Optional[ProtocolConfig] = None,
-        hub: Optional[EventHub] = None,
     ) -> None:
         if pid not in ring:
             raise TokenError("participant %r not on ring %r" % (pid, ring.members))
         self.pid = pid
         self.ring = ring
         self.config = config or ProtocolConfig()
-        self.hub = hub or EventHub()
         self.stats = ParticipantStats()
 
         self._buffer = ReceiveBuffer()
@@ -113,32 +109,47 @@ class Participant:
         self._sent_last_round = 0
         self._last_token_sent: Optional[Token] = None
         self._max_round_seen = 0
-        # Direct trace callbacks (repro.obs.lifecycle).  These bypass
-        # the event hub for the per-message stages a lifecycle tracer
-        # stamps: with only a tracer attached ``hub.active`` stays
-        # False, so every other gated emit keeps its counter-only fast
-        # path.  None when no tracer is attached — the three call sites
-        # pay one ``is not None`` test each.
-        self._trace_sent: Optional[Callable] = None
-        self._trace_received: Optional[Callable] = None
-        self._trace_token: Optional[Callable] = None
+        # Observers per stage (see observe), in attach order.  An empty
+        # tuple when nothing watches: each stage then costs one
+        # truthiness test.
+        self._on_sent: Tuple[Callable, ...] = ()
+        self._on_received: Tuple[Callable, ...] = ()
+        self._on_token: Tuple[Callable, ...] = ()
+        self._on_retransmitted: Tuple[Callable, ...] = ()
 
-    def set_trace_callbacks(
+    def observe(
         self,
         sent: Optional[Callable] = None,
         received: Optional[Callable] = None,
         token: Optional[Callable] = None,
+        retransmitted: Optional[Callable] = None,
     ) -> None:
-        """Install lifecycle-trace callbacks (see repro.obs.lifecycle).
+        """Attach observers to the participant's stages.
 
-        ``sent(message)`` fires once per initiated message,
-        ``received(message)`` once per NEW data message accepted into
-        the buffer (duplicates are skipped), ``token(token_out,
-        allowed_new)`` once per regular-token handling.
+        The one way to watch a participant: the window tuner, the round
+        tracer and the lifecycle tracer all attach here.  Each stage
+        calls its observers synchronously, in attach order, and an
+        observer's exception propagates out of the handler.
+
+        * ``sent(message)`` — once per initiated message, as it enters
+          our buffer;
+        * ``received(message)`` — once per NEW data message accepted
+          into the buffer (duplicates are skipped);
+        * ``token(received, sent, new_messages, retransmissions)`` —
+          once per regular-token handling, after step 4, with the
+          token handled, the token sent, the flow-control budget and
+          the number of retransmissions answered;
+        * ``retransmitted(message)`` — once per retransmission answered
+          from the token's ``rtr``.
         """
-        self._trace_sent = sent
-        self._trace_received = received
-        self._trace_token = token
+        if sent is not None:
+            self._on_sent += (sent,)
+        if received is not None:
+            self._on_received += (received,)
+        if token is not None:
+            self._on_token += (token,)
+        if retransmitted is not None:
+            self._on_retransmitted += (retransmitted,)
 
     # ------------------------------------------------------------------
     # Application-facing API
@@ -170,7 +181,7 @@ class Participant:
         counters) exactly as a fresh participant would start, while
         keeping what survives a configuration change: the application
         backlog (un-sent messages carry over), cumulative stats, and the
-        event hub.  The priority tracker is re-seeded with the NEW ring's
+        observers.  The priority tracker is re-seeded with the NEW ring's
         geometry — size, predecessor, and our index all change with the
         membership, and the trigger arithmetic must follow.
         """
@@ -270,7 +281,6 @@ class Participant:
         if token.hop <= self._last_received_hop:
             # A retransmitted token we already handled.
             self.stats.duplicate_tokens += 1
-            self.hub.emit(ev.DUPLICATE_TOKEN, self.pid, token)
             return []
         self._last_received_hop = token.hop
         my_hop = token.hop + 1
@@ -280,11 +290,14 @@ class Participant:
         answered, remaining_requests = self._retransmit.answer_requests(
             token, self._buffer
         )
+        on_retransmitted = self._on_retransmitted
         for message in answered:
             actions.append(SendData(message, retransmission=True))
-            self.stats.retransmissions_sent += 1
-            self.hub.emit(ev.RETRANSMISSION_SENT, self.pid, message)
+            if on_retransmitted:
+                for observer in on_retransmitted:
+                    observer(message)
         num_retrans = len(answered)
+        self.stats.retransmissions_sent += num_retrans
 
         # -- flow control: how many new messages this round -------------
         decision = new_message_budget(
@@ -335,14 +348,9 @@ class Participant:
 
         self._priority.note_token_handled(my_hop)
         self.stats.tokens_handled += 1
-        if self._trace_token is not None:
-            self._trace_token(token_out, decision.allowed_new)
-        hub = self.hub
-        if hub.active:
-            hub.emit(
-                ev.TOKEN_HANDLED, self.pid, token, token_out,
-                decision.allowed_new, num_retrans,
-            )
+        if self._on_token:
+            for observer in self._on_token:
+                observer(token, token_out, decision.allowed_new, num_retrans)
         return actions
 
     # ------------------------------------------------------------------
@@ -367,18 +375,13 @@ class Participant:
         if not priority._token_high and message.pid == priority._predecessor:
             priority.note_data_processed(message)
         stats = self.stats
-        hub = self.hub
-        active = hub.active
         if not is_new:
             stats.data_duplicates += 1
-            if active:
-                hub.emit(ev.DATA_RECEIVED, self.pid, message, False)
             return []
         stats.data_received += 1
-        if self._trace_received is not None:
-            self._trace_received(message)
-        if active:
-            hub.emit(ev.DATA_RECEIVED, self.pid, message, True)
+        if self._on_received:
+            for observer in self._on_received:
+                observer(message)
         # Every entry point leaves the frontier collected: the slot above
         # it is empty or holds a Safe message beyond the stability bound,
         # and only a token moves that bound.  So a message that does not
@@ -390,9 +393,6 @@ class Participant:
         if not deliverable:
             return []
         stats.delivered += len(deliverable)
-        if active:
-            for delivered in deliverable:
-                hub.emit(ev.MESSAGE_DELIVERED, self.pid, delivered)
         return deliverable
 
     # ------------------------------------------------------------------
@@ -437,27 +437,20 @@ class Participant:
             for n, source in enumerate(sources, 1)
         ]
         insert = self._buffer.insert
-        hub = self.hub
-        active = hub.active
-        trace_sent = self._trace_sent
+        on_sent = self._on_sent
         for message in messages:
             # Our own messages are in our buffer from the moment they are
             # prepared (the loopback copy, if any, is a duplicate).
             insert(message)
-            if trace_sent is not None:
-                trace_sent(message)
-            if active:
-                hub.emit(ev.MESSAGE_SENT, pid, message)
+            if on_sent:
+                for observer in on_sent:
+                    observer(message)
         self.stats.messages_initiated += len(messages)
         return messages, split
 
     def _my_retransmission_requests(self) -> List[int]:
         missing = self._retransmit.my_new_requests(self._buffer)
-        if missing:
-            self.stats.retransmissions_requested += len(missing)
-            self.hub.emit(
-                ev.RETRANSMISSION_REQUESTED, self.pid, tuple(missing)
-            )
+        self.stats.retransmissions_requested += len(missing)
         return missing
 
     def _updated_aru(self, token: Token, new_seq: int) -> Tuple[int, Optional[int]]:
@@ -489,16 +482,11 @@ class Participant:
         if deliverable:
             actions.append(Deliver(deliverable))
             self.stats.delivered += len(deliverable)
-            hub = self.hub
-            if hub.active:
-                for delivered in deliverable:
-                    hub.emit(ev.MESSAGE_DELIVERED, self.pid, delivered)
         discard_to = self._delivery.discardable_upto()
         released = self._buffer.discard_upto(discard_to)
         if released:
             actions.append(Discard(discard_to))
             self.stats.discarded += released
-            self.hub.emit(ev.MESSAGES_DISCARDED, self.pid, discard_to)
 
     def __repr__(self) -> str:
         return "Participant(pid=%d, aru=%d, delivered=%d, backlog=%d)" % (

@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core import (
     DataMessage,
-    EventHub,
     Participant,
     ProtocolConfig,
     Ring,
@@ -48,14 +47,12 @@ class LoopbackRing:
         drop_data: Optional[DataDropRule] = None,
         drop_token: Optional[TokenDropRule] = None,
         check_stability: bool = True,
-        hub: Optional[EventHub] = None,
         on_deliver: Optional[Callable[[int, DataMessage], None]] = None,
     ) -> None:
         self.ring = Ring.of(pids)
         self.config = config or ProtocolConfig()
-        self.hub = hub or EventHub()
         self.participants: Dict[int, Participant] = {
-            pid: Participant(pid, self.ring, self.config, self.hub) for pid in self.ring
+            pid: Participant(pid, self.ring, self.config) for pid in self.ring
         }
         self._drivers: Dict[int, RingDriver] = {
             pid: RingDriver(self._port(pid, participant))

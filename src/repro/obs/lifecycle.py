@@ -11,24 +11,25 @@ in both worlds.
 Stage taxonomy (the paper's Section III message path)::
 
     id  stage            stamped at                        by
-    0   originated       application submit time           participant cb (retroactive)
-    1   packed           protocol packet built from queue  participant cb
+    0   originated       application submit time           participant (retroactive)
+    1   packed           protocol packet built from queue  participant
     2   coalesced        message entered a jumbo datagram  driver hook
-    3   token_granted    initiator's token handling        participant cb
+    3   token_granted    initiator's token handling        participant
     4   multicast        NIC accepted the datagram         driver hook
-    5   received         first arrival at a remote node    participant cb
+    5   received         first arrival at a remote node    participant
     6   ordered          delivery engine released it       driver hook
     7   delivered_agreed driver executed Agreed delivery   driver hook
     8   delivered_safe   driver executed Safe delivery     driver hook
-    9   token_handled    any node handled the token        participant cb
+    9   token_handled    any node handled the token        participant
 
-(``ordered`` and ``delivered_*`` are one combined driver hook for
-speed — they are the two highest-volume stages, one pair per delivered
-message per node.  The driver captures the participant-return instant
-— the same instant the hub's MESSAGE_DELIVERED event fires — and after
-the delivery executes makes a single hook call that packs both records
-at once, so the pair costs one Python call, one struct pack and one
-buffer append instead of two hub dispatches.)
+("participant" stages are observers on the participant's own stages,
+:meth:`repro.core.participant.Participant.observe`.  ``ordered`` and
+``delivered_*`` are one combined driver hook for speed — they are the
+two highest-volume stages, one pair per delivered message per node.
+The driver captures the instant the participant returned the released
+messages and, after the delivery executes, makes a single hook call
+that packs both records at once, so the pair costs one Python call,
+one struct pack and one buffer append.)
 
 Record fields: ``node`` is the observing pid, ``origin``/``seq``
 identify the message ((origin, seq) is unique per run), and for
@@ -46,17 +47,15 @@ and ``origin`` is -1.  ``aux`` is a stage-specific flag word:
   :class:`repro.sim.trace.RoundTracer` exactly.
 
 ``originated`` is stamped *retroactively*: when the initiator's
-MESSAGE_SENT event fires, the stamp reuses ``message.submitted_at``
+``sent`` stage fires, the stamp reuses ``message.submitted_at``
 (the driver clock at application submit).  The submit hot path itself
 carries zero tracing cost, and the originated→delivered telescoping sum
 equals the latency recorder's end-to-end sample exactly.
 
 Cost model: when no tracer is attached, the drivers' hook attributes
-and the participants' trace callbacks are all ``None`` (one ``is not
-None`` test each on paths that already branch per action).  Attaching
-a tracer does NOT flip ``hub.active``: the per-message stages go
-through the participant's direct trace callbacks, so every gated hub
-emit keeps its counter-only fast path even while tracing.
+are ``None`` and the participants' stages hold no observers (one test
+each on paths that already branch per action).  An attached tracer
+adds one closure call per stamped stage and nothing else.
 """
 
 from __future__ import annotations
@@ -189,16 +188,13 @@ class LifecycleTracer:
 
         Stamps ``originated`` (retroactive from ``submitted_at``),
         ``packed``, ``token_granted``, ``received`` and
-        ``token_handled`` through the participant's direct trace
-        callbacks (:meth:`repro.core.participant.Participant
-        .set_trace_callbacks`) — NOT the event hub: a pure tracer run
-        leaves ``hub.active`` False, so all the hub's gated emits keep
-        their counter-only fast path, and each traced stage costs one
-        closure call instead of a dispatch through the hub.  The
-        driver-side stages (``coalesced``, ``multicast``, ``ordered``,
-        ``delivered_*``) come from the hook factories below because
-        only the driver knows when the NIC/socket and the delivery
-        callback actually run.
+        ``token_handled`` as observers of the participant's stages
+        (:meth:`repro.core.participant.Participant.observe`), one
+        closure call per stamped stage.  The driver-side stages
+        (``coalesced``, ``multicast``, ``ordered``, ``delivered_*``)
+        come from the hook factories below because only the driver
+        knows when the NIC/socket and the delivery callback actually
+        run.
         """
         extend = self._buf.extend
         pack = RECORD_STRUCT.pack
@@ -243,15 +239,15 @@ class LifecycleTracer:
                 _clock(), _stage, 0, _pid, message.pid, message.seq, 0,
             ))
 
-        def on_token(token_out, allowed_new, _extend=extend, _pack=pack,
-                     _clock=clock, _pid=pid, _stage=STAGE_TOKEN_HANDLED,
-                     _no_pid=NO_PID) -> None:
+        def on_token(_received, token_out, allowed_new, _retransmissions,
+                     _extend=extend, _pack=pack, _clock=clock, _pid=pid,
+                     _stage=STAGE_TOKEN_HANDLED, _no_pid=NO_PID) -> None:
             _extend(_pack(
                 _clock(), _stage, 0, _pid, _no_pid, token_out.hop,
                 allowed_new,
             ))
 
-        participant.set_trace_callbacks(
+        participant.observe(
             sent=on_sent, received=on_received, token=on_token,
         )
 

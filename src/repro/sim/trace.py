@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..core import events as ev
 from .cluster import SimCluster
 
 
@@ -44,9 +43,8 @@ class RoundTracer:
         self.post_token_sends: Dict[int, int] = {pid: 0 for pid in cluster.ring}
         self.new_messages: Dict[int, int] = {pid: 0 for pid in cluster.ring}
         for pid, node in cluster.nodes.items():
-            hub = node.participant.hub
-            hub.subscribe(ev.TOKEN_HANDLED, self._make_token_hook(pid))
-            hub.subscribe(ev.MESSAGE_SENT, self._make_send_hook(pid))
+            node.participant.observe(token=self._make_token_hook(pid),
+                                     sent=self._make_send_hook(pid))
         if registry is None:
             registry = getattr(cluster, "metrics", None)
         if registry is not None:
@@ -64,19 +62,17 @@ class RoundTracer:
         registry.bind_fn("sim.rounds.mean_round_s", self.mean_round_s)
         registry.bind_fn("sim.rounds.overlap_fraction", self.overlap_fraction)
 
-    def _make_token_hook(self, node_pid: int):
-        def hook(pid: int, received, sent, new_messages, retransmissions) -> None:
-            if pid != node_pid:
-                return
-            self.handle_times[node_pid].append(self.cluster.sim.now)
-            self.new_messages[node_pid] += new_messages
+    def _make_token_hook(self, pid: int):
+        def hook(received, sent, new_messages, retransmissions) -> None:
+            self.handle_times[pid].append(self.cluster.sim.now)
+            self.new_messages[pid] += new_messages
 
         return hook
 
-    def _make_send_hook(self, node_pid: int):
-        def hook(pid: int, message) -> None:
-            if pid == node_pid and message.sent_after_token:
-                self.post_token_sends[node_pid] += 1
+    def _make_send_hook(self, pid: int):
+        def hook(message) -> None:
+            if message.sent_after_token:
+                self.post_token_sends[pid] += 1
 
         return hook
 

@@ -38,6 +38,22 @@ class FirstTimeLoss:
         return self.key_drop(message.seq, dst)
 
 
+def record_token_handlings(ring) -> List[Tuple[Any, ...]]:
+    """Observe every token handling on ``ring``'s participants.
+
+    Returns a list that fills, in handling order, with one
+    ``(pid, received, sent, new_messages, retransmissions)`` tuple per
+    handling.
+    """
+    handlings: List[Tuple[Any, ...]] = []
+    for pid, participant in ring.participants.items():
+        def hook(*args, _pid=pid):
+            handlings.append((_pid,) + args)
+
+        participant.observe(token=hook)
+    return handlings
+
+
 def mixed_workload(
     seed: int, pids: Sequence[int], per_pid: int, safe_fraction: float = 0.3
 ) -> List[Tuple[int, Any, Service]]:

@@ -14,14 +14,14 @@ _SPEC.loader.exec_module(census)
 FIXTURE = os.path.join(_TESTS, "fixtures", "census")
 
 
-def _run(tmp_path, label, code):
+def _run(tmp_path, label, code, status=0):
     site = str(tmp_path / "site")
     out = tmp_path / "entered"
     out.mkdir(exist_ok=True)
     census.write_sitecustomize(site)
     env = census.census_env(str(out), FIXTURE, label, site)
-    subprocess.run([sys.executable, "-c", code], cwd=FIXTURE, env=env,
-                   check=True)
+    done = subprocess.run([sys.executable, "-c", code], cwd=FIXTURE, env=env)
+    assert done.returncode == status
     return census.classify(census.functions_under(FIXTURE),
                            census.load_entered(str(out)))
 
@@ -61,3 +61,12 @@ def test_threads_started_later_are_counted(tmp_path):
         "    t = threading.Thread(target=fn); t.start(); t.join()\n"
     ))
     assert never == []
+
+
+def test_a_child_that_clears_the_hook_is_reported(tmp_path, capfd):
+    # Calls after the hook is gone are lost, so the run must not pass.
+    never, _ = _run(tmp_path, "use",
+                    "import sys, two; two.called(); sys.setprofile(None)",
+                    status=3)
+    assert "the use run replaced the profile hook" in capfd.readouterr().err
+    assert [f.qualname for f in never] == ["maybe_called"]

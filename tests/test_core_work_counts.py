@@ -57,11 +57,14 @@ def count_calls(run):
                     and participant.buffer.get(seq) is None):
                 frontier[0] += 1
 
+    # Restore whatever hook was installed before (a call census may be
+    # counting this very run).
+    previous = sys.getprofile()
     sys.setprofile(hook)
     try:
         participants = run()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     counts["frontier"] = frontier[0]
     return participants, counts
 

@@ -1,16 +1,19 @@
-"""Unit tests for the event hub and the action helpers."""
+"""Unit tests for the participant's observer stages and the action helpers."""
 
 import pytest
 
 from repro.core import (
     Deliver,
     Discard,
-    EventHub,
+    Participant,
+    ProtocolConfig,
+    Ring,
     SendData,
     SendToken,
     Service,
     Token,
     deliveries,
+    initial_token,
     sends,
     token_of,
 )
@@ -22,36 +25,67 @@ def msg(seq=1):
 
 
 # ---------------------------------------------------------------------------
-# EventHub
+# Participant.observe
 # ---------------------------------------------------------------------------
 
+def _participant():
+    return Participant(1, Ring.of((1, 2)), ProtocolConfig(accelerated_window=1))
+
+
 def test_subscribe_and_emit():
-    hub = EventHub()
+    # Each stage hands its observers the stage's arguments, once per firing.
+    participant = _participant()
     seen = []
-    hub.subscribe("ping", lambda *args: seen.append(args))
-    hub.emit("ping", 1)
-    hub.emit("ping", 2)
-    assert seen == [(1,), (2,)]
+    participant.observe(
+        sent=lambda m: seen.append(("sent", m.seq)),
+        received=lambda m: seen.append(("received", m.pid, m.seq)),
+        token=lambda received, sent, new, retrans: seen.append(
+            ("token", received.hop, sent.hop, new, retrans)),
+        retransmitted=lambda m: seen.append(("retransmitted", m.seq)),
+    )
+    participant.submit(b"a")
+    participant.submit(b"b")
+    first = token_of(participant.on_token(initial_token()))
+    other = DataMessage(seq=3, pid=2, round=1, service=Service.AGREED)
+    participant.on_data(other)
+    participant.on_data(other)  # a duplicate is not observed
+    participant.on_token(first.evolve(hop=first.hop + 1, seq=3, rtr=(1,)))
+    assert seen == [
+        ("sent", 1), ("sent", 2), ("token", 0, 1, 2, 0),
+        ("received", 2, 3),
+        ("retransmitted", 1), ("token", 2, 3, 0, 1),
+    ]
 
 
 def test_multiple_subscribers_called_in_order():
-    hub = EventHub()
+    participant = _participant()
     order = []
-    hub.subscribe("e", lambda *args: order.append("first"))
-    hub.subscribe("e", lambda *args: order.append("second"))
-    hub.emit("e")
+    participant.observe(token=lambda *args: order.append("first"))
+    participant.observe(token=lambda *args: order.append("second"))
+    participant.on_token(initial_token())
     assert order == ["first", "second"]
 
 
 def test_subscriber_exception_propagates():
-    hub = EventHub()
+    participant = _participant()
 
     def broken(*args):
         raise RuntimeError("boom")
 
-    hub.subscribe("e", broken)
+    participant.observe(token=broken)
     with pytest.raises(RuntimeError):
-        hub.emit("e")
+        participant.on_token(initial_token())
+
+
+def test_observers_survive_rebind_ring():
+    participant = _participant()
+    handled = []
+    participant.observe(token=lambda received, *_: handled.append(
+        received.ring_id))
+    ring = Ring.of((1, 3), ring_id=7)
+    participant.rebind_ring(ring)
+    participant.on_token(initial_token(ring_id=7))
+    assert handled == [7]
 
 
 # ---------------------------------------------------------------------------

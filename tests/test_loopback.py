@@ -3,7 +3,12 @@
 import pytest
 
 from repro import LoopbackRing, PriorityMethod, ProtocolConfig, Service
-from helpers import FirstTimeLoss, assert_same_sequences, mixed_workload
+from helpers import (
+    FirstTimeLoss,
+    assert_same_sequences,
+    mixed_workload,
+    record_token_handlings,
+)
 
 
 def run_ring(pids, config, plan, **kw):
@@ -148,33 +153,21 @@ def test_backlog_drains_over_multiple_rounds():
 
 def test_flow_control_personal_window_respected():
     config = ProtocolConfig(personal_window=4, accelerated_window=2)
-    hub_rounds = []
-
     ring = LoopbackRing([1, 2, 3], config)
-    ring.hub.subscribe(
-        "token_handled",
-        lambda pid, received, sent, new_messages, retransmissions: hub_rounds.append(
-            new_messages
-        ),
-    )
+    handlings = record_token_handlings(ring)
     for pid in (1, 2, 3):
         ring.submit_many(pid, list(range(40)))
     ring.run()
-    assert hub_rounds and max(hub_rounds) <= 4
+    assert handlings and max(new for _p, _r, _s, new, _rt in handlings) <= 4
 
 
 def test_flow_control_global_window_respected():
     config = ProtocolConfig(personal_window=50, global_window=60,
                             accelerated_window=10)
     ring = LoopbackRing([1, 2, 3], config)
-    per_round_total = []
-    ring.hub.subscribe(
-        "token_handled",
-        lambda pid, received, sent, new_messages, retransmissions: per_round_total.append(
-            (new_messages, retransmissions, sent.fcc)
-        ),
-    )
+    handlings = record_token_handlings(ring)
     for pid in (1, 2, 3):
         ring.submit_many(pid, list(range(100)))
     ring.run()
-    assert all(fcc <= 60 for _n, _r, fcc in per_round_total)
+    assert handlings
+    assert all(sent.fcc <= 60 for _p, _r, sent, _n, _rt in handlings)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core import Service
 from repro.evs import EVSChecker
-from repro.evs.semantics import check_all
+from repro.evs.semantics import EVSViolation, check_all
 from repro.harness.evsnet import EVSNetwork
 from repro.membership import MembershipTimeouts
 
@@ -76,18 +76,22 @@ def test_pinned_churn_meltdown_schedules_converge(seed):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=EVSViolation,
     reason="open bug: VS violation in transitional delivery (ROADMAP #1)",
 )
-def test_pinned_vs_violation_partition_during_transitional():
-    """Known-open bug: a hypothesis-found schedule where processes 1
-    and 3 move together from regular configuration (1,2,3) to
-    transitional (1,3) yet deliver different message sets — a virtual
-    synchrony violation in the membership/recovery path.  Pinned here
-    (xfail) so the failing schedule is deterministic instead of a
-    random hypothesis draw; flip to a plain test when the
+@pytest.mark.parametrize("seed, n, operations", [(5309, 3, 2), (309, 3, 3)])
+def test_pinned_vs_violation_partition_during_transitional(seed, n, operations):
+    """Known-open bug: hypothesis-found schedules where processes that
+    move together from one regular configuration to the same
+    transitional configuration deliver different message sets — a
+    virtual synchrony violation in the membership/recovery path.  In
+    5309, processes 1 and 3 move from (1,2,3) to transitional (1,3);
+    309 is a third repro the unpinned EVS property test drew.  Pinned
+    here (xfail) so the failing schedules are deterministic instead of
+    random hypothesis draws; flip to a plain test when the
     transitional-configuration delivery cut is fixed.
     """
-    run_schedule(5309, 3, 2)
+    run_schedule(seed, n, operations)
 
 
 def test_restart_cannot_reuse_ring_id():

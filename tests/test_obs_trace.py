@@ -18,7 +18,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ProtocolConfig
+from repro.core import AcceleratedWindowTuner, ProtocolConfig, TunerConfig
 from repro.net import GIGABIT
 from repro.obs.lifecycle import (
     AUX_COALESCED,
@@ -185,8 +185,9 @@ def test_trace_analysis_cross_checks_round_tracer_and_latency():
     assert agreed["count"] == result.latency.count
     assert agreed["mean_s"] == pytest.approx(result.latency.mean_s, rel=1e-9)
 
-    # Token-round statistics match the independent RoundTracer, which
-    # observes through the event hub rather than the trace callbacks.
+    # Token-round statistics match the independent RoundTracer: a second
+    # set of observers on the same participant stages, with its own clock
+    # reads and its own aggregation.
     trace_rounds = report["token_rounds"]
     assert trace_rounds["mean_round_s"] == pytest.approx(
         rounds.mean_round_s(), rel=1e-9
@@ -200,6 +201,32 @@ def test_trace_analysis_cross_checks_round_tracer_and_latency():
     assert trace_rounds["new_messages"] == sum(rounds.new_messages.values())
     assert trace_rounds["post_token_sends"] == sum(
         rounds.post_token_sends.values()
+    )
+
+
+def test_tuner_round_tracer_and_lifecycle_tracer_share_one_cluster():
+    config = ProtocolConfig.accelerated(
+        personal_window=4, accelerated_window=2
+    )
+    cluster = SimCluster(4, GIGABIT, LIBRARY, config, seed=2)
+    tuners = [
+        AcceleratedWindowTuner(node.participant, TunerConfig(epoch_rounds=4))
+        for node in cluster.nodes.values()
+    ]
+    rounds = RoundTracer(cluster)
+    tracer = cluster.attach_tracer()
+    cluster.inject_at_rate(200e6, 0.01)
+    cluster.run(0.01, 0.0, offered_bps=200e6)
+
+    handlings = [node.participant.stats.tokens_handled
+                 for node in cluster.nodes.values()]
+    assert min(handlings) > 8
+    assert [t.epochs for t in tuners] == [h // 4 for h in handlings]
+    assert [len(rounds.handle_times[pid]) for pid in cluster.nodes] == handlings
+    token_rounds = analyze(load_from_tracer(tracer))["token_rounds"]
+    assert token_rounds["handlings"] == sum(handlings)
+    assert token_rounds["mean_round_s"] == pytest.approx(
+        rounds.mean_round_s(), rel=1e-9
     )
 
 

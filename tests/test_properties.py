@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro import LoopbackRing, PriorityMethod, ProtocolConfig, Service
 from repro.core import ReceiveBuffer, Service as Svc
 from repro.core.messages import DataMessage
-from helpers import FirstTimeLoss, assert_same_sequences
+from helpers import FirstTimeLoss, assert_same_sequences, record_token_handlings
 
 
 # ---------------------------------------------------------------------------
@@ -141,27 +141,30 @@ def test_fifo_property_random(accel, seed):
 )
 def test_no_retransmission_of_current_round_messages(seed, accel):
     """The accelerated protocol never requests messages covered only by
-    the current token (DESIGN.md invariant: retransmission discipline)."""
+    the current token (DESIGN.md invariant: retransmission discipline).
+
+    Read off the tokens (Section III-A-2): every seq a handling adds to
+    ``rtr`` is at most the seq of the token that participant handled
+    the round before.
+    """
     pids = [1, 2, 3, 4]
     config = ProtocolConfig(accelerated_window=accel)
-    ring = LoopbackRing(pids, config)
-
-    violations = []
-
-    def check(pid, seqs):
-        participant = ring.participants[pid]
-        # Requests must lie within the previous-round horizon.
-        horizon = participant._retransmit.request_horizon
-        for seq in seqs:
-            if seq > horizon:
-                violations.append((pid, seq, horizon))
-
-    ring.hub.subscribe("retransmission_requested", check)
+    ring = LoopbackRing(pids, config,
+                        drop_data=FirstTimeLoss(seed, pids=pids, p=0.05))
+    handlings = record_token_handlings(ring)
     rng = random.Random(seed)
     for pid in pids:
         for i in range(rng.randint(0, 30)):
             ring.submit(pid, (pid, i))
     ring.run(max_steps=2_000_000)
+
+    violations = []
+    previous_seq = {pid: 0 for pid in pids}
+    for pid, received, sent, _new, _retrans in handlings:
+        added = set(sent.rtr) - set(received.rtr)
+        violations += [(pid, seq, previous_seq[pid])
+                       for seq in added if seq > previous_seq[pid]]
+        previous_seq[pid] = received.seq
     assert violations == []
 
 

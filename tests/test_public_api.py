@@ -17,7 +17,6 @@ PACKAGES = [
     "repro.emulation",
     "repro.baselines",
     "repro.harness",
-    "repro.workload",
     "repro.stats",
     "repro.bench",
 ]

@@ -8,19 +8,13 @@ configurations and loss patterns.
 import pytest
 
 from repro import LoopbackRing, PriorityMethod, ProtocolConfig, Service
-from helpers import FirstTimeLoss, mixed_workload
+from helpers import FirstTimeLoss, mixed_workload, record_token_handlings
 
 
 def run_and_capture(config, seed=0, loss_p=0.0, pids=(1, 2, 3, 4), per_pid=30):
-    tokens = []
     loss = FirstTimeLoss(seed + 500, pids=pids, p=loss_p) if loss_p else None
     ring = LoopbackRing(list(pids), config, drop_data=loss)
-    ring.hub.subscribe(
-        "token_handled",
-        lambda pid, received, sent, new_messages, retransmissions: tokens.append(
-            (pid, received, sent, new_messages, retransmissions)
-        ),
-    )
+    tokens = record_token_handlings(ring)
     for pid, payload, service in mixed_workload(seed, pids, per_pid):
         ring.submit(pid, payload, service)
     ring.run(max_steps=2_000_000)

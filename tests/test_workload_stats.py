@@ -1,79 +1,9 @@
-"""Tests for workload generators and the stats series containers."""
+"""Tests for the stats series containers."""
 
 import pytest
 
 from repro.core import Service
 from repro.stats import Figure, Series, SeriesPoint, improvement
-from repro.workload import (
-    bursty_plan,
-    group_activity_plan,
-    mixed_service_plan,
-    sized_payload,
-    skewed_senders_plan,
-    uniform_plan,
-)
-
-
-# ---------------------------------------------------------------------------
-# Workload generators
-# ---------------------------------------------------------------------------
-
-def test_sized_payload_exact_size():
-    for size in (1, 10, 1350, 8850):
-        assert len(sized_payload(size, tag=7)) == size
-
-
-def test_uniform_plan_counts_and_interleaving():
-    plan = uniform_plan([1, 2, 3], per_pid=4)
-    assert len(plan) == 12
-    assert [s.pid for s in plan[:3]] == [1, 2, 3]  # round-robin
-    for pid in (1, 2, 3):
-        assert sum(1 for s in plan if s.pid == pid) == 4
-
-
-def test_mixed_service_plan_reproducible():
-    a = mixed_service_plan([1, 2], per_pid=20, safe_fraction=0.5, seed=3)
-    b = mixed_service_plan([1, 2], per_pid=20, safe_fraction=0.5, seed=3)
-    assert a == b
-    c = mixed_service_plan([1, 2], per_pid=20, safe_fraction=0.5, seed=4)
-    assert a != c
-
-
-def test_mixed_service_plan_fraction_extremes():
-    all_safe = mixed_service_plan([1], per_pid=30, safe_fraction=1.0)
-    assert all(s.service is Service.SAFE for s in all_safe)
-    none_safe = mixed_service_plan([1], per_pid=30, safe_fraction=0.0)
-    assert all(s.service is Service.AGREED for s in none_safe)
-
-
-def test_bursty_plan_structure():
-    plan = bursty_plan([1, 2, 3], bursts=5, burst_size=4, seed=1)
-    assert len(plan) == 20
-    # Within a burst the sender is constant.
-    for burst in range(5):
-        chunk = plan[burst * 4:(burst + 1) * 4]
-        assert len({s.pid for s in chunk}) == 1
-
-
-def test_skewed_plan_hot_sender_dominates():
-    plan = skewed_senders_plan([1, 2, 3, 4], total=400, hot_fraction=0.8, seed=2)
-    hot_count = sum(1 for s in plan if s.pid == 1)
-    assert hot_count > 250
-
-
-def test_group_activity_plan_only_valid_ops():
-    ops = list(group_activity_plan(["a", "b"], ["g1", "g2"], operations=100, seed=5))
-    assert len(ops) == 100
-    member_state = {"a": set(), "b": set()}
-    for op, client, group, _payload in ops:
-        if op == "join":
-            member_state[client].add(group)
-        elif op == "leave":
-            assert group in member_state[client]
-            member_state[client].discard(group)
-        else:
-            assert op == "cast"
-            assert group in member_state[client]
 
 
 # ---------------------------------------------------------------------------
