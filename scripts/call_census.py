@@ -190,7 +190,8 @@ def plan(workdir: str) -> List[Tuple[str, List[str]]]:
         ("use", cli + ["decode", os.path.join(captures, "sim_sample.rcap"),
                        "--summary"]),
         ("use", cli + ["lint", "src/repro", "--baseline",
-                       "lint_baseline.json"]),
+                       "lint_baseline.json", "--json",
+                       os.path.join(workdir, "lint_report.json")]),
         ("use", cli + ["fig7", "--quiet"]),
         ("use", [sys.executable, "perf/run.py", "--smoke"]),
     ]

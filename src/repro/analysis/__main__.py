@@ -2,7 +2,7 @@
 
 import sys
 
-from ..cli import run_lint_command
+from ..cli import main
 
 if __name__ == "__main__":
-    raise SystemExit(run_lint_command(sys.argv[1:]))
+    raise SystemExit(main(["lint", *sys.argv[1:]]))

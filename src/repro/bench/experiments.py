@@ -201,10 +201,14 @@ def make_fig7() -> SweepSpec:
     )
 
 
+#: Figure id -> factory of its sweep spec, or of a tuple of specs (fig4
+#: and fig6 sweep two payload sizes).
 ALL_FIGURES = {
     "fig1": make_fig1,
     "fig2": make_fig2,
     "fig3": make_fig3,
+    "fig4": make_fig4,
     "fig5": make_fig5,
+    "fig6": make_fig6,
     "fig7": make_fig7,
 }

@@ -1,4 +1,5 @@
-"""Command-line entry points.
+"""Command-line entry points: one table of commands, one parser
+(``python -m repro.cli <command> --help`` for a command's options).
 
 Run a figure sweep without pytest::
 
@@ -43,50 +44,73 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .bench import ALL_FIGURES, make_fig4, make_fig6, persist_figure, run_sweep
+from .bench import ALL_FIGURES, SweepSpec, persist_figure, run_sweep
 from .records import write_record
 
 
-def _available() -> List[str]:
-    return sorted(list(ALL_FIGURES) + ["fig4", "fig6"])
+def _row(*flags: str, **kwargs: Any) -> Tuple[Tuple[str, ...], Dict[str, Any]]:
+    """One option row of the command table: ``add_argument``'s arguments."""
+    return flags, kwargs
 
 
-def run_figure_by_id(
-    figure_id: str,
-    verbose: bool = True,
-    processes: Optional[int] = None,
-) -> List[str]:
-    """Run one figure's sweep(s); returns the markdown blocks."""
-    progress = (lambda line: print("  " + line, file=sys.stderr)) if verbose else None
-    if figure_id in ("fig4", "fig6"):
-        specs = make_fig4() if figure_id == "fig4" else make_fig6()
-        blocks = []
-        for spec in specs:
-            figure = run_sweep(spec, progress=progress, processes=processes)
+_QUIET = _row("--quiet", action="store_true",
+              help="suppress per-point progress")
+#: The figure sweeps' rows (every figure id and ``all``).
+_SWEEP = (
+    _row("--full", action="store_true",
+         help="denser, longer sweeps (sets REPRO_BENCH_FULL=1)"),
+    _QUIET,
+    _row("--processes", type=int, default=None, metavar="N",
+         help="worker processes per sweep (default: REPRO_BENCH_PROCESSES "
+              "or serial); sweep points are independent simulations, so "
+              "results are identical at any worker count"),
+)
+#: The seeded reference run's rows (``report`` and ``obs-sample``).
+_RUN = (
+    _row("--seed", type=int, default=1),
+    _row("--nodes", type=int, default=4),
+    _row("--duration", type=float, default=0.02,
+         help="simulated seconds (default: 0.02)"),
+    _row("--rate", type=float, default=200e6,
+         help="offered load in bps (default: 200e6)"),
+)
+
+
+def _progress(args) -> Optional[Callable[[str], None]]:
+    """Per-point progress lines on stderr, unless ``--quiet``."""
+    if args.quiet:
+        return None
+    return lambda line: print("  " + line, file=sys.stderr)
+
+
+def _figures(args) -> int:
+    """A figure id, or ``all``: run its sweep(s), persist and print them."""
+    if args.full:
+        os.environ["REPRO_BENCH_FULL"] = "1"
+    targets = sorted(ALL_FIGURES) if args.command == "all" else [args.command]
+    for target in targets:
+        specs = ALL_FIGURES[target]()
+        for spec in (specs,) if isinstance(specs, SweepSpec) else specs:
+            figure = run_sweep(spec, progress=_progress(args),
+                               processes=args.processes)
             persist_figure(figure)
-            blocks.append(figure.to_markdown())
-        return blocks
-    if figure_id not in ALL_FIGURES:
-        raise SystemExit(
-            "unknown experiment %r; available: %s"
-            % (figure_id, ", ".join(_available()))
-        )
-    figure = run_sweep(
-        ALL_FIGURES[figure_id](), progress=progress, processes=processes
-    )
-    persist_figure(figure)
-    return [figure.to_markdown()]
+            print(figure.to_markdown())
+            print()
+    return 0
 
 
-def run_campaign_command(args) -> int:
+def _list(args) -> int:
+    """The ``list`` command: the figure ids, one per line."""
+    for figure_id in sorted(ALL_FIGURES):
+        print(figure_id)
+    return 0
+
+
+def _campaign(args) -> int:
     """The ``campaign`` experiment: seeded fault-injection sweep."""
-    from .sim.campaign import (
-        CampaignOptions,
-        corrupt_first_log,
-        run_campaign,
-    )
+    from .sim.campaign import CampaignOptions, corrupt_first_log, run_campaign
 
     options = CampaignOptions(
         seed=args.seed,
@@ -95,10 +119,7 @@ def run_campaign_command(args) -> int:
         out_dir=args.out_dir,
         corrupt_logs=corrupt_first_log if args.selftest_violation else None,
     )
-    progress = None if args.quiet else (
-        lambda line: print("  " + line, file=sys.stderr)
-    )
-    summary = run_campaign(options, progress=progress)
+    summary = run_campaign(options, progress=_progress(args))
     print("campaign seed=%d: %d scenario(s) x windows %s, %d failure(s)"
           % (summary["seed"], summary["scenarios"],
              summary["windows"], summary["failures"]))
@@ -110,7 +131,7 @@ def run_campaign_command(args) -> int:
     return 1 if summary["failures"] else 0
 
 
-def run_churn_command(argv: List[str]) -> int:
+def _churn(args) -> int:
     """The ``churn`` experiment: gossip-membership churn campaigns.
 
     Default mode runs EVS-checked endurance scenarios (sustained
@@ -119,52 +140,7 @@ def run_churn_command(argv: List[str]) -> int:
     and control traffic vs N for both detection paths and writes the
     guarded ``churn_convergence.json`` record.
     """
-    from .sim.churn import (
-        DEFAULT_RECORD_PATH,
-        ChurnOptions,
-        convergence_sweep,
-        run_churn_scenario,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli churn",
-        description="Churn campaigns for the gossip membership detector.",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=1,
-        help="campaign seed; victim order and schedules derive from it "
-             "(default: 1)",
-    )
-    parser.add_argument(
-        "--nodes", default="50,100",
-        help="comma-separated cluster sizes for scenario runs "
-             "(default: 50,100)",
-    )
-    parser.add_argument(
-        "--events", type=int, default=8,
-        help="churn events (crash+restart cycles) per scenario "
-             "(default: 8)",
-    )
-    parser.add_argument(
-        "--joins", type=int, default=0, metavar="K",
-        help="spawn K brand-new pids mid-scenario (open-membership "
-             "joins; gossip path only, default: 0)",
-    )
-    parser.add_argument(
-        "--probes", action="store_true",
-        help="run scenarios on the probe-flood detection path instead "
-             "of gossip",
-    )
-    parser.add_argument(
-        "--sweep", action="store_true",
-        help="run the convergence-vs-N sweep (both detection paths) "
-             "and write the bench record instead of scenario runs",
-    )
-    parser.add_argument(
-        "--out", default=DEFAULT_RECORD_PATH,
-        help="record path for --sweep (default: %s)" % DEFAULT_RECORD_PATH,
-    )
-    args = parser.parse_args(argv)
+    from .sim.churn import ChurnOptions, convergence_sweep, run_churn_scenario
 
     if args.sweep:
         record = convergence_sweep(seed=args.seed)
@@ -208,7 +184,7 @@ def run_churn_command(argv: List[str]) -> int:
     return 1 if failures else 0
 
 
-def run_multiring_command(argv: List[str]) -> int:
+def _multiring(args) -> int:
     """The ``multiring`` experiment: sharded-ring scaling sweep.
 
     Runs the fixed per-ring workload at each requested ring count M,
@@ -217,42 +193,10 @@ def run_multiring_command(argv: List[str]) -> int:
     guarded ``multiring_scaling.json`` record.  Exits non-zero if any
     point reports an ordering violation.
     """
-    from .multiring.bench import (
-        DEFAULT_MS,
-        DEFAULT_RECORD_PATH,
-        scaling_sweep,
-        total_violations,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli multiring",
-        description="Multi-ring sharding scaling sweep with cross-ring "
-                    "merge checking.",
-    )
-    parser.add_argument(
-        "--ms", default=",".join(str(m) for m in DEFAULT_MS),
-        help="comma-separated ring counts to sweep (default: %s)"
-             % ",".join(str(m) for m in DEFAULT_MS),
-    )
-    parser.add_argument(
-        "--seed", type=int, default=1,
-        help="workload seed; group placement, injection jitter and the "
-             "merged order all derive from it (default: 1)",
-    )
-    parser.add_argument(
-        "--out", default=DEFAULT_RECORD_PATH,
-        help="record path (default: %s)" % DEFAULT_RECORD_PATH,
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-point progress",
-    )
-    args = parser.parse_args(argv)
+    from .multiring.bench import scaling_sweep, total_violations
 
     ms = [int(field) for field in args.ms.split(",")]
-    progress = None if args.quiet else (
-        lambda line: print("  " + line, file=sys.stderr)
-    )
-    record = scaling_sweep(ms=ms, seed=args.seed, progress=progress)
+    record = scaling_sweep(ms=ms, seed=args.seed, progress=_progress(args))
     path = write_record(record, args.out)
     for entry in record["sweep"]:
         print("M=%d  %8.0f msgs/s  %7.1f Mbps  p50 %6.1f us  rounds %4d  "
@@ -272,24 +216,10 @@ def run_multiring_command(argv: List[str]) -> int:
     return 1 if violations else 0
 
 
-def run_decode_command(argv: List[str]) -> int:
+def _decode(args) -> int:
     """The ``decode`` tool: render or summarize one ``.rcap`` capture."""
     from .wire.decode import render_capture, render_summary
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli decode",
-        description="Decode a .rcap wire capture (sim or emulation).",
-    )
-    parser.add_argument("capture", help="path to the .rcap file")
-    parser.add_argument(
-        "--limit", type=int, default=None, metavar="N",
-        help="show at most N records (default: all)",
-    )
-    parser.add_argument(
-        "--summary", action="store_true",
-        help="print aggregate counts instead of per-record lines",
-    )
-    args = parser.parse_args(argv)
     lines = (
         render_summary(args.capture) if args.summary
         else render_capture(args.capture, limit=args.limit)
@@ -299,7 +229,7 @@ def run_decode_command(argv: List[str]) -> int:
     return 0
 
 
-def run_capture_sample_command(argv: List[str]) -> int:
+def _capture_sample(args) -> int:
     """Produce one small sim capture and one emulation capture.
 
     The committed reference samples are these two files (regenerate them
@@ -315,21 +245,6 @@ def run_capture_sample_command(argv: List[str]) -> int:
     from .sim.cluster import SimCluster
     from .wire.capture import WORLD_EMULATION, WORLD_SIM, CaptureWriter
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli capture-sample",
-        description="Generate the reference sim/emulation .rcap samples.",
-    )
-    parser.add_argument(
-        "--out-dir", default=os.path.join("bench_results", "fresh", "captures"),
-        help="directory for sim_sample.rcap and emu_sample.rcap (default: "
-             "bench_results/fresh/captures; the committed samples live in "
-             "bench_results/captures)",
-    )
-    parser.add_argument(
-        "--duration", type=float, default=0.01,
-        help="simulated seconds for the sim sample (default: 0.01)",
-    )
-    args = parser.parse_args(argv)
     os.makedirs(args.out_dir, exist_ok=True)
 
     sim_path = os.path.join(args.out_dir, "sim_sample.rcap")
@@ -373,9 +288,7 @@ def _traced_reference_run(seed: int, n_nodes: int, duration_s: float,
     from .sim import LIBRARY
     from .sim.cluster import SimCluster
 
-    config = ProtocolConfig.accelerated(
-        personal_window=4, accelerated_window=2
-    )
+    config = ProtocolConfig.accelerated(personal_window=4, accelerated_window=2)
     cluster = SimCluster(n_nodes, GIGABIT, LIBRARY, config, seed=seed)
     tracer = None
     if trace:
@@ -388,7 +301,7 @@ def _traced_reference_run(seed: int, n_nodes: int, duration_s: float,
     return cluster, result, tracer
 
 
-def run_report_command(argv: List[str]) -> int:
+def _report(args) -> int:
     """The ``report`` tool: metrics-registry snapshot, table or JSON.
 
     With a snapshot path, pretty-prints (or re-emits) an existing
@@ -398,37 +311,6 @@ def run_report_command(argv: List[str]) -> int:
     import json
 
     from .obs.report import format_metrics
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli report",
-        description="Render a MetricsRegistry snapshot (existing JSON "
-                    "file, or a fresh seeded reference run).",
-    )
-    parser.add_argument(
-        "snapshot", nargs="?", default=None,
-        help="existing snapshot JSON to render (default: run the "
-             "seeded reference workload and snapshot it)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the JSON snapshot instead of the table",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="also write the JSON snapshot to PATH",
-    )
-    parser.add_argument(
-        "--multiring", action="store_true",
-        help="run the seeded M=2 multi-ring reference workload instead "
-             "and report its merge-layer registry (multiring.*)",
-    )
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--nodes", type=int, default=4)
-    parser.add_argument("--duration", type=float, default=0.02,
-                        help="simulated seconds (default: 0.02)")
-    parser.add_argument("--rate", type=float, default=200e6,
-                        help="offered load in bps (default: 200e6)")
-    args = parser.parse_args(argv)
 
     if args.snapshot is not None:
         with open(args.snapshot) as handle:
@@ -463,27 +345,12 @@ def run_report_command(argv: List[str]) -> int:
     return 0
 
 
-def run_trace_analyze_command(argv: List[str]) -> int:
+def _trace_analyze(args) -> int:
     """The ``trace-analyze`` tool: decompose a lifecycle trace."""
     import json
 
     from .obs.report import analyze_path, format_report
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli trace-analyze",
-        description="Per-stage latency decomposition of a lifecycle "
-                    "trace (.rtrace binary or .jsonl).",
-    )
-    parser.add_argument("trace", help="path to the trace file")
-    parser.add_argument(
-        "--top", type=int, default=10, metavar="N",
-        help="how many slowest deliveries to list (default: 10)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the full analysis as JSON instead of the report",
-    )
-    args = parser.parse_args(argv)
     report = analyze_path(args.trace, top_n=args.top)
     if args.as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -492,7 +359,7 @@ def run_trace_analyze_command(argv: List[str]) -> int:
     return 0
 
 
-def run_obs_sample_command(argv: List[str]) -> int:
+def _obs_sample(args) -> int:
     """Produce the reference observability artifacts from one run.
 
     One seeded sim run yields the sample trace (binary and JSONL
@@ -500,33 +367,12 @@ def run_obs_sample_command(argv: List[str]) -> int:
     ``trace-analyze`` and ``report`` render them.  Same seed, same
     bytes — which is why no copy is committed.
     """
-    import json
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli obs-sample",
-        description="Generate the reference .rtrace/.jsonl trace and "
-                    "metrics snapshot from a seeded sim run.",
-    )
-    parser.add_argument(
-        "--out-dir", default=os.path.join("bench_results", "fresh", "obs"),
-        help="directory for sim_sample.rtrace/.jsonl and "
-             "metrics_sample.json",
-    )
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--nodes", type=int, default=4)
-    parser.add_argument("--duration", type=float, default=0.02,
-                        help="simulated seconds (default: 0.02)")
-    parser.add_argument("--rate", type=float, default=200e6,
-                        help="offered load in bps (default: 200e6)")
-    args = parser.parse_args(argv)
     os.makedirs(args.out_dir, exist_ok=True)
 
     cluster, result, tracer = _traced_reference_run(
         args.seed, args.nodes, args.duration, args.rate,
     )
-    trace_path = tracer.write(
-        os.path.join(args.out_dir, "sim_sample.rtrace")
-    )
+    trace_path = tracer.write(os.path.join(args.out_dir, "sim_sample.rtrace"))
     jsonl_path = tracer.write_jsonl(
         os.path.join(args.out_dir, "sim_sample.jsonl")
     )
@@ -542,7 +388,7 @@ def run_obs_sample_command(argv: List[str]) -> int:
     return 0
 
 
-def run_lint_command(argv: List[str]) -> int:
+def _lint(args) -> int:
     """The ``lint`` tool: repo-specific static analysis as a hard gate.
 
     Exit status: 0 when every finding is baselined (or there are none),
@@ -552,41 +398,6 @@ def run_lint_command(argv: List[str]) -> int:
     import time
 
     from . import analysis
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli lint",
-        description="Determinism, sans-IO-boundary, __slots__ and "
-                    "wire-drift lints over the repro package "
-                    "(DESIGN.md section 14).",
-    )
-    parser.add_argument(
-        "root", nargs="?", default=None,
-        help="package directory to lint (default: the installed "
-             "repro package)",
-    )
-    parser.add_argument(
-        "--json", metavar="FILE", dest="json_out", default=None,
-        help="write the full JSON report to FILE ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppression baseline (default: lint_baseline.json in "
-             "the CWD or next to the package)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file: report and gate on everything",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline to suppress every current finding, "
-             "then exit 0",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true",
-        help="suppress per-finding lines; print only the summary",
-    )
-    args = parser.parse_args(argv)
 
     package_root = args.root
     if package_root is None:
@@ -658,95 +469,171 @@ def run_lint_command(argv: List[str]) -> int:
     return 1 if (new or report.parse_errors) else 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "lint":
-        return run_lint_command(argv[1:])
-    if argv and argv[0] == "decode":
-        return run_decode_command(argv[1:])
-    if argv and argv[0] == "capture-sample":
-        return run_capture_sample_command(argv[1:])
-    if argv and argv[0] == "churn":
-        return run_churn_command(argv[1:])
-    if argv and argv[0] == "multiring":
-        return run_multiring_command(argv[1:])
-    if argv and argv[0] == "report":
-        return run_report_command(argv[1:])
-    if argv and argv[0] == "trace-analyze":
-        return run_trace_analyze_command(argv[1:])
-    if argv and argv[0] == "obs-sample":
-        return run_obs_sample_command(argv[1:])
+def _commands() -> List[Tuple[str, Callable[[Any], int], str, Tuple]]:
+    """The command table: ``(name, handler, description, option rows)``;
+    built per call, so a figure added to ``ALL_FIGURES`` is a command."""
+    from .multiring.bench import DEFAULT_MS
+    from .multiring.bench import DEFAULT_RECORD_PATH as MULTIRING_RECORD
+    from .sim.churn import DEFAULT_RECORD_PATH as CHURN_RECORD
+
+    ms = ",".join(str(m) for m in DEFAULT_MS)
+    figures = [
+        (figure_id, _figures,
+         "Run figure %s's sweep(s) and print its table." % figure_id, _SWEEP)
+        for figure_id in sorted(ALL_FIGURES)
+    ]
+    return figures + [
+        ("all", _figures,
+         "Run every figure's sweep(s) and print their tables.", _SWEEP),
+        ("list", _list, "List the figure ids.", ()),
+        ("campaign", _campaign,
+         "Seeded fault-injection campaign, every run EVS-checked.", (
+             _QUIET,
+             _row("--seed", type=int, default=1,
+                  help="campaign seed; schedules, loss and workload all "
+                       "derive from it (default: 1)"),
+             _row("--scenarios", type=int, default=10,
+                  help="number of random fault scenarios (default: 10)"),
+             _row("--nodes", type=int, default=3,
+                  help="cluster size per scenario (default: 3)"),
+             _row("--out-dir",
+                  default=os.path.join("bench_results", "fresh", "campaigns"),
+                  help="where summaries and repro files land"),
+             _row("--selftest-violation", action="store_true",
+                  help="deterministically corrupt one log before checking, "
+                       "to prove the checker catches ordering violations "
+                       "and emits a shrunk repro"),
+         )),
+        ("churn", _churn,
+         "Churn campaigns for the gossip membership detector.", (
+             _row("--seed", type=int, default=1,
+                  help="campaign seed; victim order and schedules derive "
+                       "from it (default: 1)"),
+             _row("--nodes", default="50,100",
+                  help="comma-separated cluster sizes for scenario runs "
+                       "(default: 50,100)"),
+             _row("--events", type=int, default=8,
+                  help="churn events (crash+restart cycles) per scenario "
+                       "(default: 8)"),
+             _row("--joins", type=int, default=0, metavar="K",
+                  help="spawn K brand-new pids mid-scenario (open-membership "
+                       "joins; gossip path only, default: 0)"),
+             _row("--probes", action="store_true",
+                  help="run scenarios on the probe-flood detection path "
+                       "instead of gossip"),
+             _row("--sweep", action="store_true",
+                  help="run the convergence-vs-N sweep (both detection "
+                       "paths) and write the bench record instead of "
+                       "scenario runs"),
+             _row("--out", default=CHURN_RECORD,
+                  help="record path for --sweep (default: %s)" % CHURN_RECORD),
+         )),
+        ("multiring", _multiring,
+         "Multi-ring sharding scaling sweep with cross-ring merge checking.", (
+             _row("--ms", default=ms,
+                  help="comma-separated ring counts to sweep (default: %s)"
+                       % ms),
+             _row("--seed", type=int, default=1,
+                  help="workload seed; group placement, injection jitter and "
+                       "the merged order all derive from it (default: 1)"),
+             _row("--out", default=MULTIRING_RECORD,
+                  help="record path (default: %s)" % MULTIRING_RECORD),
+             _QUIET,
+         )),
+        ("decode", _decode,
+         "Decode a .rcap wire capture (sim or emulation).", (
+             _row("capture", help="path to the .rcap file"),
+             _row("--limit", type=int, default=None, metavar="N",
+                  help="show at most N records (default: all)"),
+             _row("--summary", action="store_true",
+                  help="print aggregate counts instead of per-record lines"),
+         )),
+        ("capture-sample", _capture_sample,
+         "Generate the reference sim/emulation .rcap samples.", (
+             _row("--out-dir",
+                  default=os.path.join("bench_results", "fresh", "captures"),
+                  help="directory for sim_sample.rcap and emu_sample.rcap "
+                       "(default: bench_results/fresh/captures; the committed "
+                       "samples live in bench_results/captures)"),
+             _row("--duration", type=float, default=0.01,
+                  help="simulated seconds for the sim sample (default: 0.01)"),
+         )),
+        ("report", _report,
+         "Render a MetricsRegistry snapshot (existing JSON file, or a fresh "
+         "seeded reference run).", (
+             _row("snapshot", nargs="?", default=None,
+                  help="existing snapshot JSON to render (default: run the "
+                       "seeded reference workload and snapshot it)"),
+             _row("--json", action="store_true", dest="as_json",
+                  help="emit the JSON snapshot instead of the table"),
+             _row("--out", default=None, metavar="PATH",
+                  help="also write the JSON snapshot to PATH"),
+             _row("--multiring", action="store_true",
+                  help="run the seeded M=2 multi-ring reference workload "
+                       "instead and report its merge-layer registry "
+                       "(multiring.*)"),
+         ) + _RUN),
+        ("trace-analyze", _trace_analyze,
+         "Per-stage latency decomposition of a lifecycle trace (.rtrace "
+         "binary or .jsonl).", (
+             _row("trace", help="path to the trace file"),
+             _row("--top", type=int, default=10, metavar="N",
+                  help="how many slowest deliveries to list (default: 10)"),
+             _row("--json", action="store_true", dest="as_json",
+                  help="emit the full analysis as JSON instead of the report"),
+         )),
+        ("obs-sample", _obs_sample,
+         "Generate the reference .rtrace/.jsonl trace and metrics snapshot "
+         "from a seeded sim run.", (
+             _row("--out-dir", default=os.path.join("bench_results", "fresh",
+                                                    "obs"),
+                  help="directory for sim_sample.rtrace/.jsonl and "
+                       "metrics_sample.json"),
+         ) + _RUN),
+        ("lint", _lint,
+         "Determinism, sans-IO-boundary, __slots__ and wire-drift lints over "
+         "the repro package (DESIGN.md section 14).", (
+             _row("root", nargs="?", default=None,
+                  help="package directory to lint (default: the installed "
+                       "repro package)"),
+             _row("--json", metavar="FILE", dest="json_out", default=None,
+                  help="write the full JSON report to FILE ('-' for stdout)"),
+             _row("--baseline", default=None, metavar="FILE",
+                  help="suppression baseline (default: lint_baseline.json in "
+                       "the CWD or next to the package)"),
+             _row("--no-baseline", action="store_true",
+                  help="ignore any baseline file: report and gate on "
+                       "everything"),
+             _row("--write-baseline", action="store_true",
+                  help="rewrite the baseline to suppress every current "
+                       "finding, then exit 0"),
+             _row("--quiet", action="store_true",
+                  help="suppress per-finding lines; print only the summary"),
+         )),
+    ]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser: a subcommand per row of :func:`_commands`."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli",
         description="Reproduce figures from 'Fast Total Ordering for "
                     "Modern Data Centers'.",
     )
-    parser.add_argument(
-        "experiment",
-        help="experiment id (e.g. fig1), 'all', 'list', 'campaign', "
-             "'churn', 'multiring', 'decode', 'capture-sample', "
-             "'report', 'trace-analyze', 'obs-sample', or 'lint'",
-    )
-    parser.add_argument(
-        "--full", action="store_true",
-        help="denser, longer sweeps (sets REPRO_BENCH_FULL=1)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-point progress",
-    )
-    parser.add_argument(
-        "--processes", type=int, default=None, metavar="N",
-        help="worker processes per sweep (default: REPRO_BENCH_PROCESSES "
-             "or serial); sweep points are independent simulations, so "
-             "results are identical at any worker count",
-    )
-    campaign_group = parser.add_argument_group(
-        "campaign options (experiment 'campaign')"
-    )
-    campaign_group.add_argument(
-        "--seed", type=int, default=1,
-        help="campaign seed; schedules, loss and workload all derive "
-             "from it (default: 1)",
-    )
-    campaign_group.add_argument(
-        "--scenarios", type=int, default=10,
-        help="number of random fault scenarios (default: 10)",
-    )
-    campaign_group.add_argument(
-        "--nodes", type=int, default=3,
-        help="cluster size per scenario (default: 3)",
-    )
-    campaign_group.add_argument(
-        "--out-dir",
-        default=os.path.join("bench_results", "fresh", "campaigns"),
-        help="where summaries and repro files land",
-    )
-    campaign_group.add_argument(
-        "--selftest-violation", action="store_true",
-        help="deterministically corrupt one log before checking, to "
-             "prove the checker catches ordering violations and emits "
-             "a shrunk repro",
-    )
-    args = parser.parse_args(argv)
+    subparsers = parser.add_subparsers(dest="command", metavar="command",
+                                       required=True)
+    for name, handler, description, rows in _commands():
+        command = subparsers.add_parser(name, help=description,
+                                        description=description)
+        for flags, kwargs in rows:
+            command.add_argument(*flags, **kwargs)
+        command.set_defaults(handler=handler)
+    return parser
 
-    if args.experiment == "campaign":
-        return run_campaign_command(args)
-    if args.experiment == "list":
-        for figure_id in _available():
-            print(figure_id)
-        return 0
-    if args.full:
-        os.environ["REPRO_BENCH_FULL"] = "1"
-    targets = _available() if args.experiment == "all" else [args.experiment]
-    for target in targets:
-        blocks = run_figure_by_id(
-            target, verbose=not args.quiet, processes=args.processes
-        )
-        for block in blocks:
-            print(block)
-            print()
-    return 0
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -58,8 +58,6 @@ ALIVE = 0
 SUSPECT = 1
 DEAD = 2
 
-_STATUS_NAMES = {ALIVE: "alive", SUSPECT: "suspect", DEAD: "dead"}
-
 
 # ---------------------------------------------------------------------------
 # Wire messages
@@ -73,12 +71,6 @@ class GossipUpdate:
     pid: int
     incarnation: int
     status: int
-
-    def describe(self) -> str:
-        return "%s(%d@%d)" % (
-            _STATUS_NAMES.get(self.status, "?%d" % self.status),
-            self.pid, self.incarnation,
-        )
 
 
 @dataclass(frozen=True, slots=True)

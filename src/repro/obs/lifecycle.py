@@ -67,14 +67,13 @@ from typing import Any, Callable, Dict, List, Optional
 from ..core import Service
 from ..core.packing import PackedPayload
 from ..wire import tracefmt
+from ..wire.capture import WORLD_EMULATION, WORLD_SIM
 from ..wire.tracefmt import (
     CLOCK_SIM,
     CLOCK_WALL,
     NO_PID,
     RECORD_SIZE,
     RECORD_STRUCT,
-    TRACE_WORLD_EMULATION,
-    TRACE_WORLD_SIM,
     TraceRecord,
     TraceWriter,
 )
@@ -146,7 +145,7 @@ class LifecycleTracer:
     def __init__(
         self,
         clock: Callable[[], float],
-        world: int = TRACE_WORLD_SIM,
+        world: int = WORLD_SIM,
         clock_kind: int = CLOCK_SIM,
         label: str = "",
         epoch: float = 0.0,
@@ -397,7 +396,7 @@ def sim_tracer(cluster, label: str = "") -> LifecycleTracer:
         # partial(getattr, ...) stays entirely in C — a Python lambda
         # here would add a frame to every participant-stage stamp.
         clock=functools.partial(getattr, sim, "now"),
-        world=TRACE_WORLD_SIM,
+        world=WORLD_SIM,
         clock_kind=CLOCK_SIM,
         label=label,
     )
@@ -417,7 +416,7 @@ def emulation_tracer(
 
     tracer = LifecycleTracer(
         clock=lambda: time.monotonic() - t0,
-        world=TRACE_WORLD_EMULATION,
+        world=WORLD_EMULATION,
         clock_kind=CLOCK_WALL,
         label=label,
         epoch=t0,

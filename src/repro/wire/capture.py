@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import struct
 import threading
-from typing import Any, Iterator, NamedTuple, Optional
+from typing import Any, BinaryIO, Iterator, NamedTuple, Optional, Tuple, Type
 
 from . import codec
 from .codec import DecodeError, EncodeError
@@ -63,6 +63,53 @@ class CaptureError(ValueError):
     """The file is not a readable ``.rcap`` capture."""
 
 
+def open_record_file(
+    path: str, kind: str, magic: bytes, version: int, world: int,
+    extra: int, label: str,
+) -> BinaryIO:
+    """Create ``path`` and write the file header ``.rcap`` captures and
+    ``.rtrace`` traces share (magic, version, world, one format-specific
+    byte ``extra``, then the label); returns the open handle."""
+    if world not in WORLD_NAMES:
+        raise ValueError("unknown %s world %r" % (kind, world))
+    raw_label = label.encode("utf-8")
+    handle = open(path, "wb")
+    handle.write(_FILE_HEADER.pack(magic, version, world, extra,
+                                   len(raw_label)))
+    handle.write(raw_label)
+    return handle
+
+
+def read_record_file(
+    path: str, kind: str, magic: bytes, version: int,
+    error: Type[ValueError],
+) -> Tuple[bytes, int, int, str, int]:
+    """Read ``path`` and check the shared file header, raising ``error``
+    if it is not a ``kind`` file; returns ``(data, world, extra, label,
+    offset of the first record)``."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if len(data) < _FILE_HEADER.size:
+        raise error("file shorter than the %s header" % kind)
+    found, found_version, world, extra, label_len = _FILE_HEADER.unpack_from(
+        data
+    )
+    if found != magic:
+        raise error("bad %s magic %r" % (kind, found))
+    if found_version != version:
+        raise error("unsupported %s version %d" % (kind, found_version))
+    if world not in WORLD_NAMES:
+        raise error("unknown %s world %d" % (kind, world))
+    body_start = _FILE_HEADER.size + label_len
+    if body_start > len(data):
+        raise error("truncated %s label" % kind)
+    try:
+        label = data[_FILE_HEADER.size:body_start].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error("invalid %s label: %s" % (kind, exc))
+    return data, world, extra, label, body_start
+
+
 class CaptureRecord(NamedTuple):
     """One captured frame, still encoded."""
 
@@ -85,8 +132,6 @@ class CaptureWriter:
     """Append-only ``.rcap`` writer; safe to share across node threads."""
 
     def __init__(self, path: str, world: int, label: str = "") -> None:
-        if world not in WORLD_NAMES:
-            raise ValueError("unknown capture world %r" % (world,))
         self.path = path
         self.world = world
         self.label = label
@@ -94,12 +139,9 @@ class CaptureWriter:
         #: Frames the tap saw but could not encode (sim-internal payloads).
         self.records_skipped = 0
         self._lock = threading.Lock()
-        raw_label = label.encode("utf-8")
-        self._handle = open(path, "wb")
-        self._handle.write(_FILE_HEADER.pack(
-            RCAP_MAGIC, RCAP_VERSION, world, 0, len(raw_label)
-        ))
-        self._handle.write(raw_label)
+        self._handle = open_record_file(
+            path, "rcap", RCAP_MAGIC, RCAP_VERSION, world, 0, label
+        )
 
     def write(
         self,
@@ -164,29 +206,11 @@ class CaptureReader:
 
     def __init__(self, path: str) -> None:
         self.path = path
-        with open(path, "rb") as handle:
-            self._data = handle.read()
-        if len(self._data) < _FILE_HEADER.size:
-            raise CaptureError("file shorter than the rcap header")
-        magic, version, world, _reserved, label_len = _FILE_HEADER.unpack_from(
-            self._data
+        (self._data, self.world, _reserved, self.label,
+         self._body_start) = read_record_file(
+            path, "rcap", RCAP_MAGIC, RCAP_VERSION, CaptureError
         )
-        if magic != RCAP_MAGIC:
-            raise CaptureError("bad rcap magic %r" % magic)
-        if version != RCAP_VERSION:
-            raise CaptureError("unsupported rcap version %d" % version)
-        if world not in WORLD_NAMES:
-            raise CaptureError("unknown capture world %d" % world)
-        body_start = _FILE_HEADER.size + label_len
-        if body_start > len(self._data):
-            raise CaptureError("truncated rcap label")
-        self.world = world
-        self.world_name = WORLD_NAMES[world]
-        try:
-            self.label = self._data[_FILE_HEADER.size:body_start].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CaptureError("invalid rcap label: %s" % exc)
-        self._body_start = body_start
+        self.world_name = WORLD_NAMES[self.world]
         #: Set by iteration when the file ends mid-record (crashed writer).
         self.truncated_tail = False
 

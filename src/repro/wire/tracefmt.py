@@ -7,7 +7,8 @@ A trace is a flat binary file of fixed-size lifecycle records — one per
 emulation write the *same* format, so one analyzer
 (``python -m repro.cli trace-analyze``) serves both.
 
-File layout::
+File layout (the header is ``.rcap``'s, written and checked by
+:func:`repro.wire.capture.open_record_file`/``read_record_file``)::
 
     offset  size  field
     0       4     magic b"RTRC"
@@ -41,18 +42,15 @@ import json
 import struct
 from typing import Iterator, List, NamedTuple, Optional, TextIO
 
+from .capture import WORLD_NAMES, open_record_file, read_record_file
+
 RTRACE_MAGIC = b"RTRC"
 RTRACE_VERSION = 1
-
-TRACE_WORLD_SIM = 0
-TRACE_WORLD_EMULATION = 1
-TRACE_WORLD_NAMES = {TRACE_WORLD_SIM: "sim", TRACE_WORLD_EMULATION: "emulation"}
 
 CLOCK_SIM = 0
 CLOCK_WALL = 1
 CLOCK_NAMES = {CLOCK_SIM: "sim", CLOCK_WALL: "wall"}
 
-_FILE_HEADER = struct.Struct("<4sHBBI")
 _RECORD = struct.Struct("<dBBiiII")
 
 #: Public alias: the fixed record codec.  The lifecycle tracer packs
@@ -89,8 +87,6 @@ class TraceWriter:
     def __init__(
         self, path: str, world: int, clock: int, label: str = ""
     ) -> None:
-        if world not in TRACE_WORLD_NAMES:
-            raise ValueError("unknown trace world %r" % (world,))
         if clock not in CLOCK_NAMES:
             raise ValueError("unknown trace clock %r" % (clock,))
         self.path = path
@@ -98,12 +94,9 @@ class TraceWriter:
         self.clock = clock
         self.label = label
         self.records_written = 0
-        raw_label = label.encode("utf-8")
-        self._handle = open(path, "wb")
-        self._handle.write(_FILE_HEADER.pack(
-            RTRACE_MAGIC, RTRACE_VERSION, world, clock, len(raw_label)
-        ))
-        self._handle.write(raw_label)
+        self._handle = open_record_file(
+            path, "rtrace", RTRACE_MAGIC, RTRACE_VERSION, world, clock, label
+        )
 
     def write(
         self, t: float, stage: int, node: int, origin: int, seq: int, aux: int
@@ -146,33 +139,14 @@ class TraceReader:
 
     def __init__(self, path: str) -> None:
         self.path = path
-        with open(path, "rb") as handle:
-            self._data = handle.read()
-        if len(self._data) < _FILE_HEADER.size:
-            raise TraceFormatError("file shorter than the rtrace header")
-        magic, version, world, clock, label_len = _FILE_HEADER.unpack_from(
-            self._data
+        (self._data, self.world, self.clock, self.label,
+         self._body_start) = read_record_file(
+            path, "rtrace", RTRACE_MAGIC, RTRACE_VERSION, TraceFormatError
         )
-        if magic != RTRACE_MAGIC:
-            raise TraceFormatError("bad rtrace magic %r" % magic)
-        if version != RTRACE_VERSION:
-            raise TraceFormatError("unsupported rtrace version %d" % version)
-        if world not in TRACE_WORLD_NAMES:
-            raise TraceFormatError("unknown trace world %d" % world)
-        if clock not in CLOCK_NAMES:
-            raise TraceFormatError("unknown trace clock %d" % clock)
-        body_start = _FILE_HEADER.size + label_len
-        if body_start > len(self._data):
-            raise TraceFormatError("truncated rtrace label")
-        self.world = world
-        self.world_name = TRACE_WORLD_NAMES[world]
-        self.clock = clock
-        self.clock_name = CLOCK_NAMES[clock]
-        try:
-            self.label = self._data[_FILE_HEADER.size:body_start].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceFormatError("invalid rtrace label: %s" % exc)
-        self._body_start = body_start
+        if self.clock not in CLOCK_NAMES:
+            raise TraceFormatError("unknown trace clock %d" % self.clock)
+        self.world_name = WORLD_NAMES[self.world]
+        self.clock_name = CLOCK_NAMES[self.clock]
         #: Set by iteration when the file ends mid-record (crashed writer).
         self.truncated_tail = False
 
@@ -199,7 +173,7 @@ def write_jsonl(
     """Write records as JSONL with a leading header object; returns count."""
     handle.write(json.dumps({
         "rtrace": RTRACE_VERSION,
-        "world": TRACE_WORLD_NAMES[world],
+        "world": WORLD_NAMES[world],
         "clock": CLOCK_NAMES[clock],
         "label": label,
     }, sort_keys=True))

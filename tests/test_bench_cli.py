@@ -1,9 +1,13 @@
 """Tests for the bench harness plumbing and the CLI."""
 
+import argparse
+import json
 import os
+import re
 
 import pytest
 
+from repro import cli
 from repro.bench import (
     REGISTRY,
     headline,
@@ -142,3 +146,70 @@ def test_cli_list(capsys):
 def test_cli_unknown_experiment():
     with pytest.raises(SystemExit):
         cli_main(["nonsense", "--quiet"])
+
+
+#: The committed CLI surface: per command, every option's strings,
+#: default and help text.  Read from the parser rather than from
+#: ``--help``, whose wrapping and headings differ across Python versions.
+#: A deliberate CLI change re-mints it: ``PYTHONPATH=src python
+#: tests/test_bench_cli.py``.
+SURFACE_GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "cli",
+                              "surface.json")
+
+
+def cli_surface():
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {
+        name: [{"option": list(action.option_strings) or [action.dest],
+                "default": action.default, "help": action.help}
+               for action in parser._actions
+               if not isinstance(action, argparse._HelpAction)]
+        for name, parser in subparsers.choices.items()
+    }
+
+
+def test_cli_surface_matches_golden():
+    with open(SURFACE_GOLDEN) as handle:
+        assert cli_surface() == json.load(handle)
+
+
+@pytest.mark.parametrize("name, rows",
+                         [(row[0], row[3]) for row in cli._commands()])
+def test_cli_help_lists_exactly_the_table_rows(name, rows, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main([name, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    flags = {flag for flags, _kwargs in rows for flag in flags}
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", out)) == (
+        {flag for flag in flags if flag.startswith("--")} | {"--help"})
+    for positional in (flag for flag in flags if not flag.startswith("-")):
+        assert re.search(r"^  %s\b" % positional, out, re.MULTILINE)
+
+
+def test_cli_campaign_help_is_its_own(capsys):
+    with pytest.raises(SystemExit):
+        cli_main(["campaign", "--help"])
+    out = capsys.readouterr().out
+    assert "--scenarios" in out and "--processes" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig1", "--seed", "5"],
+    ["list", "--full"],
+    ["campaign", "--processes", "2"],
+    ["report", "--scenarios", "3"],
+])
+def test_cli_rejects_an_option_its_command_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: %s" % argv[1] in capsys.readouterr().err
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(SURFACE_GOLDEN), exist_ok=True)
+    with open(SURFACE_GOLDEN, "w") as handle:
+        json.dump(cli_surface(), handle, indent=1, sort_keys=True)
+        handle.write("\n")

@@ -69,7 +69,8 @@ def test_cli_fig4_multi_spec_path(monkeypatch, capsys, tmp_path):
             duration_s=0.02, warmup_s=0.005,
         )
 
-    monkeypatch.setattr(cli, "make_fig4", lambda: (tiny("t4a"), tiny("t4b")))
+    monkeypatch.setitem(cli.ALL_FIGURES, "fig4",
+                        lambda: (tiny("t4a"), tiny("t4b")))
     monkeypatch.setattr("repro.bench.runner.RESULTS_DIR", str(tmp_path))
     assert cli_main(["fig4", "--quiet"]) == 0
     out = capsys.readouterr().out

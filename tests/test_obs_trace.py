@@ -36,9 +36,9 @@ from repro.obs.report import analyze
 from repro.sim import LIBRARY
 from repro.sim.cluster import SimCluster
 from repro.sim.trace import RoundTracer
+from repro.wire.capture import WORLD_SIM
 from repro.wire.tracefmt import (
     CLOCK_SIM,
-    TRACE_WORLD_SIM,
     TraceReader,
     TraceRecord,
     TraceWriter,
@@ -121,7 +121,7 @@ records_strategy = st.lists(
 @given(records=records_strategy, label=st.text(max_size=40))
 def test_binary_trace_roundtrip(tmp_path_factory, records, label):
     path = str(tmp_path_factory.mktemp("rt") / "t.rtrace")
-    with TraceWriter(path, TRACE_WORLD_SIM, CLOCK_SIM, label) as writer:
+    with TraceWriter(path, WORLD_SIM, CLOCK_SIM, label) as writer:
         for record in records:
             writer.write_record(record)
     reader = TraceReader(path)
@@ -135,7 +135,7 @@ def test_binary_trace_roundtrip(tmp_path_factory, records, label):
 def test_jsonl_trace_roundtrip(tmp_path_factory, records, label):
     path = str(tmp_path_factory.mktemp("rt") / "t.jsonl")
     with open(path, "w") as handle:
-        write_jsonl(handle, records, TRACE_WORLD_SIM, CLOCK_SIM, label)
+        write_jsonl(handle, records, WORLD_SIM, CLOCK_SIM, label)
     loaded = load_trace(path)
     assert loaded.records == records
     assert loaded.label == label
@@ -154,7 +154,7 @@ def test_binary_and_jsonl_flavors_carry_identical_records(tmp_path):
 
 def test_truncated_tail_is_detected_not_fatal(tmp_path):
     path = str(tmp_path / "t.rtrace")
-    with TraceWriter(path, TRACE_WORLD_SIM, CLOCK_SIM) as writer:
+    with TraceWriter(path, WORLD_SIM, CLOCK_SIM) as writer:
         writer.write(1.0, STAGE_ORIGINATED, 0, 0, 1, 0)
         writer.write(2.0, STAGE_ORDERED, 0, 0, 1, 0)
     with open(path, "ab") as handle:
