@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast lint bench bench-full bench-guard perf-smoke perf-ab campaign-smoke churn-smoke multiring-smoke obs-smoke wire-fuzz-smoke examples figures census clean
+.PHONY: install test test-fast lint bench bench-full bench-guard perf-smoke perf-ab vs-sweep campaign-smoke churn-smoke multiring-smoke obs-smoke wire-fuzz-smoke examples figures census clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -66,6 +66,14 @@ PAIRS ?= 10
 REF ?= HEAD~1
 perf-ab:
 	$(PYTHON) scripts/perf_ab.py --workload $(W) --pairs $(PAIRS) --ref $(REF)
+
+# The broad net for membership safety (scripts/vs_sweep.py): the
+# membership fuzzer's run_schedule over 24,000 seeded fault schedules
+# (seeds 0-5999 x four ring shapes), one process per CPU; prints the
+# count and every failing schedule, exits 1 on any.  About 6 min on two
+# CPUs: not part of tier-1 or CI.
+vs-sweep:
+	$(PYTHON) scripts/vs_sweep.py
 
 # Small seeded fault-injection campaign: crashes, partitions, token
 # drops and loss swaps against accelerated and original-Ring configs;

@@ -11,7 +11,6 @@ from repro.core import (
     Ring,
     Service,
     initial_token,
-    token_of,
 )
 from repro.core.messages import DataMessage
 
@@ -26,8 +25,8 @@ def test_on_token_idle(benchmark):
     state = {"token": initial_token()}
 
     def handle():
-        actions = participant.on_token(state["token"])
-        state["token"] = token_of(actions).evolve(
+        handled = participant.on_token(state["token"])
+        state["token"] = handled.token.evolve(
             hop=state["token"].hop + 8
         )
 
@@ -41,8 +40,7 @@ def test_on_token_sending_window(benchmark):
     def handle():
         for _i in range(40):
             participant.submit(b"x", Service.AGREED, payload_size=1350)
-        actions = participant.on_token(state["token"])
-        sent = token_of(actions)
+        sent = participant.on_token(state["token"]).token
         # Keep everyone caught up so buffers stay bounded.
         state["token"] = sent.evolve(hop=sent.hop + 8, aru=sent.seq)
 
@@ -87,7 +85,7 @@ def test_retransmission_answering(benchmark):
                                     global_window=1000)
     for _i in range(64):
         participant.submit(b"x", Service.AGREED)
-    first = token_of(participant.on_token(initial_token()))
+    first = participant.on_token(initial_token()).token
     state = {"token": first}
 
     def handle():
@@ -95,7 +93,6 @@ def test_retransmission_answering(benchmark):
         token = state["token"].evolve(
             hop=state["token"].hop + 8, rtr=tuple(range(1, 17))
         )
-        actions = participant.on_token(token)
-        state["token"] = token_of(actions)
+        state["token"] = participant.on_token(token).token
 
     benchmark(handle)

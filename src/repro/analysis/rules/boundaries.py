@@ -1,7 +1,7 @@
 """Sans-IO boundary lint.
 
 The protocol engine is sans-IO by construction (DESIGN.md): handling a
-message returns actions; drivers own sockets, clocks and threads.  The
+message returns what to send and deliver; drivers own sockets, clocks and threads.  The
 boundary is what makes the packet-level simulator a *proof* about the
 production engine — the moment ``repro.core`` imports ``socket`` the
 two worlds can diverge.  ``IO-IMPORT`` rejects any import of an IO or

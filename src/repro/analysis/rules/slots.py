@@ -1,7 +1,7 @@
 """``__slots__`` completeness lints for hot-path modules.
 
 The dispatch kernel's ~3.0M events/s rests on allocation discipline:
-per-message objects (frames, actions, tokens) and per-node state
+per-message objects (frames, messages, tokens) and per-node state
 machines are ``__slots__`` classes, so attribute access is an array
 index and no per-instance ``__dict__`` is allocated.  A single
 forgotten slot silently re-grows the ``__dict__`` on every instance —

@@ -2,11 +2,12 @@
 
 The paper's daemon is a single-threaded loop around one state machine:
 read the token or the data socket by the Section III-D priority rule,
-run the returned actions *in order*, resend the token on a timer.  This
-module is that loop, once.  The loopback harness, the simulator and the
-UDP emulation all drive their participants through :class:`RingDriver`
-and supply only a :class:`DriverPort` — how a datagram, a token, a
-delivery and a timer are realised there (DESIGN.md section 3.1).
+run a token handling's steps *in order*, resend the token on a timer.
+This module is that loop, once.  The loopback harness, the simulator
+and the UDP emulation all drive their participants through
+:class:`RingDriver` and supply only a :class:`DriverPort` — how a
+datagram, a token, a delivery and a timer are realised there (DESIGN.md
+section 3.1).
 
 A substrate that charges CPU time exposes ``port.pauses``; the loop
 then *yields* the matching pause before each effect, which makes it a
@@ -18,16 +19,10 @@ generator the simulation kernel runs as a process.  Elsewhere
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain
 from typing import Any, Callable, Deque, Iterable, List, Optional, Protocol
 
-from .actions import Deliver, Discard, SendData, SendToken
 from .coalesce import JUMBO_COUNT_BYTES, JUMBO_ENTRY_BYTES, JumboDatagram
 from .messages import DataMessage, Token
-
-#: Appended to a token handling's action list so the last coalesced
-#: batch flushes through the same code as every other one.
-_END_OF_ACTIONS = (None,)
 
 
 class DriverPort(Protocol):
@@ -53,7 +48,6 @@ class DriverPort(Protocol):
                         datagram_bytes: int) -> None: ...
     def send_token(self, token: Token, dst: int) -> None: ...
     def deliver(self, message: DataMessage) -> None: ...
-    def discard(self, upto: int) -> None: ...
     def set_timer(self, delay_s: float, fn: Callable, *args: Any) -> None:
         """Arm the port's one resend deadline: ``fn(*args)`` after
         ``delay_s``.  A newer call supersedes the armed one — the loop
@@ -114,9 +108,10 @@ class RingDriver(Inbox):
         substrate accepted a data datagram; ``delivery(message,
         t_ordered, t_delivered)`` once per delivered message —
         ``t_ordered`` the instant the participant released the message
-        (a Deliver action from ``on_token``, or in ``on_data``'s
-        list), ``t_delivered`` the instant the delivery (and, where
-        modelled, its CPU charge) finished, both on the port's clock;
+        (in the ``delivered`` run of ``on_token``'s round, or in
+        ``on_data``'s list), ``t_delivered`` the instant the delivery
+        (and, where modelled, its CPU charge) finished, both on the
+        port's clock;
         ``coalesce(messages)`` when a batch of two or more forms.  With
         no tracer the hooks are ``None`` and the send/deliver paths pay
         one ``is not None`` test each, nothing else.
@@ -162,19 +157,58 @@ class RingDriver(Inbox):
         # calls per input, and this loop runs once per frame.
         priority = participant._priority
         config = participant.config
+        timeout = config.token_retransmit_timeout_s
         # Consecutive sends coalesce into datagrams of at most ``cap``
         # bytes.  No cap is a cap nothing fits under: every packet then
         # flushes alone, through the same code as a coalesced batch.
         cap = config.jumbo_datagram_bytes or 0
         base = self.header_bytes + JUMBO_COUNT_BYTES
-        batch: List[SendData] = []
-        batch_bytes = base
         pauses = port.pauses
         if pauses is not None:
             unwrap = port.unwrap
             recv_pauses = pauses.recv_data
+            send_pauses = pauses.send_data
             deliver_pauses = pauses.deliver
         deliver = port.deliver
+
+        def multicast(messages, retransmitted):
+            """Multicast ``messages`` in order, in datagrams of at most
+            ``cap`` bytes; the first ``retransmitted`` of them answer
+            retransmission requests.  The last datagram leaves before
+            this returns: coalescing never spans a step of the round, so
+            the token keeps its place and no batching delay is added."""
+            count = len(messages)
+            start = 0
+            size = base
+            for end in range(count + 1):
+                if end < count:
+                    entry = JUMBO_ENTRY_BYTES + messages[end].payload_size
+                    if end == start or size + entry <= cap:
+                        size += entry
+                        continue
+                # messages[start:end] is full, or the last datagram.
+                if pauses is not None:
+                    # One send syscall for the whole datagram.
+                    yield send_pauses[
+                        size - base - JUMBO_ENTRY_BYTES * (end - start)]
+                coalesced = end - start > 1
+                if coalesced:
+                    batch = messages[start:end]
+                    port.multicast_batch(batch, size)
+                else:
+                    # A lone packet travels plain: same bytes, same cost
+                    # as without coalescing.
+                    port.multicast(messages[start])
+                trace_send = self.trace_send
+                if trace_send is not None:
+                    if coalesced and self.trace_coalesce is not None:
+                        self.trace_coalesce(batch)
+                    for index in range(start, end):
+                        trace_send(messages[index], index < retransmitted,
+                                   coalesced)
+                start = end
+                size = base + entry
+
         tokens = self.tokens
         data = self.data
         pick = self.pick
@@ -187,74 +221,42 @@ class RingDriver(Inbox):
             if queue is tokens:
                 if pauses is not None:
                     yield pauses.recv_token
-                actions = on_token(item)
-                # Hooks are read as they are needed, not captured above:
-                # a tracer may attach after the loop was spawned.
-                trace_delivery = self.trace_delivery
-                if trace_delivery is not None:
-                    # The participant returned this list now: the run in
-                    # its Deliver was ordered (released) at this instant,
-                    # before any charge below shifts the clock.
-                    t_ordered = port.clock()
-                for action in chain(actions, _END_OF_ACTIONS):
-                    # Exact-type dispatch: the action algebra is a closed
-                    # union (repro.core.actions.Action), so this equals
-                    # the isinstance chain and is cheaper per action.
-                    kind = type(action)
-                    # A batch flushes when the next packet would overflow
-                    # it and before any other action — the SendToken must
-                    # keep its place after the pre-token sends (that
-                    # order IS the acceleration).  Coalescing never spans
-                    # action lists, so it adds no batching delay.
-                    if batch and (
-                        kind is not SendData
-                        or batch_bytes + JUMBO_ENTRY_BYTES
-                        + action.message.payload_size > cap
-                    ):
-                        count = len(batch)
-                        coalesced = count > 1
+                handled = on_token(item)
+                # ``None``: a duplicate, nothing to do.
+                if handled is not None:
+                    # Hooks are read as they are needed, not captured
+                    # above: a tracer may attach after the loop was
+                    # spawned.
+                    trace_delivery = self.trace_delivery
+                    if trace_delivery is not None:
+                        # The participant returned the round now: its
+                        # delivered run was ordered (released) at this
+                        # instant, before any charge below shifts the
+                        # clock.
+                        t_ordered = port.clock()
+                    # The steps of Section III-A, in order: the token
+                    # goes out after the pre-token sends and before the
+                    # post-token ones (that order IS the acceleration).
+                    answers = handled.retransmitted
+                    if answers:
+                        yield from multicast(answers + handled.pre,
+                                             len(answers))
+                    elif handled.pre:
+                        yield from multicast(handled.pre, 0)
+                    if pauses is not None:
+                        yield pauses.send_token
+                    token = handled.token
+                    port.send_token(token, handled.dst)
+                    port.set_timer(timeout, self.resend_token,
+                                   token, handled.dst, 0)
+                    if handled.post:
+                        yield from multicast(handled.post, 0)
+                    for message in handled.delivered:
                         if pauses is not None:
-                            # One send syscall for the whole datagram.
-                            yield pauses.send_data[
-                                batch_bytes - base - JUMBO_ENTRY_BYTES * count
-                            ]
-                        if coalesced:
-                            messages = [send.message for send in batch]
-                            port.multicast_batch(messages, batch_bytes)
-                        else:
-                            # A lone packet travels plain: same bytes,
-                            # same cost as without coalescing.
-                            port.multicast(batch[0].message)
-                        trace_send = self.trace_send
-                        if trace_send is not None:
-                            if coalesced and self.trace_coalesce is not None:
-                                self.trace_coalesce(messages)
-                            for send in batch:
-                                trace_send(send.message, send.retransmission,
-                                           coalesced)
-                        batch.clear()
-                        batch_bytes = base
-                    if kind is Deliver:
-                        for message in action.messages:
-                            if pauses is not None:
-                                yield deliver_pauses[message.payload_size]
-                            deliver(message)
-                            if trace_delivery is not None:
-                                trace_delivery(message, t_ordered,
-                                               port.clock())
-                    elif kind is SendData:
-                        batch.append(action)
-                        batch_bytes += (
-                            JUMBO_ENTRY_BYTES + action.message.payload_size
-                        )
-                    elif kind is SendToken:
-                        if pauses is not None:
-                            yield pauses.send_token
-                        port.send_token(action.token, action.dst)
-                        port.set_timer(config.token_retransmit_timeout_s,
-                                       self.resend_token, action, 0)
-                    elif kind is Discard:
-                        port.discard(action.upto)
+                            yield deliver_pauses[message.payload_size]
+                        deliver(message)
+                        if trace_delivery is not None:
+                            trace_delivery(message, t_ordered, port.clock())
             else:
                 if pauses is not None:
                     item = unwrap(item)
@@ -262,8 +264,8 @@ class RingDriver(Inbox):
                     # datagram coalesces — what jumbo framing buys here.
                     yield recv_pauses[item.payload_size]
                 # ``on_data`` returns the messages it released: delivery
-                # is the sole effect of receiving data, so there is no
-                # action to dispatch and never a batch to flush.
+                # is the sole effect of receiving data, so there is
+                # never a send to make.
                 if type(item) is JumboDatagram:
                     released: Iterable = map(on_data, item.messages)
                 else:
@@ -273,7 +275,7 @@ class RingDriver(Inbox):
                         continue
                     trace_delivery = self.trace_delivery
                     if trace_delivery is not None:
-                        # Released now, as a token's Deliver run is.
+                        # Released now, as a token's delivered run is.
                         t_ordered = port.clock()
                     for message in messages:
                         if pauses is not None:
@@ -284,12 +286,13 @@ class RingDriver(Inbox):
             if stepping:
                 yield
 
-    def resend_token(self, send: SendToken, attempt: int) -> bool:
-        """The retransmission timer armed for ``send`` fired: resend and
-        re-arm unless the ring demonstrably moved on; True if resent."""
+    def resend_token(self, token: Token, dst: int, attempt: int) -> bool:
+        """The retransmission timer armed for ``token`` fired: resend it
+        to ``dst`` and re-arm unless the ring demonstrably moved on;
+        True if resent."""
         port = self.port
         participant = port.participant
-        if participant.last_token_sent is not send.token:
+        if participant.last_token_sent is not token:
             return False  # we have handled a newer token since
         if participant.progress_since_token_send():
             return False
@@ -297,7 +300,7 @@ class RingDriver(Inbox):
         if attempt >= config.token_retransmit_limit:
             return False  # membership's problem now (token loss declared)
         self.tokens_resent += 1
-        port.send_token(send.token, send.dst)
+        port.send_token(token, dst)
         port.set_timer(config.token_retransmit_timeout_s,
-                       self.resend_token, send, attempt + 1)
+                       self.resend_token, token, dst, attempt + 1)
         return True

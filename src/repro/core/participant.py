@@ -1,10 +1,10 @@
 """The Accelerated Ring participant: the paper's core contribution.
 
 A :class:`Participant` is a sans-IO state machine.  Drivers feed it the
-token (:meth:`Participant.on_token`), which returns an **ordered** list
-of :mod:`actions <repro.core.actions>` for the driver to execute, and
-data messages (:meth:`Participant.on_data`), which return the messages
-they released for delivery.
+token (:meth:`Participant.on_token`), which returns one
+:class:`TokenRound` whose fields are the steps below, for the driver to
+run in that order, and data messages (:meth:`Participant.on_data`),
+which return the messages they released for delivery.
 
 Token handling follows Section III-A of the paper exactly:
 
@@ -30,7 +30,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
-from .actions import Action, Deliver, Discard, SendData, SendToken
 from .buffer import ReceiveBuffer
 from .config import ProtocolConfig, Service
 from .delivery import DeliveryEngine
@@ -51,6 +50,33 @@ class _PendingMessage:
     service: Service
     payload_size: int
     submitted_at: Optional[float]
+
+
+@dataclass(slots=True)
+class TokenRound:
+    """One regular-token handling, as the steps of Section III-A.
+
+    A driver runs the fields in this order, and the token's place
+    between ``pre`` and ``post`` is the Accelerated Ring protocol:
+
+    1. multicast ``retransmitted`` (answers to the token's ``rtr``), then
+       ``pre`` (new messages beyond the accelerated window);
+    2. send ``token`` to ``dst``, the ring successor;
+    3. multicast ``post`` (the accelerated queue);
+    4. deliver ``delivered``, the released run in total order (the
+       delivery engine's list, uncopied).
+
+    Stable messages are garbage-collected inside the participant; no
+    field asks the driver for it.  The lists are the participant's own,
+    built once per handling, and nothing may mutate them afterwards.
+    """
+
+    retransmitted: List[DataMessage]
+    pre: List[DataMessage]
+    token: Token
+    dst: int
+    post: List[DataMessage]
+    delivered: List[DataMessage]
 
 
 @dataclass(slots=True)
@@ -271,8 +297,9 @@ class Participant:
     # Token handling (Section III-A)
     # ------------------------------------------------------------------
 
-    def on_token(self, token: Token) -> List[Action]:
-        """Handle a received regular token; returns the ordered actions."""
+    def on_token(self, token: Token) -> Optional[TokenRound]:
+        """Handle a received regular token; returns the round to run, or
+        ``None`` for a retransmitted token already handled."""
         if token.ring_id != self.ring.ring_id:
             raise TokenError(
                 "token for ring %d handed to participant on ring %d"
@@ -281,20 +308,17 @@ class Participant:
         if token.hop <= self._last_received_hop:
             # A retransmitted token we already handled.
             self.stats.duplicate_tokens += 1
-            return []
+            return None
         self._last_received_hop = token.hop
         my_hop = token.hop + 1
-        actions: List[Action] = []
 
         # -- 1. pre-token phase: retransmissions first ------------------
         answered, remaining_requests = self._retransmit.answer_requests(
             token, self._buffer
         )
-        on_retransmitted = self._on_retransmitted
-        for message in answered:
-            actions.append(SendData(message, retransmission=True))
-            if on_retransmitted:
-                for observer in on_retransmitted:
+        if self._on_retransmitted:
+            for message in answered:
+                for observer in self._on_retransmitted:
                     observer(message)
         num_retrans = len(answered)
         self.stats.retransmissions_sent += num_retrans
@@ -303,13 +327,11 @@ class Participant:
         decision = new_message_budget(
             self.config, token, len(self._pending), num_retrans
         )
-        messages, split = self._initiate_messages(
+        pre, post = self._initiate_messages(
             decision.allowed_new, token.seq, my_hop
         )
-        created = len(messages)
-        for message in messages[:split]:
-            actions.append(SendData(message))
-        self.stats.messages_sent_pre_token += split
+        created = len(pre) + len(post)
+        self.stats.messages_sent_pre_token += len(pre)
         new_seq = token.seq + created
 
         # -- our own retransmission requests ------------------------------
@@ -325,7 +347,7 @@ class Participant:
             self._retransmit.advance_horizon(token.seq)
         rtr_out = self._retransmit.merge_requests(remaining_requests, my_requests)
 
-        # -- 2. update and send the token --------------------------------
+        # -- 2. update the token -----------------------------------------
         new_aru, new_aru_id = self._updated_aru(token, new_seq)
         fcc_out = updated_fcc(token, self._sent_last_round, num_retrans + created)
         self._sent_last_round = num_retrans + created
@@ -334,24 +356,22 @@ class Participant:
             token.ring_id, my_hop, new_seq, new_aru, new_aru_id, fcc_out,
             rtr_out,
         )
-        actions.append(SendToken(token_out, self.successor))
         self._last_token_sent = token_out
 
-        # -- 3. post-token phase: flush the accelerated queue ------------
-        for message in messages[split:]:
-            actions.append(SendData(message))
-        self.stats.messages_sent_post_token += created - split
+        # -- 3. the post-token queue goes out after it -------------------
+        self.stats.messages_sent_post_token += len(post)
 
         # -- 4. deliver and discard --------------------------------------
         self._delivery.note_token_sent(new_aru)
-        self._deliver_and_discard(actions)
+        delivered = self._deliver_and_discard()
 
         self._priority.note_token_handled(my_hop)
         self.stats.tokens_handled += 1
         if self._on_token:
             for observer in self._on_token:
                 observer(token, token_out, decision.allowed_new, num_retrans)
-        return actions
+        return TokenRound(answered, pre, token_out, self.successor, post,
+                          delivered)
 
     # ------------------------------------------------------------------
     # Data handling (Section III-B)
@@ -362,7 +382,7 @@ class Participant:
         released for delivery, in seq order.
 
         Delivery is the only effect receiving data can have, so the
-        messages come back bare — no Deliver action around each.
+        messages come back bare, with no record around them.
         """
         if message.round > self._max_round_seen:
             self._max_round_seen = message.round
@@ -401,9 +421,9 @@ class Participant:
 
     def _initiate_messages(
         self, allowed: int, base_seq: int, my_hop: int
-    ) -> Tuple[List[DataMessage], int]:
-        """Create this round's new messages; returns them, in seq order,
-        and how many of them go out before the token.
+    ) -> Tuple[List[DataMessage], List[DataMessage]]:
+        """Create this round's new messages; returns, in seq order, those
+        that go out before the token and those that go out after it.
 
         Mirrors the paper's queue construction: messages are prepared in
         submission order; once the queue holds more than
@@ -446,7 +466,7 @@ class Participant:
                 for observer in on_sent:
                     observer(message)
         self.stats.messages_initiated += len(messages)
-        return messages, split
+        return messages[:split], messages[split:]
 
     def _my_retransmission_requests(self) -> List[int]:
         missing = self._retransmit.my_new_requests(self._buffer)
@@ -475,18 +495,15 @@ class Participant:
             return local, None
         return token.aru, token.aru_id
 
-    def _deliver_and_discard(self, actions: List[Action]) -> None:
-        """Append step 4's actions: the released run as one Deliver (the
-        delivery engine's list, uncopied), then the Discard."""
+    def _deliver_and_discard(self) -> List[DataMessage]:
+        """Step 4: the released run (the delivery engine's list, uncopied);
+        the buffer then drops what is stable."""
         deliverable = self._delivery.collect_deliverable(self._buffer)
-        if deliverable:
-            actions.append(Deliver(deliverable))
-            self.stats.delivered += len(deliverable)
-        discard_to = self._delivery.discardable_upto()
-        released = self._buffer.discard_upto(discard_to)
-        if released:
-            actions.append(Discard(discard_to))
-            self.stats.discarded += released
+        self.stats.delivered += len(deliverable)
+        self.stats.discarded += self._buffer.discard_upto(
+            self._delivery.discardable_upto()
+        )
+        return deliverable
 
     def __repr__(self) -> str:
         return "Participant(pid=%d, aru=%d, delivered=%d, backlog=%d)" % (

@@ -3,7 +3,7 @@
 One thread per node, mirroring the paper's single-threaded daemon: once
 woken, the loop drains its two sockets in one poll and handles that batch
 by the protocol's token/data priority rules (:meth:`EmulatedNode.run`),
-executes the participant's actions in order (including sending the token
+runs each token round's steps in order (including sending the token
 *before* the post-token multicasts — real acceleration over a real
 network stack), and retransmits the token on a wall-clock timer.
 """
@@ -157,9 +157,6 @@ class EmulatedNode(threading.Thread):
 
     def deliver(self, message: DataMessage) -> None:
         self.delivered.put(message)
-
-    def discard(self, upto: int) -> None:
-        """The participant already released its buffer; nothing to do."""
 
     def set_timer(self, delay_s: float, fn: Callable, *args: Any) -> None:
         # A newer token send supersedes the armed resend (which would

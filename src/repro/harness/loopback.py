@@ -69,8 +69,6 @@ class LoopbackRing:
         self.delivered: Dict[int, List[DataMessage]] = {p: [] for p in self.ring}
         #: Sum of the delivery logs' lengths, kept as they grow.
         self._total_delivered = 0
-        #: Per-participant discard high watermark.
-        self.discarded_upto: Dict[int, int] = {p: 0 for p in self.ring}
         self.steps_taken = 0
         self.data_drops = 0
         self.token_drops = 0
@@ -211,16 +209,12 @@ class LoopbackRing:
             for message in messages:
                 self._route_data(pid, message)
 
-        def discard(upto: int) -> None:
-            self.discarded_upto[pid] = max(self.discarded_upto[pid], upto)
-
         return SimpleNamespace(
             participant=participant, pauses=None,
             multicast=partial(self._route_data, pid),
             multicast_batch=multicast_batch,
             send_token=partial(self._route_token, allow_drop=True),
             deliver=partial(self._record_delivery, pid),
-            discard=discard,
             set_timer=lambda *_timer: None,
         )
 

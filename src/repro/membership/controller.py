@@ -35,15 +35,12 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..core import (
     DataMessage,
-    Deliver,
-    Discard,
     Participant,
     ProtocolConfig,
     Ring,
-    SendData,
-    SendToken,
     Service,
     Token,
+    TokenRound,
     initial_token,
 )
 from ..evs import AppMessage, ConfigChange, Configuration
@@ -224,7 +221,7 @@ class EVSProcess:
                 return self._start_gather(extra_procs={src})
             return []
         self._ticks_since_token = 0
-        return self._run_participant_actions(self.participant.on_token(token))
+        return self._run_token_round(self.participant.on_token(token))
 
     def handle_data(self, ring_id: int, message: DataMessage, src: int) -> List[Outgoing]:
         if ring_id != self.ring.ring_id:
@@ -317,20 +314,19 @@ class EVSProcess:
     # Operational internals
     # ------------------------------------------------------------------
 
-    def _run_participant_actions(self, actions) -> List[Outgoing]:
-        out: List[Outgoing] = []
-        for action in actions:
-            if isinstance(action, SendData):
-                out.append(Outgoing("data", (self.ring.ring_id, action.message)))
-            elif isinstance(action, SendToken):
-                out.append(
-                    Outgoing("token", (self.ring.ring_id, action.token), dst=action.dst)
-                )
-            elif isinstance(action, Deliver):
-                for message in action.messages:
-                    self._log_delivery(message)
-            elif isinstance(action, Discard):
-                pass
+    def _run_token_round(self, handled: Optional[TokenRound]) -> List[Outgoing]:
+        """The participant's token round as outgoing traffic, in step
+        order; its delivered run goes to the regular-configuration log."""
+        if handled is None:
+            return []
+        ring_id = self.ring.ring_id
+        out = [Outgoing("data", (ring_id, message))
+               for message in handled.retransmitted + handled.pre]
+        out.append(Outgoing("token", (ring_id, handled.token), dst=handled.dst))
+        out.extend(Outgoing("data", (ring_id, message))
+                   for message in handled.post)
+        for message in handled.delivered:
+            self._log_delivery(message)
         return out
 
     def _log_delivery(self, message: DataMessage) -> None:
@@ -797,7 +793,12 @@ class EVSProcess:
         transitional_members = tuple(sorted(info.pid for info in sharers))
         old_ring_id = self.ring.ring_id
         delivered_upto = self.participant.delivered_upto
-        safe_floor = self.participant.safe_bound
+        # Every sharer cuts on the same floor: a Safe message at or below
+        # ANY sharer's safe bound was held by every old-ring member, so
+        # each process moving together delivers it before the
+        # transitional configuration (DESIGN.md section 7).
+        safe_floor = max([self.participant.safe_bound]
+                         + [info.old_safe_bound for info in sharers])
 
         known = dict(self._recovery_union)
         top = max(known) if known else delivered_upto

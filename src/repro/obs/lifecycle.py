@@ -54,7 +54,7 @@ equals the latency recorder's end-to-end sample exactly.
 
 Cost model: when no tracer is attached, the drivers' hook attributes
 are ``None`` and the participants' stages hold no observers (one test
-each on paths that already branch per action).  An attached tracer
+each on paths that already branch per message).  An attached tracer
 adds one closure call per stamped stage and nothing else.
 """
 

@@ -208,9 +208,6 @@ class SimNode:
 
         return deliver
 
-    def discard(self, upto: int) -> None:
-        """Garbage collection is free compared to the rest."""
-
     def set_timer(self, delay_s: float, fn: Callable, *args: Any) -> None:
         """One deadline, one calendar entry: a newer call supersedes the
         armed one (see :meth:`repro.core.driver.DriverPort.set_timer`)."""

@@ -72,8 +72,9 @@ class GroupCast:
     every member of every listed group exactly once.
 
     This and :class:`GroupMessage` are plain-store value objects (the
-    idiom :mod:`repro.core.actions` documents): built on the per-message
-    path, where a frozen ``__init__`` costs ~3x.  Nothing may mutate them.
+    idiom :class:`repro.core.DataMessage` documents): built on the
+    per-message path, where a frozen ``__init__`` costs ~3x.  Nothing may
+    mutate them.
     """
 
     groups: Tuple[str, ...]

@@ -10,7 +10,6 @@ from repro.core import (
     Service as Svc,
     TunerConfig,
     initial_token,
-    token_of,
 )
 
 
@@ -29,8 +28,7 @@ def spin_rounds(participant, rounds, submit_per_round=0):
     for _round in range(rounds):
         for _i in range(submit_per_round):
             participant.submit(b"x", Svc.AGREED)
-        actions = participant.on_token(token)
-        sent = token_of(actions)
+        sent = participant.on_token(token).token
         token = sent.evolve(hop=sent.hop + 2, aru=sent.seq)
     return token
 
@@ -68,14 +66,14 @@ def test_post_token_loss_shrinks_window():
     # Round 1: send post-token messages.
     for _i in range(8):
         participant.submit(b"x", Svc.AGREED)
-    first = token_of(participant.on_token(initial_token()))
+    first = participant.on_token(initial_token()).token
     # The peer requests two of them (they were lost): pure post-token loss.
     requested = first.evolve(hop=first.hop + 2, rtr=(1, 2))
-    second = token_of(participant.on_token(requested))
+    second = participant.on_token(requested).token
     # Finish the epoch cleanly.
     token = second.evolve(hop=second.hop + 2, aru=second.seq)
     for _round in range(2):
-        sent = token_of(participant.on_token(token))
+        sent = participant.on_token(token).token
         token = sent.evolve(hop=sent.hop + 2, aru=sent.seq)
     assert tuner.decreases == 1
     assert participant.accelerated_window == 8  # 16 * 0.5
@@ -87,14 +85,14 @@ def test_pre_token_loss_does_not_shrink_window():
     participant, tuner = make_tuned_participant(accel=2, epoch_rounds=4)
     for _i in range(8):
         participant.submit(b"x", Svc.AGREED)
-    first = token_of(participant.on_token(initial_token()))
+    first = participant.on_token(initial_token()).token
     requested = first.evolve(hop=first.hop + 2, rtr=(1,))
-    token = token_of(participant.on_token(requested))
+    token = participant.on_token(requested).token
     for _round in range(2):
         sent = participant.on_token(
             token.evolve(hop=token.hop + 2, aru=token.seq)
         )
-        token = token_of(sent)
+        token = sent.token
     assert tuner.decreases == 0
     assert participant.accelerated_window >= 2
 

@@ -12,7 +12,6 @@ from repro.core import (
     Ring,
     Service,
     initial_token,
-    token_of,
 )
 
 
@@ -30,14 +29,17 @@ def pump_data(participants, sends, exclude=()):
                 participant.on_data(message)
 
 
-def handle(participants, pid, token, deliver_to_others=True, exclude=()):
-    from repro.core import SendData
+def multicast(handled):
+    """Every data message a token round sends, in send order."""
+    return handled.retransmitted + handled.pre + handled.post
 
-    actions = participants[pid].on_token(token)
-    sends = [a.message for a in actions if isinstance(a, SendData)]
+
+def handle(participants, pid, token, deliver_to_others=True, exclude=()):
+    handled = participants[pid].on_token(token)
+    sends = multicast(handled)
     if deliver_to_others:
         pump_data(participants, sends, exclude)
-    return token_of(actions), sends
+    return handled.token, sends
 
 
 def test_aru_ownership_moves_to_slowest_participant():
@@ -46,17 +48,15 @@ def test_aru_ownership_moves_to_slowest_participant():
     # the data arrives (acceleration) and lowers the aru.
     for _i in range(5):
         participants[1].submit(b"x", Service.AGREED)
-    actions = participants[1].on_token(initial_token())
-    token1 = token_of(actions)
+    handled = participants[1].on_token(initial_token())
+    token1 = handled.token
     assert token1.aru == token1.seq == 5  # sender holds its own
 
     token2, _ = handle(participants, 2, token1, deliver_to_others=False)
     assert token2.aru == 0 and token2.aru_id == 2
 
     # Now P1's messages reach P2 and P3 before the next visits.
-    from repro.core import SendData
-
-    sends = [a.message for a in actions if isinstance(a, SendData)]
+    sends = multicast(handled)
     pump_data(participants, sends)
 
     token3, _ = handle(participants, 3, token2)
@@ -76,11 +76,9 @@ def test_ownership_steals_to_lower_participant():
     ring, participants = make_ring(3, accelerated_window=100)
     for _i in range(4):
         participants[1].submit(b"x", Service.AGREED)
-    actions = participants[1].on_token(initial_token())
-    token1 = token_of(actions)
-    from repro.core import SendData
-
-    sends = [a.message for a in actions if isinstance(a, SendData)]
+    handled = participants[1].on_token(initial_token())
+    token1 = handled.token
+    sends = multicast(handled)
 
     # P2 receives NOTHING; P3 receives everything.
     token2, _ = handle(participants, 2, token1, deliver_to_others=False)
@@ -107,18 +105,14 @@ def test_ownership_steals_to_lower_participant():
 def test_safe_bound_advances_only_after_two_full_arus():
     ring, participants = make_ring(2, accelerated_window=0)
     participants[1].submit(b"s", Service.SAFE)
-    actions = participants[1].on_token(initial_token())
-    token1 = token_of(actions)
-    from repro.core import SendData, deliveries
-
-    sends = [a.message for a in actions if isinstance(a, SendData)]
-    assert deliveries(actions) == []
-    pump_data(participants, sends)
-    token2, _ = handle(participants, 2, token1)
+    handled = participants[1].on_token(initial_token())
+    assert handled.delivered == []
+    pump_data(participants, multicast(handled))
+    token2, _ = handle(participants, 2, handled.token)
     assert token2.aru == 1
     # P1's second handling: its last two sent arus are (1, 1) -> bound 1.
-    actions = participants[1].on_token(token2)
-    assert [m.seq for m in deliveries(actions)] == [1]
+    handled = participants[1].on_token(token2)
+    assert [m.seq for m in handled.delivered] == [1]
     assert participants[1].safe_bound == 1
 
 
@@ -130,11 +124,9 @@ def test_singleton_participant_full_cycle():
     token = initial_token()
     all_delivered = []
     for _round in range(3):
-        actions = participant.on_token(token)
-        token = token_of(actions)
-        from repro.core import deliveries
-
-        all_delivered.extend(m.payload for m in deliveries(actions))
+        handled = participant.on_token(token)
+        token = handled.token
+        all_delivered.extend(m.payload for m in handled.delivered)
     assert all_delivered == ["a", "b"]
     assert participant.safe_bound >= 2
 
@@ -143,19 +135,15 @@ def test_discarded_messages_not_retransmitted_but_ignored():
     ring, participants = make_ring(2, accelerated_window=0)
     for _i in range(3):
         participants[1].submit(b"x", Service.AGREED)
-    actions = participants[1].on_token(initial_token())
-    token1 = token_of(actions)
-    from repro.core import SendData
-
-    pump_data(participants, [a.message for a in actions if isinstance(a, SendData)])
-    token2, _ = handle(participants, 2, token1)
+    handled = participants[1].on_token(initial_token())
+    pump_data(participants, multicast(handled))
+    token2, _ = handle(participants, 2, handled.token)
     token3, _ = handle(participants, 1, token2)
     token4, _ = handle(participants, 2, token3)
     # By now everything is stable and discarded at both.
     assert participants[1].buffer.discarded_upto == 3
     # A stale request for a discarded message is dropped silently.
     stale = token4.evolve(hop=token4.hop + 2, rtr=(1, 2))
-    actions = participants[1].on_token(stale)
-    retrans = [a for a in actions if isinstance(a, SendData) and a.retransmission]
-    assert retrans == []
-    assert token_of(actions).rtr == ()
+    handled = participants[1].on_token(stale)
+    assert handled.retransmitted == []
+    assert handled.token.rtr == ()

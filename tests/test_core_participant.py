@@ -3,20 +3,13 @@
 import pytest
 
 from repro.core import (
-    Deliver,
-    Discard,
     Participant,
     ProtocolConfig,
     Ring,
-    SendData,
-    SendToken,
     Service,
     Token,
     TokenError,
-    deliveries,
     initial_token,
-    sends,
-    token_of,
 )
 
 
@@ -37,34 +30,28 @@ def submit_n(participant, n, service=Service.AGREED):
 def test_token_position_splits_pre_and_post_sends():
     participant = make_participant(accelerated_window=3, personal_window=10)
     submit_n(participant, 8)
-    actions = participant.on_token(initial_token())
-    kinds = [type(a).__name__ for a in actions]
-    token_at = kinds.index("SendToken")
-    pre = [a for a in actions[:token_at] if isinstance(a, SendData)]
-    post = [a for a in actions[token_at + 1:] if isinstance(a, SendData)]
-    assert len(pre) == 5 and len(post) == 3
-    assert all(not a.message.sent_after_token for a in pre)
-    assert all(a.message.sent_after_token for a in post)
+    handled = participant.on_token(initial_token())
+    assert [m.seq for m in handled.pre] == [1, 2, 3, 4, 5]
+    assert [m.seq for m in handled.post] == [6, 7, 8]
+    assert handled.retransmitted == []
+    assert all(not m.sent_after_token for m in handled.pre)
+    assert all(m.sent_after_token for m in handled.post)
 
 
 def test_all_sends_post_token_when_under_window():
     participant = make_participant(accelerated_window=10)
     submit_n(participant, 4)
-    actions = participant.on_token(initial_token())
-    kinds = [type(a).__name__ for a in actions]
-    assert kinds.index("SendToken") < kinds.index("SendData")
-    assert len(sends(actions)) == 4
-    assert all(m.sent_after_token for m in sends(actions))
+    handled = participant.on_token(initial_token())
+    assert handled.pre == []
+    assert len(handled.post) == 4
+    assert all(m.sent_after_token for m in handled.post)
 
 
 def test_zero_window_sends_everything_before_token():
     participant = make_participant(accelerated_window=0)
     submit_n(participant, 4)
-    actions = participant.on_token(initial_token())
-    kinds = [type(a).__name__ for a in actions]
-    assert kinds.index("SendToken") > max(
-        i for i, k in enumerate(kinds) if k == "SendData"
-    )
+    handled = participant.on_token(initial_token())
+    assert len(handled.pre) == 4 and handled.post == []
 
 
 def test_token_seq_reflects_unsent_messages():
@@ -72,30 +59,28 @@ def test_token_seq_reflects_unsent_messages():
     # only be multicast after it.
     participant = make_participant(accelerated_window=10)
     submit_n(participant, 6)
-    actions = participant.on_token(initial_token())
-    token = token_of(actions)
-    assert token.seq == 6
-    post_sends = [a for a in actions if isinstance(a, SendData)]
-    assert all(a.message.seq <= token.seq for a in post_sends)
+    handled = participant.on_token(initial_token())
+    assert handled.token.seq == 6
+    assert len(handled.post) == 6
+    assert all(m.seq <= handled.token.seq for m in handled.post)
 
 
 def test_seq_numbers_are_consecutive_from_received_seq():
     participant = make_participant()
     submit_n(participant, 3)
-    actions = participant.on_token(initial_token().evolve(seq=10, aru=10))
-    assert [m.seq for m in sends(actions)] == [11, 12, 13]
+    handled = participant.on_token(initial_token().evolve(seq=10, aru=10))
+    assert [m.seq for m in handled.pre + handled.post] == [11, 12, 13]
 
 
 def test_token_forwarded_to_successor():
     participant = make_participant(pid=2, members=(1, 2, 3))
-    actions = participant.on_token(initial_token().evolve(hop=1))
-    send = next(a for a in actions if isinstance(a, SendToken))
-    assert send.dst == 3
+    handled = participant.on_token(initial_token().evolve(hop=1))
+    assert handled.dst == 3
 
 
 def test_hop_increments():
     participant = make_participant()
-    token = token_of(participant.on_token(initial_token().evolve(hop=4)))
+    token = participant.on_token(initial_token().evolve(hop=4)).token
     assert token.hop == 5
 
 
@@ -104,7 +89,7 @@ def test_duplicate_token_ignored():
     first = participant.on_token(initial_token().evolve(hop=4))
     assert first
     again = participant.on_token(initial_token().evolve(hop=4))
-    assert again == []
+    assert again is None
     assert participant.stats.duplicate_tokens == 1
 
 
@@ -116,9 +101,9 @@ def test_token_for_wrong_ring_rejected():
 
 def test_idle_participant_just_passes_token():
     participant = make_participant()
-    actions = participant.on_token(initial_token())
-    assert len([a for a in actions if isinstance(a, SendData)]) == 0
-    assert token_of(actions).seq == 0
+    handled = participant.on_token(initial_token())
+    assert handled.retransmitted == handled.pre == handled.post == []
+    assert handled.token.seq == 0
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +113,12 @@ def test_idle_participant_just_passes_token():
 def test_fcc_adds_this_round_and_subtracts_last_round():
     participant = make_participant(personal_window=5, accelerated_window=0)
     submit_n(participant, 5)
-    token1 = token_of(participant.on_token(initial_token()))
+    token1 = participant.on_token(initial_token()).token
     assert token1.fcc == 5
     submit_n(participant, 2)
-    token2 = token_of(
-        participant.on_token(token1.evolve(hop=4, fcc=20, aru=token1.seq))
-    )
+    token2 = participant.on_token(
+        token1.evolve(hop=4, fcc=20, aru=token1.seq)
+    ).token
     # 20 - 5 (ours last round) + 2 (ours now) = 17
     assert token2.fcc == 17
 
@@ -141,8 +126,8 @@ def test_fcc_adds_this_round_and_subtracts_last_round():
 def test_global_window_throttles_sending():
     participant = make_participant(personal_window=50, global_window=10)
     submit_n(participant, 50)
-    actions = participant.on_token(initial_token().evolve(fcc=7))
-    assert len(sends(actions)) == 3
+    handled = participant.on_token(initial_token().evolve(fcc=7))
+    assert len(handled.pre + handled.post) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -152,21 +137,21 @@ def test_global_window_throttles_sending():
 def test_aru_tracks_seq_when_everyone_caught_up():
     participant = make_participant()
     submit_n(participant, 3)
-    token = token_of(participant.on_token(initial_token()))
+    token = participant.on_token(initial_token()).token
     assert token.seq == 3 and token.aru == 3 and token.aru_id is None
 
 
 def test_aru_lowered_when_behind():
     participant = make_participant()
     # Token claims seq=5 all received, but we have received nothing.
-    token = token_of(participant.on_token(initial_token().evolve(seq=5, aru=5)))
+    token = participant.on_token(initial_token().evolve(seq=5, aru=5)).token
     assert token.aru == 0
     assert token.aru_id == participant.pid
 
 
 def test_aru_raised_by_owner_after_catching_up():
     participant = make_participant()
-    token1 = token_of(participant.on_token(initial_token().evolve(seq=2, aru=2)))
+    token1 = participant.on_token(initial_token().evolve(seq=2, aru=2)).token
     assert token1.aru == 0 and token1.aru_id == participant.pid
     # The missing messages arrive between token visits.
     from repro.core.messages import DataMessage
@@ -175,9 +160,7 @@ def test_aru_raised_by_owner_after_catching_up():
         participant.on_data(
             DataMessage(seq=seq, pid=2, round=1, service=Service.AGREED)
         )
-    token2 = token_of(
-        participant.on_token(token1.evolve(hop=4))
-    )
+    token2 = participant.on_token(token1.evolve(hop=4)).token
     assert token2.aru == 2
     assert token2.aru_id is None  # fully caught up releases ownership
 
@@ -186,7 +169,7 @@ def test_aru_kept_when_owned_by_other():
     participant = make_participant()
     received = initial_token().evolve(seq=5, aru=3, aru_id=7)
     # Our local aru is 0 < 3, so we lower and take ownership.
-    token = token_of(participant.on_token(received))
+    token = participant.on_token(received).token
     assert token.aru == 0 and token.aru_id == participant.pid
 
 
@@ -199,7 +182,7 @@ def test_aru_unchanged_when_other_owner_and_not_lower():
             DataMessage(seq=seq, pid=2, round=1, service=Service.AGREED)
         )
     received = initial_token().evolve(seq=5, aru=2, aru_id=7)
-    token = token_of(participant.on_token(received))
+    token = participant.on_token(received).token
     # We hold 3 > 2 but 7 owns the aru: leave it alone.
     assert token.aru == 2 and token.aru_id == 7
 
@@ -210,11 +193,10 @@ def test_accelerated_aru_lags_seq_by_a_round():
     sender = make_participant(pid=1, members=(1, 2), accelerated_window=10)
     receiver = Participant(2, Ring.of((1, 2)), ProtocolConfig(accelerated_window=10))
     submit_n(sender, 5)
-    actions = sender.on_token(initial_token())
-    token = token_of(actions)
+    token = sender.on_token(initial_token()).token
     assert token.aru == token.seq == 5  # sender holds its own messages
     # Receiver gets the token BEFORE any data message (acceleration).
-    out = token_of(receiver.on_token(token))
+    out = receiver.on_token(token).token
     assert out.aru == 0 and out.aru_id == 2
 
 
@@ -226,24 +208,22 @@ def test_answers_requests_pre_token():
     participant = make_participant(accelerated_window=5)
     submit_n(participant, 2)
     first = participant.on_token(initial_token())
-    my_msgs = sends(first)
-    token_back = token_of(first).evolve(hop=4, rtr=(1,))
-    actions = participant.on_token(token_back)
-    kinds = [type(a).__name__ for a in actions]
-    retrans = [a for a in actions if isinstance(a, SendData) and a.retransmission]
-    assert len(retrans) == 1 and retrans[0].message.seq == 1
-    assert kinds.index("SendData") < kinds.index("SendToken")
-    assert 1 not in token_of(actions).rtr
+    token_back = first.token.evolve(hop=4, rtr=(1,))
+    handled = participant.on_token(token_back)
+    # The answer is the very message first sent, and goes out first.
+    assert handled.retransmitted == [first.post[0]]
+    assert handled.retransmitted[0].seq == 1
+    assert 1 not in handled.token.rtr
 
 
 def test_does_not_request_current_round_gaps():
     participant = make_participant(accelerated_window=5)
     # First token says seq=10; we received nothing, but these may be
     # unsent post-token messages: no requests yet.
-    token1 = token_of(participant.on_token(initial_token().evolve(seq=10, aru=10)))
+    token1 = participant.on_token(initial_token().evolve(seq=10, aru=10)).token
     assert token1.rtr == ()
     # Next round the horizon is 10: now the gaps are real.
-    token2 = token_of(participant.on_token(token1.evolve(hop=4)))
+    token2 = participant.on_token(token1.evolve(hop=4)).token
     assert token2.rtr == tuple(range(1, 11))
     assert participant.stats.retransmissions_requested == 10
 
@@ -252,7 +232,7 @@ def test_original_config_requests_current_round():
     participant = Participant(
         1, Ring.of((1, 2)), ProtocolConfig.original_ring()
     )
-    token = token_of(participant.on_token(initial_token().evolve(seq=4, aru=4)))
+    token = participant.on_token(initial_token().evolve(seq=4, aru=4)).token
     assert token.rtr == (1, 2, 3, 4)
 
 
@@ -263,20 +243,20 @@ def test_original_config_requests_current_round():
 def test_own_agreed_messages_delivered_immediately():
     participant = make_participant(accelerated_window=0)
     submit_n(participant, 3)
-    actions = participant.on_token(initial_token())
-    assert [m.seq for m in deliveries(actions)] == [1, 2, 3]
+    handled = participant.on_token(initial_token())
+    assert [m.seq for m in handled.delivered] == [1, 2, 3]
 
 
 def test_own_safe_messages_wait_two_rounds():
     participant = make_participant(accelerated_window=0)
     submit_n(participant, 2, Service.SAFE)
     first = participant.on_token(initial_token())
-    assert deliveries(first) == []
-    token = token_of(first)
-    second = participant.on_token(token.evolve(hop=4))
-    assert [m.seq for m in deliveries(second)] == [1, 2]
+    assert first.delivered == []
+    second = participant.on_token(first.token.evolve(hop=4))
+    assert [m.seq for m in second.delivered] == [1, 2]
     # And once stable they are discarded.
-    assert any(isinstance(a, Discard) and a.upto == 2 for a in second)
+    assert participant.buffer.discarded_upto == 2
+    assert participant.stats.discarded == 2
 
 
 def test_data_message_delivery_in_order():

@@ -6,8 +6,11 @@ two fixed workloads: a seeded ``SpreadCluster`` run on the loopback ring
 and a short ``SimCluster`` run shaped like the benchmark's ``sim_10g``.
 It pins the per-message work those paths are down to:
 
-* each initiated message is built once (one ``DataMessage.__init__``);
-* a token handling hands over its released run as at most one ``Deliver``;
+* each submitted message is queued once (one ``_PendingMessage``) and
+  each initiated message is built once (one ``DataMessage``);
+* no other object of ``repro.core`` is built per message: every other
+  constructor there, ``TokenRound`` included, runs at most once per
+  token handled;
 * the delivery frontier is walked at most once per token handled plus
   once per data message that fills the slot above it.
 
@@ -15,39 +18,64 @@ A per-message wrapper or copy brought back fails here instead of hiding
 in benchmark noise.
 """
 
+import importlib
+import pkgutil
 import random
 import sys
 
 import pytest
 
+import repro.core
 from repro.bench.experiments import tuned_configs
-from repro.core import DataMessage, Deliver, DeliveryEngine, Participant, Service
+from repro.core import DeliveryEngine, Participant, Service
 from repro.net import TEN_GIGABIT
 from repro.sim import DAEMON
 from repro.sim.cluster import SimCluster
 from repro.spreadlike import SpreadCluster
 
-BUILD = DataMessage.__init__.__code__
-WRAP = Deliver.__init__.__code__
 WALK = DeliveryEngine.collect_deliverable.__code__
 RECEIVE = Participant.on_data.__code__
+SUBMIT = Participant.submit.__code__
+
+
+def core_constructors():
+    """Every ``__init__`` a class under ``repro.core`` defines (dataclass
+    ones included), by code object -> the class name."""
+    codes = {}
+    for module_info in pkgutil.iter_modules(repro.core.__path__):
+        module = importlib.import_module("repro.core." + module_info.name)
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            init = vars(cls).get("__init__")
+            if getattr(init, "__qualname__", "") == cls.__qualname__ + ".__init__":
+                codes[init.__code__] = cls.__name__
+    return codes
+
+
+BUILDS = core_constructors()
 
 
 def count_calls(run):
     """``run()`` under a profile hook -> (its participants, counts).
 
-    ``counts`` holds the calls of ``BUILD``, ``WRAP`` and ``WALK`` and,
-    under ``"frontier"``, the ``on_data`` calls whose message is new and
-    fills the slot above the delivery frontier.
+    ``counts`` holds, per class name, the calls of each core constructor,
+    the calls of ``WALK`` and ``SUBMIT`` and, under ``"frontier"``, the
+    ``on_data`` calls whose message is new and fills the slot above the
+    delivery frontier.
     """
-    counts = {BUILD: 0, WRAP: 0, WALK: 0}
+    counts = dict.fromkeys(BUILDS.values(), 0)
+    counts[WALK] = counts[SUBMIT] = 0
     frontier = [0]
 
     def hook(frame, event, _arg):
         if event != "call":
             return
         code = frame.f_code
-        if code in counts:
+        name = BUILDS.get(code)
+        if name is not None:
+            counts[name] += 1
+        elif code is WALK or code is SUBMIT:
             counts[code] += 1
         elif code is RECEIVE:
             # Arguments only: the hook runs before the body does.
@@ -109,6 +137,11 @@ def test_token_and_data_paths_do_per_message_work_once(run):
     initiated = sum(p.stats.messages_initiated for p in participants)
     tokens = sum(p.stats.tokens_handled for p in participants)
     assert initiated > 1000 and tokens > 100
-    assert counts[BUILD] == initiated
-    assert counts[WRAP] <= tokens
+    assert counts.pop("_PendingMessage") == counts[SUBMIT]
+    assert counts.pop("DataMessage") == initiated
+    assert counts.pop("TokenRound", 0) <= tokens
+    # One token per handling, and the ring's initial one.
+    assert counts.pop("Token") <= tokens + 1
+    for name in BUILDS.values():
+        assert counts.get(name, 0) <= tokens, name
     assert counts[WALK] <= tokens + counts["frontier"]

@@ -3,7 +3,7 @@
 Every substrate runs its participants through ``RingDriver``; what is
 asserted here once therefore holds for the loopback harness, the
 simulator and the UDP emulation alike: the priority pick, effect order
-(the SendToken between the pre- and post-token sends), batch boundaries
+(the token between the pre- and post-token sends), batch boundaries
 under ``jumbo_datagram_bytes``, pauses before effects, the trace hooks,
 and the token-resend decision.
 """
@@ -14,15 +14,12 @@ import pytest
 
 from repro.core import (
     DataMessage,
-    Deliver,
-    Discard,
     JumboDatagram,
     Participant,
     ProtocolConfig,
     Ring,
-    SendData,
-    SendToken,
     Service,
+    TokenRound,
     initial_token,
 )
 from repro.core.coalesce import JUMBO_COUNT_BYTES, JUMBO_ENTRY_BYTES
@@ -37,19 +34,19 @@ def message(seq, size=1000, pid=1):
 
 
 class CannedParticipant:
-    """Returns scripted action lists (``on_token``) and released-message
-    lists (``on_data``); exposes what the driver reads."""
+    """Returns a scripted round (``on_token``; ``None`` = a duplicate) and
+    released-message lists (``on_data``); exposes what the driver reads."""
 
-    def __init__(self, config=None, on_token=(), on_data=None):
+    def __init__(self, config=None, on_token=None, on_data=None):
         self.config = config or ProtocolConfig()
         self._priority = SimpleNamespace(_token_high=False)
-        self._on_token = list(on_token)
+        self._on_token = on_token
         self._on_data = on_data or {}
         self.handled = []
 
     def on_token(self, token):
         self.handled.append(("token", token))
-        return list(self._on_token)
+        return self._on_token
 
     def on_data(self, msg):
         self.handled.append(("data", msg.seq))
@@ -92,9 +89,6 @@ class RecordingPort:
     def deliver(self, msg):
         self.log.append(("deliver", msg.seq))
 
-    def discard(self, upto):
-        self.log.append(("discard", upto))
-
     def set_timer(self, delay_s, fn, *args):
         self.log.append(("timer", delay_s, fn, args))
 
@@ -113,21 +107,20 @@ def effects(port, *kinds):
 
 def token_round(config=None, timed=False):
     """pre-token sends 1-2 (1 a retransmission), token, post-token 3-7,
-    a released run of two, one discard — the shape of a real token
-    handling."""
-    actions = [
-        SendData(message(1), retransmission=True),
-        SendData(message(2)),
-        SendToken("TOKEN", 2),
-        *[SendData(message(seq)) for seq in range(3, 8)],
-        Deliver([message(1), message(2)]),
-        Discard(2),
-    ]
-    participant = CannedParticipant(config, on_token=actions)
+    a released run of two — the shape of a real token handling."""
+    handled = TokenRound(
+        retransmitted=[message(1)],
+        pre=[message(2)],
+        token="TOKEN",
+        dst=2,
+        post=[message(seq) for seq in range(3, 8)],
+        delivered=[message(1), message(2)],
+    )
+    participant = CannedParticipant(config, on_token=handled)
     port = RecordingPort(participant, timed=timed)
     driver = RingDriver(port, HEADER)
     driver.tokens.append("T0")
-    return driver, port, actions
+    return driver, port, handled
 
 
 # -- the priority pick -------------------------------------------------------
@@ -172,7 +165,7 @@ def test_effects_run_in_action_order_without_coalescing():
         ("token", "TOKEN"), ("timer", timeout),
         ("multicast", 3), ("multicast", 4), ("multicast", 5),
         ("multicast", 6), ("multicast", 7),
-        ("deliver", 1), ("deliver", 2), ("discard", 2),
+        ("deliver", 1), ("deliver", 2),
     ]
 
 
@@ -188,9 +181,9 @@ def test_coalescing_flushes_before_the_token_and_under_the_cap():
         ("batch", (1, 2), base + 2 * entry),
         ("token", "TOKEN", 2),
         ("batch", (3, 4, 5), base + 3 * entry),
-        # The tail flushes before the first non-send action.
+        # The tail flushes before the delivered run.
         ("batch", (6, 7), base + 2 * entry),
-        ("deliver", 1), ("deliver", 2), ("discard", 2),
+        ("deliver", 1), ("deliver", 2),
     ]
     for _kind, _seqs, size in effects(port, "batch"):
         assert size <= 3100
@@ -208,8 +201,8 @@ def test_sends_at_the_end_of_the_list_still_flush():
     for cap in (None, 8850):
         participant = CannedParticipant(
             ProtocolConfig(jumbo_datagram_bytes=cap),
-            on_token=[SendToken("T1", 2), SendData(message(1)),
-                      SendData(message(2))],
+            on_token=TokenRound([], [], "T1", 2,
+                                [message(1), message(2)], []),
         )
         port = RecordingPort(participant)
         driver = RingDriver(port, HEADER)
@@ -218,9 +211,10 @@ def test_sends_at_the_end_of_the_list_still_flush():
         sent = effects(port, "multicast", "batch")
         assert sent == ([("multicast", 1), ("multicast", 2)] if cap is None
                         else [("batch", (1, 2), 64 + 2 * 1005)])
-        # Nothing is carried over into the next input's walk.
+        # Nothing is carried over into the next input's walk, and a
+        # duplicate token (no round) has no effect at all.
         del port.log[:]
-        participant._on_token = []
+        participant._on_token = None
         driver.tokens.append("T2")
         driver.step()
         assert port.log == []
@@ -294,7 +288,6 @@ def test_pauses_are_yielded_before_the_effect_they_pay_for():
         ("pause", ("send_data", 2000)), ("batch", (6, 7), 2074),
         ("pause", ("deliver", 1000)), ("deliver", 1),
         ("pause", ("deliver", 1000)), ("deliver", 2),
-        ("discard", 2),
     ]
 
 
@@ -348,7 +341,7 @@ def test_trace_hooks_carry_flags_per_message(cap):
     assert sends == [(1, True, coalesced)] + [
         (seq, False, coalesced) for seq in range(2, 8)]
     assert batches == ([[1, 2], [3, 4, 5], [6, 7]] if coalesced else [])
-    # Ordered when the participant returned the list, delivered later.
+    # Ordered when the participant returned the round, delivered later.
     assert deliveries == [(1, 5.0, 6.0), (2, 5.0, 7.0)]
 
 
@@ -362,51 +355,51 @@ def resend_setup(limit=3):
     driver = RingDriver(port)
     driver.tokens.append(initial_token(ring.ring_id))
     driver.step()
-    (_kind, delay, fn, (send, attempt)), = effects(port, "timer")
-    assert (delay, attempt) == (config.token_retransmit_timeout_s, 0)
+    (_kind, delay, fn, (token, dst, attempt)), = effects(port, "timer")
+    assert (delay, dst, attempt) == (config.token_retransmit_timeout_s, 2, 0)
     assert fn == driver.resend_token
-    assert send.token is participant.last_token_sent
+    assert token is participant.last_token_sent
     del port.log[:]
-    return driver, port, participant, send
+    return driver, port, participant, token
 
 
 def test_timer_resends_and_rearms_while_the_ring_is_silent():
-    driver, port, participant, send = resend_setup()
-    assert driver.resend_token(send, 0)
+    driver, port, participant, token = resend_setup()
+    assert driver.resend_token(token, 2, 0)
     assert driver.tokens_resent == 1
     assert [e[:1] for e in port.log] == [("token",), ("timer",)]
-    assert port.log[0] == ("token", send.token, 2)
-    assert port.log[1][3] == (send, 1)
+    assert port.log[0] == ("token", token, 2)
+    assert port.log[1][3] == (token, 2, 1)
 
 
 def test_no_resend_once_a_newer_token_was_handled():
-    driver, port, participant, send = resend_setup()
-    newer = send.token.evolve(hop=send.token.hop + 2)
+    driver, port, participant, token = resend_setup()
+    newer = token.evolve(hop=token.hop + 2)
     driver.tokens.append(newer)
     driver.step()
     del port.log[:]
-    assert participant.last_token_sent is not send.token
-    assert not driver.resend_token(send, 0)
+    assert participant.last_token_sent is not token
+    assert not driver.resend_token(token, 2, 0)
     assert port.log == [] and driver.tokens_resent == 0
 
 
 def test_no_resend_once_progress_was_seen():
-    driver, port, participant, send = resend_setup()
-    later = DataMessage(seq=1, pid=2, round=send.token.hop + 1,
+    driver, port, participant, token = resend_setup()
+    later = DataMessage(seq=1, pid=2, round=token.hop + 1,
                         service=Service.AGREED, payload=None, payload_size=0)
     driver.data.append(later)
     driver.step()
     del port.log[:]
-    assert participant.last_token_sent is send.token
+    assert participant.last_token_sent is token
     assert participant.progress_since_token_send()
-    assert not driver.resend_token(send, 0)
+    assert not driver.resend_token(token, 2, 0)
     assert port.log == []
 
 
 def test_no_resend_past_the_limit():
-    driver, port, participant, send = resend_setup(limit=2)
-    assert driver.resend_token(send, 0)
-    assert driver.resend_token(send, 1)
+    driver, port, participant, token = resend_setup(limit=2)
+    assert driver.resend_token(token, 2, 0)
+    assert driver.resend_token(token, 2, 1)
     del port.log[:]
-    assert not driver.resend_token(send, 2)
+    assert not driver.resend_token(token, 2, 2)
     assert port.log == [] and driver.tokens_resent == 2

@@ -229,17 +229,15 @@ def first_round_of_leader(config, n_nodes, n_messages):
     """What node 0 puts on the wire handling the first token with
     ``n_messages`` submitted -> (data in send order, the token)."""
     from repro.core import Participant, Ring, initial_token
-    from repro.core.actions import SendData, SendToken
 
     ring = Ring.of(list(range(n_nodes)))
     leader = Participant(0, ring, config)
     for i in range(n_messages):
         leader.submit(("m", i))
-    actions = leader.on_token(initial_token(ring.ring_id))
-    data = [a.message for a in actions if type(a) is SendData]
-    (token,) = [a.token for a in actions if type(a) is SendToken]
+    handled = leader.on_token(initial_token(ring.ring_id))
+    data = handled.pre + handled.post
     assert len(data) == n_messages
-    return data, token
+    return data, handled.token
 
 
 def kinds(log):

@@ -1,21 +1,14 @@
-"""Unit tests for the participant's observer stages and the action helpers."""
+"""Unit tests for the participant's observer stages and its round record."""
 
 import pytest
 
 from repro.core import (
-    Deliver,
-    Discard,
     Participant,
     ProtocolConfig,
     Ring,
-    SendData,
-    SendToken,
     Service,
-    Token,
-    deliveries,
+    TokenRound,
     initial_token,
-    sends,
-    token_of,
 )
 from repro.core.messages import DataMessage
 
@@ -45,7 +38,7 @@ def test_subscribe_and_emit():
     )
     participant.submit(b"a")
     participant.submit(b"b")
-    first = token_of(participant.on_token(initial_token()))
+    first = participant.on_token(initial_token()).token
     other = DataMessage(seq=3, pid=2, round=1, service=Service.AGREED)
     participant.on_data(other)
     participant.on_data(other)  # a duplicate is not observed
@@ -89,55 +82,32 @@ def test_observers_survive_rebind_ring():
 
 
 # ---------------------------------------------------------------------------
-# Action helpers
+# TokenRound
 # ---------------------------------------------------------------------------
 
-def test_deliveries_extracts_in_order():
-    actions = [
-        SendData(msg(1)),
-        Deliver([msg(2), msg(3)]),
-        SendToken(Token(), dst=2),
-        Deliver([msg(4)]),
-        Discard(1),
-    ]
-    assert [m.seq for m in deliveries(actions)] == [2, 3, 4]
+def test_token_round_carries_the_released_run():
+    # The delivered run is the delivery engine's list itself, in total
+    # order; with no window every message goes out before the token.
+    participant = Participant(1, Ring.of((1,)),
+                              ProtocolConfig(accelerated_window=0))
+    participant.submit(b"a")
+    participant.submit(b"b", Service.SAFE)
+    participant.submit(b"c")
+    handled = participant.on_token(initial_token())
+    assert [m.seq for m in handled.pre] == [1, 2, 3]
+    # The Safe message waits for the stability bound, and so does c.
+    assert handled.delivered == handled.pre[:1]
+    handled = participant.on_token(handled.token)
+    assert [m.payload for m in handled.delivered] == [b"b", b"c"]
+    assert participant.stats.delivered == 3
 
 
-def test_sends_extracts_data_only():
-    actions = [
-        SendData(msg(1)),
-        SendToken(Token(), dst=2),
-        SendData(msg(2), retransmission=True),
-    ]
-    assert [m.seq for m in sends(actions)] == [1, 2]
-
-
-def test_token_of_requires_exactly_one():
-    with pytest.raises(ValueError):
-        token_of([SendData(msg(1))])
-    with pytest.raises(ValueError):
-        token_of([SendToken(Token(), 1), SendToken(Token(), 1)])
-    token = Token(seq=5)
-    assert token_of([SendToken(token, 1)]) is token
-
-
-def test_deliver_carries_a_released_run():
-    # One Deliver per token handling carries the whole released run, the
-    # list itself: value equality, but no hash over a mutable list.
-    run = [msg(1), DataMessage(seq=2, pid=1, round=1, service=Service.SAFE)]
-    deliver = Deliver(run)
-    assert deliver.messages is run
-    assert deliver == Deliver([msg(1), run[1]])
-    with pytest.raises(TypeError):
-        hash(deliver)
-
-
-def test_actions_value_semantics():
-    # Actions are value objects, immutable by convention (``frozen`` was
-    # dropped for construction speed — a SendData per sent message is
-    # built in the hot path); hash and equality stay field-based.
-    a = SendData(msg(1))
-    b = SendData(msg(1))
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a != SendData(msg(1), retransmission=True)
+def test_token_round_is_a_truthy_record():
+    # A round compares by value and is truthy even when it sends and
+    # delivers nothing: only a duplicate token handles to ``None``.
+    participant = _participant()
+    handled = participant.on_token(initial_token())
+    assert handled
+    assert handled == TokenRound([], [], participant.last_token_sent, 2,
+                                 [], [])
+    assert participant.on_token(initial_token()) is None

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import LoopbackRing, ProtocolConfig, Service
-from repro.core import DataMessage, Participant, Ring, Token, deliveries
+from repro.core import DataMessage, Participant, Ring, Token
 
 
 @st.composite
@@ -56,7 +56,7 @@ def test_a_skipped_frontier_walk_would_release_nothing(schedule):
             token = Token(ring_id=ring.ring_id, hop=hop, seq=n, aru=value,
                           aru_id=2)
             hop += len(ring)
-            released += deliveries(participant.on_token(token))
+            released += participant.on_token(token).delivered
         # Every entry point leaves the frontier collected, so a walk
         # on_data skipped, or any other, now releases nothing.
         assert engine.collect_deliverable(participant.buffer) == []

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core import Service
 from repro.evs import EVSChecker
-from repro.evs.semantics import EVSViolation, check_all
+from repro.evs.semantics import check_all
 from repro.harness.evsnet import EVSNetwork
 from repro.membership import MembershipTimeouts
 
@@ -74,22 +74,19 @@ def test_pinned_churn_meltdown_schedules_converge(seed):
     run_churn_schedule(seed, n=50, operations=10)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=EVSViolation,
-    reason="open bug: VS violation in transitional delivery (ROADMAP #1)",
-)
-@pytest.mark.parametrize("seed, n, operations", [(5309, 3, 2), (309, 3, 3)])
-def test_pinned_vs_violation_partition_during_transitional(seed, n, operations):
-    """Known-open bug: hypothesis-found schedules where processes that
-    move together from one regular configuration to the same
-    transitional configuration deliver different message sets — a
-    virtual synchrony violation in the membership/recovery path.  In
-    5309, processes 1 and 3 move from (1,2,3) to transitional (1,3);
-    309 is a third repro the unpinned EVS property test drew.  Pinned
-    here (xfail) so the failing schedules are deterministic instead of
-    random hypothesis draws; flip to a plain test when the
-    transitional-configuration delivery cut is fixed.
+@pytest.mark.parametrize("seed, n, operations",
+                         [(5309, 3, 2), (309, 3, 3), (4142, 2, 2), (162, 4, 3)])
+def test_pinned_vs_schedules_cut_alike(seed, n, operations):
+    """Regression: processes that move together from one regular
+    configuration to the same transitional configuration delivered
+    different message sets — a virtual synchrony violation.
+
+    In 5309, processes 1 and 3 move from (1,2,3) to transitional (1,3);
+    309, 4142 (n=2) and 162 (n=4) came out of a 24,000-schedule sweep
+    (``make vs-sweep``).  Each sharer split regular from transitional
+    delivery on its LOCAL safe bound, so one Safe message landed on
+    opposite sides of the transitional configuration.  Fixed by cutting
+    on the largest safe bound among the sharers (DESIGN.md section 7).
     """
     run_schedule(seed, n, operations)
 

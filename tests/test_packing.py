@@ -12,8 +12,6 @@ from repro.core import (
     Ring,
     initial_token,
     pack_next,
-    sends,
-    token_of,
 )
 from repro.core.participant import _PendingMessage
 
@@ -143,8 +141,8 @@ def test_packing_reduces_packet_count():
     for participant in (packed_participant, plain_participant):
         for i in range(30):
             participant.submit(("m", i), Service.AGREED, payload_size=100)
-    packed_sends = sends(packed_participant.on_token(initial_token()))
-    plain_sends = sends(plain_participant.on_token(initial_token()))
+    packed_sends = packed_participant.on_token(initial_token()).pre
+    plain_sends = plain_participant.on_token(initial_token()).pre
     assert len(plain_sends) == 30
     assert len(packed_sends) == 3  # 11 + 11 + 8
     assert token_of_seq(packed_participant) == 3
@@ -162,7 +160,7 @@ def test_fcc_counts_packets_not_items():
     )
     for i in range(30):
         participant.submit(("m", i), Service.AGREED, payload_size=100)
-    token = token_of(participant.on_token(initial_token()))
+    token = participant.on_token(initial_token()).token
     assert token.fcc == 3
     assert token.seq == 3
 
