@@ -15,26 +15,16 @@ reproduce the paper's evaluation:
 * :mod:`repro.bench` — the harness that regenerates Figures 1-7.
 """
 
-from .core import (
-    AcceleratedWindowTuner,
-    DataMessage,
-    Participant,
-    PriorityMethod,
-    ProtocolConfig,
-    Ring,
-    Service,
-    Token,
-    TunerConfig,
-    initial_token,
-)
-from .harness import LoopbackRing
+from ._exports import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "core": (
+        "Participant", "ProtocolConfig", "PriorityMethod", "Service", "Ring",
+        "Token", "DataMessage", "initial_token", "AcceleratedWindowTuner",
+        "TunerConfig",
+    ),
+    "harness": ("LoopbackRing",),
+})
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "Participant", "ProtocolConfig", "PriorityMethod", "Service",
-    "Ring", "Token", "DataMessage", "initial_token",
-    "AcceleratedWindowTuner", "TunerConfig",
-    "LoopbackRing",
-    "__version__",
-]
+__all__.append("__version__")

@@ -17,35 +17,16 @@ Run it with ``python -m repro.cli lint`` (or ``python -m
 repro.analysis``); CI runs ``make lint`` as a hard gate.
 """
 
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    load_baseline,
-    split_by_baseline,
-    write_baseline,
-)
-from .engine import (
-    AnalysisConfig,
-    AnalysisReport,
-    analyze_file,
-    analyze_source,
-    analyze_tree,
-    iter_package_files,
-)
-from .rules import ALL_RULES, Finding, Rule, all_rule_ids
+from .._exports import lazy_exports
 
-__all__ = [
-    "ALL_RULES",
-    "AnalysisConfig",
-    "AnalysisReport",
-    "DEFAULT_BASELINE_NAME",
-    "Finding",
-    "Rule",
-    "all_rule_ids",
-    "analyze_file",
-    "analyze_source",
-    "analyze_tree",
-    "iter_package_files",
-    "load_baseline",
-    "split_by_baseline",
-    "write_baseline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "rules": ("ALL_RULES", "Finding", "Rule", "all_rule_ids"),
+    "engine": (
+        "AnalysisConfig", "AnalysisReport", "analyze_file", "analyze_source",
+        "analyze_tree", "iter_package_files",
+    ),
+    "baseline": (
+        "DEFAULT_BASELINE_NAME", "load_baseline", "split_by_baseline",
+        "write_baseline",
+    ),
+})

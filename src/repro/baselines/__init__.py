@@ -1,13 +1,10 @@
 """Non-token total-order comparators (Section V of the paper)."""
 
-from .comparators import (
-    BaselineHost,
-    BaselineResult,
-    run_ringpaxos_point,
-    run_sequencer_point,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "run_sequencer_point", "run_ringpaxos_point",
-    "BaselineHost", "BaselineResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "comparators": (
+        "run_sequencer_point", "run_ringpaxos_point", "BaselineHost",
+        "BaselineResult",
+    ),
+})

@@ -1,37 +1,19 @@
 """Benchmark harness: regenerates every figure of the paper's evaluation."""
 
-from .experiments import (
-    ALL_FIGURES,
-    SweepSpec,
-    full_mode,
-    make_fig1,
-    make_fig2,
-    make_fig3,
-    make_fig4,
-    make_fig5,
-    make_fig6,
-    make_fig7,
-    tuned_configs,
-)
-from .report import (
-    HEADLINES,
-    REGISTRY,
-    headline,
-    register,
-    render_all,
-    reset,
-    simultaneous_improvement,
-    throughput_gain_at_latency,
-)
-from .runner import persist_figure, run_sweep, series_label, sweep_points
-from .sweep import SweepPoint, SweepRunner, default_processes, run_sweep_point
+from .._exports import lazy_exports
 
-__all__ = [
-    "SweepSpec", "tuned_configs", "full_mode", "ALL_FIGURES",
-    "make_fig1", "make_fig2", "make_fig3", "make_fig4", "make_fig5",
-    "make_fig6", "make_fig7",
-    "run_sweep", "persist_figure", "series_label", "sweep_points",
-    "SweepPoint", "SweepRunner", "default_processes", "run_sweep_point",
-    "register", "headline", "render_all", "reset", "REGISTRY", "HEADLINES",
-    "simultaneous_improvement", "throughput_gain_at_latency",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "experiments": (
+        "SweepSpec", "tuned_configs", "full_mode", "ALL_FIGURES", "make_fig1",
+        "make_fig2", "make_fig3", "make_fig4", "make_fig5", "make_fig6",
+        "make_fig7",
+    ),
+    "runner": ("run_sweep", "persist_figure", "series_label", "sweep_points"),
+    "sweep": (
+        "SweepPoint", "SweepRunner", "default_processes", "run_sweep_point",
+    ),
+    "report": (
+        "register", "headline", "render_all", "reset", "REGISTRY", "HEADLINES",
+        "simultaneous_improvement", "throughput_gain_at_latency",
+    ),
+})

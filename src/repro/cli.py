@@ -218,7 +218,7 @@ def _multiring(args) -> int:
 
 def _decode(args) -> int:
     """The ``decode`` tool: render or summarize one ``.rcap`` capture."""
-    from .wire.decode import render_capture, render_summary
+    from .wire.analyzer import render_capture, render_summary
 
     lines = (
         render_summary(args.capture) if args.summary

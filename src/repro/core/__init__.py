@@ -23,42 +23,31 @@ Typical use::
     # then deliver handled.delivered.
 """
 
-from .autotune import AcceleratedWindowTuner, TunerConfig
-from .buffer import ReceiveBuffer
-from .config import PriorityMethod, ProtocolConfig, Service
-from .delivery import DeliveryEngine
-from .driver import DriverPort, Inbox, RingDriver
-from .errors import (
-    ConfigurationError,
-    DeliveryInvariantError,
-    ProtocolError,
-    RingError,
-    TokenError,
-)
-from .coalesce import (
-    DEFAULT_JUMBO_BYTES,
-    JUMBO_ENTRY_BYTES,
-    JumboDatagram,
-    coalesce,
-)
-from .flow_control import FlowControlDecision, new_message_budget, updated_fcc
-from .messages import DataMessage, Token, initial_token
-from .packing import ITEM_HEADER_BYTES, PackedItem, PackedPayload, pack_next
-from .participant import Participant, ParticipantStats, TokenRound
-from .priority import PriorityTracker
-from .retransmit import RetransmitTracker
-from .ring import Ring
+from .._exports import lazy_exports
 
-__all__ = [
-    "Participant", "ParticipantStats", "TokenRound",
-    "ProtocolConfig", "PriorityMethod", "Service",
-    "Ring", "Token", "DataMessage", "initial_token",
-    "RingDriver", "Inbox", "DriverPort",
-    "ReceiveBuffer", "DeliveryEngine", "PriorityTracker", "RetransmitTracker",
-    "FlowControlDecision", "new_message_budget", "updated_fcc",
-    "AcceleratedWindowTuner", "TunerConfig",
-    "PackedPayload", "PackedItem", "pack_next", "ITEM_HEADER_BYTES",
-    "JumboDatagram", "coalesce", "DEFAULT_JUMBO_BYTES", "JUMBO_ENTRY_BYTES",
-    "ProtocolError", "ConfigurationError", "RingError", "TokenError",
-    "DeliveryInvariantError",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "participant": ("Participant", "ParticipantStats", "TokenRound"),
+    "config": ("ProtocolConfig", "PriorityMethod", "Service"),
+    "ring": ("Ring",),
+    "messages": ("Token", "DataMessage", "initial_token"),
+    "driver": ("RingDriver", "Inbox", "DriverPort"),
+    "buffer": ("ReceiveBuffer",),
+    "delivery": ("DeliveryEngine",),
+    "priority": ("PriorityTracker",),
+    "retransmit": ("RetransmitTracker",),
+    "flow_control": (
+        "FlowControlDecision", "new_message_budget", "updated_fcc",
+    ),
+    "autotune": ("AcceleratedWindowTuner", "TunerConfig"),
+    "packing": (
+        "PackedPayload", "PackedItem", "pack_next", "ITEM_HEADER_BYTES",
+    ),
+    "coalesce": (
+        "JumboDatagram", "coalesce", "DEFAULT_JUMBO_BYTES",
+        "JUMBO_ENTRY_BYTES",
+    ),
+    "errors": (
+        "ProtocolError", "ConfigurationError", "RingError", "TokenError",
+        "DeliveryInvariantError",
+    ),
+})

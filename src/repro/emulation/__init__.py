@@ -4,14 +4,10 @@ The library-based prototype of the paper, in miniature: real datagrams,
 real kernel buffers, real token acceleration — on 127.0.0.1.
 """
 
-from .cluster import EmulatedRing
-from .node import EmulatedNode
-from .transport import OversizedDatagramError, PortPair, UdpTransport
+from .._exports import lazy_exports
 
-__all__ = [
-    "EmulatedRing",
-    "EmulatedNode",
-    "UdpTransport",
-    "PortPair",
-    "OversizedDatagramError",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "cluster": ("EmulatedRing",),
+    "node": ("EmulatedNode",),
+    "transport": ("UdpTransport", "PortPair", "OversizedDatagramError"),
+})

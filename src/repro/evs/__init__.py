@@ -1,15 +1,11 @@
 """Extended Virtual Synchrony layer: configurations and app-level events."""
 
-from .configuration import (
-    AppMessage,
-    ConfigChange,
-    Configuration,
-    ConfigurationKind,
-)
-from .checker import EVSChecker
-from .semantics import EVSViolation, check_all, check_virtual_synchrony
+from .._exports import lazy_exports
 
-__all__ = [
-    "Configuration", "ConfigurationKind", "ConfigChange", "AppMessage",
-    "EVSViolation", "EVSChecker", "check_all", "check_virtual_synchrony",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "configuration": (
+        "Configuration", "ConfigurationKind", "ConfigChange", "AppMessage",
+    ),
+    "semantics": ("EVSViolation", "check_all", "check_virtual_synchrony"),
+    "checker": ("EVSChecker",),
+})

@@ -1,5 +1,7 @@
 """In-process drivers for correctness testing and examples."""
 
-from .loopback import LoopbackRing, StabilityViolation
+from .._exports import lazy_exports
 
-__all__ = ["LoopbackRing", "StabilityViolation"]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "loopback": ("LoopbackRing", "StabilityViolation"),
+})

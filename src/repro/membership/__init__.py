@@ -6,32 +6,17 @@ rings: failure detection, the Gather/Commit/Recover state machine, and
 recovery of old-ring messages with EVS transitional semantics.
 """
 
-from .controller import EVSProcess, MembershipTimeouts, Outgoing, State
-from .gossip import (
-    GossipAck,
-    GossipConfig,
-    GossipDetector,
-    GossipPing,
-    GossipPingReq,
-    GossipUpdate,
-    PeerAlive,
-    PeerConfirm,
-    PeerSuspect,
-)
-from .messages import (
-    CommitToken,
-    JoinMessage,
-    MemberInfo,
-    ProbeMessage,
-    RecoveryComplete,
-    RecoveryData,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "EVSProcess", "MembershipTimeouts", "Outgoing", "State",
-    "JoinMessage", "CommitToken", "MemberInfo", "ProbeMessage",
-    "RecoveryData", "RecoveryComplete",
-    "GossipDetector", "GossipConfig", "GossipUpdate",
-    "GossipPing", "GossipPingReq", "GossipAck",
-    "PeerAlive", "PeerSuspect", "PeerConfirm",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "controller": ("EVSProcess", "MembershipTimeouts", "Outgoing", "State"),
+    "messages": (
+        "JoinMessage", "CommitToken", "MemberInfo", "ProbeMessage",
+        "RecoveryData", "RecoveryComplete",
+    ),
+    "gossip": (
+        "GossipDetector", "GossipConfig", "GossipUpdate", "GossipPing",
+        "GossipPingReq", "GossipAck", "PeerAlive", "PeerSuspect",
+        "PeerConfirm",
+    ),
+})

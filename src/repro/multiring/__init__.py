@@ -28,17 +28,11 @@ simulator in: :mod:`repro.multiring.sim` holds
 scaling sweep behind ``python -m repro.cli multiring``.
 """
 
-from .checker import CrossRingChecker
-from .merge import MergedEntry, MergeError, RoundMerger, merge_fingerprint
-from .messages import MARKER_WIRE_SIZE, RoundMarker
-from .partition import RingPartitioner
+from .._exports import lazy_exports
 
-__all__ = [
-    "CrossRingChecker",
-    "MARKER_WIRE_SIZE",
-    "MergeError",
-    "MergedEntry",
-    "RingPartitioner",
-    "RoundMarker",
-    "merge_fingerprint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "checker": ("CrossRingChecker",),
+    "merge": ("MergeError", "MergedEntry", "RoundMerger", "merge_fingerprint"),
+    "messages": ("MARKER_WIRE_SIZE", "RoundMarker"),
+    "partition": ("RingPartitioner",),
+})

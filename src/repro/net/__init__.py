@@ -11,29 +11,20 @@ Public surface::
     from repro.net import Nic, Switch, register_fabric_metrics
 """
 
-from .engine import Latch, Process, Signal, SimulationError, Simulator, Timeout
-from .frames import ETHERNET_MTU, WIRE_OVERHEAD, Frame, Traffic
-from .links import GIGABIT, PRESETS, TEN_GIGABIT, TEN_MEGABIT, LinkSpec
-from .loss import (
-    BernoulliLoss,
-    PerFragmentLoss,
-    ReceiverLoss,
-    SequenceLoss,
-    TargetedLoss,
-    derive_port_loss,
-    no_loss,
-)
-from .monitors import register_fabric_metrics, register_switch_metrics
-from .nic import Nic
-from .switch import Switch, SwitchPort
+from .._exports import lazy_exports
 
-__all__ = [
-    "Simulator", "Timeout", "Signal", "Latch", "Process", "SimulationError",
-    "Frame", "Traffic", "WIRE_OVERHEAD", "ETHERNET_MTU",
-    "LinkSpec", "GIGABIT", "TEN_GIGABIT", "TEN_MEGABIT", "PRESETS",
-    "no_loss", "derive_port_loss",
-    "BernoulliLoss", "TargetedLoss", "SequenceLoss", "ReceiverLoss",
-    "PerFragmentLoss",
-    "Nic", "Switch", "SwitchPort",
-    "register_fabric_metrics", "register_switch_metrics",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "engine": (
+        "Simulator", "Timeout", "Signal", "Latch", "Process",
+        "SimulationError",
+    ),
+    "frames": ("Frame", "Traffic", "WIRE_OVERHEAD", "ETHERNET_MTU"),
+    "links": ("LinkSpec", "GIGABIT", "TEN_GIGABIT", "TEN_MEGABIT", "PRESETS"),
+    "loss": (
+        "no_loss", "derive_port_loss", "BernoulliLoss", "TargetedLoss",
+        "SequenceLoss", "ReceiverLoss", "PerFragmentLoss",
+    ),
+    "nic": ("Nic",),
+    "switch": ("Switch", "SwitchPort"),
+    "monitors": ("register_fabric_metrics", "register_switch_metrics"),
+})

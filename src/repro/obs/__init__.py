@@ -18,47 +18,16 @@ Analysis lives in :mod:`repro.obs.report`; the CLI front-ends are
 trace-analyze``.  See ``docs/OBSERVABILITY.md``.
 """
 
-from .lifecycle import (
-    AUX_COALESCED,
-    AUX_POST_TOKEN,
-    AUX_RETRANSMISSION,
-    AUX_SAFE,
-    STAGE_COALESCED,
-    STAGE_DELIVERED_AGREED,
-    STAGE_DELIVERED_SAFE,
-    STAGE_MULTICAST,
-    STAGE_NAMES,
-    STAGE_ORDERED,
-    STAGE_ORIGINATED,
-    STAGE_PACKED,
-    STAGE_RECEIVED,
-    STAGE_TOKEN_GRANTED,
-    STAGE_TOKEN_HANDLED,
-    LifecycleTracer,
-)
-from .registry import MetricsRegistry
-from .report import analyze, analyze_path, format_metrics, format_report
+from .._exports import lazy_exports
 
-__all__ = [
-    "MetricsRegistry",
-    "LifecycleTracer",
-    "STAGE_NAMES",
-    "STAGE_ORIGINATED",
-    "STAGE_PACKED",
-    "STAGE_COALESCED",
-    "STAGE_TOKEN_GRANTED",
-    "STAGE_MULTICAST",
-    "STAGE_RECEIVED",
-    "STAGE_ORDERED",
-    "STAGE_DELIVERED_AGREED",
-    "STAGE_DELIVERED_SAFE",
-    "STAGE_TOKEN_HANDLED",
-    "AUX_POST_TOKEN",
-    "AUX_RETRANSMISSION",
-    "AUX_COALESCED",
-    "AUX_SAFE",
-    "analyze",
-    "analyze_path",
-    "format_report",
-    "format_metrics",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "registry": ("MetricsRegistry",),
+    "lifecycle": (
+        "LifecycleTracer", "STAGE_NAMES", "STAGE_ORIGINATED", "STAGE_PACKED",
+        "STAGE_COALESCED", "STAGE_TOKEN_GRANTED", "STAGE_MULTICAST",
+        "STAGE_RECEIVED", "STAGE_ORDERED", "STAGE_DELIVERED_AGREED",
+        "STAGE_DELIVERED_SAFE", "STAGE_TOKEN_HANDLED", "AUX_POST_TOKEN",
+        "AUX_RETRANSMISSION", "AUX_COALESCED", "AUX_SAFE",
+    ),
+    "report": ("analyze", "analyze_path", "format_report", "format_metrics"),
+})

@@ -5,43 +5,21 @@ with single-threaded daemons on a switched 1G/10G network, with the three
 implementation cost profiles (library / daemon / Spread).
 """
 
-from .campaign import (
-    CampaignOptions,
-    ScenarioResult,
-    generate_schedule,
-    run_campaign,
-    run_scenario,
-    shrink_schedule,
-)
-from .cluster import SimCluster, SimResult, run_point
-from .faults import (
-    Churn,
-    Crash,
-    FaultSchedule,
-    FaultScheduleError,
-    Flap,
-    Heal,
-    LossSwap,
-    Partition,
-    Restart,
-    TokenDrop,
-)
-from .latency import LatencyRecorder, LatencySummary, summarize
-from .node import SimNode
-from .profiles import DAEMON, LIBRARY, PROFILES, SPREAD, CostProfile
-from .evs_node import SimEVSCluster, SimEVSNode
-from .trace import RoundStats, RoundTracer
+from .._exports import lazy_exports
 
-__all__ = [
-    "SimEVSCluster", "SimEVSNode",
-    "SimCluster", "SimResult", "run_point",
-    "SimNode",
-    "FaultSchedule", "FaultScheduleError",
-    "Crash", "Restart", "Partition", "Heal", "TokenDrop", "LossSwap",
-    "Flap", "Churn",
-    "CampaignOptions", "ScenarioResult",
-    "generate_schedule", "run_campaign", "run_scenario", "shrink_schedule",
-    "LatencyRecorder", "LatencySummary", "summarize",
-    "CostProfile", "LIBRARY", "DAEMON", "SPREAD", "PROFILES",
-    "RoundTracer", "RoundStats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "evs_node": ("SimEVSCluster", "SimEVSNode"),
+    "cluster": ("SimCluster", "SimResult", "run_point"),
+    "node": ("SimNode",),
+    "faults": (
+        "FaultSchedule", "FaultScheduleError", "Crash", "Restart", "Partition",
+        "Heal", "TokenDrop", "LossSwap", "Flap", "Churn",
+    ),
+    "campaign": (
+        "CampaignOptions", "ScenarioResult", "generate_schedule",
+        "run_campaign", "run_scenario", "shrink_schedule",
+    ),
+    "latency": ("LatencyRecorder", "LatencySummary", "summarize"),
+    "profiles": ("CostProfile", "LIBRARY", "DAEMON", "SPREAD", "PROFILES"),
+    "trace": ("RoundTracer", "RoundStats"),
+})

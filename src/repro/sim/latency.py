@@ -52,7 +52,11 @@ class LatencyRecorder:
 
     def __init__(self, warmup_until_s: float = 0.0) -> None:
         self.warmup_until_s = warmup_until_s
+        #: Samples per service, in the order the services first delivered.
         self._samples: Dict[Service, List[float]] = {}
+        #: The same lists keyed by ``Service._value_``: a ``str`` hashes in
+        #: C, an enum member through ``Enum.__hash__`` once per delivery.
+        self._by_value: Dict[str, List[float]] = {}
         #: Payload bytes delivered per receiving node after warmup.
         self.delivered_bytes: Dict[int, int] = {}
         self.delivered_messages: Dict[int, int] = {}
@@ -73,9 +77,10 @@ class LatencyRecorder:
         delivered_messages[node_id] = delivered_messages.get(node_id, 0) + 1
         if submitted_at is None or submitted_at < self.warmup_until_s:
             return
-        samples = self._samples.get(service)
+        samples = self._by_value.get(service._value_)
         if samples is None:
-            samples = self._samples[service] = []
+            samples = self._by_value[service._value_] = []
+            self._samples[service] = samples
         samples.append(delivered_at - submitted_at)
 
     def summary(self, service: Optional[Service] = None) -> LatencySummary:

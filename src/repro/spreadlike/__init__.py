@@ -6,26 +6,17 @@ in: client-daemon separation, named groups, open-group semantics
 across groups, and membership notices ordered with data.
 """
 
-from .client import SpreadClient
-from .cluster import SpreadCluster
-from .daemon import SpreadDaemon
-from .dynamic import DynamicSpreadCluster, DynamicSpreadDaemon
-from .groups import GroupTable
-from .protocol import (
-    ClientId,
-    GroupCast,
-    GroupJoin,
-    GroupLeave,
-    GroupMessage,
-    MembershipNotice,
-    PrivateCast,
-    PrivateMessage,
-    SpreadError,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "SpreadCluster", "SpreadDaemon", "SpreadClient", "GroupTable",
-    "DynamicSpreadCluster", "DynamicSpreadDaemon",
-    "ClientId", "GroupMessage", "MembershipNotice", "SpreadError",
-    "GroupJoin", "GroupLeave", "GroupCast", "PrivateCast", "PrivateMessage",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "cluster": ("SpreadCluster",),
+    "daemon": ("SpreadDaemon",),
+    "client": ("SpreadClient",),
+    "groups": ("GroupTable",),
+    "dynamic": ("DynamicSpreadCluster", "DynamicSpreadDaemon"),
+    "protocol": (
+        "ClientId", "GroupMessage", "MembershipNotice", "SpreadError",
+        "GroupJoin", "GroupLeave", "GroupCast", "PrivateCast",
+        "PrivateMessage",
+    ),
+})

@@ -1,5 +1,7 @@
 """Measurement containers and report helpers."""
 
-from .series import Figure, Series, SeriesPoint, improvement
+from .._exports import lazy_exports
 
-__all__ = ["Figure", "Series", "SeriesPoint", "improvement"]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "series": ("Figure", "Series", "SeriesPoint", "improvement"),
+})

@@ -11,8 +11,12 @@ Two forms live here:
   Ring protocol.
 """
 
+from .._exports import lazy_exports
 from ..core import ProtocolConfig
-from .reference import ReferenceRing, RefMessage, RefToken
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "reference": ("ReferenceRing", "RefMessage", "RefToken"),
+})
 
 
 def original_config(**overrides) -> ProtocolConfig:
@@ -20,4 +24,4 @@ def original_config(**overrides) -> ProtocolConfig:
     return ProtocolConfig.original_ring(**overrides)
 
 
-__all__ = ["ReferenceRing", "RefMessage", "RefToken", "original_config"]
+__all__.append("original_config")

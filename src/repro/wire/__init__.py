@@ -13,60 +13,23 @@ anything.
   membership control messages and the spreadlike client protocol.
 * :mod:`.capture` — the ``.rcap`` packet-capture format plus taps for
   the simulated switch and the UDP transport.
-* :mod:`.decode`  — the capture analyzer behind
+* :mod:`.analyzer` — the capture analyzer behind
   ``python -m repro.cli decode``.
 * :mod:`.fuzz`    — deterministic datagram mutators for the
   malformed-frame fuzz suites.
 """
 
-from .codec import (
-    DATA_HEADER_SIZE,
-    GOSSIP_BASE_SIZE,
-    GOSSIP_REQ_BASE_SIZE,
-    GOSSIP_UPDATE_SIZE,
-    HEADER_SIZE,
-    MAX_RTR_SEQ,
-    WIRE_VERSION,
-    Decoded,
-    DecodeError,
-    EncodeError,
-    WireError,
-    decode,
-    decode_detail,
-    encode,
-    encode_jumbo,
-    encoded_size,
-)
-from .capture import (
-    CaptureReader,
-    CaptureRecord,
-    CaptureWriter,
-    SimCaptureTap,
-    TRAFFIC_DATA,
-    TRAFFIC_TOKEN,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "DATA_HEADER_SIZE",
-    "GOSSIP_BASE_SIZE",
-    "GOSSIP_REQ_BASE_SIZE",
-    "GOSSIP_UPDATE_SIZE",
-    "HEADER_SIZE",
-    "MAX_RTR_SEQ",
-    "WIRE_VERSION",
-    "Decoded",
-    "DecodeError",
-    "EncodeError",
-    "WireError",
-    "decode",
-    "decode_detail",
-    "encode",
-    "encode_jumbo",
-    "encoded_size",
-    "CaptureReader",
-    "CaptureRecord",
-    "CaptureWriter",
-    "SimCaptureTap",
-    "TRAFFIC_DATA",
-    "TRAFFIC_TOKEN",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "codec": (
+        "DATA_HEADER_SIZE", "GOSSIP_BASE_SIZE", "GOSSIP_REQ_BASE_SIZE",
+        "GOSSIP_UPDATE_SIZE", "HEADER_SIZE", "MAX_RTR_SEQ", "WIRE_VERSION",
+        "Decoded", "DecodeError", "EncodeError", "WireError", "decode",
+        "decode_detail", "encode", "encode_jumbo", "encoded_size",
+    ),
+    "capture": (
+        "CaptureReader", "CaptureRecord", "CaptureWriter", "SimCaptureTap",
+        "TRAFFIC_DATA", "TRAFFIC_TOKEN",
+    ),
+})

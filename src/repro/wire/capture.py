@@ -3,7 +3,7 @@
 A capture is a flat binary file of wire frames plus per-frame metadata
 (timestamp, source, destination, logical port).  The simulated switch
 and the real-socket UDP transport write the *same* format, so one
-decoder (:mod:`repro.wire.decode`) serves both and a sim run can be
+decoder (:mod:`repro.wire.analyzer`) serves both and a sim run can be
 diffed against an emulation run frame-for-frame.
 
 File layout::

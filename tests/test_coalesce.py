@@ -278,7 +278,7 @@ def test_transport_batch_send_and_drain(free_ports=None):
 
 def test_capture_summary_reports_coalescing(tmp_path):
     from repro.wire.capture import TRAFFIC_DATA, WORLD_SIM, CaptureWriter
-    from repro.wire.decode import render_summary, summarize_capture
+    from repro.wire.analyzer import render_summary, summarize_capture
 
     path = str(tmp_path / "jumbo.rcap")
     with CaptureWriter(path, WORLD_SIM, label="coalesce test") as writer:
@@ -304,7 +304,7 @@ def test_capture_summary_reports_coalescing(tmp_path):
 
 def test_capture_summary_no_jumbos_stays_quiet(tmp_path):
     from repro.wire.capture import TRAFFIC_DATA, WORLD_SIM, CaptureWriter
-    from repro.wire.decode import render_summary, summarize_capture
+    from repro.wire.analyzer import render_summary, summarize_capture
 
     path = str(tmp_path / "plain.rcap")
     with CaptureWriter(path, WORLD_SIM) as writer:

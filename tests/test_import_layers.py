@@ -1,0 +1,87 @@
+"""Each entry point loads only the layers it uses.
+
+Package exports resolve on first use (``repro._exports``), so what a run
+imports is the closure of the submodules it touches, not of the package
+``__init__`` files on its way.  Each case sets up one benchmark workload
+in a fresh interpreter and checks ``sys.modules`` against the layers it
+must not load.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+SIM_10G = """
+from repro.bench.experiments import tuned_configs
+from repro.core import Service
+from repro.net import TEN_GIGABIT
+from repro.sim import DAEMON
+from repro.sim.cluster import SimCluster
+
+cluster = SimCluster(8, TEN_GIGABIT, DAEMON,
+                     tuned_configs(TEN_GIGABIT)["accelerated"],
+                     payload_size=1350, service=Service.AGREED, seed=1)
+cluster.inject_at_rate(2000e6, 0.01)
+"""
+
+LOOP_SPREAD = """
+from repro.spreadlike import SpreadCluster
+
+cluster = SpreadCluster(4)
+client = cluster.client("c0", daemon=0)
+client.join("g0")
+cluster.flush()
+client.receive()
+"""
+
+UDP = """
+from repro.core import ProtocolConfig
+from repro.emulation import EmulatedRing
+"""
+
+CASES = {
+    "sim_10g": (SIM_10G, (
+        "repro.membership", "repro.evs", "repro.wire", "repro.spreadlike",
+        "repro.multiring", "repro.obs.lifecycle", "repro.sim.campaign",
+        "repro.sim.evs_node",
+    )),
+    "loop_spread": (LOOP_SPREAD, (
+        "repro.membership", "repro.evs", "repro.net", "repro.sim",
+        "repro.wire",
+    )),
+    "udp": (UDP, (
+        "repro.sim", "repro.net", "repro.bench", "repro.evs",
+        "repro.membership.controller",
+    )),
+}
+
+REPORT = """
+import sys
+print("\\n".join(sorted(name for name in sys.modules if name.startswith("repro"))))
+"""
+
+
+def loaded_modules(code):
+    """The ``repro`` modules a fresh interpreter holds after ``code``."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", code + REPORT],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+@pytest.mark.parametrize("workload", sorted(CASES))
+def test_workload_loads_only_its_layers(workload):
+    code, forbidden = CASES[workload]
+    modules = loaded_modules(code)
+    assert "repro.core.participant" in modules
+    loaded = [name for name in modules
+              if any(name == layer or name.startswith(layer + ".")
+                     for layer in forbidden)]
+    assert loaded == [], "%s loads %s" % (workload, ", ".join(loaded))

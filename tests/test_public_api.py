@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import pkgutil
 
 import pytest
 
@@ -19,6 +20,10 @@ PACKAGES = [
     "repro.harness",
     "repro.stats",
     "repro.bench",
+    "repro.obs",
+    "repro.wire",
+    "repro.multiring",
+    "repro.analysis",
 ]
 
 
@@ -27,8 +32,20 @@ def test_all_exports_resolve(package_name):
     package = importlib.import_module(package_name)
     exported = getattr(package, "__all__", None)
     assert exported, "%s must declare __all__" % package_name
+    # Loading a submodule binds it on the package under its own name: with
+    # every one loaded, each export must still be its object, not a module.
+    for module_info in pkgutil.iter_modules(package.__path__):
+        importlib.import_module("%s.%s" % (package_name, module_info.name))
     for name in exported:
         assert hasattr(package, name), "%s.%s missing" % (package_name, name)
+        assert not inspect.ismodule(getattr(package, name)), name
+
+
+@pytest.mark.parametrize("package_name", PACKAGES)
+def test_dir_lists_every_export(package_name):
+    package = importlib.import_module(package_name)
+    missing = set(package.__all__) - set(dir(package))
+    assert not missing, "%s: dir() omits %s" % (package_name, sorted(missing))
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)

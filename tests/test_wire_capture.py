@@ -26,7 +26,7 @@ from repro.wire.capture import (
     CaptureReader,
     CaptureWriter,
 )
-from repro.wire.decode import render_capture, render_summary, summarize_capture
+from repro.wire.analyzer import render_capture, render_summary, summarize_capture
 
 SAMPLES_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
