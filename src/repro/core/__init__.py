@@ -31,8 +31,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "ring": ("Ring",),
     "messages": ("Token", "DataMessage", "initial_token"),
     "driver": ("RingDriver", "Inbox", "DriverPort"),
-    "buffer": ("ReceiveBuffer",),
-    "delivery": ("DeliveryEngine",),
+    "window": ("ReceiveWindow",),
     "priority": ("PriorityTracker",),
     "retransmit": ("RetransmitTracker",),
     "flow_control": (

@@ -211,14 +211,10 @@ class RingDriver(Inbox):
 
         tokens = self.tokens
         data = self.data
-        pick = self.pick
         while True:
-            if not tokens and not data:
-                yield port.idle
-                continue
-            queue = pick(priority._token_high)
-            item = queue.popleft()
-            if queue is tokens:
+            # Inbox.pick's rule, inlined: this loop runs once per frame.
+            if tokens and (priority._token_high or not data):
+                item = tokens.popleft()
                 if pauses is not None:
                     yield pauses.recv_token
                 handled = on_token(item)
@@ -257,7 +253,8 @@ class RingDriver(Inbox):
                         deliver(message)
                         if trace_delivery is not None:
                             trace_delivery(message, t_ordered, port.clock())
-            else:
+            elif data:
+                item = data.popleft()
                 if pauses is not None:
                     item = unwrap(item)
                     # One receive syscall however many packets the
@@ -283,6 +280,9 @@ class RingDriver(Inbox):
                         deliver(message)
                         if trace_delivery is not None:
                             trace_delivery(message, t_ordered, port.clock())
+            else:
+                yield port.idle
+                continue
             if stepping:
                 yield
 

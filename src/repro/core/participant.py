@@ -30,9 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
-from .buffer import ReceiveBuffer
-from .config import ProtocolConfig, Service
-from .delivery import DeliveryEngine
+from .config import PriorityMethod, ProtocolConfig, Service
 from .errors import TokenError
 from .flow_control import new_message_budget, updated_fcc
 from .messages import DataMessage, Token
@@ -40,6 +38,7 @@ from .packing import pack_next
 from .priority import PriorityTracker
 from .retransmit import RetransmitTracker
 from .ring import Ring
+from .window import ReceiveWindow
 
 
 @dataclass(slots=True)
@@ -63,8 +62,7 @@ class TokenRound:
        ``pre`` (new messages beyond the accelerated window);
     2. send ``token`` to ``dst``, the ring successor;
     3. multicast ``post`` (the accelerated queue);
-    4. deliver ``delivered``, the released run in total order (the
-       delivery engine's list, uncopied).
+    4. deliver ``delivered``, the released run in total order.
 
     Stable messages are garbage-collected inside the participant; no
     field asks the driver for it.  The lists are the participant's own,
@@ -101,7 +99,7 @@ class Participant:
 
     __slots__ = (
         "pid", "ring", "config", "stats",
-        "_buffer", "_delivery", "_retransmit", "_priority", "_pending",
+        "_window", "_retransmit", "_priority", "_pending",
         "_accelerated_window", "_last_received_hop", "_sent_last_round",
         "_last_token_sent", "_max_round_seen",
         "_on_sent", "_on_received", "_on_token", "_on_retransmitted",
@@ -120,8 +118,7 @@ class Participant:
         self.config = config or ProtocolConfig()
         self.stats = ParticipantStats()
 
-        self._buffer = ReceiveBuffer()
-        self._delivery = DeliveryEngine()
+        self._window = ReceiveWindow()
         self._retransmit = RetransmitTracker()
         self._priority = PriorityTracker(
             self.config.priority_method,
@@ -158,9 +155,9 @@ class Participant:
         observer's exception propagates out of the handler.
 
         * ``sent(message)`` — once per initiated message, as it enters
-          our buffer;
+          our window;
         * ``received(message)`` — once per NEW data message accepted
-          into the buffer (duplicates are skipped);
+          into the window (duplicates are skipped);
         * ``token(received, sent, new_messages, retransmissions)`` —
           once per regular-token handling, after step 4, with the
           token handled, the token sent, the flow-control budget and
@@ -202,22 +199,21 @@ class Participant:
     def rebind_ring(self, ring: Ring) -> None:
         """Install a new ring after a membership change.
 
-        Resets every piece of per-ring protocol state (receive buffer,
-        delivery frontier, retransmission horizon, priority trigger, hop
-        counters) exactly as a fresh participant would start, while
-        keeping what survives a configuration change: the application
-        backlog (un-sent messages carry over), cumulative stats, and the
-        observers.  The priority tracker is re-seeded with the NEW ring's
-        geometry — size, predecessor, and our index all change with the
-        membership, and the trigger arithmetic must follow.
+        Resets every piece of per-ring protocol state (receive window,
+        retransmission horizon, priority trigger, hop counters) exactly
+        as a fresh participant would start, while keeping what survives
+        a configuration change: the application backlog (un-sent
+        messages carry over), cumulative stats, and the observers.  The
+        priority tracker is re-seeded with the NEW ring's geometry —
+        size, predecessor, and our index all change with the membership,
+        and the trigger arithmetic must follow.
         """
         if self.pid not in ring:
             raise TokenError(
                 "participant %r not on new ring %r" % (self.pid, ring.members)
             )
         self.ring = ring
-        self._buffer = ReceiveBuffer()
-        self._delivery = DeliveryEngine()
+        self._window = ReceiveWindow()
         self._retransmit = RetransmitTracker()
         self._priority.reset(
             len(ring),
@@ -251,19 +247,19 @@ class Participant:
 
     @property
     def local_aru(self) -> int:
-        return self._buffer.local_aru
+        return self._window.local_aru
 
     @property
     def delivered_upto(self) -> int:
-        return self._delivery.delivered_upto
+        return self._window.delivered_upto
 
     @property
     def safe_bound(self) -> int:
-        return self._delivery.safe_bound
+        return self._window.safe_bound
 
     @property
-    def buffer(self) -> ReceiveBuffer:
-        return self._buffer
+    def window(self) -> ReceiveWindow:
+        return self._window
 
     @property
     def token_has_priority(self) -> bool:
@@ -314,7 +310,7 @@ class Participant:
 
         # -- 1. pre-token phase: retransmissions first ------------------
         answered, remaining_requests = self._retransmit.answer_requests(
-            token, self._buffer
+            token, self._window
         )
         if self._on_retransmitted:
             for message in answered:
@@ -362,7 +358,7 @@ class Participant:
         self.stats.messages_sent_post_token += len(post)
 
         # -- 4. deliver and discard --------------------------------------
-        self._delivery.note_token_sent(new_aru)
+        self._window.note_token_sent(new_aru)
         delivered = self._deliver_and_discard()
 
         self._priority.note_token_handled(my_hop)
@@ -386,34 +382,27 @@ class Participant:
         """
         if message.round > self._max_round_seen:
             self._max_round_seen = message.round
-        is_new = self._buffer.insert(message)
-        # Inlined precheck of PriorityTracker.note_data_processed's two
-        # early exits: only the predecessor's messages (1/(n-1) of
-        # traffic) can raise token priority, and never while it is
-        # already high.
+        # Inlined precheck of PriorityTracker.note_data_processed's early
+        # exits, so that it is called only to raise the token's priority:
+        # at most once per token handled.
         priority = self._priority
-        if not priority._token_high and message.pid == priority._predecessor:
+        if (not priority._token_high and message.pid == priority._predecessor
+                and message.round >= priority._trigger_hop
+                and (message.sent_after_token
+                     or priority._method is PriorityMethod.AGGRESSIVE)):
             priority.note_data_processed(message)
+        released = self._window.receive(message)
         stats = self.stats
-        if not is_new:
+        if released is None:
             stats.data_duplicates += 1
             return []
         stats.data_received += 1
         if self._on_received:
             for observer in self._on_received:
                 observer(message)
-        # Every entry point leaves the frontier collected: the slot above
-        # it is empty or holds a Safe message beyond the stability bound,
-        # and only a token moves that bound.  So a message that does not
-        # fill that slot cannot release anything, and the walk is skipped.
-        delivery = self._delivery
-        if message.seq != delivery._delivered_upto + 1:
-            return []
-        deliverable = delivery.collect_deliverable(self._buffer)
-        if not deliverable:
-            return []
-        stats.delivered += len(deliverable)
-        return deliverable
+        if released:
+            stats.delivered += len(released)
+        return released
 
     # ------------------------------------------------------------------
     # Internals
@@ -456,30 +445,30 @@ class Participant:
             )
             for n, source in enumerate(sources, 1)
         ]
-        insert = self._buffer.insert
-        on_sent = self._on_sent
-        for message in messages:
-            # Our own messages are in our buffer from the moment they are
+        if messages:
+            # Our own messages are in our window from the moment they are
             # prepared (the loopback copy, if any, is a duplicate).
-            insert(message)
+            self._window.extend(messages)
+            on_sent = self._on_sent
             if on_sent:
-                for observer in on_sent:
-                    observer(message)
+                for message in messages:
+                    for observer in on_sent:
+                        observer(message)
         self.stats.messages_initiated += len(messages)
         return messages[:split], messages[split:]
 
     def _my_retransmission_requests(self) -> List[int]:
-        missing = self._retransmit.my_new_requests(self._buffer)
+        missing = self._retransmit.my_new_requests(self._window)
         self.stats.retransmissions_requested += len(missing)
         return missing
 
     def _updated_aru(self, token: Token, new_seq: int) -> Tuple[int, Optional[int]]:
         """The aru lower/raise/track rules (Section III-A-2).
 
-        Called after our own messages are in the buffer, so
+        Called after our own messages are in the window, so
         ``local_aru`` already covers them when we were fully caught up.
         """
-        local = self._buffer.local_aru
+        local = self._window.local_aru
         if local < token.aru:
             # Rule 1: lower to our local aru and take ownership.
             return local, self.pid
@@ -496,13 +485,12 @@ class Participant:
         return token.aru, token.aru_id
 
     def _deliver_and_discard(self) -> List[DataMessage]:
-        """Step 4: the released run (the delivery engine's list, uncopied);
-        the buffer then drops what is stable."""
-        deliverable = self._delivery.collect_deliverable(self._buffer)
+        """Step 4: the released run; the window then drops what is
+        stable."""
+        window = self._window
+        deliverable = window.release()
         self.stats.delivered += len(deliverable)
-        self.stats.discarded += self._buffer.discard_upto(
-            self._delivery.discardable_upto()
-        )
+        self.stats.discarded += window.discard_upto(window.discardable_upto())
         return deliverable
 
     def __repr__(self) -> str:

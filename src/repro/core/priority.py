@@ -29,8 +29,8 @@ from .messages import DataMessage
 class PriorityTracker:
     """Decides whether a pending token outranks pending data messages."""
 
-    __slots__ = ("_method", "_ring_size", "_predecessor", "_ring_index",
-                 "_last_handled_hop", "_token_high")
+    __slots__ = ("_method", "_ring_size", "_predecessor", "_trigger_hop",
+                 "_token_high")
 
     def __init__(
         self,
@@ -42,12 +42,10 @@ class PriorityTracker:
         self._method = method
         self._ring_size = ring_size
         self._predecessor = predecessor
-        self._ring_index = ring_index
-        # Our first token handling will be hop (ring_index + 1), so the
-        # predecessor handling that precedes it is hop ring_index; seed
-        # the "last handled hop" so the trigger arithmetic
-        # (last + ring_size - 1 == ring_index) holds for round one too.
-        self._last_handled_hop = ring_index + 1 - ring_size
+        #: The predecessor's handling that immediately precedes our next
+        #: one: our first will be hop (ring_index + 1), so this is
+        #: ring_index for round one, then (ours + ring_size - 1).
+        self._trigger_hop = ring_index
         #: Data starts with high priority: anything multicast before the
         #: first token must be processed before it, exactly as in
         #: steady state.
@@ -62,7 +60,7 @@ class PriorityTracker:
 
         Data regains high priority until the method's trigger fires.
         """
-        self._last_handled_hop = hop
+        self._trigger_hop = hop + self._ring_size - 1
         self._token_high = False
 
     def note_data_processed(self, message: DataMessage) -> None:
@@ -71,10 +69,7 @@ class PriorityTracker:
             return
         if message.pid != self._predecessor:
             return
-        # The predecessor's handling that immediately precedes our next
-        # one is hop (ours + ring_size - 1).
-        trigger_hop = self._last_handled_hop + self._ring_size - 1
-        if message.round < trigger_hop:
+        if message.round < self._trigger_hop:
             return
         if self._method is PriorityMethod.AGGRESSIVE or message.sent_after_token:
             self._token_high = True
@@ -90,6 +85,5 @@ class PriorityTracker:
         """
         self._ring_size = ring_size
         self._predecessor = predecessor
-        self._ring_index = ring_index
-        self._last_handled_hop = ring_index + 1 - ring_size
+        self._trigger_hop = ring_index
         self._token_high = False

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .buffer import ReceiveBuffer
 from .messages import DataMessage, Token
+from .window import ReceiveWindow
 
 
 class RetransmitTracker:
@@ -34,7 +34,7 @@ class RetransmitTracker:
         return self._request_horizon
 
     def answer_requests(
-        self, token: Token, buffer: ReceiveBuffer
+        self, token: Token, window: ReceiveWindow
     ) -> Tuple[List[DataMessage], List[int]]:
         """Messages we can retransmit and the seqs that remain unanswered.
 
@@ -46,19 +46,20 @@ class RetransmitTracker:
         answered: List[DataMessage] = []
         remaining: List[int] = []
         for seq in token.rtr:
-            message = buffer.get(seq)
+            message = window.get(seq)
             if message is not None:
                 answered.append(message)
-            elif seq > buffer.discarded_upto:
+            elif seq > window.discarded_upto:
                 # A stable (discarded) message is held by everyone; a
                 # request for it is a stale duplicate and simply dropped.
                 remaining.append(seq)
         self.requests_answered += len(answered)
         return answered, remaining
 
-    def my_new_requests(self, buffer: ReceiveBuffer) -> List[int]:
+    def my_new_requests(self, window: ReceiveWindow) -> List[int]:
         """Gaps this participant should request, bounded by the horizon."""
-        missing = buffer.missing_between(buffer.local_aru, self._request_horizon)
+        missing = window.missing_between(window.local_aru,
+                                         self._request_horizon)
         self.requests_issued += len(missing)
         return missing
 

@@ -250,10 +250,9 @@ class LoopbackRing:
             seq = message.seq
             for other_pid, other in self.participants.items():
                 # A seq at or below the local aru is held (or was
-                # discarded as stable), and the aru is at or above the
-                # discard mark: the seq index only for the rest.
-                buffer = other._buffer
-                if seq > buffer._local_aru and seq not in buffer._messages:
+                # discarded as stable): the slots only for the rest.
+                window = other._window
+                if seq > window.local_aru and window.get(seq) is None:
                     raise StabilityViolation(
                         "pid %d delivered Safe seq %d before pid %d received it"
                         % (pid, seq, other_pid)

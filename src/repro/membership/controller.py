@@ -653,7 +653,7 @@ class EVSProcess:
             pid=self.pid,
             old_ring_id=self.ring.ring_id,
             old_aru=participant.local_aru,
-            high_seq=participant.buffer.highest_seq_seen,
+            high_seq=participant.window.highest_seq_seen,
             old_members=tuple(self.ring.members),
             old_safe_bound=participant.safe_bound,
             old_delivered_upto=participant.delivered_upto,
@@ -747,10 +747,10 @@ class EVSProcess:
         else:  # defensive: nobody shares our old ring, not even us
             floor = self.participant.delivered_upto
         out: List[Outgoing] = []
-        buffer = self.participant.buffer
-        for seq in buffer.held_seqs():
+        window = self.participant.window
+        for seq in window.held_seqs():
             if seq > floor:
-                message = buffer.get(seq)
+                message = window.get(seq)
                 out.append(
                     Outgoing(
                         "ctrl",

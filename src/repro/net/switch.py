@@ -49,20 +49,22 @@ class SwitchPort(TransmitLine):
         self._loss = loss
         self.drops_injected = 0
 
-    def _accept(self, frame: Frame) -> Optional[float]:
-        """Injected loss, then the buffer: the instant ``frame`` reaches
-        the host, or ``None`` when it was dropped (and counted)."""
-        loss = self._loss
-        if loss is not no_loss and loss(frame):
+    def _lose(self, frame: Frame) -> bool:
+        """Injected loss: True when ``frame`` is dropped (and counted).
+        Callers skip the call while the port has ``no_loss``, so a
+        lossless copy pays only :meth:`_admit`."""
+        if self._loss(frame):
             # An admit attempt all the same: a reader later in this
             # event still stands inside the instant (rule (a)).
             self._epoch = self.sim._event_count
             self.drops_injected += 1
-            return None
-        return self._admit(frame.wire)
+            return True
+        return False
 
     def enqueue(self, frame: Frame) -> None:
-        when = self._accept(frame)
+        if self._loss is not no_loss and self._lose(frame):
+            return
+        when = self._admit(frame.wire)
         if when is not None:
             self._launch(when, frame)
 
@@ -311,8 +313,12 @@ class Switch:
             # nothing could run between them anyway.  On idle ports —
             # any load the buffers absorb — that is one entry for all.
             runs: List[tuple] = []  # (instant, [deliver, ...])
+            wire = frame.wire
             for port in fanout:
-                when = port._accept(frame)
+                # SwitchPort.enqueue's steps, minus the launch.
+                if port._loss is not no_loss and port._lose(frame):
+                    continue
+                when = port._admit(wire)
                 if when is not None:
                     if not runs or runs[-1][0] != when:
                         runs.append((when, []))

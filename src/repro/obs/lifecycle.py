@@ -17,7 +17,7 @@ Stage taxonomy (the paper's Section III message path)::
     3   token_granted    initiator's token handling        participant
     4   multicast        NIC accepted the datagram         driver hook
     5   received         first arrival at a remote node    participant
-    6   ordered          delivery engine released it       driver hook
+    6   ordered          receive window released it        driver hook
     7   delivered_agreed driver executed Agreed delivery   driver hook
     8   delivered_safe   driver executed Safe delivery     driver hook
     9   token_handled    any node handled the token        participant
@@ -294,7 +294,7 @@ class LifecycleTracer:
 
         Called once per delivered message, after the delivery executed.
         ``t_ordered`` is the driver-clock instant the participant
-        returned the released run (the delivery engine's release
+        returned the released run (the receive window's release
         time, captured before any delivery CPU charge); ``t_delivered``
         the instant delivery completed.  Both are raw driver-clock
         readings — the hook subtracts the tracer epoch — and the pair

@@ -141,7 +141,7 @@ def test_discarded_messages_not_retransmitted_but_ignored():
     token3, _ = handle(participants, 1, token2)
     token4, _ = handle(participants, 2, token3)
     # By now everything is stable and discarded at both.
-    assert participants[1].buffer.discarded_upto == 3
+    assert participants[1].window.discarded_upto == 3
     # A stale request for a discarded message is dropped silently.
     stale = token4.evolve(hop=token4.hop + 2, rtr=(1, 2))
     handled = participants[1].on_token(stale)

@@ -1,8 +1,8 @@
-"""Tests for the receive buffer and local aru tracking."""
+"""Tests for the receive window's store and local aru tracking."""
 
 import pytest
 
-from repro.core import DeliveryInvariantError, ReceiveBuffer, Service
+from repro.core import DeliveryInvariantError, ReceiveWindow, Service
 from repro.core.messages import DataMessage
 
 
@@ -14,101 +14,107 @@ def msg(seq, pid=1, safe=False):
 
 
 def test_contiguous_inserts_advance_aru():
-    buffer = ReceiveBuffer()
+    window = ReceiveWindow()
     for seq in (1, 2, 3):
-        assert buffer.insert(msg(seq))
-    assert buffer.local_aru == 3
+        assert window.receive(msg(seq)) is not None
+    assert window.local_aru == 3
 
 
 def test_gap_blocks_aru():
-    buffer = ReceiveBuffer()
-    buffer.insert(msg(1))
-    buffer.insert(msg(3))
-    assert buffer.local_aru == 1
-    buffer.insert(msg(2))
-    assert buffer.local_aru == 3
+    window = ReceiveWindow()
+    window.receive(msg(1))
+    window.receive(msg(3))
+    assert window.local_aru == 1
+    window.receive(msg(2))
+    assert window.local_aru == 3
 
 
 def test_out_of_order_fill_catches_up_through_run():
-    buffer = ReceiveBuffer()
+    window = ReceiveWindow()
     for seq in (5, 4, 3, 2):
-        buffer.insert(msg(seq))
-    assert buffer.local_aru == 0
-    buffer.insert(msg(1))
-    assert buffer.local_aru == 5
+        window.receive(msg(seq))
+    assert window.local_aru == 0
+    window.receive(msg(1))
+    assert window.local_aru == 5
 
 
 def test_duplicate_insert_returns_false():
-    buffer = ReceiveBuffer()
-    assert buffer.insert(msg(1))
-    assert not buffer.insert(msg(1))
-    assert len(buffer) == 1
+    window = ReceiveWindow()
+    assert window.receive(msg(1)) is not None
+    assert window.receive(msg(1)) is None
+    assert len(window) == 1
 
 
 def test_missing_between_reports_gaps_only():
-    buffer = ReceiveBuffer()
+    window = ReceiveWindow()
     for seq in (1, 2, 5, 7):
-        buffer.insert(msg(seq))
-    assert buffer.missing_between(buffer.local_aru, 7) == [3, 4, 6]
-    assert buffer.missing_between(buffer.local_aru, 5) == [3, 4]
-    assert buffer.missing_between(2, 2) == []
+        window.receive(msg(seq))
+    assert window.missing_between(window.local_aru, 7) == [3, 4, 6]
+    assert window.missing_between(window.local_aru, 5) == [3, 4]
+    assert window.missing_between(2, 2) == []
 
 
 def test_missing_between_excludes_discarded():
-    buffer = ReceiveBuffer()
+    window = ReceiveWindow()
     for seq in (1, 2, 3):
-        buffer.insert(msg(seq))
-    buffer.discard_upto(2)
-    assert buffer.missing_between(0, 3) == []
+        window.receive(msg(seq))
+    window.discard_upto(2)
+    assert window.missing_between(0, 3) == []
 
 
 def test_discard_releases_messages():
-    buffer = ReceiveBuffer()
+    window = ReceiveWindow()
     for seq in range(1, 6):
-        buffer.insert(msg(seq))
-    released = buffer.discard_upto(3)
+        window.receive(msg(seq))
+    released = window.discard_upto(3)
     assert released == 3
-    assert buffer.get(2) is None
-    assert buffer.get(4) is not None
-    assert buffer.local_aru == 5  # aru survives garbage collection
+    assert window.get(2) is None
+    assert window.get(4) is not None
+    assert window.local_aru == 5  # aru survives garbage collection
 
 
 def test_discard_is_idempotent():
-    buffer = ReceiveBuffer()
+    window = ReceiveWindow()
     for seq in (1, 2):
-        buffer.insert(msg(seq))
-    assert buffer.discard_upto(2) == 2
-    assert buffer.discard_upto(2) == 0
-    assert buffer.discard_upto(1) == 0
+        window.receive(msg(seq))
+    assert window.discard_upto(2) == 2
+    assert window.discard_upto(2) == 0
+    assert window.discard_upto(1) == 0
 
 
 def test_discard_beyond_aru_is_a_bug():
-    buffer = ReceiveBuffer()
-    buffer.insert(msg(1))
+    window = ReceiveWindow()
+    window.receive(msg(1))
     with pytest.raises(DeliveryInvariantError):
-        buffer.discard_upto(5)
+        window.discard_upto(5)
+    # Held but not delivered (a Safe message beyond the bound) is no
+    # better: discarding it would lose it.
+    window.receive(msg(2, safe=True))
+    assert window.local_aru == 2 and window.delivered_upto == 1
+    with pytest.raises(DeliveryInvariantError):
+        window.discard_upto(2)
 
 
 def test_insert_below_discard_floor_ignored():
-    buffer = ReceiveBuffer()
+    window = ReceiveWindow()
     for seq in (1, 2, 3):
-        buffer.insert(msg(seq))
-    buffer.discard_upto(3)
-    assert not buffer.insert(msg(2))  # stale retransmission
-    assert buffer.has(2)  # still counted as held (stable)
+        window.receive(msg(seq))
+    window.discard_upto(3)
+    assert window.receive(msg(2)) is None  # stale retransmission
+    assert window.has(2)  # still counted as held (stable)
 
 
 def test_has_covers_discarded_and_present():
-    buffer = ReceiveBuffer()
+    window = ReceiveWindow()
     for seq in (1, 2, 3):
-        buffer.insert(msg(seq))
-    buffer.discard_upto(1)
-    assert buffer.has(1) and buffer.has(3)
-    assert not buffer.has(4)
+        window.receive(msg(seq))
+    window.discard_upto(1)
+    assert window.has(1) and window.has(3)
+    assert not window.has(4)
 
 
 def test_held_seqs_sorted():
-    buffer = ReceiveBuffer()
+    window = ReceiveWindow()
     for seq in (3, 1, 2):
-        buffer.insert(msg(seq))
-    assert list(buffer.held_seqs()) == [1, 2, 3]
+        window.receive(msg(seq))
+    assert list(window.held_seqs()) == [1, 2, 3]

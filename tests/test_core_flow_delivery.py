@@ -1,12 +1,11 @@
-"""Tests for flow-control arithmetic and the delivery engine."""
+"""Tests for flow-control arithmetic and the delivery rules."""
 
 import pytest
 
 from repro.core import (
-    DeliveryEngine,
     Participant,
     ProtocolConfig,
-    ReceiveBuffer,
+    ReceiveWindow,
     Ring,
     Service,
     Token,
@@ -76,79 +75,72 @@ def test_updated_fcc_swaps_contribution():
 
 
 # ---------------------------------------------------------------------------
-# Delivery engine (Sections III-A-4, III-B)
+# Receive window: delivery rules (Sections III-A-4, III-B)
 # ---------------------------------------------------------------------------
 
+def seqs(messages):
+    return [m.seq for m in messages]
+
+
 def test_agreed_delivered_when_contiguous():
-    engine = DeliveryEngine()
-    buffer = ReceiveBuffer()
-    for seq in (1, 2, 3):
-        buffer.insert(msg(seq))
-    delivered = engine.collect_deliverable(buffer)
-    assert [m.seq for m in delivered] == [1, 2, 3]
-    assert engine.delivered_upto == 3
+    window = ReceiveWindow()
+    delivered = [m for seq in (1, 2, 3) for m in window.receive(msg(seq))]
+    assert seqs(delivered) == [1, 2, 3]
+    assert window.delivered_upto == 3
 
 
 def test_gap_stops_delivery():
-    engine = DeliveryEngine()
-    buffer = ReceiveBuffer()
-    buffer.insert(msg(1))
-    buffer.insert(msg(3))
-    assert [m.seq for m in engine.collect_deliverable(buffer)] == [1]
-    buffer.insert(msg(2))
-    assert [m.seq for m in engine.collect_deliverable(buffer)] == [2, 3]
+    window = ReceiveWindow()
+    assert seqs(window.receive(msg(1))) == [1]
+    assert window.receive(msg(3)) == []
+    assert seqs(window.receive(msg(2))) == [2, 3]
 
 
 def test_safe_waits_for_stability_bound():
-    engine = DeliveryEngine()
-    buffer = ReceiveBuffer()
-    buffer.insert(msg(1, safe=True))
-    assert engine.collect_deliverable(buffer) == []
-    engine.note_token_sent(1)
-    assert engine.collect_deliverable(buffer) == []  # only one round so far
-    engine.note_token_sent(1)
-    assert [m.seq for m in engine.collect_deliverable(buffer)] == [1]
+    window = ReceiveWindow()
+    assert window.receive(msg(1, safe=True)) == []
+    window.note_token_sent(1)
+    assert window.release() == []  # only one round so far
+    window.note_token_sent(1)
+    assert seqs(window.release()) == [1]
 
 
 def test_safe_bound_is_min_of_last_two_arus():
-    engine = DeliveryEngine()
-    engine.note_token_sent(5)
-    engine.note_token_sent(9)
-    assert engine.safe_bound == 5
-    engine.note_token_sent(7)
-    assert engine.safe_bound == 7
+    window = ReceiveWindow()
+    window.note_token_sent(5)
+    window.note_token_sent(9)
+    assert window.safe_bound == 5
+    window.note_token_sent(7)
+    assert window.safe_bound == 7
 
 
 def test_safe_bound_is_monotone():
-    engine = DeliveryEngine()
-    engine.note_token_sent(5)
-    engine.note_token_sent(9)
-    assert engine.safe_bound == 5
-    engine.note_token_sent(2)  # a lowered aru cannot retract the bound
-    assert engine.safe_bound == 5
+    window = ReceiveWindow()
+    window.note_token_sent(5)
+    window.note_token_sent(9)
+    assert window.safe_bound == 5
+    window.note_token_sent(2)  # a lowered aru cannot retract the bound
+    assert window.safe_bound == 5
 
 
 def test_undelivered_safe_blocks_later_agreed():
-    engine = DeliveryEngine()
-    buffer = ReceiveBuffer()
-    buffer.insert(msg(1, safe=True))
-    buffer.insert(msg(2, safe=False))
-    assert engine.collect_deliverable(buffer) == []
-    engine.note_token_sent(2)
-    engine.note_token_sent(2)
-    assert [m.seq for m in engine.collect_deliverable(buffer)] == [1, 2]
+    window = ReceiveWindow()
+    assert window.receive(msg(1, safe=True)) == []
+    assert window.receive(msg(2, safe=False)) == []
+    window.note_token_sent(2)
+    window.note_token_sent(2)
+    assert seqs(window.release()) == [1, 2]
 
 
 def test_discardable_requires_delivery_and_stability():
-    engine = DeliveryEngine()
-    buffer = ReceiveBuffer()
-    buffer.insert(msg(1))
-    buffer.insert(msg(2))
-    engine.collect_deliverable(buffer)
-    assert engine.discardable_upto() == 0  # delivered but not stable
-    engine.note_token_sent(2)
-    engine.note_token_sent(2)
-    assert engine.discardable_upto() == 2
+    window = ReceiveWindow()
+    window.receive(msg(1))
+    window.receive(msg(2))
+    assert window.delivered_upto == 2
+    assert window.discardable_upto() == 0  # delivered but not stable
+    window.note_token_sent(2)
+    window.note_token_sent(2)
+    assert window.discardable_upto() == 2
 
 
 def test_delivered_stat_counts_both_branches():

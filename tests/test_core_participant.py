@@ -255,7 +255,7 @@ def test_own_safe_messages_wait_two_rounds():
     second = participant.on_token(first.token.evolve(hop=4))
     assert [m.seq for m in second.delivered] == [1, 2]
     # And once stable they are discarded.
-    assert participant.buffer.discarded_upto == 2
+    assert participant.window.discarded_upto == 2
     assert participant.stats.discarded == 2
 
 

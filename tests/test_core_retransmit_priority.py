@@ -1,6 +1,6 @@
 """Tests for retransmission bookkeeping and priority switching."""
 
-from repro.core import PriorityMethod, ReceiveBuffer, Service, Token
+from repro.core import PriorityMethod, ReceiveWindow, Service, Token
 from repro.core.messages import DataMessage
 from repro.core.priority import PriorityTracker
 from repro.core.retransmit import RetransmitTracker
@@ -17,13 +17,13 @@ def msg(seq=1, pid=2, round=1, post=False):
 
 def test_no_requests_before_horizon_advances():
     tracker = RetransmitTracker()
-    buffer = ReceiveBuffer()
+    window = ReceiveWindow()
     # Token says seq=10 but the horizon is still 0: nothing is requested
     # even though we have received nothing — those messages may simply
     # not have been sent yet (the accelerated protocol's key subtlety).
-    assert tracker.my_new_requests(buffer) == []
+    assert tracker.my_new_requests(window) == []
     tracker.advance_horizon(10)
-    assert tracker.my_new_requests(buffer) == list(range(1, 11))
+    assert tracker.my_new_requests(window) == list(range(1, 11))
 
 
 def test_horizon_never_regresses():
@@ -35,32 +35,32 @@ def test_horizon_never_regresses():
 
 def test_requests_limited_to_actual_gaps():
     tracker = RetransmitTracker()
-    buffer = ReceiveBuffer()
+    window = ReceiveWindow()
     for seq in (1, 2, 4):
-        buffer.insert(msg(seq=seq))
+        window.receive(msg(seq=seq))
     tracker.advance_horizon(5)
-    assert tracker.my_new_requests(buffer) == [3, 5]
+    assert tracker.my_new_requests(window) == [3, 5]
 
 
 def test_answer_requests_splits_answerable():
     tracker = RetransmitTracker()
-    buffer = ReceiveBuffer()
-    buffer.insert(msg(seq=1))
-    buffer.insert(msg(seq=2))
+    window = ReceiveWindow()
+    window.receive(msg(seq=1))
+    window.receive(msg(seq=2))
     token = Token(rtr=(1, 3))
-    answered, remaining = tracker.answer_requests(token, buffer)
+    answered, remaining = tracker.answer_requests(token, window)
     assert [m.seq for m in answered] == [1]
     assert remaining == [3]
 
 
 def test_stale_requests_for_stable_messages_dropped():
     tracker = RetransmitTracker()
-    buffer = ReceiveBuffer()
+    window = ReceiveWindow()
     for seq in (1, 2, 3):
-        buffer.insert(msg(seq=seq))
-    buffer.discard_upto(2)
+        window.receive(msg(seq=seq))
+    window.discard_upto(2)
     token = Token(rtr=(1, 2))
-    answered, remaining = tracker.answer_requests(token, buffer)
+    answered, remaining = tracker.answer_requests(token, window)
     assert answered == [] and remaining == []
 
 
@@ -71,23 +71,23 @@ def test_stale_request_does_not_strand_lagging_participant():
     # the global aru at 1 and nobody discards past it.  This test pins
     # the two halves of that argument: a participant that has discarded
     # the message drops the request without re-propagating it, while
-    # any participant that still buffers it answers — the laggard is
+    # any participant that still holds it answers — the laggard is
     # never stranded waiting on a request nobody serves.
     discarder = RetransmitTracker()
     holder = RetransmitTracker()
-    discarder_buffer = ReceiveBuffer()
-    holder_buffer = ReceiveBuffer()
+    discarder_window = ReceiveWindow()
+    holder_window = ReceiveWindow()
     for seq in (1, 2, 3):
-        discarder_buffer.insert(msg(seq=seq))
-        holder_buffer.insert(msg(seq=seq))
-    discarder_buffer.discard_upto(3)
+        discarder_window.receive(msg(seq=seq))
+        holder_window.receive(msg(seq=seq))
+    discarder_window.discard_upto(3)
 
     token = Token(rtr=(2,))
-    answered, remaining = discarder.answer_requests(token, discarder_buffer)
+    answered, remaining = discarder.answer_requests(token, discarder_window)
     assert answered == [] and remaining == []
     assert discarder.requests_answered == 0
 
-    answered, remaining = holder.answer_requests(token, holder_buffer)
+    answered, remaining = holder.answer_requests(token, holder_window)
     assert [m.seq for m in answered] == [2] and remaining == []
     assert holder.requests_answered == 1
 
@@ -97,13 +97,13 @@ def test_stale_and_live_requests_mixed_on_one_token():
     # a live one: the stale seq vanishes, the live one is answered or
     # passed on — it must never be confused with the stale one.
     tracker = RetransmitTracker()
-    buffer = ReceiveBuffer()
+    window = ReceiveWindow()
     for seq in (1, 2, 4):
-        buffer.insert(msg(seq=seq))
-    buffer.discard_upto(2)
+        window.receive(msg(seq=seq))
+    window.discard_upto(2)
     token = Token(rtr=(1, 3, 4))
-    answered, remaining = tracker.answer_requests(token, buffer)
-    assert [m.seq for m in answered] == [4]  # still buffered: answered
+    answered, remaining = tracker.answer_requests(token, window)
+    assert [m.seq for m in answered] == [4]  # still held: answered
     assert remaining == [3]                  # a real gap: propagated
     assert tracker.merge_requests(remaining, []) == (3,)
 

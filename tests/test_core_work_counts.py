@@ -11,8 +11,16 @@ It pins the per-message work those paths are down to:
 * no other object of ``repro.core`` is built per message: every other
   constructor there, ``TokenRound`` included, runs at most once per
   token handled;
-* the delivery frontier is walked at most once per token handled plus
-  once per data message that fills the slot above it.
+* the receive window's run is released at most once per token handled
+  plus once per data message that fills the slot above
+  ``delivered_upto``;
+* an ``on_data`` call whose message is new and in order (one above every
+  seq its window has held) makes at most one Python call, the window's
+  ``receive``.  The priority tracker is called besides only to raise the
+  token's priority, at most once per token handled;
+* a lossless multicast copy makes at most two calls into ``repro.net``:
+  the switch port's ``_admit`` and the ``_settle`` it calls.  The
+  loopback ring has no network, so there the pin reads 0 <= 0.
 
 A per-message wrapper or copy brought back fails here instead of hiding
 in benchmark noise.
@@ -22,20 +30,31 @@ import importlib
 import pkgutil
 import random
 import sys
+import types
 
 import pytest
 
 import repro.core
 from repro.bench.experiments import tuned_configs
-from repro.core import DeliveryEngine, Participant, Service
+from repro.core import Participant, ReceiveWindow, Service
+from repro.core.priority import PriorityTracker
 from repro.net import TEN_GIGABIT
+from repro.net.line import TransmitLine
+from repro.net.switch import Switch, SwitchPort
 from repro.sim import DAEMON
 from repro.sim.cluster import SimCluster
 from repro.spreadlike import SpreadCluster
 
-WALK = DeliveryEngine.collect_deliverable.__code__
+WALK = ReceiveWindow.release.__code__
 RECEIVE = Participant.on_data.__code__
 SUBMIT = Participant.submit.__code__
+RAISE = PriorityTracker.note_data_processed.__code__
+FORWARD = Switch._forward.__code__
+ADMIT = TransmitLine._admit.__code__
+PORT = frozenset(
+    function.__code__ for cls in (TransmitLine, SwitchPort)
+    for function in vars(cls).values()
+    if isinstance(function, types.FunctionType))
 
 
 def core_constructors():
@@ -61,17 +80,42 @@ def count_calls(run):
 
     ``counts`` holds, per class name, the calls of each core constructor,
     the calls of ``WALK`` and ``SUBMIT`` and, under ``"frontier"``, the
-    ``on_data`` calls whose message is new and fills the slot above the
-    delivery frontier.
+    ``on_data`` calls whose message is new and fills the slot above
+    ``delivered_upto``.  Under ``"in_order"`` it counts the ``on_data``
+    calls whose message is one above every seq held, under ``"worst"``
+    the most calls one of them made besides ``RAISE`` and under
+    ``"raises"`` their ``RAISE`` calls; under ``"copies"`` the ``ADMIT``
+    calls of multicast fan-outs and under ``"port"`` every call of a
+    port method made there.
     """
     counts = dict.fromkeys(BUILDS.values(), 0)
     counts[WALK] = counts[SUBMIT] = 0
-    frontier = [0]
+    for key in ("frontier", "in_order", "worst", "raises", "copies", "port"):
+        counts[key] = 0
+    # The in-order on_data call running and the calls it made so far,
+    # and the multicast Switch._forward running.
+    receiving = made = fanout = None
 
     def hook(frame, event, _arg):
+        nonlocal receiving, made, fanout
+        if event == "return":
+            if frame is receiving:
+                counts["worst"] = max(counts["worst"], made)
+                receiving = None
+            elif frame is fanout:
+                fanout = None
+            return
         if event != "call":
             return
         code = frame.f_code
+        if receiving is not None and frame.f_back is receiving:
+            if code is RAISE:
+                counts["raises"] += 1
+            else:
+                made += 1
+        if fanout is not None and code in PORT:
+            counts["port"] += 1
+            counts["copies"] += code is ADMIT
         name = BUILDS.get(code)
         if name is not None:
             counts[name] += 1
@@ -81,9 +125,15 @@ def count_calls(run):
             # Arguments only: the hook runs before the body does.
             participant = frame.f_locals["self"]
             seq = frame.f_locals["message"].seq
+            window = participant.window
             if (seq == participant.delivered_upto + 1
-                    and participant.buffer.get(seq) is None):
-                frontier[0] += 1
+                    and window.get(seq) is None):
+                counts["frontier"] += 1
+            if seq == window.highest_seq_seen + 1:
+                counts["in_order"] += 1
+                receiving, made = frame, 0
+        elif code is FORWARD and frame.f_locals["frame"].dst is None:
+            fanout = frame
 
     # Restore whatever hook was installed before (a call census may be
     # counting this very run).
@@ -93,7 +143,6 @@ def count_calls(run):
         participants = run()
     finally:
         sys.setprofile(previous)
-    counts["frontier"] = frontier[0]
     return participants, counts
 
 
@@ -130,12 +179,24 @@ def sim_run():
     return [node.participant for node in cluster.nodes.values()]
 
 
-@pytest.mark.parametrize("run", [spread_run, sim_run],
-                         ids=["loop_spread", "sim_10g"])
-def test_token_and_data_paths_do_per_message_work_once(run):
-    participants, counts = count_calls(run)
-    initiated = sum(p.stats.messages_initiated for p in participants)
+RUNS = pytest.mark.parametrize("run", [spread_run, sim_run],
+                               ids=["loop_spread", "sim_10g"])
+_COUNTED = {}
+
+
+def counted(run):
+    """``count_calls(run)``, run once for all the tests below."""
+    if run not in _COUNTED:
+        _COUNTED[run] = count_calls(run)
+    participants, counts = _COUNTED[run]
     tokens = sum(p.stats.tokens_handled for p in participants)
+    return participants, dict(counts), tokens
+
+
+@RUNS
+def test_token_and_data_paths_do_per_message_work_once(run):
+    participants, counts, tokens = counted(run)
+    initiated = sum(p.stats.messages_initiated for p in participants)
     assert initiated > 1000 and tokens > 100
     assert counts.pop("_PendingMessage") == counts[SUBMIT]
     assert counts.pop("DataMessage") == initiated
@@ -145,3 +206,19 @@ def test_token_and_data_paths_do_per_message_work_once(run):
     for name in BUILDS.values():
         assert counts.get(name, 0) <= tokens, name
     assert counts[WALK] <= tokens + counts["frontier"]
+
+
+@RUNS
+def test_in_order_receive_makes_one_call(run):
+    _participants, counts, tokens = counted(run)
+    assert counts["in_order"] > 1000
+    assert counts["worst"] <= 1
+    assert counts["raises"] <= tokens
+
+
+@RUNS
+def test_lossless_multicast_copy_makes_two_net_calls(run):
+    _participants, counts, _tokens = counted(run)
+    if run is sim_run:
+        assert counts["copies"] > 1000
+    assert counts["port"] <= 2 * counts["copies"]

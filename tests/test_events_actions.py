@@ -86,7 +86,7 @@ def test_observers_survive_rebind_ring():
 # ---------------------------------------------------------------------------
 
 def test_token_round_carries_the_released_run():
-    # The delivered run is the delivery engine's list itself, in total
+    # The delivered run is the receive window's release, in total
     # order; with no window every message goes out before the token.
     participant = Participant(1, Ring.of((1,)),
                               ProtocolConfig(accelerated_window=0))

@@ -1,9 +1,10 @@
 """Exactness of two shortcuts on the hot paths.
 
-* ``Participant.on_data`` walks the delivery frontier only when the new
-  message fills the slot above it.  That is exact because every entry
-  point leaves the frontier collected: the slot is empty or holds a Safe
-  message beyond the stability bound, and only a token moves the bound.
+* ``ReceiveWindow.receive`` releases a run only when the new message
+  moves ``local_aru`` up from ``delivered_upto``.  That is exact because
+  every entry point leaves the run collected: the seq above
+  ``delivered_upto`` is not held yet or is a Safe message beyond the
+  stability bound, and only a token moves the bound.
 * ``LoopbackRing`` keeps the highest handled token hop as a running
   value, updated where a token is routed, in place of a
   ``max(last_received_hop)`` over the participants after each step.
@@ -42,7 +43,6 @@ def test_a_skipped_frontier_walk_would_release_nothing(schedule):
     n, safe, ops = schedule
     ring = Ring.of((1, 2, 3))
     participant = Participant(1, ring, ProtocolConfig())
-    engine = participant._delivery
     released = []
     hop = 0
     for kind, value in ops:
@@ -57,9 +57,9 @@ def test_a_skipped_frontier_walk_would_release_nothing(schedule):
                           aru_id=2)
             hop += len(ring)
             released += participant.on_token(token).delivered
-        # Every entry point leaves the frontier collected, so a walk
+        # Every entry point leaves the run collected, so a release
         # on_data skipped, or any other, now releases nothing.
-        assert engine.collect_deliverable(participant.buffer) == []
+        assert participant.window.release() == []
     assert [m.seq for m in released] == list(
         range(1, participant.delivered_upto + 1))
     # Two final tokens at aru n stabilise everything that arrived.

@@ -82,8 +82,8 @@ def test_garbage_collection_bounds_buffers():
     plan = mixed_workload(seed=7, pids=pids, per_pid=100, safe_fraction=0.0)
     ring = run_ring(pids, ProtocolConfig.accelerated(), plan)
     for pid in pids:
-        assert len(ring.participants[pid].buffer) < 100
-        assert ring.participants[pid].buffer.discarded_upto > 0
+        assert len(ring.participants[pid].window) < 100
+        assert ring.participants[pid].window.discarded_upto > 0
 
 
 def test_single_participant_ring():

@@ -10,25 +10,25 @@ from hypothesis import example, given, settings, HealthCheck
 from hypothesis import strategies as st
 
 from repro import LoopbackRing, PriorityMethod, ProtocolConfig, Service
-from repro.core import ReceiveBuffer, Service as Svc
+from repro.core import ReceiveWindow, Service as Svc
 from repro.core.messages import DataMessage
 from helpers import FirstTimeLoss, assert_same_sequences, record_token_handlings
 
 
 # ---------------------------------------------------------------------------
-# ReceiveBuffer properties
+# ReceiveWindow properties
 # ---------------------------------------------------------------------------
 
 @given(st.lists(st.integers(min_value=1, max_value=60), max_size=120))
 def test_buffer_aru_is_longest_prefix(seqs):
-    buffer = ReceiveBuffer()
+    window = ReceiveWindow()
     for seq in seqs:
-        buffer.insert(DataMessage(seq=seq, pid=1, round=1, service=Svc.AGREED))
+        window.receive(DataMessage(seq=seq, pid=1, round=1, service=Svc.AGREED))
     present = set(seqs)
     expected = 0
     while expected + 1 in present:
         expected += 1
-    assert buffer.local_aru == expected
+    assert window.local_aru == expected
 
 
 @given(
@@ -36,11 +36,11 @@ def test_buffer_aru_is_longest_prefix(seqs):
     st.integers(min_value=0, max_value=50),
 )
 def test_buffer_missing_between_is_complement(present, hi):
-    buffer = ReceiveBuffer()
+    window = ReceiveWindow()
     for seq in present:
-        buffer.insert(DataMessage(seq=seq, pid=1, round=1, service=Svc.AGREED))
-    lo = buffer.local_aru
-    missing = buffer.missing_between(lo, hi)
+        window.receive(DataMessage(seq=seq, pid=1, round=1, service=Svc.AGREED))
+    lo = window.local_aru
+    missing = window.missing_between(lo, hi)
     assert missing == [s for s in range(lo + 1, hi + 1) if s not in present]
 
 

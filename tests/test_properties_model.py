@@ -1,18 +1,18 @@
-"""Model-based property tests: delivery engine and group table vs
-straightforward reference models."""
+"""Model-based property tests: the receive window's delivery and the
+group table vs straightforward reference models."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DeliveryEngine, ReceiveBuffer, Service
+from repro.core import ReceiveWindow, Service
 from repro.core.messages import DataMessage
 from repro.spreadlike import ClientId, GroupTable
 
 
 # ---------------------------------------------------------------------------
-# DeliveryEngine vs a brute-force model
+# ReceiveWindow delivery vs a brute-force model
 # ---------------------------------------------------------------------------
 
 def msg(seq, safe):
@@ -42,10 +42,9 @@ def delivery_scenarios(draw):
 
 @given(delivery_scenarios())
 @settings(max_examples=200, deadline=None)
-def test_delivery_engine_matches_model(scenario):
+def test_window_delivery_matches_model(scenario):
     safe_flags, events = scenario
-    engine = DeliveryEngine()
-    buffer = ReceiveBuffer()
+    window = ReceiveWindow()
     delivered = []
 
     # Reference model state.
@@ -71,17 +70,17 @@ def test_delivery_engine_matches_model(scenario):
 
     for kind, value in events:
         if kind == "arrive":
-            buffer.insert(msg(value, safe_flags[value - 1]))
-            delivered.extend(m.seq for m in engine.collect_deliverable(buffer))
+            delivered.extend(
+                m.seq for m in window.receive(msg(value, safe_flags[value - 1])))
             model_received.add(value)
             model_collect()
         else:
-            engine.note_token_sent(value)
-            delivered.extend(m.seq for m in engine.collect_deliverable(buffer))
+            window.note_token_sent(value)
+            delivered.extend(m.seq for m in window.release())
             model_arus.append(value)
             model_collect()
         assert delivered == model_delivered
-        assert engine.safe_bound == model_safe_bound()
+        assert window.safe_bound == model_safe_bound()
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,9 @@ def test_run_point_signature_is_stable():
 def test_public_classes_have_docstrings():
     from repro.core import (
         AcceleratedWindowTuner,
-        DeliveryEngine,
         Participant,
         ProtocolConfig,
-        ReceiveBuffer,
+        ReceiveWindow,
         Ring,
         Token,
     )
@@ -86,8 +85,8 @@ def test_public_classes_have_docstrings():
     from repro.sim import SimCluster, SimNode
     from repro.spreadlike import SpreadClient, SpreadDaemon
 
-    for cls in (Participant, ProtocolConfig, Ring, Token, ReceiveBuffer,
-                DeliveryEngine, AcceleratedWindowTuner, EVSProcess,
+    for cls in (Participant, ProtocolConfig, Ring, Token, ReceiveWindow,
+                AcceleratedWindowTuner, EVSProcess,
                 SimCluster, SimNode, SpreadDaemon, SpreadClient):
         assert cls.__doc__ and cls.__doc__.strip(), cls.__name__
 

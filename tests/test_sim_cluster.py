@@ -4,6 +4,8 @@ These are correctness and sanity tests; the figure-level performance
 assertions live in benchmarks/.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.core import PriorityMethod, ProtocolConfig, Service
@@ -68,6 +70,24 @@ def test_recorder_per_service_split():
     assert recorder.summary(Service.AGREED).mean_s == 1.0
     assert recorder.summary(Service.SAFE).mean_s == 3.0
     assert recorder.summary().count == 2
+
+
+def test_recorder_stores_samples_unboxed():
+    # A run's recorder outlives it as cyclic garbage until a full
+    # collection, so its samples should cost what a double does.
+    recorder = LatencyRecorder()
+    count = 100_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for i in range(count):
+            recorder.record(i % 8, Service.AGREED, 0.0, i * 1e-6, 10)
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    grown = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert grown <= 16 * count, grown / count
+    assert recorder.summary().count == count
 
 
 # ---------------------------------------------------------------------------
