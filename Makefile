@@ -17,12 +17,10 @@ test-fast:
 
 # Repo-specific static analysis (repro.analysis): determinism,
 # sans-IO boundary, __slots__ completeness and wire-drift lints over
-# src/repro, gated against the committed lint_baseline.json.  Fails on
-# any non-baselined finding and writes the JSON report CI uploads as
-# an artifact.  This is what CI runs.
+# src/repro.  Fails on any finding and writes the JSON report CI uploads
+# as an artifact.  This is what CI runs.
 lint:
 	$(PYTHON) -m repro.cli lint src/repro \
-		--baseline lint_baseline.json \
 		--json bench_results/fresh/lint_report.json
 
 bench:
@@ -132,11 +130,12 @@ wire-fuzz-smoke:
 figures:
 	$(PYTHON) -m repro.cli all
 
-# Call census (scripts/call_census.py): tier-1, the examples, CLI smokes
-# and perf/run.py --smoke under a profile hook in every interpreter, then
-# the functions under src/repro none of them entered and those only
-# tier-1 entered, with line spans.  Every Python call pays the hook, so
-# this takes several times tier-1's time: not part of CI.
+# Call census (scripts/call_census.py): tier-1, the examples, CLI smokes,
+# perf/run.py --smoke and the benchmarks (quick, each run once) under a
+# profile hook in every interpreter, then the functions under src/repro
+# none of them entered and those only tier-1 entered, with line spans.
+# Every Python call pays the hook, so this takes several times tier-1's
+# time: not part of CI.
 census:
 	$(PYTHON) scripts/call_census.py
 

@@ -8,6 +8,7 @@ about excessive overlap); with generous buffers the same window is
 loss-free.
 """
 
+from dataclasses import replace
 from repro.bench import headline
 from repro.core import ProtocolConfig, Service
 from repro.net import GIGABIT
@@ -20,7 +21,7 @@ def run_buffer_sweep():
     )
     results = {}
     for buffer_kb in (8, 24, 64, 384):
-        spec = GIGABIT.with_overrides(port_buffer_bytes=buffer_kb * 1024)
+        spec = replace(GIGABIT, port_buffer_bytes=buffer_kb * 1024)
         # Drive the ring at full tilt: the accelerated window only
         # pressures the buffers when whole windows are in flight.
         results[buffer_kb] = run_point(

@@ -5,6 +5,7 @@ core itself (supports the Section IV discussion of processing costs).
 These use pytest-benchmark's statistics for real over many rounds.
 """
 
+from dataclasses import replace
 from repro.core import (
     Participant,
     ProtocolConfig,
@@ -26,8 +27,8 @@ def test_on_token_idle(benchmark):
 
     def handle():
         handled = participant.on_token(state["token"])
-        state["token"] = handled.token.evolve(
-            hop=state["token"].hop + 8
+        state["token"] = replace(
+            handled.token, hop=state["token"].hop + 8
         )
 
     benchmark(handle)
@@ -42,7 +43,7 @@ def test_on_token_sending_window(benchmark):
             participant.submit(b"x", Service.AGREED, payload_size=1350)
         sent = participant.on_token(state["token"]).token
         # Keep everyone caught up so buffers stay bounded.
-        state["token"] = sent.evolve(hop=sent.hop + 8, aru=sent.seq)
+        state["token"] = replace(sent, hop=sent.hop + 8, aru=sent.seq)
 
     benchmark(handle)
 
@@ -90,8 +91,8 @@ def test_retransmission_answering(benchmark):
 
     def handle():
         # Every round requests the same 16 still-buffered messages.
-        token = state["token"].evolve(
-            hop=state["token"].hop + 8, rtr=tuple(range(1, 17))
+        token = replace(
+            state["token"], hop=state["token"].hop + 8, rtr=tuple(range(1, 17))
         )
         state["token"] = participant.on_token(token).token
 

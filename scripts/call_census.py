@@ -4,11 +4,13 @@
     python scripts/call_census.py [--keep DIR]
     make census
 
-Runs a plan of commands, each labelled ``test`` (tier-1) or ``use``
-(``make examples``, CLI smokes, ``perf/run.py --smoke``).  Every
-interpreter they start loads a ``sitecustomize.py`` that this script
-writes into a work directory put first on ``PYTHONPATH`` — the
-commands themselves and every child started with the inherited
+Runs a plan of commands, each labelled ``test`` (tier-1), ``use``
+(``make examples``, CLI smokes, ``perf/run.py --smoke``) or ``bench``
+(``pytest benchmarks/ --benchmark-disable``, quick mode: every benchmark
+runs once, since ``--benchmark-only`` would pause the hook in each timed
+round).  Every interpreter they start loads a ``sitecustomize.py`` that
+this script writes into a work directory put first on ``PYTHONPATH`` —
+the commands themselves and every child started with the inherited
 environment, such as ``perf/run.py``'s per-workload children.  It
 installs a ``sys.setprofile`` hook (and ``threading.setprofile`` for
 threads started later) that notes each code object entered; at exit the
@@ -16,11 +18,16 @@ interpreter writes the ``(file, first line)`` of those under the census
 root.  An interpreter whose hook was replaced by then (a second
 ``sys.setprofile`` or a profiler that did not restore it) lost every
 later call: it says so, naming its label, and exits with status 3, so
-the census fails rather than over-report.  The report then lists every function and method under the root,
-from the AST with its line span, that
+the census fails rather than over-report.  The report then lists every
+function and method under the root, from the AST with its line span,
+that
 
 * no run entered ("never entered"), or
 * only ``test`` runs entered ("entered only under tests").
+
+Every run writes its results under the work directory
+(``REPRO_BENCH_RESULTS``), so no tracked ``bench_results/`` file is
+rewritten.
 
 Known gap: ``multiprocessing`` pool workers leave through ``os._exit``,
 which skips ``atexit``, so calls made only inside a pool worker are
@@ -121,10 +128,13 @@ def functions_under(root: str) -> List[Function]:
 
 
 def census_env(out: str, root: str, label: str, site_dir: str) -> Dict[str, str]:
-    """The environment of one labelled census run (hook on ``PYTHONPATH``,
-    sweeps serial)."""
+    """The environment of one labelled census run: hook on ``PYTHONPATH``,
+    sweeps serial and quick, results beside ``out`` in ``results/``."""
     env = dict(os.environ)
     env.pop("REPRO_BENCH_PROCESSES", None)
+    env.pop("REPRO_BENCH_FULL", None)
+    env["REPRO_BENCH_RESULTS"] = os.path.join(
+        os.path.dirname(os.path.abspath(out)), "results")
     path = [site_dir, os.path.join(REPO, "src")]
     if env.get("PYTHONPATH"):
         path.append(env["PYTHONPATH"])
@@ -169,7 +179,8 @@ def classify(functions: Sequence[Function],
 
 
 def plan(workdir: str) -> List[Tuple[str, List[str]]]:
-    """The census runs: tier-1, the examples, CLI smokes, perf smoke."""
+    """The census runs: tier-1, the examples, CLI smokes, perf smoke and
+    the benchmarks."""
     cli = [sys.executable, "-m", "repro.cli"]
     obs = os.path.join(workdir, "obs")
     captures = os.path.join(workdir, "captures")
@@ -189,11 +200,12 @@ def plan(workdir: str) -> List[Tuple[str, List[str]]]:
         ("use", cli + ["capture-sample", "--out-dir", captures]),
         ("use", cli + ["decode", os.path.join(captures, "sim_sample.rcap"),
                        "--summary"]),
-        ("use", cli + ["lint", "src/repro", "--baseline",
-                       "lint_baseline.json", "--json",
+        ("use", cli + ["lint", "src/repro", "--json",
                        os.path.join(workdir, "lint_report.json")]),
         ("use", cli + ["fig7", "--quiet"]),
         ("use", [sys.executable, "perf/run.py", "--smoke"]),
+        ("bench", [sys.executable, "-m", "pytest", "benchmarks/",
+                   "--benchmark-disable", "-q", "-p", "no:cacheprovider"]),
     ]
 
 
@@ -221,7 +233,6 @@ def main(argv: Sequence[str] = ()) -> int:
         for label, command in plan(workdir):
             print("== [%s] %s" % (label, " ".join(command)), flush=True)
             env = census_env(out, ROOT, label, site_dir)
-            env["REPRO_BENCH_RESULTS"] = os.path.join(workdir, "figures")
             done = subprocess.run(command, cwd=REPO, env=env,
                                   stdout=subprocess.DEVNULL)
             if done.returncode:

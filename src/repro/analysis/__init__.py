@@ -25,8 +25,4 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "AnalysisConfig", "AnalysisReport", "analyze_file", "analyze_source",
         "analyze_tree", "iter_package_files",
     ),
-    "baseline": (
-        "DEFAULT_BASELINE_NAME", "load_baseline", "split_by_baseline",
-        "write_baseline",
-    ),
 })

@@ -7,9 +7,9 @@ code under analysis — everything is derived from the source text and
 the AST, so a file with a runtime-breaking bug still lints.
 
 Findings carry a *key* — a line-number-free description of the finding
-site (``"Participant.frame_id"``, ``"import:socket"``) — so the
-fingerprint used by the suppression baseline survives unrelated edits
-that shift line numbers.
+site (``"Participant.window"``, ``"import:socket"``) — so the
+fingerprint in the JSON report survives unrelated edits that shift line
+numbers.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching (no line numbers)."""
+        """Stable identity across reports (no line numbers)."""
         return "%s:%s:%s" % (self.rule, self.module, self.key)
 
     def render(self) -> str:

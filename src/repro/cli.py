@@ -362,22 +362,19 @@ def _trace_analyze(args) -> int:
 def _obs_sample(args) -> int:
     """Produce the reference observability artifacts from one run.
 
-    One seeded sim run yields the sample trace (binary and JSONL
-    flavors carry identical records) and the matching metrics snapshot;
-    ``trace-analyze`` and ``report`` render them.  Same seed, same
-    bytes — which is why no copy is committed.
+    One seeded sim run yields the sample ``.rtrace`` trace and the
+    matching metrics snapshot; ``trace-analyze`` and ``report`` render
+    them.  Same seed, same bytes — which is why no copy is
+    committed.
     """
     os.makedirs(args.out_dir, exist_ok=True)
 
     cluster, result, tracer = _traced_reference_run(
         args.seed, args.nodes, args.duration, args.rate,
     )
-    trace_path = tracer.write(os.path.join(args.out_dir, "sim_sample.rtrace"))
-    jsonl_path = tracer.write_jsonl(
-        os.path.join(args.out_dir, "sim_sample.jsonl")
-    )
+    trace_path = tracer.write_binary(
+        os.path.join(args.out_dir, "sim_sample.rtrace"))
     print("wrote %s (%d records)" % (trace_path, len(tracer)))
-    print("wrote %s (%d records)" % (jsonl_path, len(tracer)))
 
     metrics_path = os.path.join(args.out_dir, "metrics_sample.json")
     cluster.metrics.write_json(metrics_path)
@@ -391,8 +388,8 @@ def _obs_sample(args) -> int:
 def _lint(args) -> int:
     """The ``lint`` tool: repo-specific static analysis as a hard gate.
 
-    Exit status: 0 when every finding is baselined (or there are none),
-    1 on any new finding or parse error, 2 on bad usage.
+    Exit status: 0 when there are no findings, 1 on any finding or parse
+    error, 2 on bad usage.
     """
     import json
     import time
@@ -407,66 +404,28 @@ def _lint(args) -> int:
               file=sys.stderr)
         return 2
 
-    baseline_path = args.baseline
-    if baseline_path is None:
-        candidates = [
-            analysis.DEFAULT_BASELINE_NAME,
-            os.path.join(package_root, os.pardir, os.pardir,
-                         analysis.DEFAULT_BASELINE_NAME),
-        ]
-        for candidate in candidates:
-            if os.path.exists(candidate):
-                baseline_path = candidate
-                break
-        else:
-            baseline_path = candidates[0]
-
     started = time.perf_counter()
     report = analysis.analyze_tree(package_root)
     elapsed = time.perf_counter() - started
 
-    if args.write_baseline:
-        analysis.write_baseline(baseline_path, report.findings)
-        print("lint: wrote %s suppressing %d finding(s)"
-              % (baseline_path, len(report.findings)))
-        return 0
-
-    baseline = set() if args.no_baseline else \
-        analysis.load_baseline(baseline_path)
-    split = analysis.split_by_baseline(report.findings, baseline)
-    new, baselined = split["new"], split["baselined"]
-
     if args.json_out is not None:
         payload = report.to_dict()
-        payload["baseline"] = baseline_path
-        payload["baselined_count"] = len(baselined)
-        payload["new_count"] = len(new)
-        payload["new"] = [f.to_dict() for f in new]
         if args.json_out == "-":
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             write_record(payload, args.json_out)
 
     if not args.quiet:
-        for finding in new:
+        for finding in report.findings:
             print(finding.render())
         for error in report.parse_errors:
             print("parse error: %s" % error)
-    stale = baseline - {f.fingerprint for f in baselined}
     print(
-        "lint: %d file(s), %d finding(s) (%d new, %d baselined), "
-        "%.2fs" % (report.files_scanned, len(report.findings),
-                   len(new), len(baselined), elapsed),
+        "lint: %d file(s), %d finding(s), %.2fs"
+        % (report.files_scanned, len(report.findings), elapsed),
         file=sys.stderr,
     )
-    if stale and not args.quiet:
-        print(
-            "lint: %d stale baseline entr%s (fixed findings still "
-            "suppressed) — rerun with --write-baseline to prune"
-            % (len(stale), "y" if len(stale) == 1 else "ies"),
-            file=sys.stderr,
-        )
-    return 1 if (new or report.parse_errors) else 0
+    return 1 if (report.findings or report.parse_errors) else 0
 
 
 def _commands() -> List[Tuple[str, Callable[[Any], int], str, Tuple]]:
@@ -574,8 +533,7 @@ def _commands() -> List[Tuple[str, Callable[[Any], int], str, Tuple]]:
                        "(multiring.*)"),
          ) + _RUN),
         ("trace-analyze", _trace_analyze,
-         "Per-stage latency decomposition of a lifecycle trace (.rtrace "
-         "binary or .jsonl).", (
+         "Per-stage latency decomposition of a lifecycle .rtrace trace.", (
              _row("trace", help="path to the trace file"),
              _row("--top", type=int, default=10, metavar="N",
                   help="how many slowest deliveries to list (default: 10)"),
@@ -583,11 +541,11 @@ def _commands() -> List[Tuple[str, Callable[[Any], int], str, Tuple]]:
                   help="emit the full analysis as JSON instead of the report"),
          )),
         ("obs-sample", _obs_sample,
-         "Generate the reference .rtrace/.jsonl trace and metrics snapshot "
-         "from a seeded sim run.", (
+         "Generate the reference .rtrace trace and metrics snapshot from a "
+         "seeded sim run.", (
              _row("--out-dir", default=os.path.join("bench_results", "fresh",
                                                     "obs"),
-                  help="directory for sim_sample.rtrace/.jsonl and "
+                  help="directory for sim_sample.rtrace and "
                        "metrics_sample.json"),
          ) + _RUN),
         ("lint", _lint,
@@ -598,15 +556,6 @@ def _commands() -> List[Tuple[str, Callable[[Any], int], str, Tuple]]:
                        "repro package)"),
              _row("--json", metavar="FILE", dest="json_out", default=None,
                   help="write the full JSON report to FILE ('-' for stdout)"),
-             _row("--baseline", default=None, metavar="FILE",
-                  help="suppression baseline (default: lint_baseline.json in "
-                       "the CWD or next to the package)"),
-             _row("--no-baseline", action="store_true",
-                  help="ignore any baseline file: report and gate on "
-                       "everything"),
-             _row("--write-baseline", action="store_true",
-                  help="rewrite the baseline to suppress every current "
-                       "finding, then exit 0"),
              _row("--quiet", action="store_true",
                   help="suppress per-finding lines; print only the summary"),
          )),

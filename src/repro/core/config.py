@@ -16,7 +16,7 @@ The four windows come straight from Section III-A of the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
@@ -53,7 +53,7 @@ class Service(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class ProtocolConfig:
-    """Tunable parameters of one ring.  Immutable; use :meth:`evolve`."""
+    """Tunable parameters of one ring.  Immutable; copy with ``replace``."""
 
     personal_window: int = 40
     global_window: int = 240
@@ -107,10 +107,6 @@ class ProtocolConfig:
     @property
     def is_accelerated(self) -> bool:
         return self.accelerated_window > 0
-
-    def evolve(self, **overrides) -> "ProtocolConfig":
-        """A copy with selected fields replaced."""
-        return replace(self, **overrides)
 
     @classmethod
     def original_ring(cls, **overrides) -> "ProtocolConfig":

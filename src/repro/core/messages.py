@@ -76,8 +76,8 @@ class Token:
     """The regular token (Section III-A).
 
     Immutable by convention (see :class:`DataMessage` for why the class
-    is not ``frozen``): a handling produces a *new* token via
-    :meth:`evolve`, which keeps tokens safe to retransmit and to log.
+    is not ``frozen``): a handling builds a *new* token, which keeps
+    tokens safe to retransmit and to log.
     """
 
     #: Identifier of the ring (configuration) this token belongs to.
@@ -94,30 +94,6 @@ class Token:
     fcc: int = 0
     #: Sorted tuple of sequence numbers requested for retransmission.
     rtr: Tuple[int, ...] = ()
-
-    def evolve(self, **overrides) -> "Token":
-        """A copy with ``overrides`` applied (token-path hot spot).
-
-        Equivalent to :func:`dataclasses.replace` — including the
-        ``TypeError`` on unknown field names — but without its per-call
-        field introspection: one token evolves on every handling of every
-        simulated round.
-        """
-        pop = overrides.pop
-        token = Token(
-            pop("ring_id", self.ring_id),
-            pop("hop", self.hop),
-            pop("seq", self.seq),
-            pop("aru", self.aru),
-            pop("aru_id", self.aru_id),
-            pop("fcc", self.fcc),
-            pop("rtr", self.rtr),
-        )
-        if overrides:
-            raise TypeError(
-                "evolve() got unexpected token fields %r" % sorted(overrides)
-            )
-        return token
 
     @property
     def size(self) -> int:

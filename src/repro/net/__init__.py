@@ -15,7 +15,7 @@ from .._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "engine": (
-        "Simulator", "Timeout", "Signal", "Latch", "Process",
+        "Simulator", "Timeout", "Signal", "Process",
         "SimulationError",
     ),
     "frames": ("Frame", "Traffic", "WIRE_OVERHEAD", "ETHERNET_MTU"),

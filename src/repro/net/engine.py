@@ -3,9 +3,10 @@
 A deliberately small, fast, generator-based kernel in the style of simpy.
 Simulated entities are *processes*: Python generators that yield either a
 :class:`Timeout` (sleep for simulated seconds) or a :class:`Signal` (wait
-until some other process triggers it).  The kernel owns a single event
-queue ordered by simulated time; ties are broken by insertion order so the
-simulation is fully deterministic.
+until some other process fires it).  A resumed process gets no value back
+from its ``yield``.  The kernel owns a single event queue ordered by
+simulated time; ties are broken by insertion order so the simulation is
+fully deterministic.
 
 The network substrate (:mod:`repro.net`) and the protocol hosts
 (:mod:`repro.sim`) are built entirely on this kernel, which keeps the
@@ -26,14 +27,14 @@ with insertion-order tie-breaking (locked in by
   the current time.  Zero-delay events — process resumes,
   :meth:`Signal.fire`, ``call_in(0.0, ...)`` — never touch the heap.
 * Events are dispatched **by type, not by callback**: a queue entry is
-  either a bare :class:`Process` (the overwhelmingly common timer
-  resume / zero-delay resume) or a ``(fn, args)`` pair (an arbitrary
-  scheduled callback).  The run loop branches on the entry's class, so
-  the hot path allocates *no* per-event tuples, no bound methods and no
-  argument packs: a sleeping process costs one 3-tuple on the heap and
-  one bare object reference on the ready queue.
-* :meth:`Process._step` inlines the :class:`Timeout` schedule (the single
-  most common yield) and caches ``generator.send`` at spawn time.
+  either a bare :class:`Process` (a resume) or a ``(fn, args)`` pair (an
+  arbitrary scheduled callback).  The run loop branches on the entry's
+  class, so the hot path allocates *no* per-event tuples, no bound
+  methods and no argument packs: a sleeping process costs one 3-tuple on
+  the heap and one bare object reference on the ready queue.
+* :meth:`Simulator.run` inlines the resume, including the
+  :class:`Timeout` schedule (the single most common yield), and uses the
+  ``generator.send`` cached at spawn time.
 * :meth:`Signal.fire` bulk-appends its waiters with ``deque.extend``.
 
 Ordering proof sketch (unchanged from the 4-tuple kernel): ready entries
@@ -50,7 +51,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 
 class SimulationError(Exception):
@@ -75,10 +76,9 @@ class Signal:
     """A triggerable, reusable event.
 
     Processes that yield a signal are suspended until :meth:`fire` is
-    called, at which point all current waiters are resumed (in the order
-    they started waiting) with the fired value.  Waiters that arrive after
-    a fire wait for the next fire; a Signal carries no memory of past
-    fires.  Use :class:`Latch` when the "already happened" memory matters.
+    called, at which point all current waiters are resumed in the order
+    they started waiting.  Waiters that arrive after a fire wait for the
+    next fire; a Signal carries no memory of past fires.
     """
 
     __slots__ = ("sim", "name", "_waiters")
@@ -88,115 +88,41 @@ class Signal:
         self.name = name
         self._waiters: List["Process"] = []
 
-    def fire(self, value: Any = None) -> None:
+    def fire(self) -> None:
         """Resume every process currently waiting on this signal."""
         waiters = self._waiters
-        if not waiters:
-            return
-        # The ready queue preserves the wait order (FIFO); a bare Process
-        # entry means "resume with None", the overwhelmingly common case.
-        ready = self.sim._ready
-        if value is None:
+        if waiters:
             # extend() copies the references first, so clearing in place
             # is safe and reuses the list (one fewer allocation per fire).
-            ready.extend(waiters)
+            self.sim._ready.extend(waiters)
             waiters.clear()
-        else:
-            self._waiters = []
-            append = ready.append
-            for process in waiters:
-                append((process._step, (value,)))
 
     def __repr__(self) -> str:
         return "Signal(%s, waiters=%d)" % (self.name, len(self._waiters))
 
 
-class Latch(Signal):
-    """A one-shot signal that remembers having fired.
-
-    Waiting on an already-fired latch resumes immediately with the stored
-    value.  Used for completion events (e.g. "simulation warmed up").
-    """
-
-    __slots__ = ("fired", "value")
-
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
-        super().__init__(sim, name)
-        self.fired = False
-        self.value: Any = None
-
-    def fire(self, value: Any = None) -> None:
-        if self.fired:
-            return
-        self.fired = True
-        self.value = value
-        super().fire(value)
-
-
 class Process:
     """A running generator, driven by the kernel."""
 
-    __slots__ = ("sim", "name", "_generator", "_send", "alive", "_done_latch")
+    __slots__ = ("sim", "name", "_send", "alive")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self._generator = generator
-        #: Cached bound ``send`` — one attribute lookup saved per step.
+        #: Cached bound ``send`` — one attribute lookup saved per resume.
         self._send = generator.send
         self.alive = True
-        self._done_latch = Latch(sim, name + ".done")
-
-    @property
-    def done(self) -> Latch:
-        """Latch fired when this process finishes."""
-        return self._done_latch
-
-    def _step(self, value: Any) -> None:
-        if not self.alive:
-            return
-        try:
-            yielded = self._send(value)
-        except StopIteration:
-            self.alive = False
-            self._done_latch.fire()
-            return
-        cls = yielded.__class__
-        if cls is Timeout:
-            # Fast path: schedule the resume directly.  The resume stays a
-            # two-hop schedule (heap entry -> ready-queue _step) so the
-            # interleaving with events scheduled between now and the
-            # wake-up time is unchanged: popping the bare Process from the
-            # heap appends it to the ready queue, where it runs after
-            # every other heap event at the wake-up time.
-            sim = self.sim
-            delay = yielded.delay
-            if delay:
-                heappush(sim._queue, (sim.now + delay, next(sim._tie), self))
-            else:
-                # Timeout(0) keeps the same two-hop shape (hop 1 is the
-                # scheduler call, hop 2 the resume) so its position among
-                # other zero-delay events is unchanged.
-                sim._ready.append((sim._schedule_resume, (self, None)))
-        elif cls is Signal:
-            # Exact-type fast path: a plain Signal never has latch memory.
-            yielded._waiters.append(self)
-        else:
-            self._yield_slow(yielded)
 
     def _yield_slow(self, yielded: Any) -> None:
-        """Handle the rare yields: Latch, Signal/Timeout subclasses, junk.
+        """Handle the rare yields: Signal/Timeout subclasses, junk.
 
-        Split out of the exact-type fast paths (shared by :meth:`_step`
-        and the inlined resume in :meth:`Simulator.run`).
+        Split out of the exact-type fast paths inlined in
+        :meth:`Simulator.run`.
         """
         if isinstance(yielded, Signal):
-            if isinstance(yielded, Latch) and yielded.fired:
-                self.sim._schedule_resume(self, yielded.value)
-            else:
-                yielded._waiters.append(self)
-        elif isinstance(yielded, Timeout):  # a Timeout subclass
-            self.sim.call_in(yielded.delay, self.sim._schedule_resume, self, None)
+            yielded._waiters.append(self)
+        elif isinstance(yielded, Timeout):
+            self.sim.call_in(yielded.delay, self.sim._ready.append, self)
         else:
             raise SimulationError(
                 "process %s yielded %r; expected Timeout or Signal"
@@ -219,8 +145,8 @@ class Simulator:
     the current time.  Heap entries are ``(when, tie, entry)`` 3-tuples;
     ready-queue entries carry no timestamp at all.  ``entry`` is either a
     bare :class:`Process` — a timer resume (from the heap) or a pending
-    ``_step(None)`` (on the ready queue) — or a ``(fn, args)`` pair for
-    arbitrary callbacks; :meth:`run` dispatches on the entry's class.
+    resume (on the ready queue) — or a ``(fn, args)`` pair for arbitrary
+    callbacks; :meth:`run` dispatches on the entry's class.
 
     Execution order is identical to a single heap with insertion-order
     tie-breaking: heap ties are unique ints (so the third tuple element
@@ -253,12 +179,6 @@ class Simulator:
         """Run ``fn(*args)`` at absolute simulated time ``when``."""
         self.call_in(when - self.now, fn, *args)
 
-    def _schedule_resume(self, process: Process, value: Any) -> None:
-        if value is None:
-            self._ready.append(process)
-        else:
-            self._ready.append((process._step, (value,)))
-
     # -- processes -------------------------------------------------------
 
     def spawn(self, generator: Generator, name: str = "process") -> Process:
@@ -269,9 +189,6 @@ class Simulator:
 
     def signal(self, name: str = "") -> Signal:
         return Signal(self, name)
-
-    def latch(self, name: str = "") -> Latch:
-        return Latch(self, name)
 
     # -- running ---------------------------------------------------------
 
@@ -310,26 +227,27 @@ class Simulator:
                     while ready:
                         entry = popleft()
                         if entry.__class__ is Process:
-                            # Inlined Process._step(None) — the single
-                            # hottest event type, worth one saved Python
-                            # call per resume.  Keep in sync with _step.
+                            # The resume, inlined: the single hottest
+                            # event type, worth one saved Python call.
                             if entry.alive:
                                 try:
                                     yielded = entry._send(None)
                                 except StopIteration:
                                     entry.alive = False
-                                    entry._done_latch.fire()
                                 else:
                                     cls = yielded.__class__
                                     if cls is Timeout:
+                                        # Two hops either way (heap or
+                                        # scheduler call, then the ready
+                                        # queue), so the resume runs after
+                                        # every other event due with it.
                                         delay = yielded.delay
                                         if delay:
                                             push(queue, (now + delay,
                                                          tie_next(), entry))
                                         else:
                                             ready_append(
-                                                (entry.sim._schedule_resume,
-                                                 (entry, None))
+                                                (ready_append, (entry,))
                                             )
                                     elif cls is Signal:
                                         yielded._waiters.append(entry)
@@ -376,9 +294,3 @@ class Simulator:
         return "Simulator(now=%g, pending=%d)" % (
             self.now, len(self._queue) + len(self._ready),
         )
-
-
-def drain(iterable: Iterable[Any]) -> None:
-    """Exhaust an iterable for its side effects (explicit, unlike list())."""
-    for _item in iterable:
-        pass

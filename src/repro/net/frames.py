@@ -13,7 +13,6 @@ ports (the paper's "different sockets for token and data").
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Optional
 
 #: Ethernet + IP + UDP framing overhead added to every datagram, in bytes.
@@ -31,9 +30,6 @@ class Traffic(enum.Enum):
     TOKEN = "token"
 
 
-_frame_ids = itertools.count()
-
-
 class Frame:
     """One UDP datagram on the simulated network.
 
@@ -47,12 +43,11 @@ class Frame:
     frames are built per simulated second, and the hand-written
     ``__init__`` precomputes the fragment count and wire size once so
     every hop — NIC, switch port, receive socket — reads a plain
-    attribute (:attr:`wire`).  ``wire_bytes()``/``fragment_count()``
-    remain as method aliases for existing callers.
+    attribute (:attr:`fragments`, :attr:`wire`).
     """
 
     __slots__ = ("src", "dst", "traffic", "size", "payload", "sent_at",
-                 "frame_id", "fragments", "wire")
+                 "fragments", "wire")
 
     def __init__(
         self,
@@ -62,7 +57,6 @@ class Frame:
         size: int,
         payload: Any,
         sent_at: float = 0.0,
-        frame_id: Optional[int] = None,
     ) -> None:
         self.src = src
         self.dst = dst
@@ -70,27 +64,14 @@ class Frame:
         self.size = size
         self.payload = payload
         self.sent_at = sent_at
-        self.frame_id = next(_frame_ids) if frame_id is None else frame_id
         fragments = -(-size // ETHERNET_MTU)
         if fragments < 1:
             fragments = 1
         self.fragments = fragments
         self.wire = size + fragments * WIRE_OVERHEAD
 
-    @property
-    def is_multicast(self) -> bool:
-        return self.dst is None
-
-    def fragment_count(self) -> int:
-        """Number of Ethernet frames the datagram occupies on the wire."""
-        return self.fragments
-
-    def wire_bytes(self) -> int:
-        """Total bytes on the wire including per-fragment overhead."""
-        return self.wire
-
     def __repr__(self) -> str:
-        target = "mcast" if self.is_multicast else str(self.dst)
-        return "Frame(#%d %s %d->%s %dB)" % (
-            self.frame_id, self.traffic.value, self.src, target, self.size,
+        target = "mcast" if self.dst is None else str(self.dst)
+        return "Frame(%s %d->%s %dB)" % (
+            self.traffic.value, self.src, target, self.size,
         )

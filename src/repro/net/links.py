@@ -10,7 +10,7 @@ multicast overlap the accelerated protocol can exploit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,10 +35,6 @@ class LinkSpec:
     def serialization_s(self, wire_bytes: int) -> float:
         """Time to clock ``wire_bytes`` onto the link."""
         return wire_bytes * 8.0 / self.rate_bps
-
-    def with_overrides(self, **kwargs) -> "LinkSpec":
-        """A copy with selected fields replaced (for ablation sweeps)."""
-        return replace(self, **kwargs)
 
 
 #: 1-gigabit testbed (Catalyst 2960 class): modest forwarding latency,

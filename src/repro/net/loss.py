@@ -179,7 +179,7 @@ class PerFragmentLoss:
     def __call__(self, frame: Frame) -> bool:
         if self.spare_token and frame.traffic is Traffic.TOKEN:
             return False
-        fragments = frame.fragment_count()
+        fragments = frame.fragments
         self.fragments_seen += fragments
         if self._parent is not None:
             self._parent.fragments_seen += fragments

@@ -66,7 +66,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..core import Service
 from ..core.packing import PackedPayload
-from ..wire import tracefmt
 from ..wire.capture import WORLD_EMULATION, WORLD_SIM
 from ..wire.tracefmt import (
     CLOCK_SIM,
@@ -363,27 +362,12 @@ class LifecycleTracer:
         ]
 
     def write_binary(self, path: str) -> str:
-        """Write the ``.rtrace`` binary flavor; returns the path."""
+        """Write the ``.rtrace`` file; returns the path."""
         with TraceWriter(
             path, self.world, self.clock_kind, self.label
         ) as writer:
             writer.write_packed(bytes(self._buf))
         return path
-
-    def write_jsonl(self, path: str) -> str:
-        """Write the JSONL flavor; returns the path."""
-        with open(path, "w") as handle:
-            tracefmt.write_jsonl(
-                handle, self.to_records(),
-                self.world, self.clock_kind, self.label,
-            )
-        return path
-
-    def write(self, path: str) -> str:
-        """Write binary unless the path ends in ``.jsonl``."""
-        if path.endswith(".jsonl"):
-            return self.write_jsonl(path)
-        return self.write_binary(path)
 
 
 def sim_tracer(cluster, label: str = "") -> LifecycleTracer:

@@ -2,7 +2,9 @@
 
 :func:`analyze` turns a flat ``.rtrace`` record stream into the latency
 decomposition the paper argues about: where each message spent its time
-between origination and delivery, per-stage percentiles, token-round
+between origination and delivery, per-stage percentiles (by
+:func:`repro.sim.latency.summarize`, the rule
+:class:`~repro.sim.latency.LatencyRecorder` reports with), token-round
 statistics (computed the same way :class:`repro.sim.trace.RoundTracer`
 computes them, so the two cross-check exactly on a shared run), and the
 top-N slowest deliveries.  :func:`format_report` and
@@ -18,8 +20,10 @@ on any complete trace — the acceptance gate checks < 1%.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..sim.latency import summarize
 from ..wire.tracefmt import LoadedTrace, load_trace
 from .lifecycle import (
     AUX_POST_TOKEN,
@@ -47,26 +51,6 @@ SEGMENT_NAMES = (
     "self_ordering",   # multicast -> ordered (initiator's own copy)
     "delivery_exec",   # ordered -> delivered (delivery CPU charge)
 )
-
-
-def _summary(values: List[float]) -> Dict[str, Any]:
-    if not values:
-        return {"count": 0, "mean_s": 0.0, "p50_s": 0.0, "p90_s": 0.0,
-                "p99_s": 0.0, "max_s": 0.0}
-    ordered = sorted(values)
-    n = len(ordered)
-
-    def pct(q: float) -> float:
-        return ordered[min(n - 1, int(round(q * (n - 1))))]
-
-    return {
-        "count": n,
-        "mean_s": sum(ordered) / n,
-        "p50_s": pct(0.50),
-        "p90_s": pct(0.90),
-        "p99_s": pct(0.99),
-        "max_s": ordered[-1],
-    }
 
 
 def analyze(trace: LoadedTrace, top_n: int = 10) -> Dict[str, Any]:
@@ -181,10 +165,11 @@ def analyze(trace: LoadedTrace, top_n: int = 10) -> Dict[str, Any]:
         "messages": len(granted),
         "deliveries": len(delivered),
         "segments": {
-            name: _summary(values) for name, values in segments.items()
+            name: asdict(summarize(values))
+            for name, values in segments.items()
         },
         "end_to_end": {
-            service: _summary(values)
+            service: asdict(summarize(values))
             for service, values in e2e_by_service.items()
         },
         "reconciliation": {

@@ -192,7 +192,7 @@ class SimCluster:
         """Attach a lifecycle tracer (sim clock); call before :meth:`run`.
 
         Returns the :class:`repro.obs.lifecycle.LifecycleTracer`; after
-        the run, write it out with ``tracer.write(path)`` and analyze
+        the run, write it out with ``tracer.write_binary(path)`` and analyze
         with ``python -m repro.cli trace-analyze``.
         """
         from ..obs.lifecycle import sim_tracer

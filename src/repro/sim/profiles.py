@@ -23,7 +23,7 @@ from the protocol dynamics, not from these constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..core.messages import DATA_HEADER_SIZE
 
@@ -63,9 +63,6 @@ class CostProfile:
 
     def deliver_cost(self, payload_size: int) -> float:
         return self.deliver_cpu_s + payload_size * self.deliver_byte_cpu_s
-
-    def with_overrides(self, **kwargs) -> "CostProfile":
-        return replace(self, **kwargs)
 
 
 #: The library-based prototype: minimal overhead, in-process delivery.

@@ -26,7 +26,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "DATA_HEADER_SIZE", "GOSSIP_BASE_SIZE", "GOSSIP_REQ_BASE_SIZE",
         "GOSSIP_UPDATE_SIZE", "HEADER_SIZE", "MAX_RTR_SEQ", "WIRE_VERSION",
         "Decoded", "DecodeError", "EncodeError", "WireError", "decode",
-        "decode_detail", "encode", "encode_jumbo", "encoded_size",
+        "decode_detail", "encode", "encoded_size",
     ),
     "capture": (
         "CaptureReader", "CaptureRecord", "CaptureWriter", "SimCaptureTap",

@@ -592,17 +592,6 @@ def _encode_jumbo_body(messages, ring_id: int) -> bytes:
     return b"".join(parts)
 
 
-def encode_jumbo(messages, ring_id: int = 0) -> bytes:
-    """Encode several data packets as one jumbo datagram.
-
-    The inner packets share one frame header and one CRC; each costs
-    only :data:`repro.core.coalesce.JUMBO_ENTRY_BYTES` of framing.
-    ``decode`` returns the whole datagram as a
-    :class:`~repro.core.coalesce.JumboDatagram`.
-    """
-    return _frame(TYPE_JUMBO, _encode_jumbo_body(tuple(messages), ring_id))
-
-
 def encoded_size(message: Any, ring_id: int = 0) -> int:
     """Exact datagram size of ``message`` on the wire, in bytes."""
     return len(encode(message, ring_id))

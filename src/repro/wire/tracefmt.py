@@ -30,17 +30,13 @@ followed by zero or more fixed-size 26-byte records::
 
 Records are appended in stamp order; truncated tails (a crashed writer)
 are detected, reported, and do not invalidate records before them.
-
-A JSONL flavor (one ``{"t", "stage", "node", "origin", "seq", "aux"}``
-object per line) exists for eyeballing and interop; ``load_trace``
-sniffs which flavor a path holds.
+``python -m repro.cli trace-analyze --json`` is the JSON view of a trace.
 """
 
 from __future__ import annotations
 
-import json
 import struct
-from typing import Iterator, List, NamedTuple, Optional, TextIO
+from typing import Iterator, List, NamedTuple
 
 from .capture import WORLD_NAMES, open_record_file, read_record_file
 
@@ -62,8 +58,6 @@ RECORD_SIZE = _RECORD.size
 
 #: pid placeholder for "not applicable" (token records have no origin).
 NO_PID = -1
-
-_U32_MASK = 0xFFFFFFFF
 
 
 class TraceFormatError(ValueError):
@@ -96,20 +90,6 @@ class TraceWriter:
         self.records_written = 0
         self._handle = open_record_file(
             path, "rtrace", RTRACE_MAGIC, RTRACE_VERSION, world, clock, label
-        )
-
-    def write(
-        self, t: float, stage: int, node: int, origin: int, seq: int, aux: int
-    ) -> None:
-        self._handle.write(_RECORD.pack(
-            t, stage, 0, node, origin, seq & _U32_MASK, aux & _U32_MASK
-        ))
-        self.records_written += 1
-
-    def write_record(self, record: TraceRecord) -> None:
-        self.write(
-            record.t, record.stage, record.node,
-            record.origin, record.seq, record.aux,
         )
 
     def write_packed(self, data: bytes) -> None:
@@ -165,68 +145,8 @@ class TraceReader:
             pos += record_size
 
 
-# -- JSONL flavor ------------------------------------------------------------
-
-def write_jsonl(
-    handle: TextIO, records, world: int, clock: int, label: str = ""
-) -> int:
-    """Write records as JSONL with a leading header object; returns count."""
-    handle.write(json.dumps({
-        "rtrace": RTRACE_VERSION,
-        "world": WORLD_NAMES[world],
-        "clock": CLOCK_NAMES[clock],
-        "label": label,
-    }, sort_keys=True))
-    handle.write("\n")
-    count = 0
-    for record in records:
-        handle.write(json.dumps({
-            "t": record.t,
-            "stage": record.stage,
-            "node": record.node,
-            "origin": record.origin,
-            "seq": record.seq,
-            "aux": record.aux,
-        }, sort_keys=True))
-        handle.write("\n")
-        count += 1
-    return count
-
-
-def read_jsonl(path: str) -> "LoadedTrace":
-    with open(path, "r") as handle:
-        first = handle.readline()
-        try:
-            header = json.loads(first)
-        except ValueError as exc:
-            raise TraceFormatError("not a JSONL trace: %s" % exc)
-        if not isinstance(header, dict) or "rtrace" not in header:
-            raise TraceFormatError("JSONL trace missing rtrace header line")
-        if header["rtrace"] != RTRACE_VERSION:
-            raise TraceFormatError(
-                "unsupported rtrace version %r" % header["rtrace"]
-            )
-        records = []
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            records.append(TraceRecord(
-                float(obj["t"]), int(obj["stage"]), int(obj["node"]),
-                int(obj["origin"]), int(obj["seq"]), int(obj["aux"]),
-            ))
-    return LoadedTrace(
-        world_name=str(header.get("world", "sim")),
-        clock_name=str(header.get("clock", "sim")),
-        label=str(header.get("label", "")),
-        records=records,
-        truncated_tail=False,
-    )
-
-
 class LoadedTrace(NamedTuple):
-    """A fully-loaded trace, flavor-independent."""
+    """A fully-loaded trace."""
 
     world_name: str
     clock_name: str
@@ -236,17 +156,14 @@ class LoadedTrace(NamedTuple):
 
 
 def load_trace(path: str) -> LoadedTrace:
-    """Load a trace from either flavor (binary sniffed by magic)."""
-    with open(path, "rb") as handle:
-        magic = handle.read(4)
-    if magic == RTRACE_MAGIC:
-        reader = TraceReader(path)
-        records = list(reader)
-        return LoadedTrace(
-            world_name=reader.world_name,
-            clock_name=reader.clock_name,
-            label=reader.label,
-            records=records,
-            truncated_tail=reader.truncated_tail,
-        )
-    return read_jsonl(path)
+    """Load a whole ``.rtrace`` file; :class:`TraceFormatError` if it is
+    not one."""
+    reader = TraceReader(path)
+    records = list(reader)
+    return LoadedTrace(
+        world_name=reader.world_name,
+        clock_name=reader.clock_name,
+        label=reader.label,
+        records=records,
+        truncated_tail=reader.truncated_tail,
+    )

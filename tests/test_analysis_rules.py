@@ -21,9 +21,6 @@ from repro.analysis import (
     analyze_source,
     analyze_tree,
     all_rule_ids,
-    load_baseline,
-    split_by_baseline,
-    write_baseline,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "analysis")
@@ -150,11 +147,11 @@ def test_real_tag_registry_lints_clean():
     assert analyze_file(path, REGISTRY_MOD) == []
 
 
-# ------------------------------------------------- fingerprints/baseline
+# ---------------------------------------------------------- fingerprints
 
 def test_fingerprints_survive_line_shifts():
-    """Baseline fingerprints contain no line numbers, so inserting
-    lines above a finding must not change its fingerprint."""
+    """Fingerprints contain no line numbers, so inserting lines above
+    a finding must not change its fingerprint."""
     path = os.path.join(FIXTURES, "det_time_bad.py")
     with open(path) as handle:
         source = handle.read()
@@ -182,33 +179,6 @@ def test_repeated_findings_get_disambiguated_fingerprints():
     assert fingerprints[1].endswith("#2")
 
 
-def test_baseline_roundtrip_and_split(tmp_path):
-    findings = lint_fixture("det_time_bad.py", SANS_IO_MOD)
-    assert findings
-    path = str(tmp_path / "lint_baseline.json")
-    write_baseline(path, findings)
-    baseline = load_baseline(path)
-    assert baseline == {f.fingerprint for f in findings}
-    split = split_by_baseline(findings, baseline)
-    assert split["new"] == []
-    assert len(split["baselined"]) == len(findings)
-    # A finding not in the baseline stays gating.
-    other = lint_fixture("det_rng_bad.py", SANS_IO_MOD)
-    split = split_by_baseline(other, baseline)
-    assert split["new"] == other
-
-
-def test_baseline_missing_file_is_empty(tmp_path):
-    assert load_baseline(str(tmp_path / "absent.json")) == set()
-
-
-def test_baseline_version_mismatch_raises(tmp_path):
-    path = tmp_path / "lint_baseline.json"
-    path.write_text('{"version": 999, "suppressions": {}}')
-    with pytest.raises(ValueError):
-        load_baseline(str(path))
-
-
 # ------------------------------------------------------ the real gate
 
 def test_src_repro_lints_clean_in_process():
@@ -223,7 +193,7 @@ def test_cli_lint_gate_exits_zero(tmp_path):
     json_path = str(tmp_path / "lint_report.json")
     proc = subprocess.run(
         [sys.executable, "-m", "repro.cli", "lint", SRC_REPRO,
-         "--no-baseline", "--json", json_path],
+         "--json", json_path],
         capture_output=True, text=True,
         env={**os.environ,
              "PYTHONPATH": os.path.join(SRC_REPRO, os.pardir)},
@@ -232,13 +202,14 @@ def test_cli_lint_gate_exits_zero(tmp_path):
     assert "lint:" in proc.stderr
     with open(json_path) as handle:
         payload = json.load(handle)
-    assert payload["new_count"] == 0
+    assert payload["finding_count"] == 0
     assert payload["finding_count"] == len(payload["findings"])
     assert payload["files_scanned"] > 80
 
 
 def test_cli_lint_fails_on_findings(tmp_path):
-    """A tree with one bad module makes the gate exit non-zero."""
+    """A tree with one bad module makes the gate (``make lint``'s
+    command) exit non-zero: no finding is ever suppressed."""
     pkg = tmp_path / "repro" / "core"
     pkg.mkdir(parents=True)
     (tmp_path / "repro" / "__init__.py").write_text("")
@@ -246,12 +217,15 @@ def test_cli_lint_fails_on_findings(tmp_path):
     bad = os.path.join(FIXTURES, "det_time_bad.py")
     with open(bad) as handle:
         (pkg / "clocky.py").write_text(handle.read())
+    json_path = str(tmp_path / "lint_report.json")
     proc = subprocess.run(
         [sys.executable, "-m", "repro.cli", "lint",
-         str(tmp_path / "repro"), "--no-baseline"],
+         str(tmp_path / "repro"), "--json", json_path],
         capture_output=True, text=True,
         env={**os.environ,
              "PYTHONPATH": os.path.join(SRC_REPRO, os.pardir)},
     )
     assert proc.returncode == 1, proc.stderr + proc.stdout
     assert "DET-TIME" in proc.stdout
+    with open(json_path) as handle:
+        assert json.load(handle)["finding_count"] >= 1

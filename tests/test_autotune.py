@@ -1,5 +1,6 @@
 """Tests for the adaptive accelerated-window controller."""
 
+from dataclasses import replace
 import pytest
 
 from repro import LoopbackRing, ProtocolConfig, Service
@@ -29,7 +30,7 @@ def spin_rounds(participant, rounds, submit_per_round=0):
         for _i in range(submit_per_round):
             participant.submit(b"x", Svc.AGREED)
         sent = participant.on_token(token).token
-        token = sent.evolve(hop=sent.hop + 2, aru=sent.seq)
+        token = replace(sent, hop=sent.hop + 2, aru=sent.seq)
     return token
 
 
@@ -68,13 +69,13 @@ def test_post_token_loss_shrinks_window():
         participant.submit(b"x", Svc.AGREED)
     first = participant.on_token(initial_token()).token
     # The peer requests two of them (they were lost): pure post-token loss.
-    requested = first.evolve(hop=first.hop + 2, rtr=(1, 2))
+    requested = replace(first, hop=first.hop + 2, rtr=(1, 2))
     second = participant.on_token(requested).token
     # Finish the epoch cleanly.
-    token = second.evolve(hop=second.hop + 2, aru=second.seq)
+    token = replace(second, hop=second.hop + 2, aru=second.seq)
     for _round in range(2):
         sent = participant.on_token(token).token
-        token = sent.evolve(hop=sent.hop + 2, aru=sent.seq)
+        token = replace(sent, hop=sent.hop + 2, aru=sent.seq)
     assert tuner.decreases == 1
     assert participant.accelerated_window == 8  # 16 * 0.5
 
@@ -86,11 +87,11 @@ def test_pre_token_loss_does_not_shrink_window():
     for _i in range(8):
         participant.submit(b"x", Svc.AGREED)
     first = participant.on_token(initial_token()).token
-    requested = first.evolve(hop=first.hop + 2, rtr=(1,))
+    requested = replace(first, hop=first.hop + 2, rtr=(1,))
     token = participant.on_token(requested).token
     for _round in range(2):
         sent = participant.on_token(
-            token.evolve(hop=token.hop + 2, aru=token.seq)
+            replace(token, hop=token.hop + 2, aru=token.seq)
         )
         token = sent.token
     assert tuner.decreases == 0
@@ -106,8 +107,8 @@ def test_window_never_negative():
         for _i in range(4):
             participant.submit(b"x", Svc.AGREED)
         token = participant.last_token_sent or initial_token()
-        received = token.evolve(
-            hop=(token.hop or 0) + 2,
+        received = replace(
+            token, hop=(token.hop or 0) + 2,
             rtr=tuple(
                 s for s in range(max(1, token.seq - 1), token.seq + 1)
                 if s > 0

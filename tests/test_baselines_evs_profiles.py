@@ -1,6 +1,7 @@
 """Tests for the sequencer baseline, EVS configuration types, and
 implementation cost profiles."""
 
+from dataclasses import replace
 import pytest
 
 from repro.baselines import comparators, run_sequencer_point
@@ -43,7 +44,7 @@ def test_per_byte_costs_amortize():
 
 
 def test_profile_with_overrides():
-    tweaked = LIBRARY.with_overrides(deliver_cpu_s=1.0)
+    tweaked = replace(LIBRARY, deliver_cpu_s=1.0)
     assert tweaked.deliver_cpu_s == 1.0
     assert LIBRARY.deliver_cpu_s != 1.0
 

@@ -18,6 +18,8 @@ after; the sixth was added with the coordinator socket-buffer fix.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import hashlib
 
 import pytest
@@ -35,8 +37,8 @@ GRID = (
     (DAEMON, TEN_GIGABIT, 4, 0),
     # A 1 MiB socket buffer fills within the run: the coordinator's own
     # submissions must take their room in it.
-    (SPREAD, TEN_GIGABIT.with_overrides(name="10G-1MiB",
-                                        socket_buffer_bytes=1 << 20),
+    (SPREAD, replace(TEN_GIGABIT, name="10G-1MiB",
+                     socket_buffer_bytes=1 << 20),
      8, 3000),
 )
 

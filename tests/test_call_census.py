@@ -50,8 +50,31 @@ def test_a_function_only_tests_enter_is_reported_apart(tmp_path):
 def test_every_run_sweeps_serially(tmp_path, monkeypatch):
     # Pool workers leave through os._exit and would lose their calls.
     monkeypatch.setenv("REPRO_BENCH_PROCESSES", "4")
-    env = census.census_env(str(tmp_path), FIXTURE, "use", str(tmp_path))
+    monkeypatch.setenv("REPRO_BENCH_FULL", "1")
+    out = tmp_path / "entered"
+    env = census.census_env(str(out), FIXTURE, "use", str(tmp_path))
     assert "REPRO_BENCH_PROCESSES" not in env
+    # Quick sweeps, and results never land in the tracked bench_results/.
+    assert "REPRO_BENCH_FULL" not in env
+    assert env["REPRO_BENCH_RESULTS"] == str(tmp_path / "results")
+
+
+def test_a_function_a_bench_run_enters_leaves_both_lists(tmp_path):
+    _run(tmp_path, "test", "import two; two.called(); two.maybe_called()")
+    never, only_tests = _run(tmp_path, "bench",
+                             "import two; two.maybe_called()")
+    assert never == []
+    assert [f.qualname for f in only_tests] == ["called"]
+
+
+def test_the_bench_pass_runs_every_benchmark_once(tmp_path):
+    # pytest-benchmark pauses any profile hook while it times a round, so
+    # the pass runs each benchmark once, untimed.
+    commands = [command for label, command in census.plan(str(tmp_path))
+                if label == "bench"]
+    assert commands and all("benchmarks/" in command
+                            and "--benchmark-disable" in command
+                            for command in commands)
 
 
 def test_threads_started_later_are_counted(tmp_path):

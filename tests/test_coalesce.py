@@ -89,7 +89,7 @@ def test_config_validates_jumbo_bytes():
 
 def test_wire_roundtrip():
     messages = tuple(data(seq, size=40 + seq) for seq in range(1, 6))
-    blob = codec.encode_jumbo(messages, ring_id=7)
+    blob = codec.encode(JumboDatagram(messages), ring_id=7)
     out = codec.decode(blob)
     assert out == JumboDatagram(messages)
     detail = codec.decode_detail(blob)
@@ -97,17 +97,11 @@ def test_wire_roundtrip():
     assert detail.ring_id == 7
 
 
-def test_encode_dispatch_matches_encode_jumbo():
-    messages = (data(1), data(2))
-    assert codec.encode(JumboDatagram(messages), ring_id=3) == \
-        codec.encode_jumbo(messages, ring_id=3)
-
-
 def test_wire_size_matches_coalesce_model():
     # The byte model coalesce() plans with must equal what the codec
     # actually emits, else the planner would overshoot the cap.
     messages = tuple(data(seq, size=100) for seq in range(1, 4))
-    blob = codec.encode_jumbo(messages)
+    blob = codec.encode(JumboDatagram(messages))
     plain = sum(codec.encoded_size(m) for m in messages)
     bodies = [codec.encoded_size(m) - codec.HEADER_SIZE for m in messages]
     assert len(blob) == datagram_size(bodies, codec.HEADER_SIZE)
@@ -117,7 +111,7 @@ def test_wire_size_matches_coalesce_model():
 
 def test_empty_jumbo_rejected_both_directions():
     with pytest.raises(codec.EncodeError):
-        codec.encode_jumbo(())
+        codec.encode(JumboDatagram(()))
     body = struct.pack("<I", 0)
     blob = codec._frame(codec.TYPE_JUMBO, body)
     with pytest.raises(codec.DecodeError, match="empty jumbo"):
@@ -127,7 +121,7 @@ def test_empty_jumbo_rejected_both_directions():
 def test_only_data_packets_coalesce():
     from repro.core import initial_token
     with pytest.raises(codec.EncodeError, match="only data packets"):
-        codec.encode_jumbo((data(1), initial_token()))
+        codec._encode_jumbo_body((data(1), initial_token()), 0)
     # And on the wire: an inner token entry is rejected outright.
     token_body = codec._encode_token_body(initial_token())
     body = struct.pack("<I", 1) + struct.pack(
@@ -165,7 +159,7 @@ def test_trailing_bytes_rejected():
 
 
 def test_nested_jumbo_rejected():
-    inner_jumbo = codec.encode_jumbo((data(1),))
+    inner_jumbo = codec.encode(JumboDatagram((data(1),)))
     inner_body = inner_jumbo[codec.HEADER_SIZE:]
     body = struct.pack("<I", 1) + struct.pack(
         "<BI", codec.TYPE_JUMBO, len(inner_body)) + inner_body

@@ -4,6 +4,7 @@ These walk the token around small rings manually (no harness) to pin
 down the exact aru ownership transitions of Section III-A-2.
 """
 
+from dataclasses import replace
 import pytest
 
 from repro.core import (
@@ -143,7 +144,7 @@ def test_discarded_messages_not_retransmitted_but_ignored():
     # By now everything is stable and discarded at both.
     assert participants[1].window.discarded_upto == 3
     # A stale request for a discarded message is dropped silently.
-    stale = token4.evolve(hop=token4.hop + 2, rtr=(1, 2))
+    stale = replace(token4, hop=token4.hop + 2, rtr=(1, 2))
     handled = participants[1].on_token(stale)
     assert handled.retransmitted == []
     assert handled.token.rtr == ()

@@ -1,5 +1,6 @@
 """Tests for ProtocolConfig and Service."""
 
+from dataclasses import replace
 import pytest
 
 from repro.core import ConfigurationError, PriorityMethod, ProtocolConfig, Service
@@ -32,7 +33,7 @@ def test_original_ring_accepts_overrides():
 
 def test_evolve_returns_modified_copy():
     base = ProtocolConfig()
-    tweaked = base.evolve(accelerated_window=0)
+    tweaked = replace(base, accelerated_window=0)
     assert tweaked.accelerated_window == 0
     assert base.accelerated_window != 0
 

@@ -1,5 +1,6 @@
 """Tests for message types and ring topology."""
 
+from dataclasses import replace
 import pytest
 
 from repro.core import DataMessage, Ring, RingError, Service, Token, initial_token
@@ -47,7 +48,7 @@ def test_initial_token_is_clean():
 
 def test_token_evolve_does_not_mutate():
     token = initial_token()
-    updated = token.evolve(seq=10, hop=1)
+    updated = replace(token, seq=10, hop=1)
     assert (token.seq, token.hop) == (0, 0)
     assert (updated.seq, updated.hop) == (10, 1)
 

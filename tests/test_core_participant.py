@@ -1,5 +1,6 @@
 """Unit tests for Participant token/data handling mechanics."""
 
+from dataclasses import replace
 import pytest
 
 from repro.core import (
@@ -68,27 +69,27 @@ def test_token_seq_reflects_unsent_messages():
 def test_seq_numbers_are_consecutive_from_received_seq():
     participant = make_participant()
     submit_n(participant, 3)
-    handled = participant.on_token(initial_token().evolve(seq=10, aru=10))
+    handled = participant.on_token(replace(initial_token(), seq=10, aru=10))
     assert [m.seq for m in handled.pre + handled.post] == [11, 12, 13]
 
 
 def test_token_forwarded_to_successor():
     participant = make_participant(pid=2, members=(1, 2, 3))
-    handled = participant.on_token(initial_token().evolve(hop=1))
+    handled = participant.on_token(replace(initial_token(), hop=1))
     assert handled.dst == 3
 
 
 def test_hop_increments():
     participant = make_participant()
-    token = participant.on_token(initial_token().evolve(hop=4)).token
+    token = participant.on_token(replace(initial_token(), hop=4)).token
     assert token.hop == 5
 
 
 def test_duplicate_token_ignored():
     participant = make_participant()
-    first = participant.on_token(initial_token().evolve(hop=4))
+    first = participant.on_token(replace(initial_token(), hop=4))
     assert first
-    again = participant.on_token(initial_token().evolve(hop=4))
+    again = participant.on_token(replace(initial_token(), hop=4))
     assert again is None
     assert participant.stats.duplicate_tokens == 1
 
@@ -117,7 +118,7 @@ def test_fcc_adds_this_round_and_subtracts_last_round():
     assert token1.fcc == 5
     submit_n(participant, 2)
     token2 = participant.on_token(
-        token1.evolve(hop=4, fcc=20, aru=token1.seq)
+        replace(token1, hop=4, fcc=20, aru=token1.seq)
     ).token
     # 20 - 5 (ours last round) + 2 (ours now) = 17
     assert token2.fcc == 17
@@ -126,7 +127,7 @@ def test_fcc_adds_this_round_and_subtracts_last_round():
 def test_global_window_throttles_sending():
     participant = make_participant(personal_window=50, global_window=10)
     submit_n(participant, 50)
-    handled = participant.on_token(initial_token().evolve(fcc=7))
+    handled = participant.on_token(replace(initial_token(), fcc=7))
     assert len(handled.pre + handled.post) == 3
 
 
@@ -144,14 +145,14 @@ def test_aru_tracks_seq_when_everyone_caught_up():
 def test_aru_lowered_when_behind():
     participant = make_participant()
     # Token claims seq=5 all received, but we have received nothing.
-    token = participant.on_token(initial_token().evolve(seq=5, aru=5)).token
+    token = participant.on_token(replace(initial_token(), seq=5, aru=5)).token
     assert token.aru == 0
     assert token.aru_id == participant.pid
 
 
 def test_aru_raised_by_owner_after_catching_up():
     participant = make_participant()
-    token1 = participant.on_token(initial_token().evolve(seq=2, aru=2)).token
+    token1 = participant.on_token(replace(initial_token(), seq=2, aru=2)).token
     assert token1.aru == 0 and token1.aru_id == participant.pid
     # The missing messages arrive between token visits.
     from repro.core.messages import DataMessage
@@ -160,14 +161,14 @@ def test_aru_raised_by_owner_after_catching_up():
         participant.on_data(
             DataMessage(seq=seq, pid=2, round=1, service=Service.AGREED)
         )
-    token2 = participant.on_token(token1.evolve(hop=4)).token
+    token2 = participant.on_token(replace(token1, hop=4)).token
     assert token2.aru == 2
     assert token2.aru_id is None  # fully caught up releases ownership
 
 
 def test_aru_kept_when_owned_by_other():
     participant = make_participant()
-    received = initial_token().evolve(seq=5, aru=3, aru_id=7)
+    received = replace(initial_token(), seq=5, aru=3, aru_id=7)
     # Our local aru is 0 < 3, so we lower and take ownership.
     token = participant.on_token(received).token
     assert token.aru == 0 and token.aru_id == participant.pid
@@ -181,7 +182,7 @@ def test_aru_unchanged_when_other_owner_and_not_lower():
         participant.on_data(
             DataMessage(seq=seq, pid=2, round=1, service=Service.AGREED)
         )
-    received = initial_token().evolve(seq=5, aru=2, aru_id=7)
+    received = replace(initial_token(), seq=5, aru=2, aru_id=7)
     token = participant.on_token(received).token
     # We hold 3 > 2 but 7 owns the aru: leave it alone.
     assert token.aru == 2 and token.aru_id == 7
@@ -208,7 +209,7 @@ def test_answers_requests_pre_token():
     participant = make_participant(accelerated_window=5)
     submit_n(participant, 2)
     first = participant.on_token(initial_token())
-    token_back = first.token.evolve(hop=4, rtr=(1,))
+    token_back = replace(first.token, hop=4, rtr=(1,))
     handled = participant.on_token(token_back)
     # The answer is the very message first sent, and goes out first.
     assert handled.retransmitted == [first.post[0]]
@@ -220,10 +221,11 @@ def test_does_not_request_current_round_gaps():
     participant = make_participant(accelerated_window=5)
     # First token says seq=10; we received nothing, but these may be
     # unsent post-token messages: no requests yet.
-    token1 = participant.on_token(initial_token().evolve(seq=10, aru=10)).token
+    token1 = participant.on_token(
+        replace(initial_token(), seq=10, aru=10)).token
     assert token1.rtr == ()
     # Next round the horizon is 10: now the gaps are real.
-    token2 = participant.on_token(token1.evolve(hop=4)).token
+    token2 = participant.on_token(replace(token1, hop=4)).token
     assert token2.rtr == tuple(range(1, 11))
     assert participant.stats.retransmissions_requested == 10
 
@@ -232,7 +234,7 @@ def test_original_config_requests_current_round():
     participant = Participant(
         1, Ring.of((1, 2)), ProtocolConfig.original_ring()
     )
-    token = participant.on_token(initial_token().evolve(seq=4, aru=4)).token
+    token = participant.on_token(replace(initial_token(), seq=4, aru=4)).token
     assert token.rtr == (1, 2, 3, 4)
 
 
@@ -252,7 +254,7 @@ def test_own_safe_messages_wait_two_rounds():
     submit_n(participant, 2, Service.SAFE)
     first = participant.on_token(initial_token())
     assert first.delivered == []
-    second = participant.on_token(first.token.evolve(hop=4))
+    second = participant.on_token(replace(first.token, hop=4))
     assert [m.seq for m in second.delivered] == [1, 2]
     # And once stable they are discarded.
     assert participant.window.discarded_upto == 2

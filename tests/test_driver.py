@@ -8,6 +8,7 @@ under ``jumbo_datagram_bytes``, pauses before effects, the trace hooks,
 and the token-resend decision.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -374,7 +375,7 @@ def test_timer_resends_and_rearms_while_the_ring_is_silent():
 
 def test_no_resend_once_a_newer_token_was_handled():
     driver, port, participant, token = resend_setup()
-    newer = token.evolve(hop=token.hop + 2)
+    newer = replace(token, hop=token.hop + 2)
     driver.tokens.append(newer)
     driver.step()
     del port.log[:]

@@ -249,10 +249,11 @@ def test_capture_records_one_per_logical_multicast(trio):
 def test_jumbo_on_token_socket_is_a_wrong_socket_drop(trio):
     import socket
 
-    from repro.wire.codec import encode_jumbo
+    from repro.core import JumboDatagram
+    from repro.wire.codec import encode
 
     a, _b, _c = trio
-    blob = encode_jumbo([message(1), message(2)])
+    blob = encode(JumboDatagram((message(1), message(2))))
     sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
         sender.sendto(blob, ("127.0.0.1", a.ports.token_port))

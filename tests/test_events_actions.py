@@ -1,5 +1,6 @@
 """Unit tests for the participant's observer stages and its round record."""
 
+from dataclasses import replace
 import pytest
 
 from repro.core import (
@@ -42,7 +43,7 @@ def test_subscribe_and_emit():
     other = DataMessage(seq=3, pid=2, round=1, service=Service.AGREED)
     participant.on_data(other)
     participant.on_data(other)  # a duplicate is not observed
-    participant.on_token(first.evolve(hop=first.hop + 1, seq=3, rtr=(1,)))
+    participant.on_token(replace(first, hop=first.hop + 1, seq=3, rtr=(1,)))
     assert seen == [
         ("sent", 1), ("sent", 2), ("token", 0, 1, 2, 0),
         ("received", 2, 3),

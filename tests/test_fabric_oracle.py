@@ -17,6 +17,8 @@ the model.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -51,8 +53,9 @@ def bit_times(spec):
 
 sizes = st.integers(min_value=64, max_value=9000)
 specs = st.builds(
-    lambda rate, propagation, latency, frames, slack: GIGABIT.with_overrides(
-        rate_bps=rate, propagation_s=propagation, switch_latency_s=latency,
+    lambda rate, propagation, latency, frames, slack: replace(
+        GIGABIT, rate_bps=rate, propagation_s=propagation,
+        switch_latency_s=latency,
         # 1-4 mid-sized frames: overflow is common, a 9000-byte datagram
         # sometimes fits nowhere.
         port_buffer_bytes=frames * MAX_WIRE // 2 - slack,
@@ -306,8 +309,8 @@ def test_fabric_matches_reference_at_a_zero_latency_tie():
     counts as still queued, so switch ports 2 and 3 report a
     ``max_queue_bytes`` of 1848 against the reference's 1714.  Flip to a
     plain test when the tie is fixed."""
-    spec = GIGABIT.with_overrides(
-        rate_bps=1e7, propagation_s=0.0, switch_latency_s=0.0,
+    spec = replace(
+        GIGABIT, rate_bps=1e7, propagation_s=0.0, switch_latency_s=0.0,
         port_buffer_bytes=4710, nic_queue_bytes=4710,
     )
     ops = [(0, [(False, 1, None, 64)]), (0, [(True, 1, None, 1574)] * 2),
@@ -329,7 +332,7 @@ def both(build):
 
 def test_rule_a_boundary_instant_inside_an_event_and_after_the_run():
     wire = frame(0, 1, 1430, None).wire
-    spec = GIGABIT.with_overrides(port_buffer_bytes=2 * wire)
+    spec = replace(GIGABIT, port_buffer_bytes=2 * wire)
     done_first = wire * 8.0 / spec.rate_bps
 
     def build(reference):
@@ -402,8 +405,8 @@ def test_rule_a_an_admit_lost_to_injected_loss_still_stands_inside_the_instant()
                          [(0.0, 4e-6), (2e-6, 0.0), (0.0, 0.0)])
 def test_rule_c_zero_delays_go_through_the_ready_queue(
         propagation_s, switch_latency_s):
-    spec = GIGABIT.with_overrides(propagation_s=propagation_s,
-                                  switch_latency_s=switch_latency_s)
+    spec = replace(GIGABIT, propagation_s=propagation_s,
+                   switch_latency_s=switch_latency_s)
 
     def build(reference):
         sim = Simulator()
@@ -431,8 +434,8 @@ def test_rule_c_zero_delays_go_through_the_ready_queue(
 
 def test_rule_d_drop_decisions_and_switch_controls_keep_their_behaviour():
     wire = frame(0, 1, 1000, None).wire
-    spec = GIGABIT.with_overrides(port_buffer_bytes=2 * wire,
-                                  nic_queue_bytes=2 * wire)
+    spec = replace(GIGABIT, port_buffer_bytes=2 * wire,
+                   nic_queue_bytes=2 * wire)
 
     def build(reference):
         sim = Simulator()

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.net.engine import (
-    Latch,
-    SimulationError,
-    Simulator,
-    Timeout,
-    drain,
-)
+from repro.net.engine import SimulationError, Simulator, Timeout
 
 
 def test_callbacks_run_in_time_order():
@@ -78,14 +72,14 @@ def test_signal_wakes_waiters_in_order():
     woken = []
 
     def waiter(tag):
-        value = yield signal
-        woken.append((tag, value, sim.now))
+        yield signal
+        woken.append((tag, sim.now))
 
     sim.spawn(waiter("a"), "a")
     sim.spawn(waiter("b"), "b")
-    sim.call_in(3.0, signal.fire, 42)
+    sim.call_in(3.0, signal.fire)
     sim.run()
-    assert woken == [("a", 42, 3.0), ("b", 42, 3.0)]
+    assert woken == [("a", 3.0), ("b", 3.0)]
 
 
 def test_signal_is_reusable():
@@ -119,49 +113,6 @@ def test_signal_has_no_memory():
     sim.call_in(1.0, signal.fire)
     sim.run(until=10.0)
     assert woken == []
-
-
-def test_latch_remembers_fire():
-    sim = Simulator()
-    latch = sim.latch()
-    woken = []
-
-    def late_waiter():
-        yield Timeout(2.0)
-        value = yield latch
-        woken.append((sim.now, value))
-
-    sim.spawn(late_waiter(), "late")
-    sim.call_in(1.0, latch.fire, "done")
-    sim.run()
-    assert woken == [(2.0, "done")]
-
-
-def test_latch_fires_once():
-    sim = Simulator()
-    latch = sim.latch()
-    latch.fire("first")
-    latch.fire("second")
-    assert latch.value == "first"
-
-
-def test_process_done_latch():
-    sim = Simulator()
-
-    def short():
-        yield Timeout(1.0)
-
-    process = sim.spawn(short(), "short")
-    finished = []
-
-    def watcher():
-        yield process.done
-        finished.append(sim.now)
-
-    sim.spawn(watcher(), "watch")
-    sim.run()
-    assert finished == [1.0]
-    assert not process.alive
 
 
 def test_interrupted_process_never_resumes():
@@ -207,12 +158,6 @@ def test_event_count_increases():
         sim.call_in(1.0, lambda: None)
     sim.run()
     assert sim.event_count == 5
-
-
-def test_drain_exhausts_iterable():
-    seen = []
-    drain(seen.append(i) for i in range(3))
-    assert seen == [0, 1, 2]
 
 
 def test_max_events_budget_is_per_call():

@@ -1,5 +1,6 @@
 """Tests for frames, NIC, switch, and loss models."""
 
+from dataclasses import replace
 import pytest
 
 from repro.net import (
@@ -43,25 +44,15 @@ def data_frame(src, dst, size=1422, payload=None):
 
 def test_small_datagram_is_one_fragment():
     frame = data_frame(0, 1, size=1422)
-    assert frame.fragment_count() == 1
-    assert frame.wire_bytes() == 1422 + WIRE_OVERHEAD
+    assert frame.fragments == 1
+    assert frame.wire == 1422 + WIRE_OVERHEAD
 
 
 def test_large_datagram_fragments():
     # The paper's 8850-byte payload + headers spans multiple frames.
     frame = data_frame(0, None, size=8922)
-    assert frame.fragment_count() == -(-8922 // ETHERNET_MTU) == 6
-    assert frame.wire_bytes() == 8922 + 6 * WIRE_OVERHEAD
-
-
-def test_multicast_flag():
-    assert data_frame(0, None).is_multicast
-    assert not data_frame(0, 1).is_multicast
-
-
-def test_frame_ids_unique():
-    a, b = data_frame(0, 1), data_frame(0, 1)
-    assert a.frame_id != b.frame_id
+    assert frame.fragments == -(-8922 // ETHERNET_MTU) == 6
+    assert frame.wire == 8922 + 6 * WIRE_OVERHEAD
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +77,7 @@ def test_latency_does_not_scale_with_rate():
 
 
 def test_with_overrides_makes_copy():
-    tweaked = GIGABIT.with_overrides(port_buffer_bytes=1)
+    tweaked = replace(GIGABIT, port_buffer_bytes=1)
     assert tweaked.port_buffer_bytes == 1
     assert GIGABIT.port_buffer_bytes != 1
 
@@ -116,7 +107,7 @@ def test_end_to_end_latency_matches_model():
     frame = data_frame(0, 1, size=1430)
     nics[0].send(frame)
     sim.run()
-    wire = frame.wire_bytes()
+    wire = frame.wire
     expected = (
         GIGABIT.serialization_s(wire)      # host NIC clocks it out
         + GIGABIT.propagation_s            # host -> switch
@@ -146,7 +137,7 @@ def test_token_and_data_share_port_fifo():
 
 
 def test_switch_port_overflow_drops():
-    tiny = GIGABIT.with_overrides(port_buffer_bytes=3 * 1500)
+    tiny = replace(GIGABIT, port_buffer_bytes=3 * 1500)
     sim, switch, nics, received = make_fabric(spec=tiny, hosts=(0, 1))
     # Burst far beyond the port buffer: NIC drains at line rate into a
     # same-rate port, so the port can hold at most its buffer.
@@ -166,7 +157,7 @@ def test_switch_port_overflow_drops():
 
 
 def test_nic_overflow_drops_and_reports():
-    tiny = GIGABIT.with_overrides(nic_queue_bytes=2 * 1500)
+    tiny = replace(GIGABIT, nic_queue_bytes=2 * 1500)
     sim, switch, nics, received = make_fabric(spec=tiny, hosts=(0, 1))
     accepted = sum(nics[0].send(data_frame(0, 1)) for _ in range(10))
     assert accepted < 10
@@ -283,8 +274,8 @@ def test_lines_keep_records_only_for_frames_still_on_the_line():
     # reading one, every admit must still trim them: state is O(frames on
     # the line), never O(frames ever sent).
     smallest = data_frame(0, 1, size=64).wire
-    spec = GIGABIT.with_overrides(nic_queue_bytes=8 * smallest,
-                                  port_buffer_bytes=8 * smallest)
+    spec = replace(GIGABIT, nic_queue_bytes=8 * smallest,
+                   port_buffer_bytes=8 * smallest)
     sim, switch, nics, received = make_fabric(spec=spec, hosts=(0, 1))
     nic, port = nics[0], switch.port(1)
     total = 50_000

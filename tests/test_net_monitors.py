@@ -73,7 +73,7 @@ def test_periodic_sampling_collects_series():
 def test_utilization_fraction():
     sim, switch, nics, registry = fabric(hosts=(0, 1))
     # Send exactly 1 ms of line-rate traffic: ~83 frames of 1500B wire.
-    wire = frame(0, dst=1, size=1430).wire_bytes()
+    wire = frame(0, dst=1, size=1430).wire
     count = int(1e9 * 0.001 / 8 / wire)
     for _i in range(count):
         nics[0].send(frame(0, dst=1, size=1430))

@@ -6,19 +6,25 @@ Three layers:
   byte-identical ``.rtrace`` files (the trace is a pure function of the
   seed, like the event stream itself);
 * codec properties — arbitrary ``TraceRecord`` streams survive the
-  binary and JSONL flavors exactly (hypothesis);
+  ``.rtrace`` codec exactly (hypothesis);
 * golden cross-check — ``analyze`` on a traced run must agree with the
   independent :class:`repro.sim.trace.RoundTracer` on token-round
   statistics, and its telescoping per-stage sums must reconcile with
   the end-to-end Agreed latency within the issue's 1% gate.
 """
 
+import dataclasses
 import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import AcceleratedWindowTuner, ProtocolConfig, TunerConfig
+from repro.core import (
+    AcceleratedWindowTuner,
+    ProtocolConfig,
+    Service,
+    TunerConfig,
+)
 from repro.net import GIGABIT
 from repro.obs.lifecycle import (
     AUX_COALESCED,
@@ -35,15 +41,18 @@ from repro.obs.lifecycle import (
 from repro.obs.report import analyze
 from repro.sim import LIBRARY
 from repro.sim.cluster import SimCluster
+from repro.sim.latency import LatencyRecorder
 from repro.sim.trace import RoundTracer
 from repro.wire.capture import WORLD_SIM
 from repro.wire.tracefmt import (
     CLOCK_SIM,
+    RECORD_STRUCT,
+    LoadedTrace,
+    TraceFormatError,
     TraceReader,
     TraceRecord,
     TraceWriter,
     load_trace,
-    write_jsonl,
 )
 
 EXAMPLES = settings(
@@ -72,8 +81,8 @@ def test_same_seed_gives_byte_identical_trace(tmp_path):
     _, _, first, _ = _traced_run(seed=3)
     _, _, second, _ = _traced_run(seed=3)
     assert len(first) == len(second) > 100
-    path_a = first.write(str(tmp_path / "a.rtrace"))
-    path_b = second.write(str(tmp_path / "b.rtrace"))
+    path_a = first.write_binary(str(tmp_path / "a.rtrace"))
+    path_b = second.write_binary(str(tmp_path / "b.rtrace"))
     with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
         assert fa.read() == fb.read()
 
@@ -117,46 +126,46 @@ records_strategy = st.lists(
 )
 
 
+def _packed(records):
+    """Records packed as the lifecycle tracer packs its stamps."""
+    return b"".join(
+        RECORD_STRUCT.pack(r.t, r.stage, 0, r.node, r.origin, r.seq, r.aux)
+        for r in records)
+
+
 @EXAMPLES
 @given(records=records_strategy, label=st.text(max_size=40))
 def test_binary_trace_roundtrip(tmp_path_factory, records, label):
     path = str(tmp_path_factory.mktemp("rt") / "t.rtrace")
     with TraceWriter(path, WORLD_SIM, CLOCK_SIM, label) as writer:
-        for record in records:
-            writer.write_record(record)
+        writer.write_packed(_packed(records))
     reader = TraceReader(path)
     assert list(reader) == records
     assert reader.label == label
     assert not reader.truncated_tail
 
 
-@EXAMPLES
-@given(records=records_strategy, label=st.text(max_size=40))
-def test_jsonl_trace_roundtrip(tmp_path_factory, records, label):
-    path = str(tmp_path_factory.mktemp("rt") / "t.jsonl")
-    with open(path, "w") as handle:
-        write_jsonl(handle, records, WORLD_SIM, CLOCK_SIM, label)
-    loaded = load_trace(path)
-    assert loaded.records == records
-    assert loaded.label == label
+def test_written_trace_loads_back_its_records(tmp_path):
+    _, _, tracer, _ = _traced_run()
+    loaded = load_trace(tracer.write_binary(str(tmp_path / "run.rtrace")))
+    assert loaded.records == tracer.to_records()
     assert loaded.world_name == "sim"
 
 
-def test_binary_and_jsonl_flavors_carry_identical_records(tmp_path):
-    _, _, tracer, _ = _traced_run()
-    binary = tracer.write(str(tmp_path / "run.rtrace"))
-    jsonl = tracer.write_jsonl(str(tmp_path / "run.jsonl"))
-    a = load_trace(binary)
-    b = load_trace(jsonl)
-    assert a.records == b.records == tracer.to_records()
-    assert a.label == b.label
+def test_load_trace_rejects_anything_but_rtrace(tmp_path):
+    path = tmp_path / "run.jsonl"
+    path.write_text('{"rtrace": 1, "world": "sim"}\n')
+    with pytest.raises(TraceFormatError):
+        load_trace(str(path))
 
 
 def test_truncated_tail_is_detected_not_fatal(tmp_path):
     path = str(tmp_path / "t.rtrace")
     with TraceWriter(path, WORLD_SIM, CLOCK_SIM) as writer:
-        writer.write(1.0, STAGE_ORIGINATED, 0, 0, 1, 0)
-        writer.write(2.0, STAGE_ORDERED, 0, 0, 1, 0)
+        writer.write_packed(_packed([
+            TraceRecord(1.0, STAGE_ORIGINATED, 0, 0, 1, 0),
+            TraceRecord(2.0, STAGE_ORDERED, 0, 0, 1, 0),
+        ]))
     with open(path, "ab") as handle:
         handle.write(b"\x00" * 7)  # a crashed writer's partial record
     reader = TraceReader(path)
@@ -164,6 +173,24 @@ def test_truncated_tail_is_detected_not_fatal(tmp_path):
     assert len(records) == 2
     assert reader.truncated_tail
     assert load_trace(path).truncated_tail
+
+
+@pytest.mark.parametrize("samples", [list(range(100)), [1, 2]])
+def test_trace_percentiles_follow_the_latency_recorder(samples):
+    """``trace-analyze`` and ``LatencyRecorder`` summarize one set of
+    latencies alike (one percentile rule)."""
+    records = []
+    recorder = LatencyRecorder()
+    for seq, latency in enumerate(samples, 1):
+        for stage in (STAGE_ORIGINATED, STAGE_TOKEN_GRANTED,
+                      STAGE_MULTICAST, STAGE_ORDERED):
+            records.append(TraceRecord(0.0, stage, 0, 0, seq, 0))
+        records.append(TraceRecord(float(latency), STAGE_DELIVERED_AGREED,
+                                   0, 0, seq, 0))
+        recorder.record(0, Service.AGREED, 0.0, float(latency), 0)
+    trace = LoadedTrace("sim", "sim", "", records, False)
+    assert analyze(trace)["end_to_end"]["agreed"] == \
+        dataclasses.asdict(recorder.summary(Service.AGREED))
 
 
 # -- golden cross-check ------------------------------------------------------
@@ -324,7 +351,7 @@ def test_emulation_tracer_over_real_sockets(tmp_path):
     delivered = [r for r in records if r.stage == STAGE_DELIVERED_AGREED]
     assert len(ordered) == len(delivered) >= 45
     # The analyzer accepts the wall-clock flavor end to end.
-    path = tracer.write(str(tmp_path / "emu.rtrace"))
+    path = tracer.write_binary(str(tmp_path / "emu.rtrace"))
     report = analyze(load_trace(path))
     assert report["world"] == "emulation"
     assert report["clock"] == "wall"

@@ -4,6 +4,7 @@ These are correctness and sanity tests; the figure-level performance
 assertions live in benchmarks/.
 """
 
+from dataclasses import replace
 import tracemalloc
 
 import pytest
@@ -187,7 +188,7 @@ def test_token_loss_recovered_by_timer():
             return True
         return False
 
-    config = ACCEL.evolve(token_retransmit_timeout_s=0.002)
+    config = replace(ACCEL, token_retransmit_timeout_s=0.002)
     result = quick_point(config, 100, loss=drop_one_token,
                          duration_s=0.1, warmup_s=0.03)
     assert dropped["n"] == 1

@@ -1,5 +1,6 @@
 """Edge cases of the simulated host model."""
 
+from dataclasses import replace
 import pytest
 
 from repro.core import ProtocolConfig, Service
@@ -11,7 +12,7 @@ def test_socket_buffer_overflow_recovers():
     # On 10G, frames arrive faster than Spread-profile processing, so a
     # tiny receive socket overflows during bursts; the protocol's
     # retransmissions must still converge near the offered load.
-    tiny = TEN_GIGABIT.with_overrides(socket_buffer_bytes=24 * 1024)
+    tiny = replace(TEN_GIGABIT, socket_buffer_bytes=24 * 1024)
     config = ProtocolConfig(personal_window=30, global_window=300,
                             accelerated_window=25)
     result = run_point(

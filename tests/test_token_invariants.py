@@ -5,6 +5,7 @@ invariants the protocol maintains (DESIGN.md Section 5), under several
 configurations and loss patterns.
 """
 
+from dataclasses import replace
 import pytest
 
 from repro import LoopbackRing, PriorityMethod, ProtocolConfig, Service
@@ -68,7 +69,7 @@ def test_new_messages_within_personal_window(config):
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_seq_gap_bounded(config):
-    tight = config.evolve(max_seq_gap=50)
+    tight = replace(config, max_seq_gap=50)
     _ring, tokens = run_and_capture(tight, seed=5, per_pid=60)
     for _pid, received, sent, _new, _retrans in tokens:
         # New seq never leads the received (global) aru by more than the

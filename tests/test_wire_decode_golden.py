@@ -67,7 +67,7 @@ def _frames():
         ("data-bare", encode(bare, ring_id=5)),
         ("token", encode(Token(ring_id=5, hop=17, seq=60, aru=55, aru_id=1,
                                fcc=9, rtr=(56, 58, 59)))),
-        ("jumbo", codec.encode_jumbo((_data(), tlv, bare), ring_id=5)),
+        ("jumbo", encode(JumboDatagram((_data(), tlv, bare)), ring_id=5)),
         ("recovery", encode(RecoveryData(sender=3, old_ring_id=4,
                                          message=_data(seq=44)))),
         ("probe", encode(ProbeMessage(sender=3, ring_id=5))),
