@@ -30,6 +30,11 @@ from typing import Any, List, Optional, Tuple
 #: Default jumbo-datagram cap: the paper's fig4/fig6 large-payload size.
 DEFAULT_JUMBO_BYTES = 8850
 
+#: The codec's frame header (magic, version, type, body length, CRC-32):
+#: a jumbo datagram carries one for all its packets, each of which keeps
+#: the rest of its own header.
+FRAME_HEADER_BYTES = 12
+
 #: Per-coalesced-packet framing inside a jumbo datagram: u8 inner frame
 #: type + u32 inner body length (the inner packets share the outer
 #: datagram's header and CRC — that is the amortization).

@@ -21,7 +21,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Iterable, List, Optional, Protocol
 
-from .coalesce import JUMBO_COUNT_BYTES, JUMBO_ENTRY_BYTES, JumboDatagram
+from .coalesce import (
+    FRAME_HEADER_BYTES,
+    JUMBO_COUNT_BYTES,
+    JUMBO_ENTRY_BYTES,
+    JumboDatagram,
+)
 from .messages import DataMessage, Token
 
 
@@ -89,8 +94,8 @@ class RingDriver(Inbox):
     def __init__(self, port: DriverPort, header_bytes: int = 0) -> None:
         super().__init__()
         self.port = port
-        #: Datagram header in the substrate's size model: with the count
-        #: prefix, what an empty coalesced datagram weighs against the cap.
+        #: A plain data datagram's header in the substrate's size model
+        #: (0: none); coalesced datagrams are sized from it in :meth:`run`.
         self.header_bytes = header_bytes
         self.tokens_resent = 0
         self._stepper = None
@@ -162,7 +167,12 @@ class RingDriver(Inbox):
         # bytes.  No cap is a cap nothing fits under: every packet then
         # flushes alone, through the same code as a coalesced batch.
         cap = config.jumbo_datagram_bytes or 0
-        base = self.header_bytes + JUMBO_COUNT_BYTES
+        # Sized as the codec frames it: one frame header and the count,
+        # then per packet an entry and the rest of the packet's own
+        # header.  A port with no header model (0) sizes payloads alone.
+        frame_header = min(self.header_bytes, FRAME_HEADER_BYTES)
+        base = frame_header + JUMBO_COUNT_BYTES
+        per_packet = JUMBO_ENTRY_BYTES + self.header_bytes - frame_header
         pauses = port.pauses
         if pauses is not None:
             unwrap = port.unwrap
@@ -182,7 +192,7 @@ class RingDriver(Inbox):
             size = base
             for end in range(count + 1):
                 if end < count:
-                    entry = JUMBO_ENTRY_BYTES + messages[end].payload_size
+                    entry = per_packet + messages[end].payload_size
                     if end == start or size + entry <= cap:
                         size += entry
                         continue
@@ -190,7 +200,7 @@ class RingDriver(Inbox):
                 if pauses is not None:
                     # One send syscall for the whole datagram.
                     yield send_pauses[
-                        size - base - JUMBO_ENTRY_BYTES * (end - start)]
+                        size - base - per_packet * (end - start)]
                 coalesced = end - start > 1
                 if coalesced:
                     batch = messages[start:end]

@@ -12,7 +12,6 @@ ports (the paper's "different sockets for token and data").
 
 from __future__ import annotations
 
-import enum
 from typing import Any, Optional
 
 #: Ethernet + IP + UDP framing overhead added to every datagram, in bytes.
@@ -23,11 +22,31 @@ WIRE_OVERHEAD = 70
 ETHERNET_MTU = 1500
 
 
-class Traffic(enum.Enum):
-    """Logical receive port: the protocol separates token and data sockets."""
+class Traffic:
+    """What a frame carries, declared by its sender.
+
+    The fabric never opens a payload: the switch counts ingress frames
+    per kind, and a host reads TOKEN frames from its token socket and
+    every other kind from its data socket.  ``DATA`` is the ordered-data
+    plane and ``JUMBO`` its coalesced datagram (wire type 8), ``TOKEN``
+    the rotating token, ``GOSSIP`` the SWIM detector's wire types 9-11,
+    and ``CTRL`` the membership control plane (joins, commit tokens,
+    recovery floods).
+
+    The kinds are plain ``str`` constants, not an ``Enum``: the switch
+    uses one as a dict key per ingress frame, and a ``str`` hashes in C.
+    Senders pass these very objects, so readers compare with ``is``.
+    """
+
+    __slots__ = ()
 
     DATA = "data"
+    JUMBO = "jumbo"
     TOKEN = "token"
+    GOSSIP = "gossip"
+    CTRL = "ctrl"
+    #: Every kind, in accounting order.
+    ALL = (DATA, JUMBO, TOKEN, GOSSIP, CTRL)
 
 
 class Frame:
@@ -53,7 +72,7 @@ class Frame:
         self,
         src: int,
         dst: Optional[int],  # None means multicast to every other port
-        traffic: Traffic,
+        traffic: str,  # a Traffic kind
         size: int,
         payload: Any,
         sent_at: float = 0.0,
@@ -73,5 +92,5 @@ class Frame:
     def __repr__(self) -> str:
         target = "mcast" if self.dst is None else str(self.dst)
         return "Frame(%s %d->%s %dB)" % (
-            self.traffic.value, self.src, target, self.size,
+            self.traffic, self.src, target, self.size,
         )

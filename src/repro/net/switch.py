@@ -11,7 +11,9 @@ A multicast frame is replicated at the crossbar into every other port's
 output queue; each output queue drains at line rate
 (:class:`repro.net.line.TransmitLine`).  Frames are never reordered on a
 single port; loss happens only on buffer overflow or via an injected
-loss model.
+loss model.  Like the paper's switch, it forwards by address and never
+opens a payload: its per-class counters read the kind the sender
+declared on the frame (:class:`repro.net.frames.Traffic`).
 """
 
 from __future__ import annotations
@@ -23,14 +25,6 @@ from .frames import Frame, Traffic
 from .line import TransmitLine, push_arrival
 from .links import LinkSpec
 from .loss import LossModel, no_loss
-
-#: Ingress traffic classes (per-class frame/byte accounting).  ``data``
-#: is the plain ordered-data plane, ``jumbo`` its coalesced wire-type-8
-#: flavor, ``token`` the rotating token, ``gossip`` the SWIM detector's
-#: wire types 9-11, and ``ctrl`` the membership control plane (joins,
-#: commit tokens, recovery floods).
-TRAFFIC_CLASSES = ("data", "jumbo", "token", "gossip", "ctrl")
-
 
 class SwitchPort(TransmitLine):
     """One output port: bounded byte queue draining at line rate."""
@@ -87,13 +81,16 @@ def _deliver_copies(delivers: List[Callable[[Frame], None]],
 
 
 class Switch:
-    """The crossbar: receives ingress frames, replicates, enqueues egress."""
+    """The crossbar: receives ingress frames, replicates, enqueues egress.
+
+    :attr:`class_frames` and :attr:`class_bytes` count ingress frames
+    and wire bytes per :class:`Traffic` kind, as each frame declares it.
+    """
 
     __slots__ = (
         "sim", "spec", "_ports", "_fanout", "_partition",
         "_fault_filters", "_capture", "frames_received",
         "drops_partition", "drops_fault", "class_frames", "class_bytes",
-        "_data_class_cache", "_ctrl_class_cache",
     )
 
     def __init__(self, sim: Simulator, spec: LinkSpec) -> None:
@@ -120,15 +117,8 @@ class Switch:
         self.frames_received = 0
         self.drops_partition = 0
         self.drops_fault = 0
-        #: Ingress frames/bytes per traffic class (see TRAFFIC_CLASSES).
-        self.class_frames: Dict[str, int] = dict.fromkeys(TRAFFIC_CLASSES, 0)
-        self.class_bytes: Dict[str, int] = dict.fromkeys(TRAFFIC_CLASSES, 0)
-        #: payload type -> class, for bare payloads and ("data", ...) inner
-        #: payloads.  Tuples (the EVS harness's markers) are never cached
-        #: by type — their inner type varies per frame.
-        self._data_class_cache: Dict[type, str] = {}
-        #: inner payload type -> class for ("ctrl", message) payloads.
-        self._ctrl_class_cache: Dict[type, str] = {}
+        self.class_frames: Dict[str, int] = dict.fromkeys(Traffic.ALL, 0)
+        self.class_bytes: Dict[str, int] = dict.fromkeys(Traffic.ALL, 0)
 
     def attach(
         self,
@@ -228,70 +218,12 @@ class Switch:
     def receive(self, frame: Frame) -> None:
         """Ingress: a frame has fully arrived from a host NIC."""
         self.frames_received += 1
-        payload = frame.payload
-        cls = self._data_class_cache.get(type(payload))
-        if cls is None:
-            cls = self._classify(frame)
-        class_frames = self.class_frames
-        class_frames[cls] = class_frames.get(cls, 0) + 1
-        class_bytes = self.class_bytes
-        class_bytes[cls] = class_bytes.get(cls, 0) + frame.wire
+        traffic = frame.traffic
+        self.class_frames[traffic] += 1
+        self.class_bytes[traffic] += frame.wire
         if self._capture is not None:
             self._capture(frame)
         self.sim.call_in(self.spec.switch_latency_s, self._forward, frame)
-
-    def _classify(self, frame: Frame) -> str:
-        """Slow path of per-class accounting: first sighting of a type.
-
-        Bare payload types are classified once and cached; the EVS
-        harness's marker tuples (``("data", ring_id, message)`` /
-        ``("ctrl", message)``) are unwrapped per frame and their *inner*
-        type cached instead.
-        """
-        payload = frame.payload
-        tp = type(payload)
-        if tp is tuple:
-            if len(payload) == 3 and payload[0] == "data":
-                inner = type(payload[2])
-                cls = self._data_class_cache.get(inner)
-                if cls is None:
-                    cls = self._data_class_cache[inner] = (
-                        self._classify_bare(inner, frame.traffic)
-                    )
-                return cls
-            if len(payload) == 2 and payload[0] == "ctrl":
-                inner = type(payload[1])
-                cls = self._ctrl_class_cache.get(inner)
-                if cls is None:
-                    cls = self._ctrl_class_cache[inner] = (
-                        self._classify_ctrl(inner)
-                    )
-                return cls
-            return "data"  # unknown tuple shape: count with the data plane
-        cls = self._classify_bare(tp, frame.traffic)
-        self._data_class_cache[tp] = cls
-        return cls
-
-    @staticmethod
-    def _classify_bare(tp: type, traffic: Traffic) -> str:
-        from ..core.coalesce import JumboDatagram  # local: keep net light
-        from ..core.messages import Token
-
-        if tp is Token:
-            return "token"
-        if tp is JumboDatagram:
-            return "jumbo"
-        if traffic is Traffic.TOKEN:
-            return "token"
-        return "data"
-
-    @staticmethod
-    def _classify_ctrl(tp: type) -> str:
-        from ..membership.gossip import GOSSIP_MESSAGE_TYPES
-
-        if issubclass(tp, GOSSIP_MESSAGE_TYPES):
-            return "gossip"
-        return "ctrl"
 
     def _forward(self, frame: Frame) -> None:
         if self._fault_filters:

@@ -6,8 +6,10 @@ real simulated time driving the failure-detection and membership
 timeouts.  This is how reconfiguration *latency* — how long a crash or
 partition disrupts the ordering service — becomes measurable.
 
-Control messages (joins, commit tokens, recovery floods) travel on the
-data port, like Totem's; the regular token keeps its own port.
+Control messages (joins, commit tokens, recovery floods) and gossip
+travel on the data port, like Totem's; the regular token keeps its own
+port.  A ring frame carries ``(ring_id, message)``, a control or gossip
+frame the bare message; the frame's traffic kind says which.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from ..membership import (
     PeerConfirm,
     State,
 )
-from ..membership.gossip import GOSSIP_MESSAGE_TYPES, GossipPingReq
+from ..membership.gossip import GossipPingReq
 from ..net import (
     Frame,
     LinkSpec,
@@ -43,9 +45,6 @@ from ..obs.registry import MetricsRegistry
 from ..wire import GOSSIP_BASE_SIZE, GOSSIP_REQ_BASE_SIZE, GOSSIP_UPDATE_SIZE
 from .profiles import CostProfile
 
-#: Wire payload markers (what Frame.payload carries).
-_CTRL = "ctrl"
-_DATA = "data"
 #: Approximate serialized size of a membership control message.
 _CTRL_SIZE = 256
 
@@ -98,7 +97,8 @@ class SimEVSNode:
         self._gossip_seed = gossip_seed
         self.nic = Nic(sim, pid, spec, switch.receive)
         switch.attach(pid, self._on_frame)
-        self._ctrl_queue: Deque[Tuple[Any, int]] = deque()
+        #: Control and gossip frames: (traffic kind, message, src).
+        self._ctrl_queue: Deque[Tuple[str, Any, int]] = deque()
         #: The two ring sockets; entries are (ring_id, payload, src).
         self._ring = Inbox()
         self._wakeup = sim.signal("evsnode%d" % pid)
@@ -202,21 +202,21 @@ class SimEVSNode:
     def _on_frame(self, frame: Frame) -> None:
         if self.crashed:
             return
-        kind = frame.payload[0]
-        if frame.traffic is Traffic.TOKEN:
-            _kind, ring_id, token = frame.payload
+        traffic = frame.traffic
+        if traffic is Traffic.TOKEN:
+            ring_id, token = frame.payload
             self._ring.tokens.append((ring_id, token, frame.src))
-        elif kind == _CTRL:
-            _kind, message = frame.payload
-            self.ctrl_frames_received += 1
-            self._ctrl_queue.append((message, frame.src))
-        else:
-            _kind, ring_id, message = frame.payload
+        elif traffic is Traffic.DATA:
+            ring_id, message = frame.payload
             self._ring.data.append((ring_id, message, frame.src))
+        else:  # CTRL or GOSSIP
+            self.ctrl_frames_received += 1
+            self._ctrl_queue.append((traffic, frame.payload, frame.src))
         self._wakeup.fire()
 
-    def _send_ctrl(self, dst: Optional[int], size: int, message: Any) -> None:
-        frame = Frame(self.pid, dst, Traffic.DATA, size, (_CTRL, message))
+    def _send_ctrl(self, dst: Optional[int], traffic: str, size: int,
+                   message: Any) -> None:
+        frame = Frame(self.pid, dst, traffic, size, message)
         self.ctrl_frames_sent += 1
         self.ctrl_bytes_sent += frame.size
         self.nic.send(frame)
@@ -231,20 +231,21 @@ class SimEVSNode:
                     continue
                 self.nic.send(
                     Frame(self.pid, out.dst, Traffic.TOKEN,
-                          token.size, (_DATA, ring_id, token))
+                          token.size, out.payload)
                 )
             elif out.kind == "data":
-                ring_id, message = out.payload
+                message = out.payload[1]
                 self.nic.send(
                     Frame(self.pid, None, Traffic.DATA,
                           message.payload_size + self.profile.header_bytes,
-                          (_DATA, ring_id, message))
+                          out.payload)
                 )
             elif out.dst == self.pid:
-                self._ctrl_queue.append((out.payload, self.pid))
+                self._ctrl_queue.append((Traffic.CTRL, out.payload, self.pid))
                 self._wakeup.fire()
             else:
-                self._send_ctrl(out.dst, _CTRL_SIZE, out.payload)
+                self._send_ctrl(out.dst, Traffic.CTRL, _CTRL_SIZE,
+                                out.payload)
 
     def _dispatch_gossip(self, sends, events) -> None:
         for dst, message in sends:
@@ -256,7 +257,8 @@ class SimEVSNode:
                 else GOSSIP_BASE_SIZE
             )
             self._send_ctrl(
-                dst, base + len(message.updates) * GOSSIP_UPDATE_SIZE, message
+                dst, Traffic.GOSSIP,
+                base + len(message.updates) * GOSSIP_UPDATE_SIZE, message,
             )
         for event in events:
             if isinstance(event, PeerConfirm):
@@ -273,9 +275,9 @@ class SimEVSNode:
         ring = self._ring
         while True:
             if self._ctrl_queue:
-                message, src = self._ctrl_queue.popleft()
+                traffic, message, src = self._ctrl_queue.popleft()
                 yield Timeout(profile.recv_token_cpu_s)
-                if isinstance(message, GOSSIP_MESSAGE_TYPES):
+                if traffic is Traffic.GOSSIP:
                     # Only a gossiping peer sends these, and the cluster
                     # is all-gossip or all-probe, so a detector exists.
                     self._dispatch_gossip(*self.detector.handle(message, src))

@@ -177,7 +177,7 @@ class SimNode:
 
     def multicast_batch(self, messages, datagram_bytes: int) -> None:
         self.nic.send(Frame(
-            self.pid, None, Traffic.DATA, datagram_bytes,
+            self.pid, None, Traffic.JUMBO, datagram_bytes,
             JumboDatagram(tuple(messages)),
         ))
 

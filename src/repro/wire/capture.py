@@ -242,9 +242,9 @@ class SimCaptureTap:
     Install with :meth:`repro.net.Switch.set_capture`; every frame that
     reaches the crossbar is encoded once (multicast frames appear once,
     as on the switch's ingress port, exactly like the emulation's
-    send-side tap).  Sim-internal frame payloads without a wire
-    representation (e.g. the EVS harness's control-tuple markers) are
-    unwrapped when possible and otherwise counted as skips.
+    send-side tap).  An EVS ring frame's ``(ring_id, message)`` pair is
+    unwrapped; a payload without a wire representation is counted as a
+    skip.
     """
 
     def __init__(self, sim, writer: CaptureWriter) -> None:
@@ -252,20 +252,14 @@ class SimCaptureTap:
         self.writer = writer
 
     def __call__(self, frame) -> None:
-        from ..net.frames import Traffic  # local: avoid import cycle
+        from ..net.frames import Traffic  # local: the UDP path skips net
 
         traffic = TRAFFIC_TOKEN if frame.traffic is Traffic.TOKEN else TRAFFIC_DATA
         payload = frame.payload
         ring_id = 0
-        # The EVS sim node wraps payloads in marker tuples:
-        # ("data", ring_id, message) / ("data", ring_id, token) on the
-        # token port / ("ctrl", membership_message).
-        if type(payload) is tuple:
-            if len(payload) == 3 and payload[0] == "data":
-                ring_id, payload = payload[1], payload[2]
-            elif len(payload) == 2 and payload[0] == "ctrl":
-                payload = payload[1]
+        if type(payload) is tuple:  # an EVS ring frame: (ring_id, message)
+            ring_id, payload = payload
         self.writer.write_message(
             self.sim.now, frame.src, frame.dst, traffic, payload,
-            ring_id=ring_id if isinstance(ring_id, int) and ring_id >= 0 else 0,
+            ring_id=ring_id,
         )

@@ -23,7 +23,11 @@ from repro.core import (
     TokenRound,
     initial_token,
 )
-from repro.core.coalesce import JUMBO_COUNT_BYTES, JUMBO_ENTRY_BYTES
+from repro.core.coalesce import (
+    FRAME_HEADER_BYTES,
+    JUMBO_COUNT_BYTES,
+    JUMBO_ENTRY_BYTES,
+)
 from repro.core.driver import Inbox, RingDriver
 
 HEADER = 60
@@ -171,12 +175,15 @@ def test_effects_run_in_action_order_without_coalescing():
 
 
 def test_coalescing_flushes_before_the_token_and_under_the_cap():
-    # 3 x (5 + 1000) + 60 + 4 = 3079 <= 3100 < 4084: three per datagram.
-    config = ProtocolConfig(jumbo_datagram_bytes=3100)
+    # Sized as the codec frames it: one 12-byte frame header and the
+    # count, then per packet an entry, the other 48 header bytes and the
+    # payload.  3 x (5 + 48 + 1000) + 12 + 4 = 3175 <= 3200 < 4228:
+    # three per datagram.
+    config = ProtocolConfig(jumbo_datagram_bytes=3200)
     driver, port, _ = token_round(config)
     assert driver.step()
-    base = HEADER + JUMBO_COUNT_BYTES
-    entry = JUMBO_ENTRY_BYTES + 1000
+    base = FRAME_HEADER_BYTES + JUMBO_COUNT_BYTES
+    entry = JUMBO_ENTRY_BYTES + (HEADER - FRAME_HEADER_BYTES) + 1000
     assert [e for e in port.log if e[0] != "timer"] == [
         # The pre-token pair flushes before the token, never across it.
         ("batch", (1, 2), base + 2 * entry),
@@ -187,7 +194,7 @@ def test_coalescing_flushes_before_the_token_and_under_the_cap():
         ("deliver", 1), ("deliver", 2),
     ]
     for _kind, _seqs, size in effects(port, "batch"):
-        assert size <= 3100
+        assert size <= 3200
 
 
 def test_a_lone_packet_travels_plain_under_coalescing():
@@ -211,7 +218,7 @@ def test_sends_at_the_end_of_the_list_still_flush():
         driver.step()
         sent = effects(port, "multicast", "batch")
         assert sent == ([("multicast", 1), ("multicast", 2)] if cap is None
-                        else [("batch", (1, 2), 64 + 2 * 1005)])
+                        else [("batch", (1, 2), 16 + 2 * 1053)])
         # Nothing is carried over into the next input's walk, and a
         # duplicate token (no round) has no effect at all.
         del port.log[:]
@@ -268,7 +275,7 @@ def test_self_addressed_token_on_a_one_node_ring():
 # -- pauses ------------------------------------------------------------------
 
 def test_pauses_are_yielded_before_the_effect_they_pay_for():
-    config = ProtocolConfig(jumbo_datagram_bytes=3100)
+    config = ProtocolConfig(jumbo_datagram_bytes=3200)
     driver, port, _ = token_round(config, timed=True)
     trail = []
     loop = driver.run()
@@ -283,10 +290,10 @@ def test_pauses_are_yielded_before_the_effect_they_pay_for():
     # Each effect directly follows its own charge; nothing happens
     # before the first pause or between a pause and its effect.
     assert trail[1:] == [
-        ("pause", ("send_data", 2000)), ("batch", (1, 2), 2074),
+        ("pause", ("send_data", 2000)), ("batch", (1, 2), 2122),
         ("pause", "send_token"), ("token", "TOKEN", 2),
-        ("pause", ("send_data", 3000)), ("batch", (3, 4, 5), 3079),
-        ("pause", ("send_data", 2000)), ("batch", (6, 7), 2074),
+        ("pause", ("send_data", 3000)), ("batch", (3, 4, 5), 3175),
+        ("pause", ("send_data", 2000)), ("batch", (6, 7), 2122),
         ("pause", ("deliver", 1000)), ("deliver", 1),
         ("pause", ("deliver", 1000)), ("deliver", 2),
     ]
@@ -317,7 +324,7 @@ def test_step_survives_an_effect_that_raises():
 
 # -- trace hooks -------------------------------------------------------------
 
-@pytest.mark.parametrize("cap", [None, 3100])
+@pytest.mark.parametrize("cap", [None, 3200])
 def test_trace_hooks_carry_flags_per_message(cap):
     driver, port, _ = token_round(ProtocolConfig(jumbo_datagram_bytes=cap))
     sends, deliveries, batches = [], [], []

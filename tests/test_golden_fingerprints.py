@@ -132,8 +132,8 @@ SCENARIOS = {
             ),
             LIBRARY, TEN_GIGABIT, 1350, Service.AGREED, 5000e6,
         ),
-        "819526e1762f4517d1166dd99e668fca29f19195ce3d5b1ce70908a9f8c4a281",
-        584_852,
+        "59219cd26ae7a669a731abf8dd05fe708b5a6f0498a9484c3d89c30556360822",
+        630_864,
     ),
     "accelerated_lossy_1g": (
         lambda: _run(

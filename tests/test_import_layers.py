@@ -7,6 +7,8 @@ in a fresh interpreter and checks ``sys.modules`` against the layers it
 must not load.
 """
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -85,3 +87,36 @@ def test_workload_loads_only_its_layers(workload):
               if any(name == layer or name.startswith(layer + ".")
                      for layer in forbidden)]
     assert loaded == [], "%s loads %s" % (workload, ", ".join(loaded))
+
+
+def _imported_modules(path, package):
+    """Every module ``path`` imports, at any depth, as an absolute name."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = package.split(".")
+                base = ".".join(parts[:len(parts) - node.level + 1])
+                name = base + "." + node.module if node.module else base
+            else:
+                name = node.module
+            yield node.lineno, name
+
+
+def test_the_fabric_imports_nothing_outside_itself():
+    """``repro.net`` forwards frames by the kind their sender declared
+    and never needs the protocol's classes, not even inside a function.
+    ``repro._exports`` is the package-export helper every package uses."""
+    outside = []
+    for path in sorted(glob.glob(os.path.join(SRC, "repro", "net", "*.py"))):
+        for lineno, name in _imported_modules(path, "repro.net"):
+            if (name.startswith("repro") and name != "repro._exports"
+                    and name != "repro.net"
+                    and not name.startswith("repro.net.")):
+                outside.append("%s:%d %s" % (os.path.basename(path),
+                                             lineno, name))
+    assert outside == []

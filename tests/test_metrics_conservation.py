@@ -10,9 +10,12 @@ reading the live attribute.
 """
 
 from repro.core import ProtocolConfig
-from repro.net import GIGABIT
+from repro.membership import GossipConfig
+from repro.net import GIGABIT, TEN_GIGABIT, Traffic
 from repro.sim import LIBRARY
+from repro.sim.churn import CHURN_TIMEOUTS, _protocol_config
 from repro.sim.cluster import SimCluster
+from repro.sim.evs_node import SimEVSCluster
 
 
 def _run_cluster(seed=2, n_nodes=4, duration_s=0.01, rate_bps=200e6):
@@ -77,6 +80,44 @@ def test_traffic_class_breakdown_conserves_switch_totals():
         "net.switch.frames_received") == switch.frames_received
     for cls, wire_bytes in switch.class_bytes.items():
         assert metrics.value("net.switch.class.%s.bytes" % cls) == wire_bytes
+
+
+def _gossip_cluster_with_a_crash():
+    cluster = SimEVSCluster(
+        4, GIGABIT, LIBRARY, _protocol_config(), CHURN_TIMEOUTS,
+        gossip=True, gossip_config=GossipConfig(), gossip_seed=1,
+    )
+    cluster.run_until_converged(timeout_s=8.0)
+    for i in range(10):
+        cluster.nodes[0].submit(("m", i))
+    cluster.run_for(0.01)
+    cluster.crash(3)
+    cluster.run_until_converged(timeout_s=8.0)
+    return cluster
+
+
+def _jumbo_cluster():
+    config = ProtocolConfig.accelerated(
+        personal_window=20, accelerated_window=12, jumbo_datagram_bytes=8850,
+    )
+    cluster = SimCluster(4, TEN_GIGABIT, LIBRARY, config, seed=2)
+    cluster.inject_at_rate(5000e6, 0.005)
+    cluster.run(0.005, 0.0, offered_bps=5000e6)
+    return cluster
+
+
+def test_every_declared_kind_is_counted():
+    """Each frame is counted under the kind its sender declared: the
+    membership run sends data, token, ctrl and gossip frames, the
+    coalescing run data, jumbo and token frames."""
+    seen = dict.fromkeys(Traffic.ALL, 0)
+    for cluster in (_gossip_cluster_with_a_crash(), _jumbo_cluster()):
+        switch = cluster.switch
+        assert list(switch.class_frames) == list(Traffic.ALL)
+        assert sum(switch.class_frames.values()) == switch.frames_received
+        for kind, frames in switch.class_frames.items():
+            seen[kind] += frames
+    assert all(seen.values()), seen
 
 
 def test_frame_conservation_across_the_fabric():

@@ -15,6 +15,7 @@ from repro.emulation import EmulatedRing
 from repro.net import GIGABIT
 from repro.sim import LIBRARY
 from repro.sim.cluster import SimCluster
+from repro.sim.evs_node import SimEVSCluster
 from repro.wire import codec
 from repro.wire.capture import (
     MULTICAST,
@@ -25,6 +26,7 @@ from repro.wire.capture import (
     CaptureError,
     CaptureReader,
     CaptureWriter,
+    SimCaptureTap,
 )
 from repro.wire.analyzer import render_capture, render_summary, summarize_capture
 
@@ -148,6 +150,30 @@ def test_sim_switch_tap_produces_decodable_capture(tmp_path):
         else:
             # Tokens carry everything on the wire: blob == modeled size.
             assert len(record.blob) == decoded.message.size
+
+
+def test_sim_switch_tap_on_a_membership_cluster(tmp_path):
+    """EVS ring frames carry ``(ring_id, message)``: the tap unwraps the
+    pair and stamps data frames with the ring id.  Control and gossip
+    frames carry the bare message."""
+    path = str(tmp_path / "evs.rcap")
+    with CaptureWriter(path, WORLD_SIM, label="tap test") as writer:
+        cluster = SimEVSCluster(3, GIGABIT, LIBRARY, gossip=True,
+                                gossip_seed=1)
+        cluster.switch.set_capture(SimCaptureTap(cluster.sim, writer))
+        cluster.run_until_converged()
+        for _ in range(3):
+            cluster.nodes[0].submit(None)
+        cluster.run_for(0.01)
+    assert writer.records_skipped == 0
+    ring_id = cluster.nodes[0].process.ring.ring_id
+    ring_ids = {}
+    for record in CaptureReader(path):
+        decoded = record.decode()
+        ring_ids.setdefault(decoded.kind, set()).add(decoded.ring_id)
+    assert ring_ids["data"] == {ring_id}
+    assert ring_id in ring_ids["token"]
+    assert "join" in ring_ids and "gossip-ping" in ring_ids
 
 
 def test_emulation_tap_produces_decodable_capture(tmp_path):

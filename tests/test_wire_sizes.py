@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import JumboDatagram, ProtocolConfig, Token
+from repro.core.coalesce import FRAME_HEADER_BYTES
 from repro.core.messages import (
     DATA_HEADER_SIZE,
     DataMessage,
@@ -90,11 +91,10 @@ def test_sim_frame_sizes_cross_validate_against_codec():
     assert token_frame.size == codec.encoded_size(token)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the driver sizes a coalesced datagram as header_bytes + 4 + "
-    "sum(5 + payload_size), but the codec also carries each inner "
-    "packet's 48-byte data body: 48 B short per inner packet after the "
-    "first (6,839 B against 7,031 B for five 1,350-byte packets)"))
+def test_frame_header_bytes_matches_codec():
+    assert FRAME_HEADER_BYTES == codec.HEADER_SIZE
+
+
 def test_coalesced_datagram_size_matches_codec(monkeypatch):
     """Datagrams exactly as the driver sizes them for a LIBRARY ring
     coalescing five 1,350-byte packets, checked against encode()."""
@@ -112,7 +112,7 @@ def test_coalesced_datagram_size_matches_codec(monkeypatch):
     cluster.inject_at_rate(900e6, duration_s=0.02)
     cluster.run(0.02, warmup_s=0.0, offered_bps=900e6)
     fives = [batch for batch in batches if len(batch[0]) == 5]
-    assert fives  # the run coalesced (not what the xfail is about)
+    assert fives  # the run coalesced
     messages, datagram_bytes = fives[0]
     # The bytes a real deployment sends: a raw payload of the same size.
     on_wire = tuple(replace(m, payload=b"p" * m.payload_size)
