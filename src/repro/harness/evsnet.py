@@ -189,11 +189,14 @@ class EVSNetwork:
                     pid for pid in self.group_of(src)
                     if pid != src and pid not in self.crashed
                 ]
+            kind, entry = out.kind, (src, out.payload)
             for dst in targets:
-                ring = self._ring[dst]
-                queue = {"ctrl": self._ctrl[dst], "token": ring.tokens,
-                         "data": ring.data}[out.kind]
-                queue.append((src, out.payload))
+                if kind == "ctrl":
+                    self._ctrl[dst].append(entry)
+                elif kind == "token":
+                    self._ring[dst].tokens.append(entry)
+                else:
+                    self._ring[dst].data.append(entry)
 
     # -- invariant checking -------------------------------------------------------
 

@@ -65,9 +65,10 @@ class LoopbackRing:
         self._drop_token = drop_token
         self._check_stability = check_stability
         self._on_deliver = on_deliver
-        #: Per-participant delivery logs: list of DataMessage in order.
+        #: Per-participant delivery logs, in order: the consumer of every
+        #: delivery when no ``on_deliver`` is given, else empty.
         self.delivered: Dict[int, List[DataMessage]] = {p: [] for p in self.ring}
-        #: Sum of the delivery logs' lengths, kept as they grow.
+        #: Deliveries so far, across all participants.
         self._total_delivered = 0
         self.steps_taken = 0
         self.data_drops = 0
@@ -113,15 +114,11 @@ class LoopbackRing:
         return progressed
 
     def run(self, max_steps: int = 100_000) -> int:
-        """Step until quiescent (all inboxes empty); returns steps taken.
+        """Step until quiescent; returns steps taken.
 
         A ring with a live token never quiesces on its own, so the run
-        stops once the token is parked: every inbox empty except a token
-        waiting at a participant with no data pending anywhere — covered
-        by running until only token handling with no sends would repeat.
-        In practice: we stop when a full sweep makes no progress OR when
-        all application backlogs and data inboxes are empty and the token
-        has completed two further cleanup rounds (to raise aru and
+        also stops once no data is pending anywhere and the token has
+        made three further rounds with no delivery (to raise aru and
         deliver Safe messages).
         """
         if not self._started:
@@ -242,9 +239,10 @@ class LoopbackRing:
         self._drivers[dst].tokens.append(token)
 
     def _record_delivery(self, pid: int, message: DataMessage) -> None:
-        self.delivered[pid].append(message)
         self._total_delivered += 1
-        if self._on_deliver is not None:
+        if self._on_deliver is None:
+            self.delivered[pid].append(message)
+        else:
             self._on_deliver(pid, message)
         if self._check_stability and message.service is Service.SAFE:
             seq = message.seq

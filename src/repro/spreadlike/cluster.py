@@ -8,9 +8,10 @@ architecture), not wire-level performance — that is measured by
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional
 
-from ..core import DataMessage, ProtocolConfig, Service
+from ..core import DataMessage, ProtocolConfig
 from ..harness import LoopbackRing
 from .client import SpreadClient
 from .daemon import SpreadDaemon
@@ -28,13 +29,7 @@ class SpreadCluster:
         self.ring = LoopbackRing(pids, config, on_deliver=self._on_deliver)
         self.daemons: Dict[int, SpreadDaemon] = {}
         for pid in pids:
-            self.daemons[pid] = SpreadDaemon(pid, self._make_submit(pid))
-
-    def _make_submit(self, pid: int):
-        def submit(payload, service: Service) -> None:
-            self.ring.submit(pid, payload, service)
-
-        return submit
+            self.daemons[pid] = SpreadDaemon(pid, partial(self.ring.submit, pid))
 
     def _on_deliver(self, pid: int, message: DataMessage) -> None:
         self.daemons[pid].on_ordered(message)

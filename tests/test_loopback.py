@@ -171,3 +171,54 @@ def test_flow_control_global_window_respected():
     ring.run()
     assert handlings
     assert all(sent.fcc <= 60 for _p, _r, sent, _n, _rt in handlings)
+
+
+def consumed_and_logged(plan, pids, config, loss_seed, loss_p=0.08):
+    """``plan`` run once with a consumer and once without, both losing
+    the same first transmissions: what the consumer got per pid, the
+    consumer's ring, and the log-only ring."""
+    consumed = {pid: [] for pid in pids}
+    rings = []
+    for on_deliver in (lambda pid, m: consumed[pid].append(m), None):
+        loss = FirstTimeLoss(seed=loss_seed, pids=pids, p=loss_p)
+        rings.append(run_ring(pids, config, plan, on_deliver=on_deliver,
+                              drop_data=loss))
+        assert loss.drops > 0
+    return consumed, rings[0], rings[1]
+
+
+def test_consumer_takes_every_delivery_once_and_the_log_stays_empty():
+    pids = [1, 2, 3, 4]
+    plan = mixed_workload(seed=7, pids=pids, per_pid=25, safe_fraction=0.5)
+    consumed, ring, _logged = consumed_and_logged(
+        plan, pids, ProtocolConfig.accelerated(), loss_seed=4)
+    for pid in pids:
+        assert [m.seq for m in consumed[pid]] == list(range(1, len(plan) + 1))
+        assert ring.delivered[pid] == []
+    assert ring._total_delivered == len(pids) * len(plan)
+
+
+def test_run_settles_on_safe_traffic_under_a_consumer():
+    # run()'s idle rule counts deliveries, not log entries.  This late
+    # first-transmission drop leaves Safe messages waiting on the
+    # two-rotation rule after the last data moved (test_properties'
+    # regression example); without the count, run() parks them.
+    pids = [1, 2, 3, 4]
+    plan = [(pid, (pid, i), Service.SAFE if i % 4 == 0 else Service.AGREED)
+            for pid in pids for i in range(15)]
+    consumed, _ring, logged = consumed_and_logged(
+        plan, pids, ProtocolConfig(accelerated_window=0),
+        loss_seed=9968, loss_p=0.015625)
+    for pid in pids:
+        assert len(consumed[pid]) == len(logged.delivered[pid]) == len(plan)
+
+
+def test_without_a_consumer_the_log_holds_what_a_consumer_gets():
+    pids = [1, 2, 3, 4]
+    plan = mixed_workload(seed=9, pids=pids, per_pid=25, safe_fraction=0.5)
+    consumed, _ring, logged = consumed_and_logged(
+        plan, pids, ProtocolConfig.accelerated(), loss_seed=6)
+    for pid in pids:
+        assert [(m.seq, m.payload) for m in logged.delivered[pid]] == [
+            (m.seq, m.payload) for m in consumed[pid]]
+    assert logged._total_delivered == sum(map(len, logged.delivered.values()))

@@ -1,8 +1,10 @@
 """Tests for the Spread-like daemon/group layer."""
 
+import gc
+
 import pytest
 
-from repro.core import Service
+from repro.core import DataMessage, Service
 from repro.spreadlike import (
     ClientId,
     GroupMessage,
@@ -341,3 +343,32 @@ def test_safe_service_group_message():
     got = b.receive_messages()
     assert [m.payload for m in got] == ["stable"]
     assert got[0].service is Service.SAFE
+
+
+def live_data_messages_after(multicasts):
+    """Live ``DataMessage``s once ``multicasts`` mixed Agreed/Safe sends
+    through a 4-daemon cluster are ordered and received, the cluster
+    still alive."""
+    cluster = SpreadCluster(4)
+    clients = [cluster.client("c%d" % i, daemon=i) for i in range(4)]
+    for client in clients:
+        client.join("g")
+    cluster.flush()
+    for i in range(multicasts):
+        service = Service.SAFE if i % 4 == 0 else Service.AGREED
+        clients[i % 4].multicast("g", i, service=service)
+        if i % 100 == 99:
+            cluster.flush()
+            for client in clients:
+                client.receive()
+    cluster.flush()
+    for client in clients:
+        client.receive()
+    gc.collect()
+    return sum(type(o) is DataMessage for o in gc.get_objects())
+
+
+def test_cluster_retains_no_delivered_message():
+    # A daemon keeps a message only until every window discards it as
+    # stable; nothing beside the consumer keeps a copy of a delivery.
+    assert live_data_messages_after(400) == live_data_messages_after(4000)
