@@ -97,7 +97,10 @@ class EmulatedRing:
         for node in self.nodes.values():
             node.stop()
         for node in self.nodes.values():
-            node.join(timeout=2.0)
+            if node.ident is None:
+                node.transport.close()  # no thread ran to close it
+            else:
+                node.join(timeout=2.0)
         self._raise_dead_node()
 
     def _raise_dead_node(self) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from collections import deque
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..core import (
@@ -59,10 +60,12 @@ class EmulatedNode(threading.Thread):
         transport.ring_id = ring.ring_id
         self.participant = Participant(pid, ring, config)
         self.driver = RingDriver(self)
-        #: Thread-safe application queues.
-        self._submissions: "queue.Queue[Tuple[Any, Service]]" = queue.Queue()
-        self.delivered: "queue.Queue[DataMessage]" = queue.Queue()
-        self._stop_event = threading.Event()
+        #: Hand-offs to and from the node thread, one consumer each and
+        #: no Python-level lock: deque and SimpleQueue are atomic in C.
+        self._submissions: "deque[Tuple[Any, Service]]" = deque()
+        self.delivered: "queue.SimpleQueue[DataMessage]" = queue.SimpleQueue()
+        self.deliver = self.delivered.put  # the driver port's deliver
+        self._stop_flag = False  # set by stop(), read once per pass
         #: The one armed timer: (monotonic deadline, fn, args).
         self._timer: Optional[Tuple[float, Callable, tuple]] = None
         #: What killed the node thread, if anything did.
@@ -75,18 +78,15 @@ class EmulatedNode(threading.Thread):
     # -- application API (any thread) -------------------------------------
 
     def submit(self, payload: Any, service: Service = Service.AGREED) -> None:
-        self._submissions.put((payload, service))
+        self._submissions.append((payload, service))
 
     def stop(self) -> None:
-        self._stop_event.set()
+        self._stop_flag = True
 
     def drain_delivered(self) -> List[DataMessage]:
-        out = []
-        while True:
-            try:
-                out.append(self.delivered.get_nowait())
-            except queue.Empty:
-                return out
+        # One consumer: what qsize() counts is there to take.
+        get = self.delivered.get_nowait
+        return [get() for _ in range(self.delivered.qsize())]
 
     def inject_first_token(self) -> None:
         """Leader only: start the ring."""
@@ -109,10 +109,13 @@ class EmulatedNode(threading.Thread):
         # Read now, not at construction: the stand-ins a benchmark
         # installs on the node before start() are what the loop calls.
         poll = self.transport.poll
+        submit = self.participant.submit
         priority = self.participant._priority
+        submissions = self._submissions
         try:
-            while not self._stop_event.is_set():
-                self._drain_submissions()
+            while not self._stop_flag:
+                while submissions:
+                    submit(*submissions.popleft())
                 # Block only when there is nothing at all to do.
                 wait = 0.0 if tokens or data else self.POLL_INTERVAL_S
                 fresh_data, fresh_tokens = poll(wait)
@@ -130,14 +133,6 @@ class EmulatedNode(threading.Thread):
         finally:
             self.transport.close()
 
-    def _drain_submissions(self) -> None:
-        while True:
-            try:
-                payload, service = self._submissions.get_nowait()
-            except queue.Empty:
-                return
-            self.participant.submit(payload, service)
-
     # -- the driver's port ------------------------------------------------------
 
     def multicast(self, message: DataMessage) -> None:
@@ -154,9 +149,6 @@ class EmulatedNode(threading.Thread):
             self.driver.tokens.append(token)
         else:
             self.transport.send_token(token, dst)
-
-    def deliver(self, message: DataMessage) -> None:
-        self.delivered.put(message)
 
     def set_timer(self, delay_s: float, fn: Callable, *args: Any) -> None:
         # A newer token send supersedes the armed resend (which would

@@ -1,5 +1,8 @@
 """Integration tests: the protocol over real UDP sockets on localhost."""
 
+import os
+import queue
+import sys
 import threading
 import time
 
@@ -155,6 +158,74 @@ def test_stop_raises_what_killed_a_node():
         ring.stop()
     for node in ring.nodes.values():
         assert not node.is_alive()
+
+
+def test_stop_on_a_ring_that_never_started_closes_its_sockets():
+    # No node thread ran, so none closed its transport on the way out.
+    ring = EmulatedRing(3)
+    ring.stop()
+    for node in ring.nodes.values():
+        assert not node.is_alive()
+        transport = node.transport
+        assert transport._data_sock.fileno() == -1
+        assert transport._token_sock.fileno() == -1
+
+
+def test_delivered_queue_surface():
+    # What perf/udp.py reads: the observer's get(timeout=...), then
+    # get_nowait() until queue.Empty, and drain_delivered() elsewhere.
+    with EmulatedRing(3) as ring:
+        for i in range(30):
+            ring.submit(i % 3, i)
+        observer = ring.nodes[0]
+        taken = [observer.delivered.get(timeout=10.0) for _ in range(10)]
+        deadline = time.monotonic() + 10.0
+        while len(taken) < 30 and time.monotonic() < deadline:
+            taken += observer.drain_delivered()
+            time.sleep(0.002)
+        with pytest.raises(queue.Empty):
+            observer.delivered.get_nowait()
+        assert observer.drain_delivered() == []
+    assert [m.seq for m in taken] == list(range(1, 31))
+
+
+def test_no_python_level_synchronisation_per_message():
+    # Every hand-off between the submitter and the node threads is a C
+    # operation: over 300 ordered messages, no frame of queue.py or
+    # threading.py runs in any thread, the blocked submitter included.
+    watched = ("queue.py", "threading.py")
+    counting = [False]
+    calls = [0]
+
+    def hook(frame, event, _arg):
+        if (event == "call" and counting[0]
+                and os.path.basename(frame.f_code.co_filename) in watched):
+            calls[0] += 1
+
+    # A call census may be profiling this very run: put its hooks back.
+    previous_sys, previous_threads = sys.getprofile(), threading.getprofile()
+    threading.setprofile(hook)
+    sys.setprofile(hook)
+    try:
+        with EmulatedRing(3) as ring:
+            observer = ring.nodes[0].delivered
+            for i in range(30):  # warm-up: lazy imports, first rounds
+                ring.submit(i % 3, ("warm", i))
+            for _ in range(30):
+                observer.get(timeout=10.0)
+            counting[0] = True
+            for batch in range(15):
+                for i in range(20):
+                    ident = batch * 20 + i
+                    ring.submit(ident % 3, ident,
+                                Service.SAFE if ident % 2 else Service.AGREED)
+                for _ in range(20):
+                    observer.get(timeout=10.0)
+            counting[0] = False
+    finally:
+        sys.setprofile(previous_sys)
+        threading.setprofile(previous_threads)
+    assert calls[0] == 0
 
 
 # -- the node loop's read rule, over a scripted transport (no sockets) -------
