@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The Accelerated Ring over real UDP sockets.
 
-Runs four threaded nodes on 127.0.0.1 — real datagrams through the
+Runs four nodes on 127.0.0.1 from one loop — real datagrams through the
 kernel, real token acceleration, per the paper's library prototype in
 miniature — and verifies the total order end-to-end.
 

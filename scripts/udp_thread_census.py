@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CPU per ordered message on the UDP ring, thread by thread.
+"""CPU per ordered message on the UDP ring: submitter and ring thread.
 
     python scripts/udp_thread_census.py [--seconds 5 --warm 1]
 
@@ -7,12 +7,13 @@ Rebuilds ``perf/``'s ``udp_sat`` shape: a 3-node ``EmulatedRing`` with
 the default ``ProtocolConfig``, driven closed loop by this thread (the
 submitter) with 64 messages outstanding, 1,350-byte payloads, senders in
 turn, and nodes 1 and 2 drained every 20 ms.  The process is pinned to
-one CPU before the ring starts, so every node thread shares it, as under
-``perf/run.py``.  After the warm-up it reads each thread's CPU clock at
-both ends of the measured window and prints microseconds of CPU per
-message node 0 delivered: for the submitter, for each node and in total.
-``perf/``'s seams time the layers inside a node, never the submitter;
-this is where the hand-offs between threads show.  README.md's
+one CPU before the ring starts, so the ring's one thread shares it with
+the submitter, as under ``perf/run.py``.  After the warm-up it reads
+both threads' CPU clocks at both ends of the measured window and prints
+microseconds of CPU per message node 0 delivered: for the submitter,
+for the ring thread (every node's passes) and in total.  ``perf/``'s
+seams time the layers inside a node, never the submitter; this is where
+the hand-offs between the two threads show.  README.md's
 performance section carries the table this prints.  Exits 1 if node 0
 delivered nothing or out of order.
 """
@@ -48,10 +49,9 @@ def pin_to_one_cpu() -> int:
 
 
 def cpu_clocks(ring: EmulatedRing) -> list:
-    """CPU seconds so far: the submitter's, then each node thread's."""
-    return [time.thread_time()] + [
-        time.clock_gettime(time.pthread_getcpuclockid(node.ident))
-        for node in ring.nodes.values()]
+    """CPU seconds so far: the submitter's, then the ring thread's."""
+    return [time.thread_time(), time.clock_gettime(
+        time.pthread_getcpuclockid(ring.thread.ident))]
 
 
 def drive(seconds: float, warm_s: float):
@@ -109,8 +109,7 @@ def main(argv) -> int:
         print("node 0 delivered nothing, or out of order")
         return 1
     print("%-10s %12s" % ("thread", "CPU us/msg"))
-    names = ["submitter"] + ["node %d" % pid for pid in range(N_NODES)]
-    for name, seconds in zip(names, cpu_s):
+    for name, seconds in zip(("submitter", "ring"), cpu_s):
         print("%-10s %12.1f" % (name, seconds / messages * 1e6))
     print("%-10s %12.1f" % ("total", sum(cpu_s) / messages * 1e6))
     return 0

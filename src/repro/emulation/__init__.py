@@ -1,4 +1,4 @@
-"""The protocol over real UDP sockets (laptop-scale, threads).
+"""The protocol over real UDP sockets (laptop-scale, one thread).
 
 The library-based prototype of the paper, in miniature: real datagrams,
 real kernel buffers, real token acceleration — on 127.0.0.1.

@@ -1,11 +1,17 @@
-"""Spawn and drive an emulated ring of real-socket nodes."""
+"""An emulated ring of real-socket nodes, run from one loop on one thread.
+
+Like the paper's single-threaded daemon, one loop around the N state
+machines: the application's thread is the only other one that runs.
+"""
 
 from __future__ import annotations
 
+import select
+import threading
 import time
 from typing import Any, Dict, List, Optional, Set
 
-from ..core import DataMessage, ProtocolConfig, Ring, Service
+from ..core import DataMessage, ProtocolConfig, Ring, Service, initial_token
 from ..obs.registry import MetricsRegistry
 from ..wire.capture import CaptureWriter
 from .node import EmulatedNode
@@ -13,7 +19,10 @@ from .transport import SendLossRule, UdpTransport
 
 
 class EmulatedRing:
-    """N threaded nodes on localhost UDP; context-manager friendly."""
+    """N nodes on localhost UDP, one thread; context-manager friendly."""
+
+    #: Longest block on idle sockets; bounds reaction time, not throughput.
+    POLL_INTERVAL_S = 0.001
 
     def __init__(
         self,
@@ -46,7 +55,9 @@ class EmulatedRing:
         self._register_metrics()
         #: Lifecycle tracer, if attached (see :meth:`attach_tracer`).
         self.tracer = None
-        self._started = False
+        self._stop_flag = False  # set by stop(), read once per pass
+        #: The one thread that runs every node, once started.
+        self.thread: Optional[threading.Thread] = None
         #: Nodes whose death was already raised (each is raised once).
         self._reported: Set[int] = set()
 
@@ -54,7 +65,7 @@ class EmulatedRing:
         """Bind every node's live counters into the unified registry."""
         metrics = self.metrics
         for pid, node in self.nodes.items():
-            node.transport.register_metrics(metrics, node=pid)
+            node.transport.register_metrics(metrics)
             metrics.bind("emulation.node.tokens_resent", node,
                          "tokens_resent", node=pid)
             stats = node.participant.stats
@@ -69,15 +80,16 @@ class EmulatedRing:
         """Attach a lifecycle tracer (wall clock); call before start().
 
         Timestamps share the capture epoch, so a trace lines up with an
-        ``.rcap`` capture of the same run.  Node threads stamp records
-        concurrently; each stamp is one GIL-atomic bytearray extend, so
-        the stream is safe — just not globally time-sorted across nodes.
+        ``.rcap`` capture of the same run.  The ring's one thread writes
+        every record, so the records stamped as they are written (all
+        stages but ``originated`` and ``ordered``, which carry an
+        earlier instant) appear in nondecreasing time across all nodes.
         """
         from ..obs.lifecycle import emulation_tracer
 
         if self.tracer is not None:
             raise RuntimeError("tracer already attached")
-        if self._started:
+        if self.thread is not None:
             raise RuntimeError("attach the tracer before start()")
         self.tracer = emulation_tracer(self, self.t0, label=label)
         return self.tracer
@@ -85,26 +97,85 @@ class EmulatedRing:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "EmulatedRing":
-        if self._started:
+        if self.thread is not None:
             raise RuntimeError("ring already started")
-        self._started = True
-        self.nodes[self.ring.leader].inject_first_token()
+        self.nodes[self.ring.leader].driver.tokens.append(
+            initial_token(self.ring.ring_id))
+        self.thread = threading.Thread(target=self.run, name="emu-ring",
+                                       daemon=True)
         for node in self.nodes.values():
-            node.start()
+            node.thread = self.thread
+        self.thread.start()
         return self
 
     def stop(self) -> None:
-        for node in self.nodes.values():
-            node.stop()
-        for node in self.nodes.values():
-            if node.ident is None:
-                node.transport.close()  # no thread ran to close it
-            else:
-                node.join(timeout=2.0)
+        self._stop_flag = True
+        if self.thread is None:
+            for node in self.nodes.values():
+                node.transport.close()  # no loop ran to close it
+        else:
+            self.thread.join(timeout=2.0)
         self._raise_dead_node()
 
+    def run(self) -> None:
+        """The loop, one pass per socket wake-up (DESIGN.md section 3.1).
+
+        What one node raises ends the loop for all and is kept as that
+        node's ``error``.
+        """
+        nodes = list(self.nodes.values())
+        # Read now, not at construction: the stand-ins a benchmark
+        # installs on a node before start() are what the loop calls.
+        passes = []
+        owners = {}  # socket -> (node, the transport's drain, inbox)
+        for node in nodes:
+            driver, participant = node.driver, node.participant
+            passes.append((node, node.submissions, participant.submit,
+                           driver.step, driver.tokens, driver.data,
+                           participant._priority))
+            drain, inboxes = node.transport.drain, (driver.data, driver.tokens)
+            for sock, inbox in zip(node.transport.sockets, inboxes):
+                owners[sock] = (node, drain, inbox)
+        sockets = list(owners)
+        wait_for, monotonic = select.select, time.monotonic
+        try:
+            while not self._stop_flag:
+                # Block only when no node has an input queued, and never
+                # past the earliest armed resend deadline.
+                wait = self.POLL_INTERVAL_S
+                for node, submissions, submit, _s, tokens, data, _p in passes:
+                    while submissions:
+                        submit(*submissions.popleft())
+                    if tokens or data:
+                        wait = 0.0
+                if wait:
+                    now = monotonic()
+                    wait = max(0.0, min([now + wait] + [
+                        n.timer[0] for n in nodes if n.timer]) - now)
+                for sock in wait_for(sockets, (), (), wait)[0]:
+                    node, drain, inbox = owners[sock]
+                    inbox.extend(drain(sock))
+                # A node's batch ends where the sockets could change
+                # what Section III-D reads next: the data inbox ran dry,
+                # or the token has priority and none is queued.
+                for node, _q, _f, step, tokens, data, priority in passes:
+                    while step():
+                        if not data or (priority._token_high and not tokens):
+                            break
+                now = monotonic()
+                for node in nodes:
+                    timer = node.timer
+                    if timer is not None and now >= timer[0]:
+                        node.timer = None
+                        timer[1](*timer[2])
+        except Exception as exc:
+            node.error = exc  # the node whose work raised; see stop()
+        finally:
+            for node in nodes:
+                node.transport.close()
+
     def _raise_dead_node(self) -> None:
-        """Raise, once, what killed a node thread (``node.error``)."""
+        """Raise, once, what a node's pass raised (``node.error``)."""
         for pid, node in self.nodes.items():
             if node.error is not None and pid not in self._reported:
                 self._reported.add(pid)
@@ -142,7 +213,7 @@ class EmulatedRing:
                     progress = True
             if all(len(v) >= expected_per_node for v in collected.values()):
                 return collected
-            # A dead node took the token with it: do not wait it out.
+            # A node that raised ended the loop: do not wait it out.
             self._raise_dead_node()
             if not progress:
                 time.sleep(0.002)

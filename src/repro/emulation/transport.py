@@ -10,15 +10,14 @@ Datagrams carry the real wire format (:mod:`repro.wire.codec`): a
 versioned, CRC-protected binary encoding, not pickle.  Receiving is
 strict — a malformed, truncated or oversized datagram is counted and
 dropped, never parsed optimistically and never allowed to crash the
-node thread.
+ring's loop.
 """
 
 from __future__ import annotations
 
-import select
 import socket
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.coalesce import JumboDatagram, coalesce
 from ..core.messages import DataMessage, Token
@@ -27,7 +26,6 @@ from ..wire.codec import (
     HEADER_SIZE,
     TYPE_NAMES,
     DecodeError,
-    EncodeError,
     decode,
     encode,
 )
@@ -60,12 +58,11 @@ class OversizedDatagramError(ValueError):
         )
 
 
-class PortPair:
+class PortPair(NamedTuple):
     """The two receive ports of one node (data, token)."""
 
-    def __init__(self, data_port: int, token_port: int) -> None:
-        self.data_port = data_port
-        self.token_port = token_port
+    data_port: int
+    token_port: int
 
 
 class UdpTransport:
@@ -76,7 +73,9 @@ class UdpTransport:
         self.host = host
         self._data_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._token_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        for sock in (self._data_sock, self._token_sock):
+        #: What to ``select`` on: (data, token).  :meth:`drain` reads one.
+        self.sockets = (self._data_sock, self._token_sock)
+        for sock in self.sockets:
             sock.bind((host, 0))
             sock.setblocking(False)
         self.ports = PortPair(
@@ -125,13 +124,11 @@ class UdpTransport:
         """Everything received but refused: malformed plus oversized."""
         return self.drops_malformed + self.drops_oversize
 
-    def register_metrics(self, registry, node: Optional[int] = None) -> None:
-        """Expose the transport counters through a MetricsRegistry.
-
-        Bound views over the attributes the socket loops already
-        increment; ``node`` scopes them to this transport's pid.
-        """
-        pid = self.pid if node is None else node
+    def register_metrics(self, registry) -> None:
+        """Expose the transport counters through a MetricsRegistry:
+        bound views, scoped to this transport's pid, over the attributes
+        the ring's loop already increments."""
+        pid = self.pid
         registry.bind("emulation.transport.datagrams_sent", self,
                       "datagrams_sent", node=pid)
         registry.bind("emulation.transport.datagrams_received", self,
@@ -210,8 +207,9 @@ class UdpTransport:
 
     # -- receiving ---------------------------------------------------------
 
-    def _drain(self, sock: socket.socket, want_token: bool) -> List[Any]:
-        """Read everything pending; strict decode, count-and-drop errors.
+    def drain(self, sock: socket.socket) -> List[Any]:
+        """Read everything pending on ``sock``, one of :attr:`sockets`,
+        without blocking; strict decode, count-and-drop errors.
 
         The token socket accepts only tokens and the data socket only
         data messages — a well-formed frame of any other type (which a
@@ -219,6 +217,7 @@ class UdpTransport:
         much a protocol violation as a CRC mismatch, and is counted and
         dropped rather than handed to the participant.
         """
+        want_token = sock is self._token_sock
         received = []
         datagrams = 0
         expected = Token if want_token else DataMessage
@@ -254,31 +253,7 @@ class UdpTransport:
         self.datagrams_received += datagrams
         return received
 
-    def poll(self, timeout_s: float) -> Tuple[List[Any], List[Any]]:
-        """Wait up to ``timeout_s``; returns (data_objs, token_objs)."""
-        readable, _w, _x = select.select(
-            [self._data_sock, self._token_sock], [], [], timeout_s
-        )
-        data: List[Any] = []
-        tokens: List[Any] = []
-        if self._data_sock in readable:
-            data = self._drain(self._data_sock, want_token=False)
-        if self._token_sock in readable:
-            tokens = self._drain(self._token_sock, want_token=True)
-        return data, tokens
-
     def close(self) -> None:
         self._data_sock.close()
         self._token_sock.close()
 
-
-# Re-exported for callers that treat the transport as the wire boundary.
-__all__ = [
-    "MAX_DATAGRAM",
-    "OversizedDatagramError",
-    "PortPair",
-    "SendLossRule",
-    "UdpTransport",
-    "DataMessage",
-    "EncodeError",
-]

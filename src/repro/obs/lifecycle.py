@@ -3,7 +3,7 @@
 A :class:`LifecycleTracer` stamps each message's journey through named
 stages into a flat record stream (:mod:`repro.wire.tracefmt`).  The
 same tracer attaches to the discrete-event sim (``SimCluster
-.attach_tracer()``, sim-time clock) and the threaded UDP emulation
+.attach_tracer()``, sim-time clock) and the UDP emulation
 (``EmulatedRing.attach_tracer()``, wall-clock), so one analyzer —
 ``python -m repro.cli trace-analyze`` — decomposes latency identically
 in both worlds.
@@ -162,9 +162,8 @@ class LifecycleTracer:
         #: run accumulates 10^5..10^6 stamps, and GC-tracked tuples make
         #: every full collection rescan the whole trace — measured at
         #: 3x the entire direct stamping cost on the sim-mix benchmark.
-        #: Packed bytes never enter the cyclic GC.  (``bytearray
-        #: .extend`` holds the GIL, so emulation threads may stamp
-        #: concurrently; the stream is just not globally time-sorted.)
+        #: Packed bytes never enter the cyclic GC.  (Both drivers stamp
+        #: from one thread: the emulation runs its ring on one loop.)
         self._buf = bytearray()
 
     # -- stamping ------------------------------------------------------------

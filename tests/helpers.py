@@ -82,3 +82,14 @@ def assert_prefix_consistent(sequences: dict) -> None:
         for b in values[i + 1:]:
             shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
             assert longer[: len(shorter)] == shorter, "sequences not prefix-related"
+
+
+def receive(transport, timeout_s: float) -> Tuple[List[Any], List[Any]]:
+    """-> (data, tokens) a ``UdpTransport`` holds, after waiting up to
+    ``timeout_s`` for either socket: one ``select``, then the
+    transport's strict, non-blocking drain of each socket."""
+    import select
+
+    data_sock, token_sock = transport.sockets
+    select.select(transport.sockets, [], [], timeout_s)
+    return transport.drain(data_sock), transport.drain(token_sock)

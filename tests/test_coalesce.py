@@ -17,6 +17,8 @@ from repro.core import (
 from repro.core.coalesce import JUMBO_COUNT_BYTES, datagram_size, header_bytes_saved
 from repro.wire import codec
 
+from helpers import receive
+
 
 def data(seq, size=100, payload=b"x"):
     return DataMessage(seq=seq, pid=1, round=1, service=Service.AGREED,
@@ -253,7 +255,7 @@ def test_transport_batch_send_and_drain(free_ports=None):
         got = []
         deadline = 50
         while len(got) < len(messages) and deadline:
-            fresh, _tokens = receiver.poll(0.05)
+            fresh, _tokens = receive(receiver, 0.05)
             got.extend(fresh)
             deadline -= 1
         assert got == messages  # same messages, same order, via jumbos

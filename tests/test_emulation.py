@@ -161,7 +161,7 @@ def test_stop_raises_what_killed_a_node():
 
 
 def test_stop_on_a_ring_that_never_started_closes_its_sockets():
-    # No node thread ran, so none closed its transport on the way out.
+    # No loop ran, so none closed the transports on the way out.
     ring = EmulatedRing(3)
     ring.stop()
     for node in ring.nodes.values():
@@ -190,7 +190,7 @@ def test_delivered_queue_surface():
 
 
 def test_no_python_level_synchronisation_per_message():
-    # Every hand-off between the submitter and the node threads is a C
+    # Every hand-off between the submitter and the ring's thread is a C
     # operation: over 300 ordered messages, no frame of queue.py or
     # threading.py runs in any thread, the blocked submitter included.
     watched = ("queue.py", "threading.py")
@@ -228,31 +228,104 @@ def test_no_python_level_synchronisation_per_message():
     assert calls[0] == 0
 
 
-# -- the node loop's read rule, over a scripted transport (no sockets) -------
+# -- the ring's one thread ---------------------------------------------------
+
+def test_a_started_ring_is_one_thread():
+    # Every node's pass runs on the ring's one thread: start() adds
+    # exactly one thread, stop() takes it away again.
+    seen = {}
+
+    class Watched:
+        def __init__(self, pid, target):
+            self._pid, self._target = pid, target
+
+        def on_token(self, token):
+            seen.setdefault(self._pid, set()).add(threading.get_ident())
+            return self._target.on_token(token)
+
+        def on_data(self, message):
+            seen.setdefault(self._pid, set()).add(threading.get_ident())
+            return self._target.on_data(message)
+
+        def __getattr__(self, name):
+            return getattr(self._target, name)
+
+    ring = EmulatedRing(3)
+    for pid, node in ring.nodes.items():
+        node.participant = Watched(pid, node.participant)
+    before = set(threading.enumerate())
+    ring.start()
+    try:
+        started = set(threading.enumerate()) - before
+        assert len(started) == 1
+        assert threading.active_count() == len(before) + 1
+        for i in range(30):
+            ring.submit(i % 3, i)
+        ring.collect_deliveries(expected_per_node=30, timeout_s=20.0)
+    finally:
+        ring.stop()
+    assert threading.active_count() == len(before)
+    (loop,) = started
+    assert sorted(seen) == [0, 1, 2]
+    assert all(idents == {loop.ident} for idents in seen.values())
+
+
+def test_a_node_that_raises_stops_the_whole_ring_cleanly():
+    # The thread is shared: what node 1's pass raises ends every node.
+    # It is raised once, naming node 1; a later stop() neither hangs nor
+    # raises again, and every node's two sockets are closed.
+    ring = EmulatedRing(3).start()
+    ring.submit(1, b"x" * 70_000)  # encodes past MAX_DATAGRAM
+    with pytest.raises(RuntimeError, match="node 1 died"):
+        ring.collect_deliveries(expected_per_node=1, timeout_s=30.0)
+    ring.nodes[0].join(timeout=10.0)
+    assert not any(node.is_alive() for node in ring.nodes.values())
+    assert [pid for pid, node in ring.nodes.items()
+            if node.error is not None] == [1]
+    started = time.monotonic()
+    ring.stop()  # raised once already: quiet now
+    ring.stop()
+    assert time.monotonic() - started < 1.0
+    for node in ring.nodes.values():
+        for sock in node.transport.sockets:
+            assert sock.fileno() == -1
+
+
+# -- the loop's read rule, over a scripted transport (no sockets) -------------
 
 class ScriptedTransport:
-    """Stands in for UdpTransport: canned polls, recorded sends.
+    """Stands in for one node's UdpTransport: canned polls, recorded sends.
 
-    Each script entry is ``(data, tokens)`` or a callable returning one
-    (called with the 1-based poll number).  When the script runs out the
-    node is stopped, so ``node.run()`` returns in the calling thread.
+    It also stands in for the ``select`` the ring's loop makes once per
+    pass: each call is one poll of the script, whose entries are
+    ``(data, tokens)`` or a callable returning one (called with the
+    1-based poll number) — what that select finds on this node's two
+    sockets.  When the script runs out the ring is stopped, so
+    ``ring.run()`` returns in the calling thread.
     """
 
-    def __init__(self, script, log):
+    def __init__(self, script, log, ring):
         self.script = list(script)
         self.log = log
+        self.ring = ring
         self.polls = 0
         self.ring_id = 0
-        self.node = None
+        self.sockets = (object(), object())  # (data, token), never read
+        self._found = {}
 
-    def poll(self, timeout_s):
+    def select(self, _readable, _writable, _errors, timeout_s):
         self.polls += 1
         self.log.append(("poll", timeout_s))
         if self.polls > len(self.script):
-            self.node.stop()
-            return [], []
+            self.ring._stop_flag = True
+            return [], [], []
         entry = self.script[self.polls - 1]
-        return entry(self.polls) if callable(entry) else entry
+        found = entry(self.polls) if callable(entry) else entry
+        self._found = dict(zip(self.sockets, found))
+        return [sock for sock in self.sockets if self._found[sock]], [], []
+
+    def drain(self, sock):
+        return list(self._found.pop(sock))
 
     def send_data(self, message):
         self.log.append(("send_data", message))
@@ -283,17 +356,24 @@ class RecordingParticipant:
         return getattr(self._target, name)
 
 
-def scripted_node(pid, n_nodes, config, script):
-    """An unstarted node over a ScriptedTransport -> (node, log)."""
-    from repro.core import Ring
-    from repro.emulation.node import EmulatedNode
+def scripted_ring(pid, n_nodes, config, script, monkeypatch):
+    """An unstarted ring whose node ``pid`` runs over a ScriptedTransport
+    -> (ring, node, log).  The other nodes keep their sockets, which the
+    scripted select never reports, so they idle through every pass."""
+    import types
 
+    from repro.emulation import cluster
+
+    ring = EmulatedRing(n_nodes, config)
+    node = ring.nodes[pid]
+    node.transport.close()
     log = []
-    transport = ScriptedTransport(script, log)
-    node = EmulatedNode(pid, Ring.of(list(range(n_nodes))), config, transport)
+    transport = ScriptedTransport(script, log, ring)
+    node.transport = transport
     node.participant = RecordingParticipant(node.participant, log)
-    transport.node = node
-    return node, log
+    monkeypatch.setattr(cluster, "select",
+                        types.SimpleNamespace(select=transport.select))
+    return ring, node, log
 
 
 def first_round_of_leader(config, n_nodes, n_messages):
@@ -315,12 +395,13 @@ def kinds(log):
     return [entry[0] for entry in log]
 
 
-def test_loop_handles_a_drained_batch_without_polling_again():
+def test_loop_handles_a_drained_batch_without_polling_again(monkeypatch):
     # (a) 40 datagrams out of one poll: no select between them.
     config = ProtocolConfig(accelerated_window=0)
     data, token = first_round_of_leader(config, 3, 40)
-    node, log = scripted_node(1, 3, config, [(data, []), ([], [token])])
-    node.run()
+    ring, node, log = scripted_ring(1, 3, config,
+                                    [(data, []), ([], [token])], monkeypatch)
+    ring.run()
     assert node.error is None
     inputs = [e for e in log if e[0] in ("poll", "on_data", "on_token")]
     assert kinds(inputs) == (["poll"] + ["on_data"] * 40
@@ -331,7 +412,8 @@ def test_loop_handles_a_drained_batch_without_polling_again():
     assert [e[2] for e in log if e[0] == "send_token"] == [2]
 
 
-def test_loop_polls_at_once_when_the_token_gains_priority_unqueued():
+def test_loop_polls_at_once_when_the_token_gains_priority_unqueued(
+        monkeypatch):
     # (b) The predecessor's first post-token datagram raises the token's
     # priority; none is queued, so the token may be in the socket: the
     # very next action is a poll, and the token it returns is read
@@ -341,8 +423,9 @@ def test_loop_polls_at_once_when_the_token_gains_priority_unqueued():
     pre = [m for m in data if not m.sent_after_token]
     post = [m for m in data if m.sent_after_token]
     assert pre and len(post) == 3 and data == pre + post
-    node, log = scripted_node(1, 3, config, [(data, []), ([], [token])])
-    node.run()
+    ring, node, log = scripted_ring(1, 3, config,
+                                    [(data, []), ([], [token])], monkeypatch)
+    ring.run()
     assert node.error is None
     inputs = [e for e in log if e[0] in ("poll", "on_data", "on_token")]
     raised = 1 + len(pre)  # index of the first post-token on_data
@@ -354,14 +437,16 @@ def test_loop_polls_at_once_when_the_token_gains_priority_unqueued():
     assert kinds(inputs[:raised]) == ["poll"] + ["on_data"] * len(pre)
 
 
-def test_loop_reads_a_low_priority_token_only_after_a_poll_found_no_data():
+def test_loop_reads_a_low_priority_token_only_after_a_poll_found_no_data(
+        monkeypatch):
     # (c) Original Ring: data never raises the token's priority, so a
     # token queued beside data waits until the sockets hold no data.
     config = ProtocolConfig(accelerated_window=0)
     data, token = first_round_of_leader(config, 3, 4)
-    node, log = scripted_node(
-        1, 3, config, [(data[:3], [token]), (data[3:], []), ([], [])])
-    node.run()
+    ring, node, log = scripted_ring(
+        1, 3, config, [(data[:3], [token]), (data[3:], []), ([], [])],
+        monkeypatch)
+    ring.run()
     assert node.error is None
     inputs = [e for e in log if e[0] in ("poll", "on_data", "on_token")]
     assert kinds(inputs) == ["poll", "on_data", "on_data", "on_data",
@@ -370,7 +455,7 @@ def test_loop_reads_a_low_priority_token_only_after_a_poll_found_no_data():
     assert [e[1] for e in inputs if e[0] == "poll"][1:3] == [0.0, 0.0]
 
 
-def test_single_node_pass_ends_at_the_self_addressed_token():
+def test_single_node_pass_ends_at_the_self_addressed_token(monkeypatch):
     # (d) On a 1-node ring the token is always queued; each pass must
     # hand it on once and return to submissions and the stop flag.
     def submit_on_third(poll_number):
@@ -378,9 +463,9 @@ def test_single_node_pass_ends_at_the_self_addressed_token():
         return [], []
 
     script = [([], [])] * 2 + [submit_on_third] + [([], [])] * 3
-    node, log = scripted_node(0, 1, ProtocolConfig(), script)
-    node.inject_first_token()
-    node.start()  # a thread, so an unbounded pass fails instead of hanging
+    ring, node, log = scripted_ring(0, 1, ProtocolConfig(), script,
+                                    monkeypatch)
+    ring.start()  # a thread, so an unbounded pass fails instead of hanging
     node.join(timeout=10.0)
     assert not node.is_alive()
     assert node.error is None
@@ -397,6 +482,7 @@ def test_single_node_pass_ends_at_the_self_addressed_token():
 def test_armed_resend_fires_in_the_pass_after_its_deadline(monkeypatch):
     # (e) The timer is checked once per pass, against a clock the script
     # advances: no resend before the deadline, one right after it.
+    from repro.emulation import cluster as cluster_module
     from repro.emulation import node as node_module
 
     class Clock:
@@ -407,6 +493,7 @@ def test_armed_resend_fires_in_the_pass_after_its_deadline(monkeypatch):
             return cls.now
 
     monkeypatch.setattr(node_module, "time", Clock)
+    monkeypatch.setattr(cluster_module, "time", Clock)
     config = ProtocolConfig(accelerated_window=0,
                             token_retransmit_timeout_s=0.010)
     _data, token = first_round_of_leader(config, 3, 0)
@@ -417,9 +504,10 @@ def test_armed_resend_fires_in_the_pass_after_its_deadline(monkeypatch):
             return [], []
         return poll
 
-    node, log = scripted_node(
-        1, 3, config, [([], [token]), advance(0.004), advance(0.007)])
-    node.run()
+    ring, node, log = scripted_ring(
+        1, 3, config, [([], [token]), advance(0.004), advance(0.007)],
+        monkeypatch)
+    ring.run()
     assert node.error is None
     assert kinds(log) == ["poll", "on_token", "send_token",
                           "poll", "poll", "send_token", "poll", "close"]

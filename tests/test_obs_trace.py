@@ -341,10 +341,18 @@ def test_emulation_tracer_over_real_sockets(tmp_path):
     assert STAGE_ORDERED in stages
     assert STAGE_DELIVERED_AGREED in stages
     assert STAGE_TOKEN_HANDLED in stages
-    # Wall-clock timestamps are epoch-relative and sane (threads stamp
-    # concurrently, so the stream is not globally sorted — but every
-    # stamp must land inside the run's wall-clock span).
+    # Wall-clock timestamps are epoch-relative and sane: every stamp
+    # lands inside the run's wall-clock span.
     assert all(0.0 <= record.t < 60.0 for record in records)
+    # One thread runs every node and writes every record, so the stages
+    # stamped as they are written (packed, coalesced, token_granted,
+    # multicast, received, delivered_*, token_handled) appear in
+    # nondecreasing time across all nodes.  ``originated`` carries the
+    # submit instant and ``ordered`` its run's earlier ``t_ordered``.
+    stamped = [record.t for record in records
+               if record.stage not in (STAGE_ORIGINATED, STAGE_ORDERED)]
+    assert len(stamped) > len(records) // 2
+    assert stamped == sorted(stamped)
     # Each delivery packs its ordered/delivered pair atomically, and
     # every node delivered all 15 messages.
     ordered = [r for r in records if r.stage == STAGE_ORDERED]

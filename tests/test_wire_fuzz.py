@@ -22,6 +22,8 @@ from repro.emulation import EmulatedRing
 from repro.emulation.transport import MAX_DATAGRAM, UdpTransport
 from repro.wire import codec, fuzz
 
+from helpers import receive
+
 EXAMPLES = settings(
     max_examples=int(os.environ.get("REPRO_WIRE_EXAMPLES", "25")),
     deadline=None,
@@ -104,7 +106,7 @@ def test_transport_counts_malformed_and_oversize_drops():
                    [b"\x00" * (MAX_DATAGRAM + 1)])
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            data, tokens = transport.poll(0.05)
+            data, tokens = receive(transport, 0.05)
             assert data == [] and tokens == []
             if transport.datagrams_dropped >= 41:
                 break
@@ -131,7 +133,7 @@ def test_transport_rejects_wrong_type_on_each_socket():
         fuzz.spray(transport.host, [transport.ports.token_port], [data_blob])
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            data, tokens = transport.poll(0.05)
+            data, tokens = receive(transport, 0.05)
             assert data == [] and tokens == []
             if transport.drops_malformed >= 2:
                 break
@@ -179,7 +181,7 @@ def test_live_ring_survives_thousand_malformed_datagrams():
         assert sum(r["oversize"] for r in report.values()) == n_nodes
         assert total == len(corpus) + n_nodes
 
-        # Zero crashes: every node thread is still running.
+        # Zero crashes: the ring's loop is still running every node.
         for node in ring.nodes.values():
             assert node.is_alive()
 
