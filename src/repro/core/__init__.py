@@ -32,11 +32,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "messages": ("Token", "DataMessage", "initial_token"),
     "driver": ("RingDriver", "Inbox", "DriverPort"),
     "window": ("ReceiveWindow",),
-    "priority": ("PriorityTracker",),
-    "retransmit": ("RetransmitTracker",),
-    "flow_control": (
-        "FlowControlDecision", "new_message_budget", "updated_fcc",
-    ),
     "autotune": ("AcceleratedWindowTuner", "TunerConfig"),
     "packing": (
         "PackedPayload", "PackedItem", "pack_next", "ITEM_HEADER_BYTES",

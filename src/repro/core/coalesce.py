@@ -25,7 +25,7 @@ fingerprint gates — are byte-for-byte unchanged.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 #: Default jumbo-datagram cap: the paper's fig4/fig6 large-payload size.
 DEFAULT_JUMBO_BYTES = 8850
@@ -82,8 +82,6 @@ def coalesce(
     packets,  # Iterable[Tuple[Any, int]]: (packet, datagram-body bytes)
     cap_bytes: int,
     header_bytes: int,
-    entry_bytes: int = JUMBO_ENTRY_BYTES,
-    count_bytes: int = JUMBO_COUNT_BYTES,
 ) -> List[Tuple[List[Any], int]]:
     """Greedily group packets into jumbo datagrams bounded by ``cap_bytes``.
 
@@ -98,28 +96,25 @@ def coalesce(
     """
     groups: List[Tuple[List[Any], int]] = []
     batch: List[Any] = []
-    base = header_bytes + count_bytes
+    base = header_bytes + JUMBO_COUNT_BYTES
     used = base
-    singleton_base = header_bytes
     for packet, size in packets:
-        addition = entry_bytes + size
+        addition = JUMBO_ENTRY_BYTES + size
         if batch and used + addition > cap_bytes:
-            groups.append(_finish(batch, used, singleton_base, entry_bytes,
-                                  count_bytes))
+            groups.append(_finish(batch, used))
             batch = []
             used = base
         batch.append(packet)
         used += addition
     if batch:
-        groups.append(_finish(batch, used, singleton_base, entry_bytes,
-                              count_bytes))
+        groups.append(_finish(batch, used))
     return groups
 
 
-def _finish(batch, used, singleton_base, entry_bytes, count_bytes):
+def _finish(batch, used):
     if len(batch) == 1:
         # A plain datagram: no count prefix, no entry framing.
-        return batch, used - entry_bytes - count_bytes
+        return batch, used - JUMBO_ENTRY_BYTES - JUMBO_COUNT_BYTES
     return batch, used
 
 

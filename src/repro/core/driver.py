@@ -157,10 +157,6 @@ class RingDriver(Inbox):
         participant = port.participant
         on_token = participant.on_token
         on_data = participant.on_data
-        # Direct read of the priority tracker's flag: the public
-        # ``participant.token_has_priority`` property costs two Python
-        # calls per input, and this loop runs once per frame.
-        priority = participant._priority
         config = participant.config
         timeout = config.token_retransmit_timeout_s
         # Consecutive sends coalesce into datagrams of at most ``cap``
@@ -223,7 +219,7 @@ class RingDriver(Inbox):
         data = self.data
         while True:
             # Inbox.pick's rule, inlined: this loop runs once per frame.
-            if tokens and (priority._token_high or not data):
+            if tokens and (participant.token_has_priority or not data):
                 item = tokens.popleft()
                 if pauses is not None:
                     yield pauses.recv_token

@@ -22,6 +22,47 @@ Token handling follows Section III-A of the paper exactly:
 4. **Delivering and discarding** — Agreed messages up to the frontier,
    Safe messages up to min(aru sent this round, aru sent last round),
    then stable garbage collection.
+
+**Flow control (Section III-A-1).**  The number of new messages a
+participant may initiate in a round is
+
+    min( backlog,
+         Personal_window,
+         Global_window - received_token.fcc - num_retransmissions,
+         Global_aru + Max_seq_gap - received_token.seq )
+
+clamped at zero.  ``Global_aru`` — the highest seq known received by all
+participants — is the aru carried on the token as received.
+
+**Retransmission requests (Section III-A-2).**  The accelerated
+protocol's key subtlety: the ``seq`` field of a received token may cover
+messages that *have not been sent yet* (the predecessor's post-token
+phase is still in flight).  Requesting those would trigger useless
+retransmissions, so a participant only requests gaps up through the
+``seq`` of the token it received in the **previous** round — by the time
+the token comes around again, every message covered by the previous
+token has certainly been multicast.  A request for a stable (discarded)
+message is a stale duplicate, since everyone holds it, and is dropped.
+
+**Token/data priority (Section III-C).**  A participant that has both a
+pending token and pending data messages must decide which to process
+first.  Data messages always get high priority immediately after a
+token handling; the question is when to raise the token's priority
+again:
+
+* **Method 1 (aggressive)** — as soon as we process any data message our
+  ring predecessor sent in the next token round.  The token is processed
+  at the earliest moment it cannot be "too early" by a full round.
+* **Method 2 (conservative)** — only when we process a data message the
+  predecessor sent *after* passing the token (its post-token phase).
+  The token is then processed at its exact position in the message
+  stream.  With ``accelerated_window == 0`` the predecessor never sends
+  after the token, so the token is processed only when no data is
+  pending — the original Ring protocol.
+
+Priority only matters when both kinds of input are pending: a token is
+always processed when no data message is available, so neither method
+can deadlock.  Drivers read :attr:`Participant.token_has_priority`.
 """
 
 from __future__ import annotations
@@ -32,11 +73,8 @@ from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from .config import PriorityMethod, ProtocolConfig, Service
 from .errors import TokenError
-from .flow_control import new_message_budget, updated_fcc
 from .messages import DataMessage, Token
 from .packing import pack_next
-from .priority import PriorityTracker
-from .retransmit import RetransmitTracker
 from .ring import Ring
 from .window import ReceiveWindow
 
@@ -98,8 +136,9 @@ class Participant:
     """One member of an established ring running the ordering protocol."""
 
     __slots__ = (
-        "pid", "ring", "config", "stats",
-        "_window", "_retransmit", "_priority", "_pending",
+        "pid", "ring", "config", "stats", "token_has_priority",
+        "_window", "_pending", "_aggressive", "_ring_size", "_predecessor",
+        "_trigger_hop", "_rtr_horizon",
         "_accelerated_window", "_last_received_hop", "_sent_last_round",
         "_last_token_sent", "_max_round_seen",
         "_on_sent", "_on_received", "_on_token", "_on_retransmitted",
@@ -111,27 +150,13 @@ class Participant:
         ring: Ring,
         config: Optional[ProtocolConfig] = None,
     ) -> None:
-        if pid not in ring:
-            raise TokenError("participant %r not on ring %r" % (pid, ring.members))
         self.pid = pid
-        self.ring = ring
         self.config = config or ProtocolConfig()
         self.stats = ParticipantStats()
-
-        self._window = ReceiveWindow()
-        self._retransmit = RetransmitTracker()
-        self._priority = PriorityTracker(
-            self.config.priority_method,
-            len(ring),
-            ring.predecessor(pid),
-            ring_index=ring.index_of(pid),
-        )
         self._pending: Deque[_PendingMessage] = deque()
-        self._accelerated_window = self.config.accelerated_window
-        self._last_received_hop = -1
-        self._sent_last_round = 0
-        self._last_token_sent: Optional[Token] = None
-        self._max_round_seen = 0
+        self._aggressive = (
+            self.config.priority_method is PriorityMethod.AGGRESSIVE)
+        self.rebind_ring(ring)
         # Observers per stage (see observe), in attach order.  An empty
         # tuple when nothing watches: each stage then costs one
         # truthiness test.
@@ -197,33 +222,41 @@ class Participant:
         return len(self._pending)
 
     def rebind_ring(self, ring: Ring) -> None:
-        """Install a new ring after a membership change.
+        """Install a new ring after a membership change (and the first
+        one, from ``__init__``).
 
-        Resets every piece of per-ring protocol state (receive window,
-        retransmission horizon, priority trigger, hop counters) exactly
-        as a fresh participant would start, while keeping what survives
-        a configuration change: the application backlog (un-sent
-        messages carry over), cumulative stats, and the observers.  The
-        priority tracker is re-seeded with the NEW ring's geometry —
-        size, predecessor, and our index all change with the membership,
-        and the trigger arithmetic must follow.
+        Resets every piece of per-ring protocol state exactly as a fresh
+        participant would start, while keeping what survives a
+        configuration change: the application backlog (un-sent messages
+        carry over), cumulative stats, and the observers.  The priority
+        trigger is keyed on the NEW ring's geometry — size, predecessor
+        and our index all change with the membership; keeping the old
+        ones would let the wrong participant's messages raise the
+        token's priority (or none at all) after a reconfiguration.
         """
-        if self.pid not in ring:
+        pid = self.pid
+        if pid not in ring:
             raise TokenError(
-                "participant %r not on new ring %r" % (self.pid, ring.members)
-            )
+                "participant %r not on ring %r" % (pid, ring.members))
         self.ring = ring
         self._window = ReceiveWindow()
-        self._retransmit = RetransmitTracker()
-        self._priority.reset(
-            len(ring),
-            ring.predecessor(self.pid),
-            ring_index=ring.index_of(self.pid),
-        )
+        self._ring_size = len(ring)
+        self._predecessor = ring.predecessor(pid)
+        #: The predecessor's handling that immediately precedes our next
+        #: one: our first will be hop (ring_index + 1), so this is
+        #: ring_index for round one, then (ours + ring_size - 1).
+        self._trigger_hop = ring.index_of(pid)
+        #: Data starts with high priority: anything multicast before the
+        #: first token must be processed before it, exactly as in steady
+        #: state.
+        self.token_has_priority = False
+        #: seq of the token received in the previous round; gaps are only
+        #: requested up to this horizon.
+        self._rtr_horizon = 0
         self._accelerated_window = self.config.accelerated_window
         self._last_received_hop = -1
         self._sent_last_round = 0
-        self._last_token_sent = None
+        self._last_token_sent: Optional[Token] = None
         self._max_round_seen = 0
 
     # ------------------------------------------------------------------
@@ -260,10 +293,6 @@ class Participant:
     @property
     def window(self) -> ReceiveWindow:
         return self._window
-
-    @property
-    def token_has_priority(self) -> bool:
-        return self._priority.token_has_priority
 
     @property
     def successor(self) -> int:
@@ -308,26 +337,36 @@ class Participant:
         self._last_received_hop = token.hop
         my_hop = token.hop + 1
 
-        # -- 1. pre-token phase: retransmissions first ------------------
-        answered, remaining_requests = self._retransmit.answer_requests(
-            token, self._window
-        )
+        # -- 1. pre-token phase: every answerable request first ----------
+        window = self._window
+        answered: List[DataMessage] = []
+        remaining: List[int] = []
+        for seq in token.rtr:
+            message = window.get(seq)
+            if message is not None:
+                answered.append(message)
+            elif seq > window.discarded_upto:
+                # A stable (discarded) message is held by everyone: the
+                # request is a stale duplicate and is dropped.
+                remaining.append(seq)
         if self._on_retransmitted:
             for message in answered:
                 for observer in self._on_retransmitted:
                     observer(message)
         num_retrans = len(answered)
-        self.stats.retransmissions_sent += num_retrans
+        stats = self.stats
+        stats.retransmissions_sent += num_retrans
 
         # -- flow control: how many new messages this round -------------
-        decision = new_message_budget(
-            self.config, token, len(self._pending), num_retrans
-        )
-        pre, post = self._initiate_messages(
-            decision.allowed_new, token.seq, my_hop
-        )
+        config = self.config
+        allowed = max(0, min(
+            len(self._pending), config.personal_window,
+            config.global_window - token.fcc - num_retrans,
+            token.aru + config.max_seq_gap - token.seq,
+        ))
+        pre, post = self._initiate_messages(allowed, token.seq, my_hop)
         created = len(pre) + len(post)
-        self.stats.messages_sent_pre_token += len(pre)
+        stats.messages_sent_pre_token += len(pre)
         new_seq = token.seq + created
 
         # -- our own retransmission requests ------------------------------
@@ -335,17 +374,21 @@ class Participant:
         # message covered by the received token is known to be already
         # sent (the original protocol); under acceleration it advances
         # after, restricting requests to the previous round's seq.
-        if self.config.request_current_round:
-            self._retransmit.advance_horizon(token.seq)
-            my_requests = self._my_retransmission_requests()
-        else:
-            my_requests = self._my_retransmission_requests()
-            self._retransmit.advance_horizon(token.seq)
-        rtr_out = self._retransmit.merge_requests(remaining_requests, my_requests)
+        horizon = self._rtr_horizon
+        if token.seq > horizon:
+            self._rtr_horizon = token.seq
+            if config.request_current_round:
+                horizon = token.seq
+        mine = window.missing_between(window.local_aru, horizon)
+        stats.retransmissions_requested += len(mine)
+        # The loss-free common case builds no set.
+        rtr_out = (tuple(sorted(set(remaining) | set(mine)))
+                   if remaining or mine else ())
 
         # -- 2. update the token -----------------------------------------
         new_aru, new_aru_id = self._updated_aru(token, new_seq)
-        fcc_out = updated_fcc(token, self._sent_last_round, num_retrans + created)
+        # Our last-round contribution to fcc swapped for this round's.
+        fcc_out = token.fcc - self._sent_last_round + num_retrans + created
         self._sent_last_round = num_retrans + created
 
         token_out = Token(
@@ -355,17 +398,19 @@ class Participant:
         self._last_token_sent = token_out
 
         # -- 3. the post-token queue goes out after it -------------------
-        self.stats.messages_sent_post_token += len(post)
+        stats.messages_sent_post_token += len(post)
 
         # -- 4. deliver and discard --------------------------------------
-        self._window.note_token_sent(new_aru)
+        window.note_token_sent(new_aru)
         delivered = self._deliver_and_discard()
 
-        self._priority.note_token_handled(my_hop)
-        self.stats.tokens_handled += 1
+        # Data regains high priority until the method's trigger fires.
+        self._trigger_hop = my_hop + self._ring_size - 1
+        self.token_has_priority = False
+        stats.tokens_handled += 1
         if self._on_token:
             for observer in self._on_token:
-                observer(token, token_out, decision.allowed_new, num_retrans)
+                observer(token, token_out, allowed, num_retrans)
         return TokenRound(answered, pre, token_out, self.successor, post,
                           delivered)
 
@@ -382,15 +427,14 @@ class Participant:
         """
         if message.round > self._max_round_seen:
             self._max_round_seen = message.round
-        # Inlined precheck of PriorityTracker.note_data_processed's early
-        # exits, so that it is called only to raise the token's priority:
-        # at most once per token handled.
-        priority = self._priority
-        if (not priority._token_high and message.pid == priority._predecessor
-                and message.round >= priority._trigger_hop
-                and (message.sent_after_token
-                     or priority._method is PriorityMethod.AGGRESSIVE)):
-            priority.note_data_processed(message)
+        # Section III-C: the predecessor's data from its handling before
+        # our next one raises the token's priority (Method 2: only data
+        # it sent after passing the token).
+        if (not self.token_has_priority
+                and message.pid == self._predecessor
+                and message.round >= self._trigger_hop
+                and (message.sent_after_token or self._aggressive)):
+            self.token_has_priority = True
         released = self._window.receive(message)
         stats = self.stats
         if released is None:
@@ -456,11 +500,6 @@ class Participant:
                         observer(message)
         self.stats.messages_initiated += len(messages)
         return messages[:split], messages[split:]
-
-    def _my_retransmission_requests(self) -> List[int]:
-        missing = self._retransmit.my_new_requests(self._window)
-        self.stats.retransmissions_requested += len(missing)
-        return missing
 
     def _updated_aru(self, token: Token, new_seq: int) -> Tuple[int, Optional[int]]:
         """The aru lower/raise/track rules (Section III-A-2).

@@ -103,8 +103,6 @@ class EmulatedRing:
             initial_token(self.ring.ring_id))
         self.thread = threading.Thread(target=self.run, name="emu-ring",
                                        daemon=True)
-        for node in self.nodes.values():
-            node.thread = self.thread
         self.thread.start()
         return self
 
@@ -132,7 +130,7 @@ class EmulatedRing:
             driver, participant = node.driver, node.participant
             passes.append((node, node.submissions, participant.submit,
                            driver.step, driver.tokens, driver.data,
-                           participant._priority))
+                           participant))
             drain, inboxes = node.transport.drain, (driver.data, driver.tokens)
             for sock, inbox in zip(node.transport.sockets, inboxes):
                 owners[sock] = (node, drain, inbox)
@@ -158,9 +156,10 @@ class EmulatedRing:
                 # A node's batch ends where the sockets could change
                 # what Section III-D reads next: the data inbox ran dry,
                 # or the token has priority and none is queued.
-                for node, _q, _f, step, tokens, data, priority in passes:
+                for node, _q, _f, step, tokens, data, participant in passes:
                     while step():
-                        if not data or (priority._token_high and not tokens):
+                        if not data or (participant.token_has_priority
+                                        and not tokens):
                             break
                 now = monotonic()
                 for node in nodes:

@@ -10,7 +10,6 @@ acceleration over a real network stack) and fires its wall-clock timer.
 from __future__ import annotations
 
 import queue
-import threading
 import time
 from collections import deque
 from typing import Any, Callable, List, Optional, Tuple
@@ -62,8 +61,6 @@ class EmulatedNode:
         self.timer: Optional[Tuple[float, Callable, tuple]] = None
         #: What this node's pass raised, ending the ring's loop.
         self.error: Optional[Exception] = None
-        #: The ring's loop thread, once started.
-        self.thread: Optional[threading.Thread] = None
 
     @property
     def tokens_resent(self) -> int:
@@ -78,15 +75,6 @@ class EmulatedNode:
         # One consumer: what qsize() counts is there to take.
         get = self.delivered.get_nowait
         return [get() for _ in range(self.delivered.qsize())]
-
-    def is_alive(self) -> bool:
-        """Whether the loop that runs this node is still running."""
-        return self.thread is not None and self.thread.is_alive()
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        """Wait for the loop that runs this node to end."""
-        if self.thread is not None:
-            self.thread.join(timeout)
 
     # -- the driver's port ------------------------------------------------------
 

@@ -46,7 +46,6 @@ class LoopbackRing:
         config: Optional[ProtocolConfig] = None,
         drop_data: Optional[DataDropRule] = None,
         drop_token: Optional[TokenDropRule] = None,
-        check_stability: bool = True,
         on_deliver: Optional[Callable[[int, DataMessage], None]] = None,
     ) -> None:
         self.ring = Ring.of(pids)
@@ -63,7 +62,6 @@ class LoopbackRing:
         self._highest_hop = -1
         self._drop_data = drop_data
         self._drop_token = drop_token
-        self._check_stability = check_stability
         self._on_deliver = on_deliver
         #: Per-participant delivery logs, in order: the consumer of every
         #: delivery when no ``on_deliver`` is given, else empty.
@@ -244,7 +242,7 @@ class LoopbackRing:
             self.delivered[pid].append(message)
         else:
             self._on_deliver(pid, message)
-        if self._check_stability and message.service is Service.SAFE:
+        if message.service is Service.SAFE:
             seq = message.seq
             for other_pid, other in self.participants.items():
                 # A seq at or below the local aru is held (or was

@@ -12,11 +12,11 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "controller": ("EVSProcess", "MembershipTimeouts", "Outgoing", "State"),
     "messages": (
         "JoinMessage", "CommitToken", "MemberInfo", "ProbeMessage",
-        "RecoveryData", "RecoveryComplete",
+        "RecoveryData", "RecoveryComplete", "GossipUpdate", "GossipPing",
+        "GossipPingReq", "GossipAck",
     ),
     "gossip": (
-        "GossipDetector", "GossipConfig", "GossipUpdate", "GossipPing",
-        "GossipPingReq", "GossipAck", "PeerAlive", "PeerSuspect",
+        "GossipDetector", "GossipConfig", "PeerAlive", "PeerSuspect",
         "PeerConfirm",
     ),
 })

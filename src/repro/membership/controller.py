@@ -837,8 +837,8 @@ class EVSProcess:
 
         # Install the new ring: per-ring protocol state is reset while
         # the unsent application backlog (and cumulative stats) carry
-        # over.  rebind_ring also re-seeds the priority tracker with the
-        # new ring's geometry — size, predecessor and index all change.
+        # over.  rebind_ring also re-keys the priority trigger on the new
+        # ring's geometry — size, predecessor and index all change.
         self.ring = Ring.of(token.members, ring_id=token.new_ring_id)
         self.participant.rebind_ring(self.ring)
         self._highest_ring_seq = max(self._highest_ring_seq, ring_id_seq(token.new_ring_id))

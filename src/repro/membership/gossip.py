@@ -53,64 +53,12 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .messages import GossipAck, GossipPing, GossipPingReq, GossipUpdate
+
 #: Member status codes (wire-stable: these go into gossip updates).
 ALIVE = 0
 SUSPECT = 1
 DEAD = 2
-
-
-# ---------------------------------------------------------------------------
-# Wire messages
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class GossipUpdate:
-    """One piggybacked membership claim: ``pid`` is ``status`` at ``incarnation``."""
-
-    pid: int
-    incarnation: int
-    status: int
-
-
-@dataclass(frozen=True, slots=True)
-class GossipPing:
-    """Direct probe; the receiver answers with a :class:`GossipAck`."""
-
-    sender: int
-    incarnation: int
-    probe_id: int
-    updates: Tuple[GossipUpdate, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class GossipPingReq:
-    """Indirect probe request: "ping ``target`` for me, relay its ack"."""
-
-    sender: int
-    incarnation: int
-    target: int
-    probe_id: int
-    updates: Tuple[GossipUpdate, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class GossipAck:
-    """Liveness attestation for ``sender`` answering ``probe_id``.
-
-    For a direct ping the attested node sends it itself; for an
-    indirect probe the intermediary relays it with ``sender`` still the
-    attested node (the wire source is the intermediary — the sans-IO
-    host passes the wire source separately).
-    """
-
-    sender: int
-    incarnation: int
-    probe_id: int
-    updates: Tuple[GossipUpdate, ...] = ()
-
-
-GOSSIP_MESSAGE_TYPES = (GossipPing, GossipPingReq, GossipAck)
 
 
 # ---------------------------------------------------------------------------

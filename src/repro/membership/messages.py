@@ -14,6 +14,11 @@ Three message kinds drive a membership change:
 * :class:`RecoveryData` / :class:`RecoveryComplete` — old-ring messages
   flooded on the new ring so all continuing members share the same set,
   and the end-of-flood marker.
+
+The gossip failure detector's wire messages (:class:`GossipPing`,
+:class:`GossipPingReq`, :class:`GossipAck`, each carrying piggybacked
+:class:`GossipUpdate` claims) live here too, so that the wire codec does
+not load the detector (:mod:`repro.membership.gossip`).
 """
 
 from __future__ import annotations
@@ -101,3 +106,49 @@ class RecoveryComplete:
 
     sender: int
     new_ring_id: int
+
+
+@dataclass(frozen=True, slots=True)
+class GossipUpdate:
+    """One piggybacked membership claim: ``pid`` is ``status`` at ``incarnation``."""
+
+    pid: int
+    incarnation: int
+    status: int
+
+
+@dataclass(frozen=True, slots=True)
+class GossipPing:
+    """Direct probe; the receiver answers with a :class:`GossipAck`."""
+
+    sender: int
+    incarnation: int
+    probe_id: int
+    updates: Tuple[GossipUpdate, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class GossipPingReq:
+    """Indirect probe request: "ping ``target`` for me, relay its ack"."""
+
+    sender: int
+    incarnation: int
+    target: int
+    probe_id: int
+    updates: Tuple[GossipUpdate, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class GossipAck:
+    """Liveness attestation for ``sender`` answering ``probe_id``.
+
+    For a direct ping the attested node sends it itself; for an
+    indirect probe the intermediary relays it with ``sender`` still the
+    attested node (the wire source is the intermediary — the sans-IO
+    host passes the wire source separately).
+    """
+
+    sender: int
+    incarnation: int
+    probe_id: int
+    updates: Tuple[GossipUpdate, ...] = ()

@@ -30,7 +30,7 @@ from ..membership import (
     PeerConfirm,
     State,
 )
-from ..membership.gossip import GossipPingReq
+from ..membership.messages import GossipPingReq
 from ..net import (
     Frame,
     LinkSpec,

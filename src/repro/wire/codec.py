@@ -45,14 +45,12 @@ from ..core.messages import (
 )
 from ..core.coalesce import JumboDatagram
 from ..core.packing import PackedItem, PackedPayload
-from ..membership.gossip import (
+from ..membership.messages import (
+    CommitToken,
     GossipAck,
     GossipPing,
     GossipPingReq,
     GossipUpdate,
-)
-from ..membership.messages import (
-    CommitToken,
     JoinMessage,
     MemberInfo,
     ProbeMessage,

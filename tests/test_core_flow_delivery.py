@@ -1,5 +1,7 @@
 """Tests for flow-control arithmetic and the delivery rules."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -11,7 +13,6 @@ from repro.core import (
     Token,
     initial_token,
 )
-from repro.core.flow_control import new_message_budget, updated_fcc
 from repro.core.messages import DataMessage
 
 
@@ -32,46 +33,57 @@ def config(**kw):
     return ProtocolConfig(**defaults)
 
 
+def created(config, token, backlog, retransmissions=0):
+    """How many messages participant 1 of a 3-ring initiates on
+    ``token`` with ``backlog`` queued, answering ``retransmissions``
+    requests of its ``rtr`` (seqs 1, 2, ... from participant 2)."""
+    p = Participant(1, Ring.of([1, 2, 3]), config)
+    requested = tuple(range(1, retransmissions + 1))
+    for seq in requested:
+        p.on_data(msg(seq, pid=2))
+    for i in range(backlog):
+        p.submit(i)
+    handled = p.on_token(replace(token, rtr=requested))
+    assert len(handled.retransmitted) == retransmissions
+    return len(handled.pre) + len(handled.post)
+
+
 def test_backlog_limits_budget():
-    decision = new_message_budget(config(), Token(), backlog=3, num_retransmissions=0)
-    assert decision.allowed_new == 3
-    assert decision.limited_by_backlog
+    assert created(config(), Token(), backlog=3) == 3
 
 
 def test_personal_window_limits_budget():
-    decision = new_message_budget(config(), Token(), backlog=50, num_retransmissions=0)
-    assert decision.allowed_new == 10
-    assert decision.limited_by_personal_window
+    assert created(config(), Token(), backlog=50) == 10
 
 
 def test_global_window_subtracts_fcc_and_retransmissions():
-    token = Token(fcc=25)
-    decision = new_message_budget(config(), token, backlog=50, num_retransmissions=2)
     # 30 - 25 - 2 = 3
-    assert decision.allowed_new == 3
-    assert decision.limited_by_global_window
+    token = Token(seq=2, aru=2, fcc=25)
+    assert created(config(), token, backlog=50, retransmissions=2) == 3
 
 
 def test_budget_never_negative():
-    token = Token(fcc=100)
-    decision = new_message_budget(config(), token, backlog=50, num_retransmissions=0)
-    assert decision.allowed_new == 0
+    assert created(config(), Token(fcc=100), backlog=50) == 0
 
 
 def test_seq_gap_limits_budget():
     # seq is far ahead of the global aru: only the remaining gap is allowed.
     token = Token(seq=95, aru=0)
-    decision = new_message_budget(
-        config(max_seq_gap=100), token, backlog=50, num_retransmissions=0
-    )
-    assert decision.allowed_new == 5
-    assert decision.limited_by_seq_gap
+    assert created(config(max_seq_gap=100), token, backlog=50) == 5
 
 
 def test_updated_fcc_swaps_contribution():
-    token = Token(fcc=12)
-    assert updated_fcc(token, sent_last_round=5, sending_this_round=8) == 15
-    assert updated_fcc(token, sent_last_round=12, sending_this_round=0) == 0
+    # The outgoing fcc replaces our last-round contribution with this
+    # round's: 5 sent last round, 8 this round, on a token carrying 12.
+    p = Participant(1, Ring.of([1, 2, 3]), config())
+    for i in range(5):
+        p.submit(i)
+    assert p.on_token(Token()).token.fcc == 5
+    for i in range(8):
+        p.submit(i)
+    assert p.on_token(Token(hop=3, seq=5, aru=5, fcc=12)).token.fcc == 15
+    # Only our 8 on the token, and nothing sent this round: 0.
+    assert p.on_token(Token(hop=6, seq=13, aru=13, fcc=8)).token.fcc == 0
 
 
 # ---------------------------------------------------------------------------

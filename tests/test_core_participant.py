@@ -5,11 +5,13 @@ import pytest
 
 from repro.core import (
     Participant,
+    PriorityMethod,
     ProtocolConfig,
     Ring,
     Service,
     Token,
     TokenError,
+    TokenRound,
     initial_token,
 )
 
@@ -303,3 +305,69 @@ def test_progress_tracking_for_token_retransmission():
         DataMessage(seq=1, pid=2, round=5, service=Service.AGREED)
     )
     assert participant.progress_since_token_send()
+
+
+# ---------------------------------------------------------------------------
+# rebind_ring
+# ---------------------------------------------------------------------------
+
+def rotate(ring, config, one, rounds, lose):
+    """``rounds`` token rotations of ``ring`` with ``one`` as participant
+    1 and fresh participants elsewhere, each submitting three messages
+    per turn; a multicast (not a retransmission) of a seq for which
+    ``lose(seq)`` holds never reaches participant 1.  Returns what
+    participant 1 handed back, in order: each round, and each
+    ``on_data`` release with the token priority after it."""
+    members = {pid: one if pid == 1 else Participant(pid, ring, config)
+               for pid in ring}
+    seen = []
+    token, holder = initial_token(ring.ring_id), ring.leader
+    for _turn in range(rounds * len(ring)):
+        submit_n(members[holder], 3)
+        handled = members[holder].on_token(token)
+        if holder == 1:
+            seen.append(handled)
+        for index, message in enumerate(
+                handled.retransmitted + handled.pre + handled.post):
+            for pid, participant in members.items():
+                if pid == holder or (
+                        pid == 1 and index >= len(handled.retransmitted)
+                        and lose(message.seq)):
+                    continue
+                released = participant.on_data(message)
+                if pid == 1:
+                    seen.append((released, participant.token_has_priority))
+        token, holder = handled.token, handled.dst
+    return seen
+
+
+@pytest.mark.parametrize("config", [
+    ProtocolConfig(personal_window=4, accelerated_window=2,
+                   priority_method=PriorityMethod.AGGRESSIVE),
+    ProtocolConfig.original_ring(personal_window=4),
+], ids=["accelerated-m1", "original"])
+def test_rebound_participant_runs_as_a_fresh_one(config):
+    # Size 4, index 0, predecessor 4 -> size 3, index 2, predecessor 8.
+    rebound = Participant(1, Ring.of((1, 2, 3, 4)), config)
+    rotate(rebound.ring, config, rebound, 5, lose=lambda seq: seq % 4 == 1)
+    rebound.set_accelerated_window(7)
+    assert rebound.backlog == 0
+    assert rebound.token_has_priority is config.is_accelerated
+    new_ring = Ring.of((5, 8, 1), ring_id=3)
+    rebound.rebind_ring(new_ring)
+    fresh = Participant(1, new_ring, config)
+
+    def lose(seq):
+        return seq % 5 == 2
+
+    seen = rotate(new_ring, config, rebound, 6, lose)
+    assert seen == rotate(new_ring, config, fresh, 6, lose)
+    # Participant 1 requested what it lost, and (Method 1) its priority
+    # moved.
+    assert any(isinstance(step, TokenRound) and step.token.rtr
+               for step in seen)
+    assert {step[1] for step in seen if isinstance(step, tuple)} == {
+        False, config.is_accelerated}
+    for attribute in ("local_aru", "delivered_upto", "safe_bound",
+                      "accelerated_window", "last_token_sent"):
+        assert getattr(rebound, attribute) == getattr(fresh, attribute)

@@ -16,8 +16,7 @@ It pins the per-message work those paths are down to:
   ``delivered_upto``;
 * an ``on_data`` call whose message is new and in order (one above every
   seq its window has held) makes at most one Python call, the window's
-  ``receive``.  The priority tracker is called besides only to raise the
-  token's priority, at most once per token handled;
+  ``receive``;
 * a lossless multicast copy makes at most two calls into ``repro.net``:
   the switch port's ``_admit`` and the ``_settle`` it calls.  The
   loopback ring has no network, so there the pin reads 0 <= 0.
@@ -37,7 +36,6 @@ import pytest
 import repro.core
 from repro.bench.experiments import tuned_configs
 from repro.core import Participant, ReceiveWindow, Service
-from repro.core.priority import PriorityTracker
 from repro.net import TEN_GIGABIT
 from repro.net.line import TransmitLine
 from repro.net.switch import Switch, SwitchPort
@@ -48,7 +46,6 @@ from repro.spreadlike import SpreadCluster
 WALK = ReceiveWindow.release.__code__
 RECEIVE = Participant.on_data.__code__
 SUBMIT = Participant.submit.__code__
-RAISE = PriorityTracker.note_data_processed.__code__
 FORWARD = Switch._forward.__code__
 ADMIT = TransmitLine._admit.__code__
 PORT = frozenset(
@@ -82,15 +79,14 @@ def count_calls(run):
     the calls of ``WALK`` and ``SUBMIT`` and, under ``"frontier"``, the
     ``on_data`` calls whose message is new and fills the slot above
     ``delivered_upto``.  Under ``"in_order"`` it counts the ``on_data``
-    calls whose message is one above every seq held, under ``"worst"``
-    the most calls one of them made besides ``RAISE`` and under
-    ``"raises"`` their ``RAISE`` calls; under ``"copies"`` the ``ADMIT``
-    calls of multicast fan-outs and under ``"port"`` every call of a
-    port method made there.
+    calls whose message is one above every seq held and under
+    ``"worst"`` the most calls one of them made; under ``"copies"`` the
+    ``ADMIT`` calls of multicast fan-outs and under ``"port"`` every call
+    of a port method made there.
     """
     counts = dict.fromkeys(BUILDS.values(), 0)
     counts[WALK] = counts[SUBMIT] = 0
-    for key in ("frontier", "in_order", "worst", "raises", "copies", "port"):
+    for key in ("frontier", "in_order", "worst", "copies", "port"):
         counts[key] = 0
     # The in-order on_data call running and the calls it made so far,
     # and the multicast Switch._forward running.
@@ -109,10 +105,7 @@ def count_calls(run):
             return
         code = frame.f_code
         if receiving is not None and frame.f_back is receiving:
-            if code is RAISE:
-                counts["raises"] += 1
-            else:
-                made += 1
+            made += 1
         if fanout is not None and code in PORT:
             counts["port"] += 1
             counts["copies"] += code is ADMIT
@@ -210,10 +203,9 @@ def test_token_and_data_paths_do_per_message_work_once(run):
 
 @RUNS
 def test_in_order_receive_makes_one_call(run):
-    _participants, counts, tokens = counted(run)
+    _participants, counts, _tokens = counted(run)
     assert counts["in_order"] > 1000
     assert counts["worst"] <= 1
-    assert counts["raises"] <= tokens
 
 
 @RUNS

@@ -44,7 +44,7 @@ class CannedParticipant:
 
     def __init__(self, config=None, on_token=None, on_data=None):
         self.config = config or ProtocolConfig()
-        self._priority = SimpleNamespace(_token_high=False)
+        self.token_has_priority = False
         self._on_token = on_token
         self._on_data = on_data or {}
         self.handled = []
@@ -150,7 +150,7 @@ def test_step_reads_data_before_a_low_priority_token():
     driver.data.extend([message(1), message(2)])
     assert driver.step() and driver.step()
     assert participant.handled == [("data", 1), ("data", 2)]
-    participant._priority._token_high = True
+    participant.token_has_priority = True
     driver.data.append(message(3))
     assert driver.step()
     assert participant.handled[-1] == ("token", "T")

@@ -145,27 +145,26 @@ def test_dead_node_thread_is_raised_not_timed_out():
     assert time.monotonic() - started < 15.0
     assert isinstance(excinfo.value.__cause__, OversizedDatagramError)
     assert ring.nodes[1].error is excinfo.value.__cause__
-    assert not ring.nodes[1].is_alive()
+    assert not ring.thread.is_alive()
     ring.stop()  # raised once already: stopping again stays quiet
 
 
 def test_stop_raises_what_killed_a_node():
     ring = EmulatedRing(3).start()
     ring.submit(1, b"x" * 70_000)
-    ring.nodes[1].join(timeout=10.0)
-    assert not ring.nodes[1].is_alive()
+    ring.thread.join(timeout=10.0)
+    assert not ring.thread.is_alive()
     with pytest.raises(RuntimeError, match="node 1 died"):
         ring.stop()
-    for node in ring.nodes.values():
-        assert not node.is_alive()
+    assert not ring.thread.is_alive()
 
 
 def test_stop_on_a_ring_that_never_started_closes_its_sockets():
     # No loop ran, so none closed the transports on the way out.
     ring = EmulatedRing(3)
     ring.stop()
+    assert ring.thread is None
     for node in ring.nodes.values():
-        assert not node.is_alive()
         transport = node.transport
         assert transport._data_sock.fileno() == -1
         assert transport._token_sock.fileno() == -1
@@ -278,8 +277,8 @@ def test_a_node_that_raises_stops_the_whole_ring_cleanly():
     ring.submit(1, b"x" * 70_000)  # encodes past MAX_DATAGRAM
     with pytest.raises(RuntimeError, match="node 1 died"):
         ring.collect_deliveries(expected_per_node=1, timeout_s=30.0)
-    ring.nodes[0].join(timeout=10.0)
-    assert not any(node.is_alive() for node in ring.nodes.values())
+    ring.thread.join(timeout=10.0)
+    assert not ring.thread.is_alive()
     assert [pid for pid, node in ring.nodes.items()
             if node.error is not None] == [1]
     started = time.monotonic()
@@ -466,8 +465,8 @@ def test_single_node_pass_ends_at_the_self_addressed_token(monkeypatch):
     ring, node, log = scripted_ring(0, 1, ProtocolConfig(), script,
                                     monkeypatch)
     ring.start()  # a thread, so an unbounded pass fails instead of hanging
-    node.join(timeout=10.0)
-    assert not node.is_alive()
+    ring.thread.join(timeout=10.0)
+    assert not ring.thread.is_alive()
     assert node.error is None
     # One token handling per pass, never a blocking poll while the token
     # is queued; the stop set inside poll 7 ended the loop after its pass.

@@ -18,15 +18,17 @@ from repro.membership.gossip import (
     ALIVE,
     DEAD,
     SUSPECT,
-    GossipAck,
     GossipConfig,
     GossipDetector,
-    GossipPing,
-    GossipPingReq,
-    GossipUpdate,
     PeerAlive,
     PeerConfirm,
     PeerSuspect,
+)
+from repro.membership.messages import (
+    GossipAck,
+    GossipPing,
+    GossipPingReq,
+    GossipUpdate,
 )
 
 

@@ -61,7 +61,7 @@ CASES = {
     )),
     "udp": (UDP, (
         "repro.sim", "repro.net", "repro.bench", "repro.evs",
-        "repro.membership.controller",
+        "repro.membership.controller", "repro.membership.gossip",
     )),
 }
 

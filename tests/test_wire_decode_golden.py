@@ -27,8 +27,9 @@ import struct
 from repro.core import Service, Token
 from repro.core.coalesce import JumboDatagram
 from repro.core.messages import DataMessage
-from repro.membership.gossip import GossipPing, GossipUpdate
-from repro.membership.messages import JoinMessage, ProbeMessage, RecoveryData
+from repro.membership.messages import (
+    GossipPing, GossipUpdate, JoinMessage, ProbeMessage, RecoveryData,
+)
 from repro.wire import codec, fuzz
 from repro.wire.codec import DecodeError, decode, decode_detail, encode
 

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.membership.gossip import (
-    ALIVE,
-    DEAD,
-    SUSPECT,
+from repro.membership.gossip import ALIVE, DEAD, SUSPECT
+from repro.membership.messages import (
     GossipAck,
     GossipPing,
     GossipPingReq,
