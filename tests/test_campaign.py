@@ -1,6 +1,7 @@
 """Campaign runner: clean runs, determinism, violation catching."""
 
 import functools
+import hashlib
 import json
 import os
 import re
@@ -18,6 +19,13 @@ def _options(tmp_path, **overrides):
     )
     params.update(overrides)
     return CampaignOptions(**params)
+
+
+#: sha256 of the tiny campaign's summary file: the gossip, tuner and
+#: gather constants the campaign's nodes run with are pinned by it.
+TINY_CAMPAIGN_SHA256 = (
+    "87f70b9f433d8ba9e3d60ea05ae16676514c0e52ff6786694934572a435e1582"
+)
 
 
 def test_tiny_campaign_clean_and_byte_identical(tmp_path):
@@ -45,6 +53,7 @@ def test_tiny_campaign_clean_and_byte_identical(tmp_path):
     with open(path, "rb") as handle:
         second = handle.read()
     assert first == second
+    assert hashlib.sha256(first).hexdigest() == TINY_CAMPAIGN_SHA256
 
 
 def test_injected_violation_caught_and_shrunk(tmp_path):

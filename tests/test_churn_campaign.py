@@ -7,6 +7,7 @@ use: schedule generation, recurring fault execution, restart/rejoin,
 checking, and the byte-stable bench record.
 """
 
+import hashlib
 import json
 
 from repro.sim.churn import (
@@ -26,6 +27,22 @@ def _small_options(**overrides):
     return ChurnOptions(**base)
 
 
+#: sha256 of each small churn summary (``json.dumps(..., sort_keys=True)``),
+#: gossip detector and probe path: byte-for-byte pins of the membership
+#: side under churn.
+GOSSIP_SUMMARY_SHA256 = (
+    "97dc25206bb56430d30c378f2b23f54b20192ffac77437d74af4f5bfc5393bc5"
+)
+PROBE_SUMMARY_SHA256 = (
+    "8e46be744e054fb12b94206df948b552a208c6b8931ee57ac718dcf858d43104"
+)
+
+
+def _digest(summary):
+    return hashlib.sha256(
+        json.dumps(summary, sort_keys=True).encode()).hexdigest()
+
+
 def test_churn_scenario_smoke_gossip():
     summary = run_churn_scenario(_small_options())
     assert summary["converged"]
@@ -33,6 +50,7 @@ def test_churn_scenario_smoke_gossip():
     assert summary["total_restarts"] >= 1
     assert summary["delivered_total"] > 0
     assert summary["ctrl"]["ctrl_frames_per_node_per_s"] > 0
+    assert _digest(summary) == GOSSIP_SUMMARY_SHA256
 
 
 def test_churn_scenario_smoke_probe_path():
@@ -40,6 +58,7 @@ def test_churn_scenario_smoke_probe_path():
     summary = run_churn_scenario(_small_options(gossip=False))
     assert summary["converged"]
     assert summary["violations"] == []
+    assert _digest(summary) == PROBE_SUMMARY_SHA256
 
 
 def test_churn_scenario_is_deterministic():
