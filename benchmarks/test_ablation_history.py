@@ -34,7 +34,7 @@ def utilization_probe(spec, config, ladder, payload_size=1350):
 
 def run_history():
     original = ProtocolConfig.original_ring(personal_window=20)
-    accelerated = ProtocolConfig.accelerated(
+    accelerated = ProtocolConfig(
         personal_window=20, accelerated_window=15
     )
     ladder = (0.3, 0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9)

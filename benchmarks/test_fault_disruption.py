@@ -40,7 +40,7 @@ SCENARIOS = {
 def _config(accelerated_window):
     if accelerated_window == 0:
         return ProtocolConfig.original_ring(personal_window=10)
-    return ProtocolConfig.accelerated(
+    return ProtocolConfig(
         personal_window=10, accelerated_window=accelerated_window
     )
 

@@ -42,7 +42,7 @@ PAYLOAD_SIZE = 1350
 
 
 def _run_once(cap):
-    config = ProtocolConfig.accelerated(
+    config = ProtocolConfig(
         accelerated_window=20, jumbo_datagram_bytes=cap)
     delivered = [0]
     cluster = SimCluster(

@@ -44,7 +44,7 @@ DISPATCH_DURATION_S = 0.5
 
 
 def _one_run():
-    config = ProtocolConfig.accelerated(personal_window=15, accelerated_window=10)
+    config = ProtocolConfig(personal_window=15, accelerated_window=10)
     cluster = SimCluster(8, GIGABIT, SPREAD, config, seed=1)
     cluster.inject_at_rate(OFFERED_BPS, DURATION_S)
     start = time.process_time()

@@ -17,7 +17,7 @@ from repro.sim import LIBRARY, SimEVSCluster
 def measure_reconfiguration(token_loss_ticks):
     cluster = SimEVSCluster(
         4, GIGABIT, LIBRARY,
-        ProtocolConfig.accelerated(personal_window=10, accelerated_window=8),
+        ProtocolConfig(personal_window=10, accelerated_window=8),
         MembershipTimeouts(
             token_loss_ticks=token_loss_ticks,
             gather_ticks=20, commit_ticks=40, probe_interval_ticks=15,

@@ -41,7 +41,7 @@ OFFERED_BPS = 600e6
 
 
 def _one_run(traced):
-    config = ProtocolConfig.accelerated(
+    config = ProtocolConfig(
         personal_window=15, accelerated_window=10
     )
     cluster = SimCluster(8, GIGABIT, SPREAD, config, seed=1)

@@ -14,7 +14,7 @@ from repro import LoopbackRing, ProtocolConfig, Service
 def main() -> None:
     # An accelerated ring: participants keep multicasting for up to 10
     # messages after passing the token (the paper's contribution).
-    config = ProtocolConfig.accelerated(accelerated_window=10)
+    config = ProtocolConfig(accelerated_window=10)
     ring = LoopbackRing([1, 2, 3, 4], config)
 
     # Every participant submits interleaved work.

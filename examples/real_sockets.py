@@ -15,7 +15,7 @@ from repro.emulation import EmulatedRing
 
 
 def main() -> None:
-    config = ProtocolConfig.accelerated(accelerated_window=10)
+    config = ProtocolConfig(accelerated_window=10)
     print("Starting 4 nodes on localhost UDP ...")
     with EmulatedRing(4, config) as ring:
         started = time.monotonic()

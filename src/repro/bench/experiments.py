@@ -37,13 +37,13 @@ def tuned_configs(spec: LinkSpec) -> Dict[str, ProtocolConfig]:
         return {
             "original": ProtocolConfig.original_ring(
                 personal_window=40, global_window=400),
-            "accelerated": ProtocolConfig.accelerated(
+            "accelerated": ProtocolConfig(
                 personal_window=40, accelerated_window=30, global_window=400),
         }
     return {
         "original": ProtocolConfig.original_ring(
             personal_window=20, global_window=200),
-        "accelerated": ProtocolConfig.accelerated(
+        "accelerated": ProtocolConfig(
             personal_window=20, accelerated_window=15, global_window=200),
     }
 

@@ -248,7 +248,7 @@ def _capture_sample(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
 
     sim_path = os.path.join(args.out_dir, "sim_sample.rcap")
-    config = ProtocolConfig.accelerated(personal_window=4, accelerated_window=2)
+    config = ProtocolConfig(personal_window=4, accelerated_window=2)
     with CaptureWriter(
         sim_path, WORLD_SIM,
         label="SimCluster n=4 library 1350B agreed, seed=1",
@@ -288,7 +288,7 @@ def _traced_reference_run(seed: int, n_nodes: int, duration_s: float,
     from .sim import LIBRARY
     from .sim.cluster import SimCluster
 
-    config = ProtocolConfig.accelerated(personal_window=4, accelerated_window=2)
+    config = ProtocolConfig(personal_window=4, accelerated_window=2)
     cluster = SimCluster(n_nodes, GIGABIT, LIBRARY, config, seed=seed)
     tracer = None
     if trace:

@@ -14,7 +14,7 @@ Typical use::
     from repro.core import initial_token
 
     ring = Ring.of([1, 2, 3])
-    config = ProtocolConfig.accelerated(accelerated_window=20)
+    config = ProtocolConfig(accelerated_window=20)
     participants = {pid: Participant(pid, ring, config) for pid in ring}
     participants[1].submit(b"hello", Service.AGREED, payload_size=5)
     handled = participants[1].on_token(initial_token())

@@ -122,7 +122,3 @@ class ProtocolConfig:
         params.update(overrides)
         return cls(**params)
 
-    @classmethod
-    def accelerated(cls, **overrides) -> "ProtocolConfig":
-        """Default Accelerated Ring configuration (production method 2)."""
-        return cls(**overrides)

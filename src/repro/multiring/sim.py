@@ -53,8 +53,7 @@ from .partition import RingPartitioner
 
 
 def _default_config() -> ProtocolConfig:
-    return ProtocolConfig.accelerated(personal_window=10,
-                                      accelerated_window=8)
+    return ProtocolConfig(personal_window=10, accelerated_window=8)
 
 
 @dataclass

@@ -51,8 +51,7 @@ CHURN_TIMEOUTS = MembershipTimeouts(
 
 
 def _protocol_config() -> ProtocolConfig:
-    return ProtocolConfig.accelerated(personal_window=10,
-                                      accelerated_window=8)
+    return ProtocolConfig(personal_window=10, accelerated_window=8)
 
 
 @dataclass

@@ -179,7 +179,7 @@ def _run_sim(jumbo_bytes):
     from repro.sim import SPREAD, SimCluster
 
     delivered = {}
-    config = ProtocolConfig.accelerated(
+    config = ProtocolConfig(
         accelerated_window=20, jumbo_datagram_bytes=jumbo_bytes)
     cluster = SimCluster(
         4, GIGABIT, SPREAD, config, seed=1,
@@ -206,7 +206,7 @@ def test_sim_jumbo_reduces_datagram_count():
     from repro.sim import SPREAD, SimCluster
 
     def count_frames(jumbo_bytes):
-        config = ProtocolConfig.accelerated(
+        config = ProtocolConfig(
             accelerated_window=20, jumbo_datagram_bytes=jumbo_bytes)
         cluster = SimCluster(4, GIGABIT, SPREAD, config, seed=1)
         cluster.inject_at_rate(900e6, duration_s=0.02)
@@ -226,7 +226,7 @@ def test_sim_jumbo_reduces_datagram_count():
 def test_emulated_ring_with_jumbo_preserves_total_order():
     from repro.emulation import EmulatedRing
 
-    config = ProtocolConfig.accelerated(
+    config = ProtocolConfig(
         accelerated_window=10, personal_window=20,
         jumbo_datagram_bytes=DEFAULT_JUMBO_BYTES)
     with EmulatedRing(3, config) as ring:

@@ -21,7 +21,7 @@ def test_original_ring_preset():
 
 
 def test_accelerated_preset_uses_previous_round_horizon():
-    config = ProtocolConfig.accelerated()
+    config = ProtocolConfig()
     assert not config.request_current_round
 
 

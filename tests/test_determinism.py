@@ -14,7 +14,7 @@ def point(seed=0, loss_seed=None):
     loss = BernoulliLoss(0.01, seed=loss_seed, spare_token=True) \
         if loss_seed is not None else None
     return run_point(
-        ProtocolConfig.accelerated(personal_window=15, accelerated_window=10),
+        ProtocolConfig(personal_window=15, accelerated_window=10),
         SPREAD, GIGABIT, 400e6,
         duration_s=0.05, warmup_s=0.015, n_nodes=4, seed=seed, loss=loss,
     )

@@ -10,8 +10,8 @@ priority method *is* the original protocol.
 
 import pytest
 
-from repro import LoopbackRing, Service
-from repro.totem import ReferenceRing, original_config
+from repro import LoopbackRing, ProtocolConfig, Service
+from repro.totem import ReferenceRing
 from helpers import FirstTimeLoss, mixed_workload
 
 
@@ -26,7 +26,7 @@ def run_pair(seed, pids, per_pid, loss_p):
     reference.run()
 
     core_loss = FirstTimeLoss(seed + 1000, pids=pids, p=loss_p)
-    core = LoopbackRing(pids, original_config(), drop_data=core_loss)
+    core = LoopbackRing(pids, ProtocolConfig.original_ring(), drop_data=core_loss)
     for pid, payload, service in plan:
         core.submit(pid, payload, service)
     core.run(max_steps=1_000_000)

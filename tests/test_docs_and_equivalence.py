@@ -53,7 +53,7 @@ def test_benchmarks_exist_for_every_design_index_row():
 def test_readme_quickstart_snippet_runs():
     from repro import LoopbackRing, ProtocolConfig, Service
 
-    ring = LoopbackRing([1, 2, 3, 4], ProtocolConfig.accelerated())
+    ring = LoopbackRing([1, 2, 3, 4], ProtocolConfig())
     ring.submit(1, "hello", Service.AGREED)
     ring.submit(2, "world", Service.SAFE)
     ring.run()

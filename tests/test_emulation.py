@@ -19,7 +19,7 @@ def payloads_of(messages):
 @pytest.mark.parametrize(
     "config",
     [
-        pytest.param(ProtocolConfig.accelerated(accelerated_window=10), id="accelerated"),
+        pytest.param(ProtocolConfig(accelerated_window=10), id="accelerated"),
         pytest.param(ProtocolConfig.original_ring(), id="original"),
     ],
 )
@@ -100,8 +100,8 @@ def test_token_loss_recovered_by_wallclock_timer():
                 return True
         return False
 
-    config = ProtocolConfig.accelerated(token_retransmit_timeout_s=0.02,
-                                        token_retransmit_limit=100)
+    config = ProtocolConfig(token_retransmit_timeout_s=0.02,
+                            token_retransmit_limit=100)
     with EmulatedRing(3, config, loss_rule=loss) as ring:
         for pid in range(3):
             for i in range(10):

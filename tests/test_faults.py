@@ -314,7 +314,7 @@ def test_unlisted_hosts_are_isolated():
 def _cluster(n=3):
     return SimEVSCluster(
         n, GIGABIT, LIBRARY,
-        ProtocolConfig.accelerated(personal_window=10, accelerated_window=8),
+        ProtocolConfig(personal_window=10, accelerated_window=8),
         MembershipTimeouts(token_loss_ticks=30, gather_ticks=20,
                            commit_ticks=40, probe_interval_ticks=15),
     )

@@ -48,14 +48,14 @@ def test_protocol_absorbs_fragment_loss_on_large_payloads():
     # End-to-end: 8850-byte payloads under per-fragment loss still
     # deliver the offered load via retransmission, at elevated latency.
     clean = run_point(
-        ProtocolConfig.accelerated(personal_window=40, accelerated_window=30,
-                                   global_window=400),
+        ProtocolConfig(personal_window=40, accelerated_window=30,
+                       global_window=400),
         LIBRARY, TEN_GIGABIT, 2000e6,
         payload_size=8850, duration_s=0.08, warmup_s=0.025,
     )
     lossy = run_point(
-        ProtocolConfig.accelerated(personal_window=40, accelerated_window=30,
-                                   global_window=400),
+        ProtocolConfig(personal_window=40, accelerated_window=30,
+                       global_window=400),
         LIBRARY, TEN_GIGABIT, 2000e6,
         payload_size=8850, duration_s=0.08, warmup_s=0.025,
         loss=PerFragmentLoss(0.001, seed=4),

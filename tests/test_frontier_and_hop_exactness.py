@@ -78,7 +78,7 @@ def test_running_hop_is_the_highest_handled_hop(
         n, seed, data_loss, token_loss, retransmit_every):
     rng = random.Random(seed)
     ring = LoopbackRing(
-        range(1, n + 1), ProtocolConfig.accelerated(),
+        range(1, n + 1), ProtocolConfig(),
         drop_data=lambda _message, _dst: rng.random() < data_loss,
         drop_token=lambda _token, _dst: rng.random() < token_loss,
     )

@@ -90,7 +90,7 @@ def _run(config, profile, spec, payload_size, service, offered_bps,
 SCENARIOS = {
     "accelerated_agreed_1g": (
         lambda: _run(
-            ProtocolConfig.accelerated(personal_window=15, accelerated_window=10),
+            ProtocolConfig(personal_window=15, accelerated_window=10),
             SPREAD, GIGABIT, 1350, Service.AGREED, 400e6,
         ),
         "765e010ec4718a5dd4283166014fa79c5cf417cd3a302a6de338851bd644b46f",
@@ -106,7 +106,7 @@ SCENARIOS = {
     ),
     "accelerated_packed_small_10g": (
         lambda: _run(
-            ProtocolConfig.accelerated(
+            ProtocolConfig(
                 personal_window=20, accelerated_window=12, pack_messages=True,
             ),
             LIBRARY, TEN_GIGABIT, 200, Service.AGREED, 600e6,
@@ -116,7 +116,7 @@ SCENARIOS = {
     ),
     "accelerated_large_payload_10g": (
         lambda: _run(
-            ProtocolConfig.accelerated(personal_window=10, accelerated_window=6),
+            ProtocolConfig(personal_window=10, accelerated_window=6),
             LIBRARY, TEN_GIGABIT, 8850, Service.AGREED, 1500e6,
         ),
         "d7a113216dffaa3989d445aa572300cc84836e0b275958825226108bb0509700",
@@ -126,7 +126,7 @@ SCENARIOS = {
     # token-resend paths, which no scenario above reaches.
     "accelerated_jumbo_10g": (
         lambda: _run(
-            ProtocolConfig.accelerated(
+            ProtocolConfig(
                 personal_window=20, accelerated_window=12,
                 jumbo_datagram_bytes=8850,
             ),
@@ -137,7 +137,7 @@ SCENARIOS = {
     ),
     "accelerated_lossy_1g": (
         lambda: _run(
-            ProtocolConfig.accelerated(personal_window=15, accelerated_window=10),
+            ProtocolConfig(personal_window=15, accelerated_window=10),
             SPREAD, GIGABIT, 1350, Service.SAFE, 300e6,
             loss=BernoulliLoss(0.02, seed=11),
         ),

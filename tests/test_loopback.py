@@ -21,9 +21,9 @@ def run_ring(pids, config, plan, **kw):
 
 ALL_CONFIGS = [
     pytest.param(ProtocolConfig.original_ring(), id="original"),
-    pytest.param(ProtocolConfig.accelerated(), id="accelerated-m2"),
+    pytest.param(ProtocolConfig(), id="accelerated-m2"),
     pytest.param(
-        ProtocolConfig.accelerated(priority_method=PriorityMethod.AGGRESSIVE),
+        ProtocolConfig(priority_method=PriorityMethod.AGGRESSIVE),
         id="accelerated-m1",
     ),
     pytest.param(ProtocolConfig(accelerated_window=1), id="window-1"),
@@ -73,21 +73,21 @@ def test_safe_stability_checked_throughout():
     pids = [1, 2, 3, 4]
     plan = mixed_workload(seed=5, pids=pids, per_pid=30, safe_fraction=1.0)
     loss = FirstTimeLoss(seed=6, pids=pids, p=0.1)
-    ring = run_ring(pids, ProtocolConfig.accelerated(), plan, drop_data=loss)
+    ring = run_ring(pids, ProtocolConfig(), plan, drop_data=loss)
     assert ring.delivered_seqs(1) == list(range(1, len(plan) + 1))
 
 
 def test_garbage_collection_bounds_buffers():
     pids = [1, 2, 3]
     plan = mixed_workload(seed=7, pids=pids, per_pid=100, safe_fraction=0.0)
-    ring = run_ring(pids, ProtocolConfig.accelerated(), plan)
+    ring = run_ring(pids, ProtocolConfig(), plan)
     for pid in pids:
         assert len(ring.participants[pid].window) < 100
         assert ring.participants[pid].window.discarded_upto > 0
 
 
 def test_single_participant_ring():
-    ring = LoopbackRing([1], ProtocolConfig.accelerated())
+    ring = LoopbackRing([1], ProtocolConfig())
     for i in range(10):
         ring.submit(1, i, Service.SAFE if i % 2 else Service.AGREED)
     ring.run()
@@ -95,7 +95,7 @@ def test_single_participant_ring():
 
 
 def test_two_participant_ring():
-    ring = LoopbackRing([1, 2], ProtocolConfig.accelerated())
+    ring = LoopbackRing([1, 2], ProtocolConfig())
     ring.submit_many(1, ["a", "b"])
     ring.submit_many(2, ["c", "d"])
     ring.run()
@@ -112,7 +112,7 @@ def test_token_loss_recovered_by_retransmission():
             return True
         return False
 
-    ring = LoopbackRing([1, 2, 3], ProtocolConfig.accelerated(),
+    ring = LoopbackRing([1, 2, 3], ProtocolConfig(),
                         drop_token=drop_first_token_to_3)
     ring.submit_many(1, list(range(5)))
     ring.start()
@@ -128,7 +128,7 @@ def test_token_loss_recovered_by_retransmission():
 
 
 def test_duplicate_token_after_spurious_retransmit_is_harmless():
-    ring = LoopbackRing([1, 2, 3], ProtocolConfig.accelerated())
+    ring = LoopbackRing([1, 2, 3], ProtocolConfig())
     ring.submit_many(1, list(range(5)))
     ring.run_rounds(2)
     # A spurious timer: retransmit although the token was not lost.
@@ -191,7 +191,7 @@ def test_consumer_takes_every_delivery_once_and_the_log_stays_empty():
     pids = [1, 2, 3, 4]
     plan = mixed_workload(seed=7, pids=pids, per_pid=25, safe_fraction=0.5)
     consumed, ring, _logged = consumed_and_logged(
-        plan, pids, ProtocolConfig.accelerated(), loss_seed=4)
+        plan, pids, ProtocolConfig(), loss_seed=4)
     for pid in pids:
         assert [m.seq for m in consumed[pid]] == list(range(1, len(plan) + 1))
         assert ring.delivered[pid] == []
@@ -217,7 +217,7 @@ def test_without_a_consumer_the_log_holds_what_a_consumer_gets():
     pids = [1, 2, 3, 4]
     plan = mixed_workload(seed=9, pids=pids, per_pid=25, safe_fraction=0.5)
     consumed, _ring, logged = consumed_and_logged(
-        plan, pids, ProtocolConfig.accelerated(), loss_seed=6)
+        plan, pids, ProtocolConfig(), loss_seed=6)
     for pid in pids:
         assert [(m.seq, m.payload) for m in logged.delivered[pid]] == [
             (m.seq, m.payload) for m in consumed[pid]]

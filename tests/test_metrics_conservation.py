@@ -19,7 +19,7 @@ from repro.sim.evs_node import SimEVSCluster
 
 
 def _run_cluster(seed=2, n_nodes=4, duration_s=0.01, rate_bps=200e6):
-    config = ProtocolConfig.accelerated(
+    config = ProtocolConfig(
         personal_window=4, accelerated_window=2
     )
     cluster = SimCluster(n_nodes, GIGABIT, LIBRARY, config, seed=seed)
@@ -97,7 +97,7 @@ def _gossip_cluster_with_a_crash():
 
 
 def _jumbo_cluster():
-    config = ProtocolConfig.accelerated(
+    config = ProtocolConfig(
         personal_window=20, accelerated_window=12, jumbo_datagram_bytes=8850,
     )
     cluster = SimCluster(4, TEN_GIGABIT, LIBRARY, config, seed=2)

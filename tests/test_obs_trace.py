@@ -64,7 +64,7 @@ EXAMPLES = settings(
 def _traced_run(seed=1, n_nodes=4, duration_s=0.01, rate_bps=200e6,
                 round_tracer=False):
     """Small seeded run with a lifecycle tracer; warmup 0, packing off."""
-    config = ProtocolConfig.accelerated(
+    config = ProtocolConfig(
         personal_window=4, accelerated_window=2
     )
     cluster = SimCluster(n_nodes, GIGABIT, LIBRARY, config, seed=seed)
@@ -94,7 +94,7 @@ def test_different_seed_gives_different_trace():
 
 
 def test_tracer_does_not_perturb_the_run():
-    config = ProtocolConfig.accelerated(
+    config = ProtocolConfig(
         personal_window=4, accelerated_window=2
     )
 
@@ -232,7 +232,7 @@ def test_trace_analysis_cross_checks_round_tracer_and_latency():
 
 
 def test_tuner_round_tracer_and_lifecycle_tracer_share_one_cluster():
-    config = ProtocolConfig.accelerated(
+    config = ProtocolConfig(
         personal_window=4, accelerated_window=2
     )
     cluster = SimCluster(4, GIGABIT, LIBRARY, config, seed=2)
@@ -300,7 +300,7 @@ def test_retransmissions_keep_their_flag_under_coalescing():
     walk instead of being reset when the batch flushes."""
     from repro.net.loss import BernoulliLoss
 
-    config = ProtocolConfig.accelerated(
+    config = ProtocolConfig(
         personal_window=12, accelerated_window=8, jumbo_datagram_bytes=8850,
     )
     cluster = SimCluster(4, GIGABIT, LIBRARY, config, seed=5,

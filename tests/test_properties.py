@@ -173,7 +173,7 @@ def test_no_retransmission_of_current_round_messages(seed, accel):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_no_loss_means_no_retransmissions(seed):
     pids = [1, 2, 3, 4, 5]
-    ring = LoopbackRing(pids, ProtocolConfig.accelerated())
+    ring = LoopbackRing(pids, ProtocolConfig())
     rng = random.Random(seed)
     for pid in pids:
         for i in range(rng.randint(0, 40)):

@@ -15,7 +15,7 @@ from repro.sim import DAEMON, LIBRARY, SPREAD, SimCluster, run_point
 from repro.sim.latency import LatencyRecorder, summarize
 
 
-ACCEL = ProtocolConfig.accelerated(personal_window=20, accelerated_window=15)
+ACCEL = ProtocolConfig(personal_window=20, accelerated_window=15)
 ORIG = ProtocolConfig.original_ring(personal_window=20)
 
 

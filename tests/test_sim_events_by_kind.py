@@ -17,7 +17,7 @@ _SPEC.loader.exec_module(by_kind)
 
 def _run(monkeypatch, simulator):
     monkeypatch.setattr(cluster_module, "Simulator", simulator)
-    cluster = SimCluster(4, GIGABIT, LIBRARY, ProtocolConfig.accelerated(),
+    cluster = SimCluster(4, GIGABIT, LIBRARY, ProtocolConfig(),
                          seed=3)
     cluster.inject_at_rate(200e6, 0.01)
     result = cluster.run(0.01, 0.003, offered_bps=200e6)

@@ -12,7 +12,7 @@ from repro.sim import LIBRARY, SimEVSCluster
 def make_cluster(n=4):
     return SimEVSCluster(
         n, GIGABIT, LIBRARY,
-        ProtocolConfig.accelerated(personal_window=10, accelerated_window=8),
+        ProtocolConfig(personal_window=10, accelerated_window=8),
         MembershipTimeouts(token_loss_ticks=30, gather_ticks=20,
                            commit_ticks=40, probe_interval_ticks=15),
     )

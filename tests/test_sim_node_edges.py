@@ -27,7 +27,7 @@ def test_socket_buffer_overflow_recovers():
 
 
 def test_zero_payload_messages_flow():
-    config = ProtocolConfig.accelerated(personal_window=5, accelerated_window=5)
+    config = ProtocolConfig(personal_window=5, accelerated_window=5)
     cluster = SimCluster(3, GIGABIT, LIBRARY, config, payload_size=1)
     cluster.inject_at_rate(1e6, duration_s=0.02)
     result = cluster.run(0.02, warmup_s=0.005, offered_bps=1e6)
@@ -35,7 +35,7 @@ def test_zero_payload_messages_flow():
 
 
 def test_single_node_cluster_runs():
-    config = ProtocolConfig.accelerated()
+    config = ProtocolConfig()
     cluster = SimCluster(1, GIGABIT, LIBRARY, config)
     cluster.inject_at_rate(50e6, duration_s=0.02)
     result = cluster.run(0.02, warmup_s=0.005, offered_bps=50e6)
@@ -45,7 +45,7 @@ def test_single_node_cluster_runs():
 
 def test_two_node_cluster_total_order():
     delivered = {0: [], 1: []}
-    config = ProtocolConfig.accelerated(personal_window=10, accelerated_window=5)
+    config = ProtocolConfig(personal_window=10, accelerated_window=5)
     cluster = SimCluster(
         2, GIGABIT, LIBRARY, config,
         deliver_callback=lambda pid, m: delivered[pid].append(m.seq),
@@ -59,7 +59,7 @@ def test_two_node_cluster_total_order():
 
 def test_result_row_rendering():
     result = run_point(
-        ProtocolConfig.accelerated(), LIBRARY, GIGABIT, 100e6,
+        ProtocolConfig(), LIBRARY, GIGABIT, 100e6,
         duration_s=0.02, warmup_s=0.005, n_nodes=2,
     )
     row = result.row()
@@ -74,7 +74,7 @@ def test_result_row_rendering():
 
 def _idle_node():
     """A node of a ring nobody started: its CPU process just waits."""
-    cluster = SimCluster(2, GIGABIT, LIBRARY, ProtocolConfig.accelerated())
+    cluster = SimCluster(2, GIGABIT, LIBRARY, ProtocolConfig())
     return cluster.sim, cluster.nodes[0]
 
 
@@ -140,7 +140,7 @@ def test_set_timer_fn_may_rearm_from_inside_the_firing():
 def test_lost_token_is_resent_to_the_limit_through_the_one_deadline():
     from repro.net import Traffic
 
-    config = ProtocolConfig.accelerated()
+    config = ProtocolConfig()
     cluster = SimCluster(3, GIGABIT, LIBRARY, config)
     cluster.switch.add_fault_filter(lambda f: f.traffic is Traffic.TOKEN)
     result = cluster.run(0.1, warmup_s=0.0)
@@ -152,7 +152,7 @@ def test_lost_token_is_resent_to_the_limit_through_the_one_deadline():
 def test_calendar_holds_one_resend_entry_per_node_not_one_per_token_send():
     n = 8
     cluster = SimCluster(n, TEN_GIGABIT, LIBRARY,
-                         ProtocolConfig.accelerated())
+                         ProtocolConfig())
     cluster.inject_at_rate(100e6, duration_s=0.02)
     cluster.run(0.08, warmup_s=0.0, offered_bps=100e6)
     sends = sum(node.participant.stats.tokens_handled

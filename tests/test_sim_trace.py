@@ -17,7 +17,7 @@ def traced_run(config, offered_mbps=500, duration_s=0.06, profile=SPREAD):
     return tracer
 
 
-ACCEL = ProtocolConfig.accelerated(personal_window=20, accelerated_window=15)
+ACCEL = ProtocolConfig(personal_window=20, accelerated_window=15)
 ORIG = ProtocolConfig.original_ring(personal_window=20)
 
 

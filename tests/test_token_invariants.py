@@ -24,9 +24,9 @@ def run_and_capture(config, seed=0, loss_p=0.0, pids=(1, 2, 3, 4), per_pid=30):
 
 CONFIGS = [
     pytest.param(ProtocolConfig.original_ring(), id="original"),
-    pytest.param(ProtocolConfig.accelerated(), id="accelerated"),
+    pytest.param(ProtocolConfig(), id="accelerated"),
     pytest.param(
-        ProtocolConfig.accelerated(priority_method=PriorityMethod.AGGRESSIVE),
+        ProtocolConfig(priority_method=PriorityMethod.AGGRESSIVE),
         id="aggressive",
     ),
 ]
@@ -80,7 +80,7 @@ def test_seq_gap_bounded(config):
 @pytest.mark.parametrize("loss_p", [0.0, 0.1])
 def test_aru_catches_up_to_seq_eventually(loss_p):
     ring, tokens = run_and_capture(
-        ProtocolConfig.accelerated(), seed=6, loss_p=loss_p
+        ProtocolConfig(), seed=6, loss_p=loss_p
     )
     final_sent = tokens[-1][2]
     assert final_sent.aru == final_sent.seq
@@ -91,7 +91,7 @@ def test_accelerated_aru_lags_under_steady_flow():
     # token aru typically trails seq (post-token messages not yet seen
     # by the successor).
     _ring, tokens = run_and_capture(
-        ProtocolConfig.accelerated(accelerated_window=20), seed=7, per_pid=50
+        ProtocolConfig(accelerated_window=20), seed=7, per_pid=50
     )
     busy = [
         (received, sent)

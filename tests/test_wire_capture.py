@@ -124,8 +124,8 @@ def test_corrupt_record_renders_as_undecodable(tmp_path):
 
 def test_sim_switch_tap_produces_decodable_capture(tmp_path):
     path = str(tmp_path / "sim.rcap")
-    config = ProtocolConfig.accelerated(personal_window=4,
-                                        accelerated_window=2)
+    config = ProtocolConfig(personal_window=4,
+                            accelerated_window=2)
     with CaptureWriter(path, WORLD_SIM, label="tap test") as writer:
         cluster = SimCluster(4, GIGABIT, LIBRARY, config, seed=1)
         cluster.attach_capture(writer)

@@ -106,8 +106,8 @@ def test_coalesced_datagram_size_matches_codec(monkeypatch):
         multicast_batch(node, messages, datagram_bytes)
 
     monkeypatch.setattr(SimNode, "multicast_batch", record)
-    config = ProtocolConfig.accelerated(accelerated_window=20,
-                                        jumbo_datagram_bytes=7100)
+    config = ProtocolConfig(accelerated_window=20,
+                            jumbo_datagram_bytes=7100)
     cluster = SimCluster(4, GIGABIT, LIBRARY, config, seed=1)
     cluster.inject_at_rate(900e6, duration_s=0.02)
     cluster.run(0.02, warmup_s=0.0, offered_bps=900e6)
