@@ -8,8 +8,9 @@ The four windows come straight from Section III-A of the paper:
   participants combined may send in a single round, enforced through the
   token's ``fcc`` field.
 * ``accelerated_window`` — max messages a participant may send *after*
-  passing the token.  Zero disables acceleration; combined with the
-  conservative priority method this is exactly the original Ring protocol.
+  passing the token.  Zero disables acceleration (gaps are then requested
+  through the received token's seq); combined with the conservative
+  priority method this is exactly the original Ring protocol.
 * ``max_seq_gap`` — bound on how far ``seq`` may lead the global aru.
 """
 
@@ -61,13 +62,6 @@ class ProtocolConfig:
     max_seq_gap: int = 10_000
     priority_method: PriorityMethod = PriorityMethod.CONSERVATIVE
 
-    #: In the original Ring protocol every message reflected in a received
-    #: token has already been multicast, so gaps may be requested up
-    #: through the received token's seq.  Under acceleration that would
-    #: request messages still in flight, so requests are bounded by the
-    #: seq of the token received in the PREVIOUS round (Section III-A-2).
-    request_current_round: bool = False
-
     #: Pack queued small messages into MTU-bounded protocol packets at
     #: initiation time (Spread's built-in packing, Section IV-A-3).
     pack_messages: bool = False
@@ -117,8 +111,7 @@ class ProtocolConfig:
         Section III-D).
         """
         params = dict(accelerated_window=0,
-                      priority_method=PriorityMethod.CONSERVATIVE,
-                      request_current_round=True)
+                      priority_method=PriorityMethod.CONSERVATIVE)
         params.update(overrides)
         return cls(**params)
 

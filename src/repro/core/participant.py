@@ -41,7 +41,9 @@ phase is still in flight).  Requesting those would trigger useless
 retransmissions, so a participant only requests gaps up through the
 ``seq`` of the token it received in the **previous** round — by the time
 the token comes around again, every message covered by the previous
-token has certainly been multicast.  A request for a stable (discarded)
+token has certainly been multicast.  With ``Accelerated_window = 0``
+nothing follows the token, so the original Ring's horizon applies: gaps
+through the received token's own seq.  A request for a stable (discarded)
 message is a stale duplicate, since everyone holds it, and is dropped.
 
 **Token/data priority (Section III-C).**  A participant that has both a
@@ -136,7 +138,7 @@ class Participant:
     """One member of an established ring running the ordering protocol."""
 
     __slots__ = (
-        "pid", "ring", "config", "stats", "token_has_priority",
+        "pid", "ring", "config", "stats", "successor", "token_has_priority",
         "_window", "_pending", "_aggressive", "_ring_size", "_predecessor",
         "_trigger_hop", "_rtr_horizon",
         "_accelerated_window", "_last_received_hop", "_sent_last_round",
@@ -239,6 +241,9 @@ class Participant:
             raise TokenError(
                 "participant %r not on ring %r" % (pid, ring.members))
         self.ring = ring
+        #: Where our tokens go; read once per handling for
+        #: ``TokenRound.dst``.
+        self.successor = ring.successor(pid)
         self._window = ReceiveWindow()
         self._ring_size = len(ring)
         self._predecessor = ring.predecessor(pid)
@@ -293,10 +298,6 @@ class Participant:
     @property
     def window(self) -> ReceiveWindow:
         return self._window
-
-    @property
-    def successor(self) -> int:
-        return self.ring.successor(self.pid)
 
     @property
     def last_token_sent(self) -> Optional[Token]:
@@ -370,14 +371,17 @@ class Participant:
         new_seq = token.seq + created
 
         # -- our own retransmission requests ------------------------------
-        # The horizon advances before gap computation only when every
-        # message covered by the received token is known to be already
-        # sent (the original protocol); under acceleration it advances
-        # after, restricting requests to the previous round's seq.
+        # With accelerated window 0 (the original Ring) every message the
+        # received token covers has been multicast, so the horizon
+        # advances before gap computation; under acceleration it advances
+        # after, restricting requests to the previous round's seq.  The
+        # configured window decides, not the tuned one: no tuned ring
+        # starts from window 0, and a tuner shrinking to 0 keeps the
+        # previous-round bound, which is safe for any window.
         horizon = self._rtr_horizon
         if token.seq > horizon:
             self._rtr_horizon = token.seq
-            if config.request_current_round:
+            if config.accelerated_window == 0:
                 horizon = token.seq
         mine = window.missing_between(window.local_aru, horizon)
         stats.retransmissions_requested += len(mine)

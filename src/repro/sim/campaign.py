@@ -56,8 +56,6 @@ _TIMEOUTS = MembershipTimeouts(
 
 
 def _config_for(accelerated_window: int) -> ProtocolConfig:
-    if accelerated_window == 0:
-        return ProtocolConfig.original_ring(personal_window=10)
     return ProtocolConfig(
         personal_window=10, accelerated_window=accelerated_window
     )

@@ -17,12 +17,6 @@ def test_original_ring_preset():
     assert not config.is_accelerated
     assert config.accelerated_window == 0
     assert config.priority_method is PriorityMethod.CONSERVATIVE
-    assert config.request_current_round
-
-
-def test_accelerated_preset_uses_previous_round_horizon():
-    config = ProtocolConfig()
-    assert not config.request_current_round
 
 
 def test_original_ring_accepts_overrides():

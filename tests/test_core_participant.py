@@ -240,6 +240,16 @@ def test_original_config_requests_current_round():
     assert token.rtr == (1, 2, 3, 4)
 
 
+def test_window_zero_config_requests_current_round():
+    # Window 0 is the original Ring however it is built: a token's seq
+    # covers only messages already multicast, so gaps through it are real.
+    participant = Participant(
+        1, Ring.of((1, 2)), ProtocolConfig(accelerated_window=0)
+    )
+    token = participant.on_token(replace(initial_token(), seq=4, aru=4)).token
+    assert token.rtr == (1, 2, 3, 4)
+
+
 # ---------------------------------------------------------------------------
 # Delivery
 # ---------------------------------------------------------------------------

@@ -17,6 +17,9 @@ It pins the per-message work those paths are down to:
 * an ``on_data`` call whose message is new and in order (one above every
   seq its window has held) makes at most one Python call, the window's
   ``receive``;
+* a token handling makes at most ``TOKEN_CALLS`` Python calls on
+  average on ``sim_10g``'s cluster, comprehension frames not counted
+  (Python 3.12 inlines them);
 * a lossless multicast copy makes at most two calls into ``repro.net``:
   the switch port's ``_admit`` and the ``_settle`` it calls.  The
   loopback ring has no network, so there the pin reads 0 <= 0.
@@ -45,6 +48,7 @@ from repro.spreadlike import SpreadCluster
 
 WALK = ReceiveWindow.release.__code__
 RECEIVE = Participant.on_data.__code__
+HANDLE = Participant.on_token.__code__
 SUBMIT = Participant.submit.__code__
 FORWARD = Switch._forward.__code__
 ADMIT = TransmitLine._admit.__code__
@@ -70,6 +74,8 @@ def core_constructors():
 
 
 BUILDS = core_constructors()
+#: Python calls per token handling on ``sim_10g``'s cluster, averaged.
+TOKEN_CALLS = 12.72
 
 
 def count_calls(run):
@@ -82,22 +88,27 @@ def count_calls(run):
     calls whose message is one above every seq held and under
     ``"worst"`` the most calls one of them made; under ``"copies"`` the
     ``ADMIT`` calls of multicast fan-outs and under ``"port"`` every call
-    of a port method made there.
+    of a port method made there; under ``"in_token"`` every call made,
+    at any depth, inside an ``on_token`` call, comprehensions excepted.
     """
     counts = dict.fromkeys(BUILDS.values(), 0)
     counts[WALK] = counts[SUBMIT] = 0
-    for key in ("frontier", "in_order", "worst", "copies", "port"):
+    for key in ("frontier", "in_order", "worst", "copies", "port",
+                "in_token"):
         counts[key] = 0
     # The in-order on_data call running and the calls it made so far,
-    # and the multicast Switch._forward running.
-    receiving = made = fanout = None
+    # the on_token call running, and the multicast Switch._forward
+    # running.
+    receiving = made = handling = fanout = None
 
     def hook(frame, event, _arg):
-        nonlocal receiving, made, fanout
+        nonlocal receiving, made, handling, fanout
         if event == "return":
             if frame is receiving:
                 counts["worst"] = max(counts["worst"], made)
                 receiving = None
+            elif frame is handling:
+                handling = None
             elif frame is fanout:
                 fanout = None
             return
@@ -106,6 +117,10 @@ def count_calls(run):
         code = frame.f_code
         if receiving is not None and frame.f_back is receiving:
             made += 1
+        if handling is not None and not code.co_name.endswith("comp>"):
+            counts["in_token"] += 1
+        elif code is HANDLE:
+            handling = frame
         if fanout is not None and code in PORT:
             counts["port"] += 1
             counts["copies"] += code is ADMIT
@@ -206,6 +221,13 @@ def test_in_order_receive_makes_one_call(run):
     _participants, counts, _tokens = counted(run)
     assert counts["in_order"] > 1000
     assert counts["worst"] <= 1
+
+
+def test_token_handling_call_budget():
+    participants, counts, tokens = counted(sim_run)
+    assert tokens > 1000
+    assert counts["in_token"] <= TOKEN_CALLS * tokens, (
+        counts["in_token"] / tokens)
 
 
 @RUNS
