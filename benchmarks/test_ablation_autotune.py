@@ -9,7 +9,7 @@ matching the hand-tuned ring's latency at high load on the simulated
 """
 
 from repro.bench import headline
-from repro.core import AcceleratedWindowTuner, ProtocolConfig, Service, TunerConfig
+from repro.core import AcceleratedWindowTuner, ProtocolConfig, Service
 from repro.net import GIGABIT
 from repro.sim import SPREAD, SimCluster
 
@@ -24,7 +24,7 @@ def run_cluster(accel_window, autotune):
     tuners = []
     if autotune:
         tuners = [
-            AcceleratedWindowTuner(node.participant, TunerConfig(epoch_rounds=8))
+            AcceleratedWindowTuner(node.participant)
             for node in cluster.nodes.values()
         ]
     cluster.inject_at_rate(800e6, duration_s=0.2)

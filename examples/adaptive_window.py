@@ -14,7 +14,6 @@ from repro.core import (
     AcceleratedWindowTuner,
     ProtocolConfig,
     Service,
-    TunerConfig,
 )
 from repro.net import GIGABIT
 from repro.sim import SPREAD, SimCluster
@@ -27,7 +26,7 @@ def main() -> None:
     cluster = SimCluster(8, GIGABIT, SPREAD, config,
                          payload_size=1350, service=Service.AGREED)
     tuners = [
-        AcceleratedWindowTuner(node.participant, TunerConfig(epoch_rounds=8))
+        AcceleratedWindowTuner(node.participant)
         for node in cluster.nodes.values()
     ]
 

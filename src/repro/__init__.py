@@ -21,7 +21,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "core": (
         "Participant", "ProtocolConfig", "PriorityMethod", "Service", "Ring",
         "Token", "DataMessage", "initial_token", "AcceleratedWindowTuner",
-        "TunerConfig",
     ),
     "harness": ("LoopbackRing",),
 })

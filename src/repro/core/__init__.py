@@ -32,7 +32,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "messages": ("Token", "DataMessage", "initial_token"),
     "driver": ("RingDriver", "Inbox", "DriverPort"),
     "window": ("ReceiveWindow",),
-    "autotune": ("AcceleratedWindowTuner", "TunerConfig"),
+    "autotune": ("AcceleratedWindowTuner",),
     "packing": (
         "PackedPayload", "PackedItem", "pack_next", "ITEM_HEADER_BYTES",
     ),

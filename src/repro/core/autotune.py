@@ -18,25 +18,19 @@ loss it converges to original-ring behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .participant import Participant
 
-
-@dataclass(slots=True)
-class TunerConfig:
-    """AIMD parameters."""
-
-    #: Handlings per adjustment epoch.
-    epoch_rounds: int = 8
-    #: Additive increase per clean epoch.
-    increase_step: int = 1
-    #: Multiplicative decrease on post-token loss.
-    decrease_factor: float = 0.5
-    #: Own post-token retransmissions tolerated per epoch before backing off.
-    loss_tolerance: int = 0
-    min_window: int = 0
-    max_window: int = 0  # 0 means "use the personal window"
+#: Handlings per adjustment epoch.
+EPOCH_ROUNDS = 8
+#: Additive increase per clean epoch.
+INCREASE_STEP = 1
+#: Multiplicative decrease on post-token loss.
+DECREASE_FACTOR = 0.5
+#: Own post-token retransmissions tolerated per epoch before backing off.
+LOSS_TOLERANCE = 0
+#: The window never shrinks below this; it never grows beyond the
+#: participant's personal window.
+MIN_WINDOW = 0
 
 
 class AcceleratedWindowTuner:
@@ -47,15 +41,13 @@ class AcceleratedWindowTuner:
     any time.
     """
 
-    __slots__ = ("participant", "config", "_max_window",
+    __slots__ = ("participant", "_max_window",
                  "_rounds_in_epoch", "_own_post_token_losses",
                  "epochs", "increases", "decreases")
 
-    def __init__(self, participant: Participant,
-                 config: TunerConfig = TunerConfig()) -> None:
+    def __init__(self, participant: Participant) -> None:
         self.participant = participant
-        self.config = config
-        self._max_window = config.max_window or participant.config.personal_window
+        self._max_window = participant.config.personal_window
         self._rounds_in_epoch = 0
         self._own_post_token_losses = 0
         self.epochs = 0
@@ -79,7 +71,7 @@ class AcceleratedWindowTuner:
 
     def _on_token_handled(self, *_args) -> None:
         self._rounds_in_epoch += 1
-        if self._rounds_in_epoch < self.config.epoch_rounds:
+        if self._rounds_in_epoch < EPOCH_ROUNDS:
             return
         self._close_epoch()
 
@@ -88,14 +80,12 @@ class AcceleratedWindowTuner:
     def _close_epoch(self) -> None:
         self.epochs += 1
         window = self.participant.accelerated_window
-        if self._own_post_token_losses > self.config.loss_tolerance:
-            shrunk = int(window * self.config.decrease_factor)
-            new_window = max(self.config.min_window, shrunk)
+        if self._own_post_token_losses > LOSS_TOLERANCE:
+            new_window = max(MIN_WINDOW, int(window * DECREASE_FACTOR))
             if new_window < window:
                 self.decreases += 1
         else:
-            new_window = min(self._max_window,
-                             window + self.config.increase_step)
+            new_window = min(self._max_window, window + INCREASE_STEP)
             if new_window > window:
                 self.increases += 1
         self.participant.set_accelerated_window(new_window)

@@ -9,18 +9,18 @@ from repro.core import (
     Participant,
     Ring,
     Service as Svc,
-    TunerConfig,
     initial_token,
 )
+from repro.core.autotune import EPOCH_ROUNDS
 
 
-def make_tuned_participant(accel=10, personal=20, **tuner_kw):
+def make_tuned_participant(accel=10, personal=20):
     ring = Ring.of((1, 2))
     participant = Participant(
         1, ring, ProtocolConfig(personal_window=personal,
                                 accelerated_window=accel)
     )
-    tuner = AcceleratedWindowTuner(participant, TunerConfig(**tuner_kw))
+    tuner = AcceleratedWindowTuner(participant)
     return participant, tuner
 
 
@@ -39,31 +39,22 @@ def spin_rounds(participant, rounds, submit_per_round=0):
 # ---------------------------------------------------------------------------
 
 def test_clean_epochs_grow_window():
-    participant, tuner = make_tuned_participant(accel=5, epoch_rounds=4)
-    spin_rounds(participant, rounds=16)
+    participant, tuner = make_tuned_participant(accel=5)
+    spin_rounds(participant, rounds=4 * EPOCH_ROUNDS)
     assert tuner.epochs == 4
     assert tuner.increases == 4
     assert participant.accelerated_window == 9
 
 
 def test_window_capped_at_personal_window():
-    participant, tuner = make_tuned_participant(
-        accel=19, personal=20, epoch_rounds=1
-    )
-    spin_rounds(participant, rounds=10)
+    participant, tuner = make_tuned_participant(accel=19, personal=20)
+    spin_rounds(participant, rounds=10 * EPOCH_ROUNDS)
+    assert tuner.increases == 1
     assert participant.accelerated_window == 20
 
 
-def test_explicit_max_window_respected():
-    participant, tuner = make_tuned_participant(
-        accel=5, epoch_rounds=1, max_window=7
-    )
-    spin_rounds(participant, rounds=10)
-    assert participant.accelerated_window == 7
-
-
 def test_post_token_loss_shrinks_window():
-    participant, tuner = make_tuned_participant(accel=16, epoch_rounds=4)
+    participant, tuner = make_tuned_participant(accel=16)
     # Round 1: send post-token messages.
     for _i in range(8):
         participant.submit(b"x", Svc.AGREED)
@@ -73,7 +64,7 @@ def test_post_token_loss_shrinks_window():
     second = participant.on_token(requested).token
     # Finish the epoch cleanly.
     token = replace(second, hop=second.hop + 2, aru=second.seq)
-    for _round in range(2):
+    for _round in range(EPOCH_ROUNDS - 2):
         sent = participant.on_token(token).token
         token = replace(sent, hop=sent.hop + 2, aru=sent.seq)
     assert tuner.decreases == 1
@@ -83,13 +74,13 @@ def test_post_token_loss_shrinks_window():
 def test_pre_token_loss_does_not_shrink_window():
     # With accel=2 and 8 messages, seqs 1..6 are pre-token; requesting
     # one of those must NOT trigger back-off.
-    participant, tuner = make_tuned_participant(accel=2, epoch_rounds=4)
+    participant, tuner = make_tuned_participant(accel=2)
     for _i in range(8):
         participant.submit(b"x", Svc.AGREED)
     first = participant.on_token(initial_token()).token
     requested = replace(first, hop=first.hop + 2, rtr=(1,))
     token = participant.on_token(requested).token
-    for _round in range(2):
+    for _round in range(EPOCH_ROUNDS - 2):
         sent = participant.on_token(
             replace(token, hop=token.hop + 2, aru=token.seq)
         )
@@ -99,11 +90,9 @@ def test_pre_token_loss_does_not_shrink_window():
 
 
 def test_window_never_negative():
-    participant, tuner = make_tuned_participant(
-        accel=1, epoch_rounds=1, min_window=0
-    )
+    participant, tuner = make_tuned_participant(accel=1)
     # Force repeated decreases.
-    for _round in range(5):
+    for _round in range(5 * EPOCH_ROUNDS):
         for _i in range(4):
             participant.submit(b"x", Svc.AGREED)
         token = participant.last_token_sent or initial_token()
@@ -126,8 +115,7 @@ def test_tuner_grows_in_clean_ring():
     config = ProtocolConfig(personal_window=12, accelerated_window=2)
     ring = LoopbackRing([1, 2, 3], config)
     tuners = [
-        AcceleratedWindowTuner(ring.participants[pid],
-                               TunerConfig(epoch_rounds=2))
+        AcceleratedWindowTuner(ring.participants[pid])
         for pid in (1, 2, 3)
     ]
     for pid in (1, 2, 3):
@@ -158,8 +146,7 @@ def test_tuner_backs_off_under_post_token_loss():
     config = ProtocolConfig(personal_window=12, accelerated_window=12)
     ring = LoopbackRing([1, 2, 3], config, drop_data=drop_post_token_once)
     tuners = [
-        AcceleratedWindowTuner(ring.participants[pid],
-                               TunerConfig(epoch_rounds=2))
+        AcceleratedWindowTuner(ring.participants[pid])
         for pid in (1, 2, 3)
     ]
     for pid in (1, 2, 3):

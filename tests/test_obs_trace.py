@@ -23,7 +23,6 @@ from repro.core import (
     AcceleratedWindowTuner,
     ProtocolConfig,
     Service,
-    TunerConfig,
 )
 from repro.net import GIGABIT
 from repro.obs.lifecycle import (
@@ -237,7 +236,7 @@ def test_tuner_round_tracer_and_lifecycle_tracer_share_one_cluster():
     )
     cluster = SimCluster(4, GIGABIT, LIBRARY, config, seed=2)
     tuners = [
-        AcceleratedWindowTuner(node.participant, TunerConfig(epoch_rounds=4))
+        AcceleratedWindowTuner(node.participant)
         for node in cluster.nodes.values()
     ]
     rounds = RoundTracer(cluster)
@@ -248,7 +247,7 @@ def test_tuner_round_tracer_and_lifecycle_tracer_share_one_cluster():
     handlings = [node.participant.stats.tokens_handled
                  for node in cluster.nodes.values()]
     assert min(handlings) > 8
-    assert [t.epochs for t in tuners] == [h // 4 for h in handlings]
+    assert [t.epochs for t in tuners] == [h // 8 for h in handlings]
     assert [len(rounds.handle_times[pid]) for pid in cluster.nodes] == handlings
     token_rounds = analyze(load_from_tracer(tracer))["token_rounds"]
     assert token_rounds["handlings"] == sum(handlings)
