@@ -16,7 +16,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "GossipPingReq", "GossipAck",
     ),
     "gossip": (
-        "GossipDetector", "GossipConfig", "PeerAlive", "PeerSuspect",
-        "PeerConfirm",
+        "GossipDetector", "PeerAlive", "PeerSuspect", "PeerConfirm",
     ),
 })

@@ -91,34 +91,29 @@ class PeerConfirm:
 
 
 # ---------------------------------------------------------------------------
-# Configuration and member state
+# Timing (in detector ticks; the host defines the tick length) and member
+# state
 # ---------------------------------------------------------------------------
 
-
-@dataclass(slots=True)
-class GossipConfig:
-    """All timing in detector ticks (the host defines the tick length)."""
-
-    #: One probe round starts every this many ticks.
-    ping_interval_ticks: int = 10
-    #: Direct-ping ack deadline; after it the indirect round starts.
-    ping_timeout_ticks: int = 6
-    #: Total probe-round deadline (direct + indirect) before suspicion.
-    probe_timeout_ticks: int = 14
-    #: How long a suspicion may stand before it becomes a confirm.
-    suspicion_ticks: int = 60
-    #: How many peers are asked to ping-req an unresponsive target.
-    indirect_probes: int = 3
-    #: Max piggybacked updates per outgoing message (bounded buffer).
-    max_piggyback: int = 8
-    #: An update is retransmitted ``retransmit_factor * ceil(log2(n+1))``
-    #: times before it leaves the gossip buffer.
-    retransmit_factor: int = 3
-    #: Every this many probe rounds, one extra ping goes to a DEAD
-    #: member (round-robin): the reconnaissance that lets healed
-    #: partitions and restarted amnesiacs find their way back without
-    #: any broadcast.  0 disables it.
-    recon_round_interval: int = 4
+#: One probe round starts every this many ticks.
+PING_INTERVAL_TICKS = 10
+#: Direct-ping ack deadline; after it the indirect round starts.
+PING_TIMEOUT_TICKS = 6
+#: Total probe-round deadline (direct + indirect) before suspicion.
+PROBE_TIMEOUT_TICKS = 14
+#: How long a suspicion may stand before it becomes a confirm.
+SUSPICION_TICKS = 60
+#: How many peers are asked to ping-req an unresponsive target.
+INDIRECT_PROBES = 3
+#: Max piggybacked updates per outgoing message (bounded buffer).
+MAX_PIGGYBACK = 8
+#: An update is retransmitted ``RETRANSMIT_FACTOR * ceil(log2(n+1))``
+#: times before it leaves the gossip buffer.
+RETRANSMIT_FACTOR = 3
+#: Every this many probe rounds, one extra ping goes to a DEAD member
+#: (round-robin): the reconnaissance that lets healed partitions and
+#: restarted amnesiacs find their way back without any broadcast.
+RECON_ROUND_INTERVAL = 4
 
 
 class _Member:
@@ -169,20 +164,14 @@ class GossipDetector:
     """
 
     __slots__ = (
-        "pid", "config", "incarnation", "_tick", "_rng", "_members",
+        "pid", "incarnation", "_tick", "_rng", "_members",
         "_probe_order", "_probe_cursor", "_round_counter",
         "_recon_cursor", "_probe_seq", "_inflight", "_relays",
         "_buffer", "messages_sent", "false_suspicions_refuted",
     )
 
-    def __init__(
-        self,
-        pid: int,
-        config: Optional[GossipConfig] = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, pid: int, seed: int = 0) -> None:
         self.pid = pid
-        self.config = config or GossipConfig()
         self.incarnation = 0
         self._tick = 0
         self._rng = random.Random((seed * 0x9E3779B1 + pid) & 0xFFFFFFFF)
@@ -232,7 +221,7 @@ class GossipDetector:
     def _retransmit_limit(self) -> int:
         n = len(self._members) + 1
         log2 = max(1, (n - 1).bit_length())
-        return self.config.retransmit_factor * log2
+        return RETRANSMIT_FACTOR * log2
 
     def _enqueue(self, update: GossipUpdate) -> None:
         # A fresher claim about the same pid obsoletes the buffered one.
@@ -249,7 +238,7 @@ class GossipDetector:
         self._buffer[update] = self._retransmit_limit()
 
     def _piggyback(self) -> Tuple[GossipUpdate, ...]:
-        """Select up to ``max_piggyback`` updates, freshest-first.
+        """Select up to ``MAX_PIGGYBACK`` updates, freshest-first.
 
         Selection charges each chosen update one retransmission;
         exhausted updates leave the buffer — this is what keeps the
@@ -260,7 +249,7 @@ class GossipDetector:
         chosen = sorted(
             self._buffer.items(),
             key=lambda item: (-item[1], item[0].pid, item[0].incarnation),
-        )[: self.config.max_piggyback]
+        )[:MAX_PIGGYBACK]
         out = []
         for update, remaining in chosen:
             out.append(update)
@@ -383,7 +372,7 @@ class GossipDetector:
             if m.status == ALIVE and m.pid != target
         ]
         self._rng.shuffle(candidates)
-        return candidates[: self.config.indirect_probes]
+        return candidates[:INDIRECT_PROBES]
 
     # -- the sans-IO surface ----------------------------------------------
 
@@ -392,7 +381,6 @@ class GossipDetector:
         self._tick += 1
         sends: List[Send] = []
         events: List[Event] = []
-        config = self.config
 
         # Escalate in-flight probes.
         for probe_id in sorted(self._inflight):
@@ -402,7 +390,7 @@ class GossipDetector:
             if member is None or member.status == DEAD:
                 del self._inflight[probe_id]
                 continue
-            if age >= config.probe_timeout_ticks:
+            if age >= PROBE_TIMEOUT_TICKS:
                 del self._inflight[probe_id]
                 if member.status == ALIVE:
                     update = GossipUpdate(
@@ -414,7 +402,7 @@ class GossipDetector:
                     events.append(
                         PeerSuspect(probe.target, member.incarnation)
                     )
-            elif age >= config.ping_timeout_ticks and not probe.indirect_sent:
+            elif age >= PING_TIMEOUT_TICKS and not probe.indirect_sent:
                 probe.indirect_sent = True
                 for relayer in self._indirect_relayers(probe.target):
                     sends.append((relayer, GossipPingReq(
@@ -425,7 +413,7 @@ class GossipDetector:
         # Expire suspicions into confirms.
         for member in list(self._members.values()):
             if member.status == SUSPECT and \
-                    self._tick - member.since_tick >= config.suspicion_ticks:
+                    self._tick - member.since_tick >= SUSPICION_TICKS:
                 member.status = DEAD
                 member.since_tick = self._tick
                 self._enqueue(
@@ -434,14 +422,13 @@ class GossipDetector:
                 events.append(PeerConfirm(member.pid, member.incarnation))
 
         # Start the periodic probe round.
-        if self._tick % config.ping_interval_ticks == 0:
+        if self._tick % PING_INTERVAL_TICKS == 0:
             self._round_counter += 1
             target = self._next_probe_target()
             if target is not None:
                 _probe_id, ping = self._make_ping(target)
                 sends.append((target, ping))
-            if config.recon_round_interval and \
-                    self._round_counter % config.recon_round_interval == 0:
+            if self._round_counter % RECON_ROUND_INTERVAL == 0:
                 recon = self._recon_target()
                 if recon is not None:
                     # Fire-and-forget: no probe record, so no suspicion

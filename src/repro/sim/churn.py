@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core import ProtocolConfig
 from ..evs import EVSChecker
-from ..membership import GossipConfig, MembershipTimeouts
+from ..membership import MembershipTimeouts
 from ..net import GIGABIT, LinkSpec
 from .campaign import collect_observability, run_fault_workload
 from .evs_node import SimEVSCluster
@@ -85,8 +85,7 @@ def _build_cluster(n_nodes: int, gossip: bool, seed: int,
                    spec: LinkSpec, profile: CostProfile) -> SimEVSCluster:
     return SimEVSCluster(
         n_nodes, spec, profile, _protocol_config(), CHURN_TIMEOUTS,
-        gossip=gossip, gossip_config=GossipConfig() if gossip else None,
-        gossip_seed=seed,
+        gossip=gossip, gossip_seed=seed,
     )
 
 

@@ -22,7 +22,6 @@ from ..core import ProtocolConfig, Service
 from ..core.driver import Inbox
 from ..membership import (
     EVSProcess,
-    GossipConfig,
     GossipDetector,
     MembershipTimeouts,
     Outgoing,
@@ -67,6 +66,8 @@ class SimEVSNode:
 
     #: How much simulated time one logical membership tick represents.
     TICK_INTERVAL_S = 0.001
+    #: Payload bytes charged per submitted application message.
+    PAYLOAD_SIZE = 1350
 
     def __init__(
         self,
@@ -77,23 +78,19 @@ class SimEVSNode:
         switch: Switch,
         config: Optional[ProtocolConfig] = None,
         timeouts: Optional[MembershipTimeouts] = None,
-        payload_size: int = 1350,
         peers: Optional[Tuple[int, ...]] = None,
-        gossip_config: Optional[GossipConfig] = None,
         gossip_seed: int = 0,
     ) -> None:
         self.sim = sim
         self.pid = pid
         self.spec = spec
         self.profile = profile
-        self.payload_size = payload_size
         self._config = config
         self._timeouts = timeouts
         #: Static host list the detector boots from (a restarted daemon
         #: re-reads its config file; it does NOT remember incarnations);
         #: ``None`` keeps the controller's own probe flooding.
         self._peers = peers
-        self._gossip_config = gossip_config or GossipConfig()
         self._gossip_seed = gossip_seed
         self.nic = Nic(sim, pid, spec, switch.receive)
         switch.attach(pid, self._on_frame)
@@ -131,7 +128,6 @@ class SimEVSNode:
             process.probes_enabled = False
             self.detector = GossipDetector(
                 self.pid,
-                self._gossip_config,
                 # New incarnation -> new probe/jitter stream, still
                 # deterministic for a given (cluster seed, pid, restart#).
                 seed=self._gossip_seed * 1000003 + self.incarnation,
@@ -179,7 +175,7 @@ class SimEVSNode:
         )
 
     def submit(self, payload: Any, service: Service = Service.AGREED) -> None:
-        self.process.submit(payload, service, self.payload_size)
+        self.process.submit(payload, service, self.PAYLOAD_SIZE)
 
     def delivered_payloads(self) -> List[Any]:
         return [m.payload for m in self.process.delivered_messages()]
@@ -318,7 +314,6 @@ class SimEVSCluster:
         config: Optional[ProtocolConfig] = None,
         timeouts: Optional[MembershipTimeouts] = None,
         gossip: bool = False,
-        gossip_config: Optional[GossipConfig] = None,
         gossip_seed: int = 0,
     ) -> None:
         self.sim = Simulator()
@@ -329,7 +324,7 @@ class SimEVSCluster:
         self._new_node = functools.partial(
             SimEVSNode, self.sim, spec=spec, profile=profile,
             switch=self.switch, config=config, timeouts=timeouts,
-            gossip_config=gossip_config, gossip_seed=gossip_seed,
+            gossip_seed=gossip_seed,
         )
         peers = tuple(range(n_nodes)) if gossip else None
         self.nodes: Dict[int, SimEVSNode] = {

@@ -17,8 +17,8 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 from repro.membership.gossip import (
     ALIVE,
     DEAD,
+    MAX_PIGGYBACK,
     SUSPECT,
-    GossipConfig,
     GossipDetector,
     PeerAlive,
     PeerConfirm,
@@ -36,11 +36,8 @@ class Mesh:
     """Lossless in-order transport between detectors (unless told not
     to be): the deterministic scaffolding for the unit tests."""
 
-    def __init__(self, pids, config=None, seed=0, drop=None):
-        self.config = config or GossipConfig()
-        self.detectors = {
-            pid: GossipDetector(pid, self.config, seed=seed) for pid in pids
-        }
+    def __init__(self, pids, seed=0, drop=None):
+        self.detectors = {pid: GossipDetector(pid, seed=seed) for pid in pids}
         for detector in self.detectors.values():
             detector.seed_members(pids)
         self.queue = []  # (dst, src, message)
@@ -105,7 +102,7 @@ def test_silent_peer_is_suspected_then_confirmed():
 
 
 def test_own_suspicion_is_refuted_with_higher_incarnation():
-    detector = GossipDetector(0, GossipConfig(), seed=1)
+    detector = GossipDetector(0, seed=1)
     detector.seed_members(range(3))
     ping = GossipPing(1, 0, probe_id=7,
                       updates=(GossipUpdate(0, 0, SUSPECT),))
@@ -154,7 +151,7 @@ def _drain_history(mesh):
 
 
 def test_dead_member_is_resurrected_by_fresher_incarnation():
-    detector = GossipDetector(0, GossipConfig(), seed=2)
+    detector = GossipDetector(0, seed=2)
     detector.seed_members([0, 1])
     _sends, events = detector.handle(
         GossipPing(1, 0, 1, updates=(GossipUpdate(1, 0, DEAD),)), 1
@@ -172,14 +169,14 @@ def test_rejoin_by_refutation_after_amnesiac_restart():
     # The cluster remembers pid 5 dead at incarnation 3; a restarted,
     # amnesiac pid 5 (incarnation 0) must learn its own dead record
     # from an ack and gossip itself back with incarnation 4.
-    veteran = GossipDetector(0, GossipConfig(), seed=3)
+    veteran = GossipDetector(0, seed=3)
     veteran.seed_members([0, 5])
     veteran.handle(
         GossipPing(1, 0, 1, updates=(GossipUpdate(5, 3, DEAD),)), 1
     )
     assert veteran.status_of(5) == DEAD
 
-    reborn = GossipDetector(5, GossipConfig(), seed=4)
+    reborn = GossipDetector(5, seed=4)
     reborn.seed_members([0, 5])
     alive_again = False
     for _tick in range(200):
@@ -202,15 +199,14 @@ def test_rejoin_by_refutation_after_amnesiac_restart():
 
 
 def test_piggyback_is_bounded_and_buffer_drains():
-    config = GossipConfig(max_piggyback=8)
-    detector = GossipDetector(0, config, seed=5)
+    detector = GossipDetector(0, seed=5)
     detector.seed_members(range(30))
     updates = tuple(
         GossipUpdate(pid, 1, ALIVE) for pid in range(1, 21)
     )
     sends, _events = detector.handle(GossipPing(1, 0, 1, updates), 1)
     ((_dst, ack),) = sends
-    assert len(ack.updates) <= config.max_piggyback
+    assert len(ack.updates) <= MAX_PIGGYBACK
     # Each selection charges a retransmission; the buffer must drain.
     for probe_id in range(2, 200):
         detector.handle(GossipPing(1, 0, probe_id), 1)

@@ -10,7 +10,6 @@ reading the live attribute.
 """
 
 from repro.core import ProtocolConfig
-from repro.membership import GossipConfig
 from repro.net import GIGABIT, TEN_GIGABIT, Traffic
 from repro.sim import LIBRARY
 from repro.sim.churn import CHURN_TIMEOUTS, _protocol_config
@@ -85,7 +84,7 @@ def test_traffic_class_breakdown_conserves_switch_totals():
 def _gossip_cluster_with_a_crash():
     cluster = SimEVSCluster(
         4, GIGABIT, LIBRARY, _protocol_config(), CHURN_TIMEOUTS,
-        gossip=True, gossip_config=GossipConfig(), gossip_seed=1,
+        gossip=True, gossip_seed=1,
     )
     cluster.run_until_converged(timeout_s=8.0)
     for i in range(10):

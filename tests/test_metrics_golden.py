@@ -19,7 +19,6 @@ import json
 
 from repro.cli import _traced_reference_run
 from repro.emulation import EmulatedRing
-from repro.membership import GossipConfig
 from repro.multiring.sim import MultiRingSimCluster
 from repro.net import GIGABIT
 from repro.sim.churn import CHURN_TIMEOUTS, _protocol_config
@@ -53,7 +52,7 @@ def test_multiring_snapshot():
 def test_gossip_evs_cluster_snapshot_after_a_spawn():
     cluster = SimEVSCluster(
         4, GIGABIT, LIBRARY, _protocol_config(), CHURN_TIMEOUTS,
-        gossip=True, gossip_config=GossipConfig(), gossip_seed=1,
+        gossip=True, gossip_seed=1,
     )
     cluster.run_until_converged(timeout_s=8.0)
     cluster.spawn(9)

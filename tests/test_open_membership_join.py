@@ -10,7 +10,7 @@ every EVS axiom, and compose with crash/restart churn.
 import pytest
 
 from repro.evs import EVSChecker
-from repro.membership import GossipConfig, State
+from repro.membership import State
 from repro.net import GIGABIT, Timeout
 from repro.sim.churn import (
     CHURN_TIMEOUTS,
@@ -27,8 +27,7 @@ from repro.sim.profiles import LIBRARY
 def _cluster(n_nodes, seed=1, gossip=True):
     return SimEVSCluster(
         n_nodes, GIGABIT, LIBRARY, _protocol_config(), CHURN_TIMEOUTS,
-        gossip=gossip, gossip_config=GossipConfig() if gossip else None,
-        gossip_seed=seed,
+        gossip=gossip, gossip_seed=seed,
     )
 
 
