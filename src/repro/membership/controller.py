@@ -93,9 +93,6 @@ class MembershipTimeouts:
     commit_ticks: int = 80
     #: How often an Operational process announces itself (merge discovery).
     probe_interval_ticks: int = 25
-    #: After this many fruitless gather timeouts, collapse to a
-    #: singleton ring (guaranteed progress); probes re-merge later.
-    max_gather_attempts: int = 8
 
 
 class EVSProcess:
@@ -104,6 +101,9 @@ class EVSProcess:
     #: Reconfiguration attempts without a successful install before the
     #: singleton circuit breaker fires (see _start_gather).
     _FRUSTRATION_LIMIT = 10
+    #: After this many fruitless gather timeouts, collapse to a
+    #: singleton ring (guaranteed progress); probes re-merge later.
+    _MAX_GATHER_ATTEMPTS = 8
 
     def __init__(
         self,
@@ -575,7 +575,7 @@ class EVSProcess:
 
     def _gather_timeout(self) -> List[Outgoing]:
         self._gather_attempts += 1
-        if self._gather_attempts > self.timeouts.max_gather_attempts:
+        if self._gather_attempts > self._MAX_GATHER_ATTEMPTS:
             # Livelock escape: give up on agreement with the others for
             # now and proceed alone; Operational probes will trigger a
             # fresh, calmer merge attempt afterwards.  Like the

@@ -114,7 +114,7 @@ def test_join_sender_removed_from_fail_gossip():
 
 
 def test_gather_escape_hatch_forms_singleton():
-    timeouts = MembershipTimeouts(gather_ticks=1, max_gather_attempts=2)
+    timeouts = MembershipTimeouts(gather_ticks=1)
     process = EVSProcess(1, ProtocolConfig(), timeouts)
     pending = list(process.bootstrap())
     # 9 responds once with a forever-mismatching view and then churns
