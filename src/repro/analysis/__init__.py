@@ -22,7 +22,7 @@ from .._exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "rules": ("ALL_RULES", "Finding", "Rule", "all_rule_ids"),
     "engine": (
-        "AnalysisConfig", "AnalysisReport", "analyze_file", "analyze_source",
-        "analyze_tree", "iter_package_files",
+        "AnalysisReport", "analyze_file", "analyze_source", "analyze_tree",
+        "iter_package_files",
     ),
 })

@@ -13,61 +13,9 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from .rules import ALL_RULES, Finding, ModuleContext, Rule
-
-#: Packages whose replica-local decisions must be deterministic and
-#: IO-free (the sans-IO core the simulator's proofs are about).
-SANS_IO_MODULES = (
-    "repro.core",
-    "repro.evs",
-    "repro.sim",
-    "repro.membership",
-    "repro.multiring",
-    "repro.totem",
-    # The driver core's in-process clients: IO-free today, and the
-    # deterministic oracles depend on them staying so.
-    "repro.harness",
-    "repro.spreadlike",
-    # The Section V comparators: simulated hosts, like repro.sim.
-    "repro.baselines",
-)
-
-#: IO/concurrency modules the sans-IO packages may not import.
-IO_BOUNDARY_BANNED = (
-    "socket", "asyncio", "threading", "selectors", "ssl",
-    "subprocess", "multiprocessing", "concurrent", "signal", "fcntl",
-)
-
-#: Modules on allocation-rate-critical paths: every class must be a
-#: complete ``__slots__`` class (see rules/slots.py for exemptions).
-HOT_PATH_MODULES = (
-    "repro.core",
-    "repro.net",
-    "repro.sim.node",
-    "repro.membership.gossip",
-    "repro.obs.registry",
-    "repro.wire.codec",
-)
-
-#: Modules subject to the wire-drift rules (struct sizes, tag spaces).
-WIRE_MODULES = (
-    "repro.wire",
-    "repro.core.messages",
-)
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Rule jurisdiction: which dotted-module prefixes get which rules."""
-
-    sans_io_modules: Tuple[str, ...] = SANS_IO_MODULES
-    io_boundary_banned: Tuple[str, ...] = IO_BOUNDARY_BANNED
-    hot_path_modules: Tuple[str, ...] = HOT_PATH_MODULES
-    wire_modules: Tuple[str, ...] = WIRE_MODULES
-    tag_registry_module: str = "repro.wire.tags"
-
+from .rules import ALL_RULES, Finding, ModuleContext
 
 @dataclass
 class AnalysisReport:
@@ -87,29 +35,23 @@ class AnalysisReport:
         }
 
 
-def analyze_source(source: str, path: str, module: str,
-                   config: Optional[AnalysisConfig] = None,
-                   rules: Optional[Sequence[Rule]] = None,
-                   ) -> List[Finding]:
+def analyze_source(source: str, path: str, module: str) -> List[Finding]:
     """Run the rule set over one source string (the fixture-test door)."""
-    config = config or AnalysisConfig()
     tree = ast.parse(source, filename=path)
     ctx = ModuleContext(path, module, source, tree)
     findings: List[Finding] = []
-    for rule in (rules if rules is not None else ALL_RULES):
-        if rule.applies(module, config):
-            findings.extend(rule.check(ctx, config))
+    for rule in ALL_RULES:
+        if rule.applies(module):
+            findings.extend(rule.check(ctx))
     _disambiguate(findings)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.key))
     return findings
 
 
-def analyze_file(path: str, module: str,
-                 config: Optional[AnalysisConfig] = None,
-                 rules: Optional[Sequence[Rule]] = None) -> List[Finding]:
+def analyze_file(path: str, module: str) -> List[Finding]:
     with open(path, encoding="utf-8") as handle:
         source = handle.read()
-    return analyze_source(source, path, module, config, rules)
+    return analyze_source(source, path, module)
 
 
 def iter_package_files(package_root: str) -> Iterator[Tuple[str, str]]:
@@ -137,11 +79,13 @@ def iter_package_files(package_root: str) -> Iterator[Tuple[str, str]]:
             yield path, ".".join(mod_parts)
 
 
-def analyze_tree(package_root: str,
-                 config: Optional[AnalysisConfig] = None,
-                 rules: Optional[Sequence[Rule]] = None) -> AnalysisReport:
-    """Lint every module under ``package_root`` (e.g. ``src/repro``)."""
-    config = config or AnalysisConfig()
+def analyze_tree(package_root: str) -> AnalysisReport:
+    """Lint every module under ``package_root`` (e.g. ``src/repro``).
+
+    Each file's findings come from :func:`analyze_source`, already
+    disambiguated: a fingerprint names its module, so no two files
+    share one.
+    """
     report = AnalysisReport()
     base = os.path.dirname(os.path.abspath(package_root))
     for path, module in iter_package_files(package_root):
@@ -150,15 +94,9 @@ def analyze_tree(package_root: str,
         try:
             with open(path, encoding="utf-8") as handle:
                 source = handle.read()
-            tree = ast.parse(source, filename=path)
+            report.findings.extend(analyze_source(source, rel, module))
         except (SyntaxError, OSError, UnicodeDecodeError) as exc:
             report.parse_errors.append("%s: %s" % (rel, exc))
-            continue
-        ctx = ModuleContext(rel, module, source, tree)
-        for rule in (rules if rules is not None else ALL_RULES):
-            if rule.applies(module, config):
-                report.findings.extend(rule.check(ctx, config))
-    _disambiguate(report.findings)
     report.findings.sort(
         key=lambda f: (f.path, f.line, f.col, f.rule, f.key)
     )

@@ -138,10 +138,10 @@ class Rule:
 
     rule_id = ""
 
-    def applies(self, module: str, config) -> bool:
+    def applies(self, module: str) -> bool:
         raise NotImplementedError
 
-    def check(self, ctx: ModuleContext, config) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         raise NotImplementedError
 
     def finding(self, ctx: ModuleContext, node: ast.AST, message: str,
@@ -151,6 +151,52 @@ class Rule:
             getattr(node, "lineno", 0), getattr(node, "col_offset", 0),
             message, key,
         )
+
+
+# Rule jurisdiction: which dotted-module prefixes get which rules.
+
+#: Packages whose replica-local decisions must be deterministic and
+#: IO-free (the sans-IO core the simulator's proofs are about).
+SANS_IO_MODULES = (
+    "repro.core",
+    "repro.evs",
+    "repro.sim",
+    "repro.membership",
+    "repro.multiring",
+    "repro.totem",
+    # The driver core's in-process clients: IO-free today, and the
+    # deterministic oracles depend on them staying so.
+    "repro.harness",
+    "repro.spreadlike",
+    # The Section V comparators: simulated hosts, like repro.sim.
+    "repro.baselines",
+)
+
+#: IO/concurrency modules the sans-IO packages may not import.
+IO_BOUNDARY_BANNED = (
+    "socket", "asyncio", "threading", "selectors", "ssl",
+    "subprocess", "multiprocessing", "concurrent", "signal", "fcntl",
+)
+
+#: Modules on allocation-rate-critical paths: every class must be a
+#: complete ``__slots__`` class (see slots.py for exemptions).
+HOT_PATH_MODULES = (
+    "repro.core",
+    "repro.net",
+    "repro.sim.node",
+    "repro.membership.gossip",
+    "repro.obs.registry",
+    "repro.wire.codec",
+)
+
+#: Modules subject to the wire-drift rules (struct sizes, tag spaces).
+WIRE_MODULES = (
+    "repro.wire",
+    "repro.core.messages",
+)
+
+#: The one module whose wire tags must stay unique.
+TAG_REGISTRY_MODULE = "repro.wire.tags"
 
 
 def module_matches(module: str, prefixes: Sequence[str]) -> bool:

@@ -16,7 +16,14 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .base import Finding, ModuleContext, Rule, module_matches
+from .base import (
+    IO_BOUNDARY_BANNED,
+    SANS_IO_MODULES,
+    Finding,
+    ModuleContext,
+    Rule,
+    module_matches,
+)
 
 
 class SansIOImportRule(Rule):
@@ -24,11 +31,11 @@ class SansIOImportRule(Rule):
 
     rule_id = "IO-IMPORT"
 
-    def applies(self, module: str, config) -> bool:
-        return module_matches(module, config.sans_io_modules)
+    def applies(self, module: str) -> bool:
+        return module_matches(module, SANS_IO_MODULES)
 
-    def check(self, ctx: ModuleContext, config) -> Iterator[Finding]:
-        banned = frozenset(config.io_boundary_banned)
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        banned = frozenset(IO_BOUNDARY_BANNED)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 names = [alias.name.split(".")[0] for alias in node.names]

@@ -29,7 +29,14 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional, Set
 
-from .base import Finding, ModuleContext, Rule, module_matches, scope_qualname
+from .base import (
+    SANS_IO_MODULES,
+    Finding,
+    ModuleContext,
+    Rule,
+    module_matches,
+    scope_qualname,
+)
 
 BANNED_TIME_CALLS = frozenset({
     "time.time", "time.time_ns",
@@ -62,8 +69,8 @@ ORDER_ERASING = frozenset({
 
 
 class _SansIORule(Rule):
-    def applies(self, module: str, config) -> bool:
-        return module_matches(module, config.sans_io_modules)
+    def applies(self, module: str) -> bool:
+        return module_matches(module, SANS_IO_MODULES)
 
 
 class BannedTimeRule(_SansIORule):
@@ -71,7 +78,7 @@ class BannedTimeRule(_SansIORule):
 
     rule_id = "DET-TIME"
 
-    def check(self, ctx: ModuleContext, config) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -107,7 +114,7 @@ class BannedEntropyRule(_SansIORule):
 
     rule_id = "DET-ENTROPY"
 
-    def check(self, ctx: ModuleContext, config) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -143,7 +150,7 @@ class UnseededRngRule(_SansIORule):
 
     rule_id = "DET-RNG"
 
-    def check(self, ctx: ModuleContext, config) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom) and node.module and \
                     node.module.split(".")[0] == "random" and \
@@ -208,7 +215,7 @@ class SetIterationRule(_SansIORule):
 
     rule_id = "DET-SETITER"
 
-    def check(self, ctx: ModuleContext, config) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         # One pass per function scope (plus the module top level): track
         # local names that are only ever assigned set expressions, then
         # flag order-sensitive iterations.  Tracking is deliberately

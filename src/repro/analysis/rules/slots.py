@@ -25,7 +25,13 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .base import Finding, ModuleContext, Rule, module_matches
+from .base import (
+    HOT_PATH_MODULES,
+    Finding,
+    ModuleContext,
+    Rule,
+    module_matches,
+)
 
 #: Base-class names that exempt a class from slot checking entirely.
 EXEMPT_BASES = frozenset({
@@ -123,10 +129,10 @@ class SlotsRule(Rule):
     rule_id = "SLOT"
     rule_ids = ("SLOT-MISSING", "SLOT-INCOMPLETE", "SLOT-DATACLASS")
 
-    def applies(self, module: str, config) -> bool:
-        return module_matches(module, config.hot_path_modules)
+    def applies(self, module: str) -> bool:
+        return module_matches(module, HOT_PATH_MODULES)
 
-    def check(self, ctx: ModuleContext, config) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         classes: Dict[str, ast.ClassDef] = {
             node.name: node for node in ctx.tree.body
             if isinstance(node, ast.ClassDef)

@@ -30,7 +30,14 @@ import re
 import struct
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .base import Finding, ModuleContext, Rule, module_matches
+from .base import (
+    TAG_REGISTRY_MODULE,
+    WIRE_MODULES,
+    Finding,
+    ModuleContext,
+    Rule,
+    module_matches,
+)
 
 _TAG_NAME = re.compile(r"^(TYPE_|VALUE_|OBJECT_TAG_|_V_)\w+$")
 
@@ -86,10 +93,10 @@ class WireSizeRule(Rule):
 
     rule_id = "WIRE-SIZE"
 
-    def applies(self, module: str, config) -> bool:
-        return module_matches(module, config.wire_modules)
+    def applies(self, module: str) -> bool:
+        return module_matches(module, WIRE_MODULES)
 
-    def check(self, ctx: ModuleContext, config) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         evaluator = _ConstEvaluator()
         for node in ctx.tree.body:
             if not isinstance(node, ast.Assign) or len(node.targets) != 1:
@@ -139,11 +146,11 @@ class WireTagRule(Rule):
     rule_id = "WIRE-TAG"
     rule_ids = ("WIRE-TAG-DUP", "WIRE-TAG-SCATTER")
 
-    def applies(self, module: str, config) -> bool:
-        return module_matches(module, config.wire_modules)
+    def applies(self, module: str) -> bool:
+        return module_matches(module, WIRE_MODULES)
 
-    def check(self, ctx: ModuleContext, config) -> Iterator[Finding]:
-        if ctx.module == config.tag_registry_module:
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if ctx.module == TAG_REGISTRY_MODULE:
             yield from self._check_registry(ctx)
         else:
             yield from self._check_consumer(ctx)

@@ -16,12 +16,12 @@ import sys
 import pytest
 
 from repro.analysis import (
-    AnalysisConfig,
     analyze_file,
     analyze_source,
     analyze_tree,
     all_rule_ids,
 )
+from repro.analysis.rules.base import TAG_REGISTRY_MODULE
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "analysis")
 SRC_REPRO = os.path.join(
@@ -32,7 +32,7 @@ SRC_REPRO = os.path.join(
 SANS_IO_MOD = "repro.core.fixture"
 HOT_PATH_MOD = "repro.net.fixture"
 WIRE_MOD = "repro.wire.fixture"
-REGISTRY_MOD = AnalysisConfig().tag_registry_module
+REGISTRY_MOD = TAG_REGISTRY_MODULE
 DRIVER_MOD = "repro.emulation.fixture"  # no rule family applies
 
 
