@@ -13,7 +13,7 @@ from typing import Any, Dict, List, Optional, Set
 
 from ..core import DataMessage, ProtocolConfig, Ring, Service, initial_token
 from ..obs.registry import MetricsRegistry
-from ..wire.capture import CaptureWriter
+from ..wire.capture import WORLD_EMULATION, CaptureWriter
 from .node import EmulatedNode
 from .transport import SendLossRule, UdpTransport
 
@@ -46,7 +46,8 @@ class EmulatedRing:
                 # nodes interleave on a common send-side clock.
                 transport.set_capture(capture, capture_t0)
         self.nodes: Dict[int, EmulatedNode] = {
-            pid: EmulatedNode(pid, self.ring, config, transports[pid])
+            pid: EmulatedNode(pid, self.ring, config, transports[pid],
+                              capture_t0)
             for pid in pids
         }
         #: Shared monotonic epoch for captures and traces.
@@ -85,13 +86,13 @@ class EmulatedRing:
         stages but ``originated`` and ``ordered``, which carry an
         earlier instant) appear in nondecreasing time across all nodes.
         """
-        from ..obs.lifecycle import emulation_tracer
+        from ..obs.lifecycle import LifecycleTracer
 
         if self.tracer is not None:
             raise RuntimeError("tracer already attached")
         if self.thread is not None:
             raise RuntimeError("attach the tracer before start()")
-        self.tracer = emulation_tracer(self, self.t0, label=label)
+        self.tracer = LifecycleTracer(self.nodes, WORLD_EMULATION, label)
         return self.tracer
 
     # -- lifecycle ----------------------------------------------------------

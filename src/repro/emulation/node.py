@@ -33,9 +33,8 @@ class EmulatedNode:
     its port (the transport, the delivery queue, a wall-clock timer).
     """
 
-    #: Driver port: no CPU cost model, wall clock.
+    #: Driver port: no CPU cost model.
     pauses = None
-    clock = staticmethod(time.monotonic)
 
     def __init__(
         self,
@@ -43,8 +42,11 @@ class EmulatedNode:
         ring: Ring,
         config: ProtocolConfig,
         transport: UdpTransport,
+        t0: float,
     ) -> None:
         self.pid = pid
+        #: The ring's monotonic origin, shared with its captures.
+        self.t0 = t0
         self.ring = ring
         self.config = config
         self.transport = transport
@@ -77,6 +79,11 @@ class EmulatedNode:
         return [get() for _ in range(self.delivered.qsize())]
 
     # -- the driver's port ------------------------------------------------------
+
+    def clock(self) -> float:
+        """Wall-clock seconds since the ring's ``t0`` (read only with a
+        tracer attached)."""
+        return time.monotonic() - self.t0
 
     def multicast(self, message: DataMessage) -> None:
         self.transport.send_data(message)

@@ -4,7 +4,9 @@ A :class:`LifecycleTracer` stamps each message's journey through named
 stages into a flat record stream (:mod:`repro.wire.tracefmt`).  The
 same tracer attaches to the discrete-event sim (``SimCluster
 .attach_tracer()``, sim-time clock) and the UDP emulation
-(``EmulatedRing.attach_tracer()``, wall-clock), so one analyzer —
+(``EmulatedRing.attach_tracer()``, wall-clock seconds since the ring's
+``t0``); it stamps with the clock of the nodes it watches, so one
+analyzer —
 ``python -m repro.cli trace-analyze`` — decomposes latency identically
 in both worlds.
 
@@ -60,13 +62,12 @@ adds one closure call per stamped stage and nothing else.
 
 from __future__ import annotations
 
-import functools
 import struct
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from ..core import Service
 from ..core.packing import PackedPayload
-from ..wire.capture import WORLD_EMULATION, WORLD_SIM
+from ..wire.capture import WORLD_SIM
 from ..wire.tracefmt import (
     CLOCK_SIM,
     CLOCK_WALL,
@@ -137,25 +138,19 @@ class LifecycleTracer:
     """Collects lifecycle stamps in memory; write out after the run.
 
     Build one via ``SimCluster.attach_tracer()`` /
-    ``EmulatedRing.attach_tracer()`` rather than by hand — the drivers
-    know their own clock and hook points.
+    ``EmulatedRing.attach_tracer()``: it wires every node of ``nodes``
+    (pid -> node with ``participant``, ``driver`` and ``clock``) and
+    stamps with each node's clock.  ``world`` names the substrate and,
+    with it, the clock the ``.rtrace`` header records.
     """
 
     def __init__(
         self,
-        clock: Callable[[], float],
+        nodes: Dict[int, Any],
         world: int = WORLD_SIM,
-        clock_kind: int = CLOCK_SIM,
         label: str = "",
-        epoch: float = 0.0,
     ) -> None:
-        self._clock = clock
-        #: Subtracted from driver-passed raw timestamps (the delivery
-        #: hook takes the driver's native clock values; the emulation
-        #: driver hands over raw ``time.monotonic()`` readings).
-        self.epoch = epoch
         self.world = world
-        self.clock_kind = clock_kind
         self.label = label
         #: Stamps in event order, packed with ``tracefmt.RECORD_STRUCT``.
         #: A bytearray, not a list of tuples, on purpose: a long traced
@@ -165,22 +160,19 @@ class LifecycleTracer:
         #: Packed bytes never enter the cyclic GC.  (Both drivers stamp
         #: from one thread: the emulation runs its ring on one loop.)
         self._buf = bytearray()
-
-    # -- stamping ------------------------------------------------------------
-
-    def watch_nodes(self, nodes: Dict[int, Any]) -> None:
-        """Wire every node: its participant's stages and its driver's."""
         for pid, node in nodes.items():
-            self.watch_participant(pid, node.participant)
+            clock = node.clock
+            self.watch_participant(pid, node.participant, clock)
             node.driver.set_trace_hooks(
-                send=self.make_send_hook(pid),
+                send=self.make_send_hook(pid, clock),
                 delivery=self.make_delivery_hook(pid),
-                coalesce=self.make_coalesce_hook(pid),
+                coalesce=self.make_coalesce_hook(pid, clock),
             )
 
     # -- participant stages ---------------------------------------------------
 
-    def watch_participant(self, pid: int, participant: Any) -> None:
+    def watch_participant(self, pid: int, participant: Any,
+                          clock: Callable[[], float]) -> None:
         """Install the participant-driven stages for one ring member.
 
         Stamps ``originated`` (retroactive from ``submitted_at``),
@@ -195,7 +187,6 @@ class LifecycleTracer:
         """
         extend = self._buf.extend
         pack = RECORD_STRUCT.pack
-        clock = self._clock
 
         # Hot closures: every non-self binding is a default argument, so
         # each stamp costs one clock call, one C-level pack and one
@@ -250,14 +241,14 @@ class LifecycleTracer:
 
     # -- driver hook factories ----------------------------------------------
 
-    def make_send_hook(self, pid: int):
+    def make_send_hook(self, pid: int, clock: Callable[[], float]):
         """Driver hook: the NIC/socket accepted one data datagram.
 
         Called as ``hook(message, retransmission, coalesced)``.
         """
         def on_send(message, retransmission: bool, coalesced: bool,
                     _extend=self._buf.extend, _pack=RECORD_STRUCT.pack,
-                    _clock=self._clock, _stage=STAGE_MULTICAST,
+                    _clock=clock, _stage=STAGE_MULTICAST,
                     _pid=pid) -> None:
             aux = 0
             if message.sent_after_token:
@@ -272,11 +263,11 @@ class LifecycleTracer:
 
         return on_send
 
-    def make_coalesce_hook(self, pid: int):
+    def make_coalesce_hook(self, pid: int, clock: Callable[[], float]):
         """Driver hook: ``hook(messages)`` when a jumbo batch forms."""
 
         def on_coalesce(messages, _extend=self._buf.extend,
-                        _pack=RECORD_STRUCT.pack, _clock=self._clock,
+                        _pack=RECORD_STRUCT.pack, _clock=clock,
                         _stage=STAGE_COALESCED, _pid=pid) -> None:
             now = _clock()
             count = len(messages)
@@ -291,59 +282,31 @@ class LifecycleTracer:
         """Driver hook: ``hook(message, t_ordered, t_delivered)``.
 
         Called once per delivered message, after the delivery executed.
-        ``t_ordered`` is the driver-clock instant the participant
-        returned the released run (the receive window's release
-        time, captured before any delivery CPU charge); ``t_delivered``
-        the instant delivery completed.  Both are raw driver-clock
-        readings — the hook subtracts the tracer epoch — and the pair
-        is packed as one ``ordered`` plus one ``delivered_*`` record in
-        a single struct call.
+        ``t_ordered`` is the node-clock instant the participant returned
+        the released run (the receive window's release time, captured
+        before any delivery CPU charge); ``t_delivered`` the instant
+        delivery completed.  The pair is packed as one ``ordered`` plus
+        one ``delivered_*`` record in a single struct call.
         """
-        if self.epoch:
-            def on_delivery(message, t_ordered: float, t_delivered: float,
-                            _extend=self._buf.extend,
-                            _pack=_PAIR_STRUCT.pack,
-                            _t0=self.epoch, _pid=pid,
-                            _ordered=STAGE_ORDERED,
-                            _agreed=STAGE_DELIVERED_AGREED,
-                            _safe_stage=STAGE_DELIVERED_SAFE,
-                            _safe=Service.SAFE) -> None:
-                origin = message.pid
-                seq = message.seq
-                if message.service is _safe:
-                    _extend(_pack(
-                        t_ordered - _t0, _ordered, 0, _pid, origin, seq,
-                        AUX_SAFE,
-                        t_delivered - _t0, _safe_stage, 0, _pid, origin,
-                        seq, 0,
-                    ))
-                else:
-                    _extend(_pack(
-                        t_ordered - _t0, _ordered, 0, _pid, origin, seq, 0,
-                        t_delivered - _t0, _agreed, 0, _pid, origin, seq, 0,
-                    ))
-        else:
-            # Epoch-zero specialization (the sim clock): skip the two
-            # float subtractions — each allocates — on the densest hook.
-            def on_delivery(message, t_ordered: float, t_delivered: float,
-                            _extend=self._buf.extend,
-                            _pack=_PAIR_STRUCT.pack,
-                            _pid=pid, _ordered=STAGE_ORDERED,
-                            _agreed=STAGE_DELIVERED_AGREED,
-                            _safe_stage=STAGE_DELIVERED_SAFE,
-                            _safe=Service.SAFE) -> None:
-                origin = message.pid
-                seq = message.seq
-                if message.service is _safe:
-                    _extend(_pack(
-                        t_ordered, _ordered, 0, _pid, origin, seq, AUX_SAFE,
-                        t_delivered, _safe_stage, 0, _pid, origin, seq, 0,
-                    ))
-                else:
-                    _extend(_pack(
-                        t_ordered, _ordered, 0, _pid, origin, seq, 0,
-                        t_delivered, _agreed, 0, _pid, origin, seq, 0,
-                    ))
+        def on_delivery(message, t_ordered: float, t_delivered: float,
+                        _extend=self._buf.extend,
+                        _pack=_PAIR_STRUCT.pack,
+                        _pid=pid, _ordered=STAGE_ORDERED,
+                        _agreed=STAGE_DELIVERED_AGREED,
+                        _safe_stage=STAGE_DELIVERED_SAFE,
+                        _safe=Service.SAFE) -> None:
+            origin = message.pid
+            seq = message.seq
+            if message.service is _safe:
+                _extend(_pack(
+                    t_ordered, _ordered, 0, _pid, origin, seq, AUX_SAFE,
+                    t_delivered, _safe_stage, 0, _pid, origin, seq, 0,
+                ))
+            else:
+                _extend(_pack(
+                    t_ordered, _ordered, 0, _pid, origin, seq, 0,
+                    t_delivered, _agreed, 0, _pid, origin, seq, 0,
+                ))
 
         return on_delivery
 
@@ -362,47 +325,8 @@ class LifecycleTracer:
 
     def write_binary(self, path: str) -> str:
         """Write the ``.rtrace`` file; returns the path."""
-        with TraceWriter(
-            path, self.world, self.clock_kind, self.label
-        ) as writer:
+        clock_kind = CLOCK_SIM if self.world == WORLD_SIM else CLOCK_WALL
+        with TraceWriter(path, self.world, clock_kind, self.label) as writer:
             writer.write_packed(bytes(self._buf))
         return path
 
-
-def sim_tracer(cluster, label: str = "") -> LifecycleTracer:
-    """A tracer on the sim clock, fully wired into a SimCluster.
-
-    Use via :meth:`repro.sim.cluster.SimCluster.attach_tracer`.
-    """
-    sim = cluster.sim
-    tracer = LifecycleTracer(
-        # partial(getattr, ...) stays entirely in C — a Python lambda
-        # here would add a frame to every participant-stage stamp.
-        clock=functools.partial(getattr, sim, "now"),
-        world=WORLD_SIM,
-        clock_kind=CLOCK_SIM,
-        label=label,
-    )
-    tracer.watch_nodes(cluster.nodes)
-    return tracer
-
-
-def emulation_tracer(
-    ring, t0: float, label: str = ""
-) -> LifecycleTracer:
-    """A tracer on the wall clock, wired into an EmulatedRing.
-
-    ``t0`` anchors timestamps so they are comparable with the ring's
-    ``.rcap`` captures (both subtract the same monotonic origin).
-    """
-    import time
-
-    tracer = LifecycleTracer(
-        clock=lambda: time.monotonic() - t0,
-        world=WORLD_EMULATION,
-        clock_kind=CLOCK_WALL,
-        label=label,
-        epoch=t0,
-    )
-    tracer.watch_nodes(ring.nodes)
-    return tracer

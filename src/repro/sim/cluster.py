@@ -195,11 +195,12 @@ class SimCluster:
         the run, write it out with ``tracer.write_binary(path)`` and analyze
         with ``python -m repro.cli trace-analyze``.
         """
-        from ..obs.lifecycle import sim_tracer
+        from ..obs.lifecycle import LifecycleTracer
+        from ..wire.capture import WORLD_SIM
 
         if self.tracer is not None:
             raise RuntimeError("tracer already attached")
-        self.tracer = sim_tracer(self, label=label)
+        self.tracer = LifecycleTracer(self.nodes, WORLD_SIM, label)
         return self.tracer
 
     # -- workload ------------------------------------------------------------
