@@ -150,6 +150,8 @@ examples:
 		$(PYTHON) $$script || exit 1; \
 	done
 
+# Removes only git-ignored scratch: the committed figures, capture
+# samples and bench-guard baselines under bench_results/ stay.
 clean:
-	rm -rf bench_results .pytest_cache .benchmarks
+	rm -rf bench_results/fresh perf/out .pytest_cache .benchmarks
 	find . -name __pycache__ -type d -exec rm -rf {} +
