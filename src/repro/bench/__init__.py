@@ -14,6 +14,5 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     "report": (
         "register", "headline", "render_all", "reset", "REGISTRY", "HEADLINES",
-        "simultaneous_improvement", "throughput_gain_at_latency",
     ),
 })

@@ -7,9 +7,9 @@ and `persist_figure` keeps markdown/CSV copies under bench_results/.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from ..stats import Figure, Series
+from ..stats import Figure
 
 #: Global registry filled by benchmark runs (figure_id -> Figure).
 REGISTRY: Dict[str, Figure] = {}
@@ -41,41 +41,3 @@ def reset() -> None:
     REGISTRY.clear()
     HEADLINES.clear()
 
-
-# -- comparison helpers used by the benchmark assertions -----------------------
-
-def simultaneous_improvement(
-    original: Series,
-    accelerated: Series,
-    at_offered_mbps: float,
-) -> Optional[Tuple[float, float]]:
-    """(latency improvement, achieved ratio) at one offered load.
-
-    Returns None when either series lacks a stable point there.
-    Latency improvement is positive when the accelerated protocol is
-    faster (the paper's "reduce latency by 45%" form).
-    """
-    orig = next(
-        (p for p in original.points
-         if abs(p.offered_mbps - at_offered_mbps) < 1e-6), None)
-    accel = next(
-        (p for p in accelerated.points
-         if abs(p.offered_mbps - at_offered_mbps) < 1e-6), None)
-    if orig is None or accel is None or orig.saturated or accel.saturated:
-        return None
-    latency_gain = (orig.latency_us - accel.latency_us) / orig.latency_us
-    achieved_ratio = accel.achieved_mbps / max(orig.achieved_mbps, 1e-9)
-    return latency_gain, achieved_ratio
-
-
-def throughput_gain_at_latency(
-    original: Series,
-    accelerated: Series,
-    latency_bound_us: float,
-) -> float:
-    """How much more throughput acceleration sustains under a latency cap."""
-    orig = original.max_throughput_under_latency(latency_bound_us)
-    accel = accelerated.max_throughput_under_latency(latency_bound_us)
-    if orig <= 0:
-        return float("inf") if accel > 0 else 0.0
-    return accel / orig

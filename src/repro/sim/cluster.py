@@ -52,13 +52,6 @@ class SimResult:
     def latency_us(self) -> float:
         return self.latency.mean_s * 1e6
 
-    def row(self) -> str:
-        return "%-12s %-8s %8.0f Mbps -> %8.0f Mbps  lat %8.0f us%s" % (
-            self.protocol, self.profile,
-            self.offered_bps / 1e6, self.achieved_bps / 1e6,
-            self.latency_us, "  SATURATED" if self.saturated else "",
-        )
-
 
 #: Relative spread of an injector's inter-submit interval.
 INJECT_JITTER = 0.05

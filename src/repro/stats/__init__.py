@@ -3,5 +3,5 @@
 from .._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "series": ("Figure", "Series", "SeriesPoint", "improvement"),
+    "series": ("Figure", "Series", "SeriesPoint"),
 })

@@ -35,39 +35,11 @@ class Series:
         stable = self.stable_points()
         return max((p.achieved_mbps for p in stable), default=0.0)
 
-    def max_achieved_throughput(self) -> float:
-        return max((p.achieved_mbps for p in self.points), default=0.0)
-
-    def max_throughput_under_latency(self, latency_us: float) -> float:
-        """The paper's framing: best throughput with latency <= bound."""
-        eligible = [
-            p.achieved_mbps
-            for p in self.points
-            if not p.saturated and p.latency_us <= latency_us
-        ]
-        return max(eligible, default=0.0)
-
     def latency_at(self, offered_mbps: float) -> Optional[float]:
         for point in self.points:
             if abs(point.offered_mbps - offered_mbps) < 1e-6:
                 return point.latency_us
         return None
-
-    def interpolated_latency(self, throughput_mbps: float) -> Optional[float]:
-        """Linear interpolation of latency at an achieved throughput."""
-        stable = sorted(self.stable_points(), key=lambda p: p.achieved_mbps)
-        if not stable:
-            return None
-        if throughput_mbps <= stable[0].achieved_mbps:
-            return stable[0].latency_us
-        for lo, hi in zip(stable, stable[1:]):
-            if lo.achieved_mbps <= throughput_mbps <= hi.achieved_mbps:
-                span = hi.achieved_mbps - lo.achieved_mbps
-                if span <= 0:
-                    return lo.latency_us
-                frac = (throughput_mbps - lo.achieved_mbps) / span
-                return lo.latency_us + frac * (hi.latency_us - lo.latency_us)
-        return None  # beyond the measured range
 
 
 class Figure:
@@ -127,10 +99,3 @@ class Figure:
                 )
         return "\n".join(rows)
 
-
-def improvement(baseline: float, improved: float) -> float:
-    """Relative improvement, e.g. 0.45 means 45% better (lower latency
-    or higher throughput depending on orientation handled by caller)."""
-    if baseline == 0:
-        return 0.0
-    return (improved - baseline) / baseline

@@ -16,8 +16,6 @@ from repro.bench import (
     reset,
     run_sweep,
     series_label,
-    simultaneous_improvement,
-    throughput_gain_at_latency,
     tuned_configs,
 )
 from repro.bench.experiments import SweepSpec
@@ -26,7 +24,7 @@ from repro.cli import main as cli_main
 from repro.core import Service
 from repro.net import GIGABIT, TEN_GIGABIT
 from repro.sim import LIBRARY
-from repro.stats import Figure, Series, SeriesPoint
+from repro.stats import Figure, SeriesPoint
 
 
 @pytest.fixture(autouse=True)
@@ -100,36 +98,6 @@ def test_register_and_render_all():
     assert "figZ" in rendered
     assert "one headline" in rendered
     assert "figZ" in REGISTRY
-
-
-def test_simultaneous_improvement_math():
-    orig = Series("o")
-    accel = Series("a")
-    orig.add(SeriesPoint(500, 500, 1000, False))
-    accel.add(SeriesPoint(500, 500, 400, False))
-    gain = simultaneous_improvement(orig, accel, 500)
-    assert gain is not None
-    latency_gain, ratio = gain
-    assert latency_gain == pytest.approx(0.6)
-    assert ratio == pytest.approx(1.0)
-
-
-def test_simultaneous_improvement_requires_stable_points():
-    orig = Series("o")
-    accel = Series("a")
-    orig.add(SeriesPoint(500, 300, 1000, True))
-    accel.add(SeriesPoint(500, 500, 400, False))
-    assert simultaneous_improvement(orig, accel, 500) is None
-
-
-def test_throughput_gain_at_latency():
-    orig = Series("o")
-    accel = Series("a")
-    for offered, latency in ((100, 100), (500, 800), (800, 5000)):
-        orig.add(SeriesPoint(offered, offered, latency, False))
-    for offered, latency in ((100, 80), (500, 200), (800, 600)):
-        accel.add(SeriesPoint(offered, offered, latency, False))
-    assert throughput_gain_at_latency(orig, accel, 1000) == pytest.approx(800 / 500)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,15 @@
 from dataclasses import replace
 import pytest
 
-from repro.core import ConfigurationError, PriorityMethod, ProtocolConfig, Service
+from repro.core import (
+    ConfigurationError,
+    Participant,
+    PriorityMethod,
+    ProtocolConfig,
+    Ring,
+    Service,
+    initial_token,
+)
 
 
 def test_defaults_are_accelerated():
@@ -17,6 +25,14 @@ def test_original_ring_preset():
     assert not config.is_accelerated
     assert config.accelerated_window == 0
     assert config.priority_method is PriorityMethod.CONSERVATIVE
+
+
+def test_accelerated_preset_uses_previous_round_horizon():
+    # Under acceleration a received token's seq may cover messages still
+    # in flight: the first handling requests nothing up to it.
+    participant = Participant(1, Ring.of((1, 2)), ProtocolConfig())
+    token = participant.on_token(replace(initial_token(), seq=4, aru=4)).token
+    assert token.rtr == ()
 
 
 def test_original_ring_accepts_overrides():

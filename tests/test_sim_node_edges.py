@@ -57,17 +57,6 @@ def test_two_node_cluster_total_order():
     assert delivered[0][:shortest] == delivered[1][:shortest]
 
 
-def test_result_row_rendering():
-    result = run_point(
-        ProtocolConfig(), LIBRARY, GIGABIT, 100e6,
-        duration_s=0.02, warmup_s=0.005, n_nodes=2,
-    )
-    row = result.row()
-    assert "library" in row and "Mbps" in row
-    assert result.latency_us > 0
-    assert result.achieved_mbps == pytest.approx(result.achieved_bps / 1e6)
-
-
 # ---------------------------------------------------------------------------
 # The resend deadline: one per node, one calendar entry
 # ---------------------------------------------------------------------------
