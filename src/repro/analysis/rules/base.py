@@ -173,10 +173,10 @@ SANS_IO_MODULES = (
 )
 
 #: IO/concurrency modules the sans-IO packages may not import.
-IO_BOUNDARY_BANNED = (
+IO_BOUNDARY_BANNED = frozenset({
     "socket", "asyncio", "threading", "selectors", "ssl",
     "subprocess", "multiprocessing", "concurrent", "signal", "fcntl",
-)
+})
 
 #: Modules on allocation-rate-critical paths: every class must be a
 #: complete ``__slots__`` class (see slots.py for exemptions).

@@ -35,7 +35,6 @@ class SansIOImportRule(Rule):
         return module_matches(module, SANS_IO_MODULES)
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        banned = frozenset(IO_BOUNDARY_BANNED)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 names = [alias.name.split(".")[0] for alias in node.names]
@@ -46,7 +45,7 @@ class SansIOImportRule(Rule):
             else:
                 continue
             for name in names:
-                if name in banned:
+                if name in IO_BOUNDARY_BANNED:
                     yield self.finding(
                         ctx, node,
                         "sans-IO module imports '%s'; IO and "
