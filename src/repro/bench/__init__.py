@@ -8,9 +8,8 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "make_fig2", "make_fig3", "make_fig4", "make_fig5", "make_fig6",
         "make_fig7",
     ),
-    "runner": ("run_sweep", "persist_figure", "series_label", "sweep_points"),
-    "sweep": (
-        "SweepPoint", "SweepRunner", "default_processes", "run_sweep_point",
+    "runner": (
+        "run_sweep", "persist_figure", "series_label", "default_processes",
     ),
     "report": (
         "register", "headline", "render_all", "reset", "REGISTRY", "HEADLINES",

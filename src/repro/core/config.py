@@ -1,6 +1,6 @@
 """Protocol configuration: flow-control windows and acceleration knobs.
 
-The four windows come straight from Section III-A of the paper:
+The three windows come straight from Section III-A of the paper:
 
 * ``personal_window`` — max new messages one participant may initiate in a
   single token round.
@@ -11,7 +11,10 @@ The four windows come straight from Section III-A of the paper:
   passing the token.  Zero disables acceleration (gaps are then requested
   through the received token's seq); combined with the conservative
   priority method this is exactly the original Ring protocol.
-* ``max_seq_gap`` — bound on how far ``seq`` may lead the global aru.
+
+The bound on how far ``seq`` may lead the global aru, the packing budget
+and the token retransmission timer are constants beside the code that
+reads them (:mod:`repro.core.participant`, :mod:`repro.core.driver`).
 """
 
 from __future__ import annotations
@@ -59,15 +62,11 @@ class ProtocolConfig:
     personal_window: int = 40
     global_window: int = 240
     accelerated_window: int = 20
-    max_seq_gap: int = 10_000
     priority_method: PriorityMethod = PriorityMethod.CONSERVATIVE
 
     #: Pack queued small messages into MTU-bounded protocol packets at
     #: initiation time (Spread's built-in packing, Section IV-A-3).
     pack_messages: bool = False
-    #: Payload budget of one packed protocol packet (1500-byte MTU
-    #: minus protocol headers).
-    max_packet_payload: int = 1350
 
     #: Coalesce the protocol packets of one flush into jumbo datagrams
     #: up to this many bytes (:mod:`repro.core.coalesce`), amortizing
@@ -76,12 +75,6 @@ class ProtocolConfig:
     #: protocol packet, byte-for-byte as before.
     jumbo_datagram_bytes: "int | None" = None
 
-    #: Token retransmission timeout (drivers convert to their clock).
-    token_retransmit_timeout_s: float = 0.005
-    #: How many token retransmissions before the driver declares token
-    #: loss to the membership layer.
-    token_retransmit_limit: int = 8
-
     def __post_init__(self) -> None:
         if self.personal_window < 0:
             raise ConfigurationError("personal_window must be >= 0")
@@ -89,10 +82,6 @@ class ProtocolConfig:
             raise ConfigurationError("global_window must be >= 1")
         if self.accelerated_window < 0:
             raise ConfigurationError("accelerated_window must be >= 0")
-        if self.max_seq_gap < 1:
-            raise ConfigurationError("max_seq_gap must be >= 1")
-        if self.token_retransmit_timeout_s <= 0:
-            raise ConfigurationError("token_retransmit_timeout_s must be > 0")
         if self.jumbo_datagram_bytes is not None and self.jumbo_datagram_bytes < 1:
             raise ConfigurationError(
                 "jumbo_datagram_bytes must be >= 1 (or None to disable)"

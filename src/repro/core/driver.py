@@ -29,6 +29,12 @@ from .coalesce import (
 )
 from .messages import DataMessage, Token
 
+#: Token retransmission timeout (each port's timer runs on its clock).
+TOKEN_RETRANSMIT_TIMEOUT_S = 0.005
+#: How many token retransmissions before the driver stops resending and
+#: leaves token loss to the membership layer.
+TOKEN_RETRANSMIT_LIMIT = 8
+
 
 class DriverPort(Protocol):
     """What a substrate supplies to :class:`RingDriver`."""
@@ -158,7 +164,7 @@ class RingDriver(Inbox):
         on_token = participant.on_token
         on_data = participant.on_data
         config = participant.config
-        timeout = config.token_retransmit_timeout_s
+        timeout = TOKEN_RETRANSMIT_TIMEOUT_S
         # Consecutive sends coalesce into datagrams of at most ``cap``
         # bytes.  No cap is a cap nothing fits under: every packet then
         # flushes alone, through the same code as a coalesced batch.
@@ -302,11 +308,10 @@ class RingDriver(Inbox):
             return False  # we have handled a newer token since
         if participant.progress_since_token_send():
             return False
-        config = participant.config
-        if attempt >= config.token_retransmit_limit:
+        if attempt >= TOKEN_RETRANSMIT_LIMIT:
             return False  # membership's problem now (token loss declared)
         self.tokens_resent += 1
         port.send_token(token, dst)
-        port.set_timer(config.token_retransmit_timeout_s,
+        port.set_timer(TOKEN_RETRANSMIT_TIMEOUT_S,
                        self.resend_token, token, dst, attempt + 1)
         return True

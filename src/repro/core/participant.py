@@ -80,6 +80,12 @@ from .packing import pack_next
 from .ring import Ring
 from .window import ReceiveWindow
 
+#: Bound on how far the token's ``seq`` may lead its global aru.
+MAX_SEQ_GAP = 10_000
+#: Payload budget of one packed protocol packet (1500-byte MTU minus
+#: protocol headers), with ``pack_messages`` on.
+MAX_PACKET_PAYLOAD = 1350
+
 
 @dataclass(slots=True)
 class _PendingMessage:
@@ -363,7 +369,7 @@ class Participant:
         allowed = max(0, min(
             len(self._pending), config.personal_window,
             config.global_window - token.fcc - num_retrans,
-            token.aru + config.max_seq_gap - token.seq,
+            token.aru + MAX_SEQ_GAP - token.seq,
         ))
         pre, post = self._initiate_messages(allowed, token.seq, my_hop)
         created = len(pre) + len(post)
@@ -477,10 +483,10 @@ class Participant:
         pending = self._pending
         if self.config.pack_messages:
             # A packet's extent is known only once it is packed.
-            limit = self.config.max_packet_payload
             sources: List[_PendingMessage] = []
             while pending and len(sources) < allowed:
-                sources.append(_PendingMessage(*pack_next(pending, limit)))
+                sources.append(_PendingMessage(
+                    *pack_next(pending, MAX_PACKET_PAYLOAD)))
         else:
             popleft = pending.popleft
             sources = [popleft() for _ in range(min(allowed, len(pending)))]

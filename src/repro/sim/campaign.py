@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..core import ProtocolConfig
 from ..evs import EVSChecker
 from ..membership import MembershipTimeouts
-from ..net import GIGABIT, LinkSpec, Timeout, no_loss
+from ..net import GIGABIT, Timeout, no_loss
 from ..records import write_record
 from .evs_node import SimEVSCluster
 from .faults import (
@@ -38,7 +38,7 @@ from .faults import (
     Restart,
     TokenDrop,
 )
-from .profiles import LIBRARY, CostProfile
+from .profiles import LIBRARY
 
 #: Where repro files and campaign summaries land: under the git-ignored
 #: scratch tree, so a run never rewrites a tracked file.
@@ -48,6 +48,15 @@ DEFAULT_OUT_DIR = os.path.join("bench_results", "fresh", "campaigns")
 #: (Section III-D: window 0 + conservative priority IS the original
 #: Ring protocol, so this doubles as an acceleration regression net).
 ACCELERATED_WINDOWS = (0, 2)
+
+#: Each node's workload submits one ordered message per interval.
+SUBMIT_INTERVAL_S = 0.02
+#: Simulated seconds the cold start and the post-fault recovery may
+#: take to converge on one ring before the run counts as unconverged.
+CONVERGE_TIMEOUT_S = 6.0
+#: Simulated seconds run after re-convergence, so in-flight traffic
+#: is delivered before the logs are checked.
+DRAIN_S = 0.6
 
 _TIMEOUTS = MembershipTimeouts(
     token_loss_ticks=30, gather_ticks=20, commit_ticks=40,
@@ -74,13 +83,7 @@ class CampaignOptions:
     scenarios: int = 10
     n_nodes: int = 3
     horizon_s: float = 0.8
-    drain_s: float = 0.6
-    converge_timeout_s: float = 6.0
-    submit_interval_s: float = 0.02
-    spec: LinkSpec = GIGABIT
-    profile: CostProfile = LIBRARY
     out_dir: str = DEFAULT_OUT_DIR
-    windows: Tuple[int, ...] = ACCELERATED_WINDOWS
     #: Deterministic log corruption applied before checking — the
     #: checker self-test (``--selftest-violation``).  Takes the logs
     #: dict and mutates it in place.
@@ -165,8 +168,10 @@ def run_fault_workload(
     install: Callable[[SimEVSCluster, Callable[[int], None]], None],
     horizon_s: float,
     payload_prefix: str,
-    options: Any,
     cleanup: Callable[[SimEVSCluster], None],
+    submit_interval_s: float,
+    converge_timeout_s: float,
+    drain_s: float,
     corrupt_logs: Optional[Callable[[Dict], None]] = None,
 ) -> Tuple[bool, List[str], Dict[str, int]]:
     """Ordered traffic under a fault load, then the EVS verdict.
@@ -176,13 +181,14 @@ def run_fault_workload(
     fault load (``start_injector(pid)`` serves nodes the load itself
     brings to life), run ``horizon_s``, ``cleanup(cluster)`` what the
     load left behind, restart every crashed node, stop the workload,
-    re-converge, drain, and check every incarnation's log.  ``options``
-    supplies ``submit_interval_s``, ``converge_timeout_s``, ``drain_s``.
+    re-converge, drain ``drain_s``, and check every incarnation's log.
+    Each node submits every ``submit_interval_s``; each convergence may
+    take ``converge_timeout_s``.
 
     Returns ``(converged, violations, delivered)``; ``delivered`` counts
     application messages per ``"pid.incarnation"`` log.
     """
-    cluster.run_until_converged(timeout_s=options.converge_timeout_s)
+    cluster.run_until_converged(timeout_s=converge_timeout_s)
 
     submitted: Dict[Tuple[int, int], List[Any]] = {}
     stop = {"flag": False}
@@ -190,7 +196,7 @@ def run_fault_workload(
     def injector(node):
         counter = 0
         while True:
-            yield Timeout(options.submit_interval_s)
+            yield Timeout(submit_interval_s)
             if stop["flag"]:
                 return
             if node.crashed:
@@ -219,10 +225,10 @@ def run_fault_workload(
     stop["flag"] = True
     converged = True
     try:
-        cluster.run_until_converged(timeout_s=options.converge_timeout_s)
+        cluster.run_until_converged(timeout_s=converge_timeout_s)
     except RuntimeError:
         converged = False
-    cluster.run_for(options.drain_s)
+    cluster.run_for(drain_s)
 
     logs = cluster.logs()
     if corrupt_logs is not None:
@@ -266,7 +272,7 @@ def run_scenario(
     without changing this function's return shape.
     """
     cluster = SimEVSCluster(
-        options.n_nodes, options.spec, options.profile,
+        options.n_nodes, GIGABIT, LIBRARY,
         _config_for(accelerated_window), _TIMEOUTS,
     )
 
@@ -279,7 +285,8 @@ def run_scenario(
     outcome = run_fault_workload(
         cluster,
         lambda cluster, _start_injector: schedule.install(cluster),
-        options.horizon_s, "m", options, heal_everything,
+        options.horizon_s, "m", heal_everything,
+        SUBMIT_INTERVAL_S, CONVERGE_TIMEOUT_S, DRAIN_S,
         corrupt_logs=options.corrupt_logs,
     )
     if observability is not None:
@@ -361,7 +368,7 @@ def run_campaign(options: CampaignOptions,
         rng = random.Random(_scenario_seed(options.seed, index))
         schedule = generate_schedule(rng, options.n_nodes, options.horizon_s)
         runs: List[Dict] = []
-        for window in options.windows:
+        for window in ACCELERATED_WINDOWS:
             observability: Dict = {}
             converged, violations, delivered = run_scenario(
                 schedule, window, options, observability=observability,
@@ -402,7 +409,7 @@ def run_campaign(options: CampaignOptions,
         "seed": options.seed,
         "scenarios": options.scenarios,
         "n_nodes": options.n_nodes,
-        "windows": list(options.windows),
+        "windows": list(ACCELERATED_WINDOWS),
         "horizon_s": options.horizon_s,
         "failures": failures,
         "results": scenario_reports,

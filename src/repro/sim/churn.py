@@ -27,16 +27,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..core import ProtocolConfig
 from ..evs import EVSChecker
 from ..membership import MembershipTimeouts
-from ..net import GIGABIT, LinkSpec
+from ..net import GIGABIT
 from .campaign import collect_observability, run_fault_workload
 from .evs_node import SimEVSCluster
 from .faults import Churn, FaultSchedule, Flap, Join
-from .profiles import LIBRARY, CostProfile
+from .profiles import LIBRARY
 
 #: Where the sweep record lands (next to kernel.json / codec.json).
 DEFAULT_RECORD_PATH = os.path.join("bench_results", "churn_convergence.json")
@@ -48,6 +48,23 @@ CHURN_TIMEOUTS = MembershipTimeouts(
     token_loss_ticks=60, gather_ticks=40, commit_ticks=80,
     probe_interval_ticks=25,
 )
+
+#: The churn generator takes one victim per period and restarts it
+#: after the down time.
+CHURN_PERIOD_S = 0.3
+CHURN_DOWN_S = 0.18
+#: One designated flapper exercises rapid rejoin churn: down half the
+#: churn down time, every one and a half churn periods.
+FLAP_PID = 1
+FLAP_REPEATS = 3
+#: Open-membership joiners spawn from this time on, one per period.
+JOIN_START_S = 0.2
+JOIN_PERIOD_S = 0.45
+#: The shared fault run's workload interval, convergence timeout and
+#: drain (:func:`~repro.sim.campaign.run_fault_workload`).
+SUBMIT_INTERVAL_S = 0.05
+CONVERGE_TIMEOUT_S = 8.0
+DRAIN_S = 0.5
 
 
 def _protocol_config() -> ProtocolConfig:
@@ -63,28 +80,15 @@ class ChurnOptions:
     gossip: bool = True
     #: How many churn victims the generator takes (one per period).
     churn_events: int = 8
-    churn_period_s: float = 0.3
-    churn_down_s: float = 0.18
-    #: One designated flapper exercises rapid rejoin churn.
-    flap_pid: Optional[int] = 1
-    flap_repeats: int = 3
     #: Brand-new pids spawned mid-run (open membership; gossip only).
     #: Joiners get pids the deployment has never seen and must be
     #: pulled into the ring by the gossip detector alone.
     joins: int = 0
-    join_start_s: float = 0.2
-    join_period_s: float = 0.45
-    submit_interval_s: float = 0.05
-    converge_timeout_s: float = 8.0
-    drain_s: float = 0.5
-    spec: LinkSpec = GIGABIT
-    profile: CostProfile = LIBRARY
 
 
-def _build_cluster(n_nodes: int, gossip: bool, seed: int,
-                   spec: LinkSpec, profile: CostProfile) -> SimEVSCluster:
+def _build_cluster(n_nodes: int, gossip: bool, seed: int) -> SimEVSCluster:
     return SimEVSCluster(
-        n_nodes, spec, profile, _protocol_config(), CHURN_TIMEOUTS,
+        n_nodes, GIGABIT, LIBRARY, _protocol_config(), CHURN_TIMEOUTS,
         gossip=gossip, gossip_seed=seed,
     )
 
@@ -92,28 +96,26 @@ def _build_cluster(n_nodes: int, gossip: bool, seed: int,
 def churn_schedule(options: ChurnOptions) -> FaultSchedule:
     """The declarative fault load for one scenario."""
     schedule = FaultSchedule()
-    pool = tuple(
-        pid for pid in range(options.n_nodes) if pid != options.flap_pid
-    )
+    pool = tuple(pid for pid in range(options.n_nodes) if pid != FLAP_PID)
     schedule.add(Churn(
         at_s=0.05,
         pids=pool,
-        down_s=options.churn_down_s,
-        period_s=options.churn_period_s,
+        down_s=CHURN_DOWN_S,
+        period_s=CHURN_PERIOD_S,
         repeats=options.churn_events,
         seed=options.seed,
     ))
-    if options.flap_pid is not None and options.n_nodes > 2:
+    if options.n_nodes > 2:
         schedule.add(Flap(
             at_s=0.1,
-            pid=options.flap_pid,
-            down_s=options.churn_down_s / 2,
-            period_s=options.churn_period_s * 1.5,
-            repeats=options.flap_repeats,
+            pid=FLAP_PID,
+            down_s=CHURN_DOWN_S / 2,
+            period_s=CHURN_PERIOD_S * 1.5,
+            repeats=FLAP_REPEATS,
         ))
     for index in range(options.joins):
         schedule.add(Join(
-            at_s=options.join_start_s + index * options.join_period_s,
+            at_s=JOIN_START_S + index * JOIN_PERIOD_S,
             pid=options.n_nodes + index,
         ))
     return schedule
@@ -130,8 +132,7 @@ def run_churn_scenario(options: ChurnOptions) -> Dict[str, Any]:
         raise ValueError(
             "open-membership joins need the gossip detection path"
         )
-    cluster = _build_cluster(options.n_nodes, options.gossip, options.seed,
-                             options.spec, options.profile)
+    cluster = _build_cluster(options.n_nodes, options.gossip, options.seed)
     schedule = churn_schedule(options)
 
     def install(cluster, start_injector):
@@ -147,19 +148,17 @@ def run_churn_scenario(options: ChurnOptions) -> Dict[str, Any]:
                 )
 
     horizon_s = (
-        0.1 + options.churn_period_s * (options.churn_events + 1)
-        + options.churn_down_s
+        0.1 + CHURN_PERIOD_S * (options.churn_events + 1) + CHURN_DOWN_S
     )
     if options.joins:
         horizon_s = max(
-            horizon_s,
-            options.join_start_s
-            + options.joins * options.join_period_s + 0.3,
+            horizon_s, JOIN_START_S + options.joins * JOIN_PERIOD_S + 0.3,
         )
     # Churn leaves only crashed nodes behind, which the shared run
     # restarts: no cleanup of its own.
     converged, violations, delivered = run_fault_workload(
-        cluster, install, horizon_s, "c", options, lambda cluster: None,
+        cluster, install, horizon_s, "c", lambda cluster: None,
+        SUBMIT_INTERVAL_S, CONVERGE_TIMEOUT_S, DRAIN_S,
     )
 
     incarnations = {
@@ -197,7 +196,7 @@ def _snapshot(cluster: SimEVSCluster) -> Tuple[int, int, int]:
 def _measure_mode(n_nodes: int, gossip: bool, seed: int,
                   cycles: int) -> Dict[str, Any]:
     """Crash/rejoin convergence times + ctrl traffic for one mode."""
-    cluster = _build_cluster(n_nodes, gossip, seed, GIGABIT, LIBRARY)
+    cluster = _build_cluster(n_nodes, gossip, seed)
     cluster.run_until_converged(timeout_s=8.0)
 
     # Steady state: one quiet second of pure failure detection, no

@@ -219,13 +219,12 @@ class SimCluster:
         duration_s: float,
         warmup_s: float,
         offered_bps: float = 0.0,
-        max_events: int = 200_000_000,
     ) -> SimResult:
         """Start the ring, run for ``duration_s`` simulated seconds."""
         self.recorder.warmup_until_s = warmup_s
         leader = self.nodes[self.ring.leader]
         leader.start_with_token(initial_token(self.ring.ring_id))
-        self.sim.run(until=duration_s, max_events=max_events)
+        self.sim.run(until=duration_s)
 
         measure_window = duration_s - warmup_s
         achieved = self.recorder.min_throughput_bps(measure_window)

@@ -46,6 +46,8 @@ from .profiles import CostProfile
 
 #: Approximate serialized size of a membership control message.
 _CTRL_SIZE = 256
+#: Simulated time between convergence checks in ``run_until_converged``.
+_CONVERGE_STEP_S = 0.01
 
 
 class SimEVSNode:
@@ -481,14 +483,14 @@ class SimEVSCluster:
                 return False
         return True
 
-    def run_until_converged(self, timeout_s: float = 5.0, step_s: float = 0.01) -> float:
+    def run_until_converged(self, timeout_s: float = 5.0) -> float:
         """Run until all live nodes share one operational ring.
 
         Returns the simulated time at convergence.
         """
         deadline = self.sim.now + timeout_s
         while self.sim.now < deadline:
-            self.run_for(step_s)
+            self.run_for(_CONVERGE_STEP_S)
             if self.converged():
                 return self.sim.now
         states = {

@@ -131,11 +131,6 @@ _HEADER = struct.Struct("<2sBBII")
 #: Frame header size: magic, version, type, body length, CRC-32.
 HEADER_SIZE = _HEADER.size  # 12
 
-# -- message types -----------------------------------------------------------
-# Tag numbers live in repro.wire.tags (the single registry the wire-drift
-# lint checks for uniqueness); imported above and re-exported here so
-# existing callers keep reading codec.TYPE_* / codec.TYPE_NAMES.
-
 # -- fixed body layouts ------------------------------------------------------
 
 # ring_id, hop, seq, aru, aru_id (-1 = None), fcc, backlog, flags, rtr count.
@@ -203,25 +198,9 @@ _I64_MAX = (1 << 63) - 1
 _MAX_DEPTH = 64
 
 # -- value codec tags --------------------------------------------------------
-# TLV tag numbers also live in repro.wire.tags; primitive VALUE_* and
-# OBJECT_TAG_* share one byte-space, so the registry keeps them jointly
-# unique.  The private _V_* aliases preserve the codec's internal idiom.
-
-_V_NONE = VALUE_NONE
-_V_TRUE = VALUE_TRUE
-_V_FALSE = VALUE_FALSE
-_V_INT64 = VALUE_INT64
-_V_BIGINT = VALUE_BIGINT
-_V_FLOAT = VALUE_FLOAT
-_V_BYTES = VALUE_BYTES
-_V_STR = VALUE_STR
-_V_TUPLE = VALUE_TUPLE
-_V_LIST = VALUE_LIST
-_V_DICT = VALUE_DICT
-_V_FROZENSET = VALUE_FROZENSET
-_V_SET = VALUE_SET
-_V_SERVICE = VALUE_SERVICE
-_V_DATA_MESSAGE = VALUE_DATA_MESSAGE
+# Tag numbers live in repro.wire.tags, the one registry the wire-drift
+# lint checks; primitive VALUE_* and OBJECT_TAG_* share one byte-space,
+# so the registry keeps them jointly unique.
 
 #: Registered protocol dataclasses: tag -> (class, field names).  The
 #: field list is the wire schema — append-only within a wire version.
@@ -304,37 +283,37 @@ def _encode_value(value: Any, out: bytearray, depth: int = 0) -> None:
     if depth > _MAX_DEPTH:
         raise EncodeError("payload nesting exceeds %d levels" % _MAX_DEPTH)
     if value is None:
-        out.append(_V_NONE)
+        out.append(VALUE_NONE)
     elif value is True:
-        out.append(_V_TRUE)
+        out.append(VALUE_TRUE)
     elif value is False:
-        out.append(_V_FALSE)
+        out.append(VALUE_FALSE)
     elif type(value) is int:
         if _I64_MIN <= value <= _I64_MAX:
-            out.append(_V_INT64)
+            out.append(VALUE_INT64)
             out += _I64.pack(value)
         else:
             raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
-            out.append(_V_BIGINT)
+            out.append(VALUE_BIGINT)
             out += _u32(len(raw), "bigint length")
             out += raw
     elif type(value) is float:
-        out.append(_V_FLOAT)
+        out.append(VALUE_FLOAT)
         out += _F64.pack(value)
     elif type(value) is bytes:
-        out.append(_V_BYTES)
+        out.append(VALUE_BYTES)
         out += _u32(len(value), "bytes length")
         out += value
     elif type(value) is str:
-        out.append(_V_STR)
+        out.append(VALUE_STR)
         out += _encode_str(value)
     elif type(value) is tuple or type(value) is list:
-        out.append(_V_TUPLE if type(value) is tuple else _V_LIST)
+        out.append(VALUE_TUPLE if type(value) is tuple else VALUE_LIST)
         out += _u32(len(value), "sequence length")
         for item in value:
             _encode_value(item, out, depth + 1)
     elif type(value) is dict:
-        out.append(_V_DICT)
+        out.append(VALUE_DICT)
         out += _u32(len(value), "dict length")
         for key, item in value.items():
             _encode_value(key, out, depth + 1)
@@ -342,7 +321,7 @@ def _encode_value(value: Any, out: bytearray, depth: int = 0) -> None:
     elif type(value) is frozenset or type(value) is set:
         # Sets have no iteration order; sort the encoded items so equal
         # sets always produce identical bytes (determinism contract).
-        out.append(_V_FROZENSET if type(value) is frozenset else _V_SET)
+        out.append(VALUE_FROZENSET if type(value) is frozenset else VALUE_SET)
         out += _u32(len(value), "set length")
         encoded = []
         for item in value:
@@ -352,11 +331,11 @@ def _encode_value(value: Any, out: bytearray, depth: int = 0) -> None:
         for chunk in sorted(encoded):
             out += chunk
     elif type(value) is Service:
-        out.append(_V_SERVICE)
+        out.append(VALUE_SERVICE)
         out.append(_SERVICE_CODES[value])
     elif type(value) is DataMessage:
         blob = encode(value)
-        out.append(_V_DATA_MESSAGE)
+        out.append(VALUE_DATA_MESSAGE)
         out += _u32(len(blob), "nested frame length")
         out += blob
     else:
@@ -642,34 +621,34 @@ def _decode_value(reader: _Reader, depth: int = 0) -> Any:
     if depth > _MAX_DEPTH:
         raise DecodeError("payload nesting exceeds %d levels" % _MAX_DEPTH)
     (tag,) = reader.unpack(_U8)
-    if tag == _V_NONE:
+    if tag == VALUE_NONE:
         return None
-    if tag == _V_TRUE:
+    if tag == VALUE_TRUE:
         return True
-    if tag == _V_FALSE:
+    if tag == VALUE_FALSE:
         return False
-    if tag == _V_INT64:
+    if tag == VALUE_INT64:
         return reader.unpack(_I64)[0]
-    if tag == _V_BIGINT:
+    if tag == VALUE_BIGINT:
         (length,) = reader.unpack(_U32)
         return int.from_bytes(reader.take(length), "big", signed=True)
-    if tag == _V_FLOAT:
+    if tag == VALUE_FLOAT:
         return reader.unpack(_F64)[0]
-    if tag == _V_BYTES:
+    if tag == VALUE_BYTES:
         (length,) = reader.unpack(_U32)
         value = reader.take(length)
         # Materialize only this field (a no-op when the buffer is bytes:
         # slicing bytes already produced bytes).
         return value if type(value) is bytes else bytes(value)
-    if tag == _V_STR:
+    if tag == VALUE_STR:
         (length,) = reader.unpack(_U32)
         return _decode_str_bytes(reader.take(length))
-    if tag in (_V_TUPLE, _V_LIST):
+    if tag in (VALUE_TUPLE, VALUE_LIST):
         (count,) = reader.unpack(_U32)
         _check_count(count, reader, 1)
         items = [_decode_value(reader, depth + 1) for _ in range(count)]
-        return tuple(items) if tag == _V_TUPLE else items
-    if tag == _V_DICT:
+        return tuple(items) if tag == VALUE_TUPLE else items
+    if tag == VALUE_DICT:
         (count,) = reader.unpack(_U32)
         _check_count(count, reader, 2)
         result = {}
@@ -680,21 +659,21 @@ def _decode_value(reader: _Reader, depth: int = 0) -> Any:
             except TypeError as exc:  # unhashable key
                 raise DecodeError("unhashable dict key on wire: %s" % exc)
         return result
-    if tag in (_V_FROZENSET, _V_SET):
+    if tag in (VALUE_FROZENSET, VALUE_SET):
         (count,) = reader.unpack(_U32)
         _check_count(count, reader, 1)
         try:
             items = {_decode_value(reader, depth + 1) for _ in range(count)}
         except TypeError as exc:
             raise DecodeError("unhashable set item on wire: %s" % exc)
-        return frozenset(items) if tag == _V_FROZENSET else items
-    if tag == _V_SERVICE:
+        return frozenset(items) if tag == VALUE_FROZENSET else items
+    if tag == VALUE_SERVICE:
         (code,) = reader.unpack(_U8)
         service = _SERVICE_BY_CODE.get(code)
         if service is None:
             raise DecodeError("unknown service code %d" % code)
         return service
-    if tag == _V_DATA_MESSAGE:
+    if tag == VALUE_DATA_MESSAGE:
         (length,) = reader.unpack(_U32)
         return decode(reader.take(length))
     schema = _OBJECT_SCHEMAS.get(tag)

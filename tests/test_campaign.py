@@ -56,12 +56,9 @@ def test_tiny_campaign_clean_and_byte_identical(tmp_path):
     assert hashlib.sha256(first).hexdigest() == TINY_CAMPAIGN_SHA256
 
 
-def test_injected_violation_caught_and_shrunk(tmp_path):
-    options = _options(
-        tmp_path,
-        windows=(2,),
-        corrupt_logs=corrupt_first_log,
-    )
+def test_injected_violation_caught_and_shrunk(tmp_path, monkeypatch):
+    monkeypatch.setattr(campaign, "ACCELERATED_WINDOWS", (2,))
+    options = _options(tmp_path, corrupt_logs=corrupt_first_log)
     summary = run_campaign(options)
     assert summary["failures"] == 1
     run = summary["results"][0]["runs"][0]
@@ -82,8 +79,9 @@ def test_injected_violation_caught_and_shrunk(tmp_path):
 
 
 def test_replay_repro_returns_the_recorded_verdict(tmp_path, monkeypatch):
+    monkeypatch.setattr(campaign, "ACCELERATED_WINDOWS", (2,))
     summary = run_campaign(_options(
-        tmp_path, windows=(2,), corrupt_logs=corrupt_first_log,
+        tmp_path, corrupt_logs=corrupt_first_log,
     ))
     path = summary["results"][0]["runs"][0]["repro"]
     with open(path) as handle:

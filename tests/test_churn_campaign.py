@@ -10,7 +10,9 @@ checking, and the byte-stable bench record.
 import hashlib
 import json
 
+from repro.sim import churn
 from repro.sim.churn import (
+    FLAP_PID,
     ChurnOptions,
     churn_schedule,
     convergence_sweep,
@@ -20,9 +22,10 @@ from repro.records import write_record
 from repro.sim.faults import Churn, FaultSchedule, Flap
 
 
-def _small_options(**overrides):
-    base = dict(seed=3, n_nodes=8, churn_events=3, churn_period_s=0.25,
-                converge_timeout_s=4.0)
+def _small_options(monkeypatch, **overrides):
+    monkeypatch.setattr(churn, "CHURN_PERIOD_S", 0.25)
+    monkeypatch.setattr(churn, "CONVERGE_TIMEOUT_S", 4.0)
+    base = dict(seed=3, n_nodes=8, churn_events=3)
     base.update(overrides)
     return ChurnOptions(**base)
 
@@ -43,8 +46,8 @@ def _digest(summary):
         json.dumps(summary, sort_keys=True).encode()).hexdigest()
 
 
-def test_churn_scenario_smoke_gossip():
-    summary = run_churn_scenario(_small_options())
+def test_churn_scenario_smoke_gossip(monkeypatch):
+    summary = run_churn_scenario(_small_options(monkeypatch))
     assert summary["converged"]
     assert summary["violations"] == []
     assert summary["total_restarts"] >= 1
@@ -53,27 +56,26 @@ def test_churn_scenario_smoke_gossip():
     assert _digest(summary) == GOSSIP_SUMMARY_SHA256
 
 
-def test_churn_scenario_smoke_probe_path():
+def test_churn_scenario_smoke_probe_path(monkeypatch):
     # The pre-gossip detection path must survive the same churn load.
-    summary = run_churn_scenario(_small_options(gossip=False))
+    summary = run_churn_scenario(_small_options(monkeypatch, gossip=False))
     assert summary["converged"]
     assert summary["violations"] == []
     assert _digest(summary) == PROBE_SUMMARY_SHA256
 
 
-def test_churn_scenario_is_deterministic():
-    first = run_churn_scenario(_small_options())
-    second = run_churn_scenario(_small_options())
+def test_churn_scenario_is_deterministic(monkeypatch):
+    first = run_churn_scenario(_small_options(monkeypatch))
+    second = run_churn_scenario(_small_options(monkeypatch))
     assert first == second
 
 
-def test_churn_schedule_contains_generator_and_flapper():
-    options = _small_options()
-    schedule = churn_schedule(options)
+def test_churn_schedule_contains_generator_and_flapper(monkeypatch):
+    schedule = churn_schedule(_small_options(monkeypatch))
     kinds = sorted(type(e).__name__ for e in schedule.events)
     assert kinds == ["Churn", "Flap"]
-    churn = next(e for e in schedule.events if isinstance(e, Churn))
-    assert options.flap_pid not in churn.pids
+    generator = next(e for e in schedule.events if isinstance(e, Churn))
+    assert FLAP_PID not in generator.pids
     # The summary embeds the schedule in serialized form; it must
     # round-trip back to the authored events.
     rebuilt = FaultSchedule.from_jsonable(schedule.to_jsonable())

@@ -54,8 +54,6 @@ def test_evolve_returns_modified_copy():
         ("personal_window", -1),
         ("global_window", 0),
         ("accelerated_window", -2),
-        ("max_seq_gap", 0),
-        ("token_retransmit_timeout_s", 0.0),
     ],
 )
 def test_invalid_values_rejected(field, value):

@@ -13,6 +13,7 @@ from repro.core import (
     Token,
     initial_token,
 )
+from repro.core import participant as participant_module
 from repro.core.messages import DataMessage
 
 
@@ -28,7 +29,7 @@ def msg(seq, safe=False, pid=1):
 # ---------------------------------------------------------------------------
 
 def config(**kw):
-    defaults = dict(personal_window=10, global_window=30, max_seq_gap=100)
+    defaults = dict(personal_window=10, global_window=30)
     defaults.update(kw)
     return ProtocolConfig(**defaults)
 
@@ -66,10 +67,11 @@ def test_budget_never_negative():
     assert created(config(), Token(fcc=100), backlog=50) == 0
 
 
-def test_seq_gap_limits_budget():
+def test_seq_gap_limits_budget(monkeypatch):
     # seq is far ahead of the global aru: only the remaining gap is allowed.
+    monkeypatch.setattr(participant_module, "MAX_SEQ_GAP", 100)
     token = Token(seq=95, aru=0)
-    assert created(config(max_seq_gap=100), token, backlog=50) == 5
+    assert created(config(), token, backlog=50) == 5
 
 
 def test_updated_fcc_swaps_contribution():

@@ -28,7 +28,8 @@ from repro.core.coalesce import (
     JUMBO_COUNT_BYTES,
     JUMBO_ENTRY_BYTES,
 )
-from repro.core.driver import Inbox, RingDriver
+from repro.core import driver as driver_module
+from repro.core.driver import TOKEN_RETRANSMIT_TIMEOUT_S, Inbox, RingDriver
 
 HEADER = 60
 
@@ -164,10 +165,9 @@ def test_step_reads_data_before_a_low_priority_token():
 def test_effects_run_in_action_order_without_coalescing():
     driver, port, _ = token_round()
     assert driver.step()
-    timeout = ProtocolConfig().token_retransmit_timeout_s
     assert [e[:2] for e in port.log] == [
         ("multicast", 1), ("multicast", 2),
-        ("token", "TOKEN"), ("timer", timeout),
+        ("token", "TOKEN"), ("timer", TOKEN_RETRANSMIT_TIMEOUT_S),
         ("multicast", 3), ("multicast", 4), ("multicast", 5),
         ("multicast", 6), ("multicast", 7),
         ("deliver", 1), ("deliver", 2),
@@ -355,16 +355,15 @@ def test_trace_hooks_carry_flags_per_message(cap):
 
 # -- the token-resend decision -----------------------------------------------
 
-def resend_setup(limit=3):
+def resend_setup():
     ring = Ring.of([1, 2, 3])
-    config = ProtocolConfig(token_retransmit_limit=limit)
-    participant = Participant(1, ring, config)
+    participant = Participant(1, ring, ProtocolConfig())
     port = RecordingPort(participant)
     driver = RingDriver(port)
     driver.tokens.append(initial_token(ring.ring_id))
     driver.step()
     (_kind, delay, fn, (token, dst, attempt)), = effects(port, "timer")
-    assert (delay, dst, attempt) == (config.token_retransmit_timeout_s, 2, 0)
+    assert (delay, dst, attempt) == (TOKEN_RETRANSMIT_TIMEOUT_S, 2, 0)
     assert fn == driver.resend_token
     assert token is participant.last_token_sent
     del port.log[:]
@@ -404,8 +403,9 @@ def test_no_resend_once_progress_was_seen():
     assert port.log == []
 
 
-def test_no_resend_past_the_limit():
-    driver, port, participant, token = resend_setup(limit=2)
+def test_no_resend_past_the_limit(monkeypatch):
+    monkeypatch.setattr(driver_module, "TOKEN_RETRANSMIT_LIMIT", 2)
+    driver, port, participant, token = resend_setup()
     assert driver.resend_token(token, 2, 0)
     assert driver.resend_token(token, 2, 1)
     del port.log[:]

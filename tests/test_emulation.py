@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro.core import ProtocolConfig, Service
+from repro.core import driver as driver_module
 from repro.emulation import EmulatedRing
 
 
@@ -86,7 +87,7 @@ def test_recovery_from_injected_send_loss():
         assert payloads_of(collected[pid])[:60] == first
 
 
-def test_token_loss_recovered_by_wallclock_timer():
+def test_token_loss_recovered_by_wallclock_timer(monkeypatch):
     lock = threading.Lock()
     state = {"dropped": False}
 
@@ -100,9 +101,9 @@ def test_token_loss_recovered_by_wallclock_timer():
                 return True
         return False
 
-    config = ProtocolConfig(token_retransmit_timeout_s=0.02,
-                            token_retransmit_limit=100)
-    with EmulatedRing(3, config, loss_rule=loss) as ring:
+    monkeypatch.setattr(driver_module, "TOKEN_RETRANSMIT_TIMEOUT_S", 0.02)
+    monkeypatch.setattr(driver_module, "TOKEN_RETRANSMIT_LIMIT", 100)
+    with EmulatedRing(3, ProtocolConfig(), loss_rule=loss) as ring:
         for pid in range(3):
             for i in range(10):
                 ring.submit(pid, (pid, i))
@@ -493,8 +494,8 @@ def test_armed_resend_fires_in_the_pass_after_its_deadline(monkeypatch):
 
     monkeypatch.setattr(node_module, "time", Clock)
     monkeypatch.setattr(cluster_module, "time", Clock)
-    config = ProtocolConfig(accelerated_window=0,
-                            token_retransmit_timeout_s=0.010)
+    monkeypatch.setattr(driver_module, "TOKEN_RETRANSMIT_TIMEOUT_S", 0.010)
+    config = ProtocolConfig(accelerated_window=0)
     _data, token = first_round_of_leader(config, 3, 0)
 
     def advance(by):

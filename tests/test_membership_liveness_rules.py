@@ -136,6 +136,34 @@ def test_gather_escape_hatch_forms_singleton():
     assert process.ring.members == (1,)
 
 
+def test_gather_escape_hatch_ends_a_gather_no_strike_can_end():
+    timeouts = MembershipTimeouts(gather_ticks=1)
+    process = EVSProcess(1, ProtocolConfig(), timeouts)
+    pending = list(process.bootstrap())
+    # 9 answers every tick with a view it never sent before: it names a
+    # silent 100 but never fails it, and its fail set is always new.
+    # Its view therefore never matches ours, yet it keeps evolving, so
+    # no stale-view strike fails it, and it is never silent; the proc
+    # set stops growing, so the gather timeout keeps firing.  Only the
+    # escape hatch can end this gather.
+    for tick in range(100):
+        pending.extend(process.handle_ctrl(
+            JoinMessage(sender=9, proc_set=frozenset({1, 9, 100}),
+                        fail_set=frozenset({1000 + tick}), ring_seq=0),
+            src=9,
+        ))
+        pending.extend(process.tick())
+        while pending:
+            out = pending.pop(0)
+            if out.kind == "ctrl" and out.dst == 1:
+                pending.extend(process.handle_ctrl(out.payload, src=1))
+        if process.state is State.OPERATIONAL:
+            break
+    assert process.state is State.OPERATIONAL
+    assert process.ring.members == (1,)
+    assert process._gather_attempts == EVSProcess._MAX_GATHER_ATTEMPTS + 1
+
+
 def test_evolving_views_are_not_struck():
     timeouts = MembershipTimeouts(gather_ticks=1)
     process = EVSProcess(1, ProtocolConfig(), timeouts)

@@ -123,7 +123,6 @@ def test_churn_campaign_with_joins():
     EVS-checked and reconverging with the joiners in the ring."""
     options = ChurnOptions(
         seed=5, n_nodes=10, churn_events=3, joins=2,
-        converge_timeout_s=8.0,
     )
     schedule = churn_schedule(options)
     kinds = [type(e).__name__ for e in schedule.events]

@@ -7,12 +7,7 @@ or ordering between ``processes=1`` and ``processes=N`` is a bug.
 
 import dataclasses
 
-from repro.bench import (
-    SweepRunner,
-    default_processes,
-    run_sweep,
-    sweep_points,
-)
+from repro.bench import default_processes, run_sweep, series_label
 from repro.bench.experiments import make_fig1
 
 
@@ -39,20 +34,21 @@ def test_parallel_matches_serial_exactly():
     assert serial.to_markdown() == parallel.to_markdown()
 
 
-def test_sweep_runner_preserves_point_order():
-    points = sweep_points(small_spec())
-    assert [p.index for p in points] == list(range(8))
-    results = SweepRunner(processes=4).run(points)
-    assert [p.index for p, _ in results] == list(range(8))
-    assert all(result is not None for _, result in results)
-
-
 def test_progress_hook_fires_once_per_point():
     spec = small_spec()
     seen = []
     run_sweep(spec, progress=seen.append, processes=2)
-    assert len(seen) == len(sweep_points(spec))
-    assert all(spec.figure_id in line for line in seen)
+    # The pool's imap is ordered: the lines name the points in grid
+    # order, (profile, protocol, load), whichever worker finishes first.
+    grid = [
+        "%s %s @%.0f Mbps " % (
+            spec.figure_id, series_label(profile.name, protocol), load)
+        for profile in spec.profiles
+        for protocol in spec.protocols
+        for load in spec.offered_mbps
+    ]
+    assert len(seen) == len(grid) == 8
+    assert all(line.startswith(prefix) for line, prefix in zip(seen, grid))
 
 
 def test_default_processes_env(monkeypatch):

@@ -4,12 +4,12 @@ These are correctness and sanity tests; the figure-level performance
 assertions live in benchmarks/.
 """
 
-from dataclasses import replace
 import tracemalloc
 
 import pytest
 
 from repro.core import PriorityMethod, ProtocolConfig, Service
+from repro.core import driver as driver_module
 from repro.net import GIGABIT, TEN_GIGABIT, BernoulliLoss
 from repro.sim import DAEMON, LIBRARY, SPREAD, SimCluster, run_point
 from repro.sim.latency import LatencyRecorder, summarize
@@ -177,7 +177,7 @@ def test_loss_recovery_in_simulation():
     assert result.achieved_bps == pytest.approx(200e6, rel=0.15)
 
 
-def test_token_loss_recovered_by_timer():
+def test_token_loss_recovered_by_timer(monkeypatch):
     from repro.net import Traffic
 
     dropped = {"n": 0}
@@ -188,8 +188,8 @@ def test_token_loss_recovered_by_timer():
             return True
         return False
 
-    config = replace(ACCEL, token_retransmit_timeout_s=0.002)
-    result = quick_point(config, 100, loss=drop_one_token,
+    monkeypatch.setattr(driver_module, "TOKEN_RETRANSMIT_TIMEOUT_S", 0.002)
+    result = quick_point(ACCEL, 100, loss=drop_one_token,
                          duration_s=0.1, warmup_s=0.03)
     assert dropped["n"] == 1
     assert result.tokens_resent >= 1

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import ProtocolConfig, Service
+from repro.core.driver import TOKEN_RETRANSMIT_LIMIT
 from repro.net import GIGABIT, TEN_GIGABIT
 from repro.sim import LIBRARY, SPREAD, SimCluster, run_point
 
@@ -135,7 +136,7 @@ def test_lost_token_is_resent_to_the_limit_through_the_one_deadline():
     result = cluster.run(0.1, warmup_s=0.0)
     # The leader's first token never arrives; its resend timer re-arms
     # itself attempt after attempt, then gives up.
-    assert result.tokens_resent == config.token_retransmit_limit
+    assert result.tokens_resent == TOKEN_RETRANSMIT_LIMIT
 
 
 def test_calendar_holds_one_resend_entry_per_node_not_one_per_token_send():
