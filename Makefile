@@ -77,10 +77,18 @@ vs-sweep:
 # drops and loss swaps against accelerated and original-Ring configs;
 # exits non-zero (leaving repro files beside the summary in the
 # git-ignored bench_results/fresh/campaigns/) on any EVS violation.
-# This is what CI runs.
+# Then the checker self-test: one scenario whose first log is corrupted
+# must exit 1 and leave a shrunk repro per window in its own directory
+# (so campaigns/ holds only real failures).  This is what CI runs.
+SELFTEST_DIR = bench_results/fresh/campaign-selftest
 campaign-smoke:
 	$(PYTHON) -m repro.cli campaign --seed 1 --scenarios 4 --quiet
 	@ls bench_results/fresh/campaigns/
+	rm -rf $(SELFTEST_DIR)
+	$(PYTHON) -m repro.cli campaign --seed 1 --scenarios 1 --quiet \
+		--selftest-violation --out-dir $(SELFTEST_DIR); test $$? -eq 1
+	test -f $(SELFTEST_DIR)/repro_seed1_s0_aw0.json
+	test -f $(SELFTEST_DIR)/repro_seed1_s0_aw2.json
 
 # Gossip-membership churn smoke: the detector unit/fuzz suites, the
 # simulated churn-campaign smoke test, and one EVS-checked 50-node

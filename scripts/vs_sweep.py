@@ -4,12 +4,14 @@
     python scripts/vs_sweep.py [--seeds 6000]
 
 Runs the membership fuzzer's ``run_schedule`` (submits, crashes,
-partitions and heals on ``EVSNetwork``, then a full EVS-axiom check;
-``tests/test_membership_fuzz.py``) over seeds ``0 .. seeds-1`` for each
-(processes, operations) in (2, 2), (3, 2), (3, 3) and (4, 3): 24,000
-schedules at the default, one worker process per CPU, about 6 minutes
-on two CPUs.  Prints the schedule count and every failing schedule with
-its error, and exits 1 if any failed.  Not part of tier-1.
+partitions and heals on ``EVSNetwork``, then ``EVSChecker`` over every
+incarnation's log; ``tests/test_membership_fuzz.py``) over seeds
+``0 .. seeds-1`` for each (processes, operations) in (2, 2), (3, 2),
+(3, 3) and (4, 3): 24,000 schedules at the default, one worker process
+per CPU, 2 to 6 minutes on two CPUs.  Prints the schedule count and,
+for every failing schedule, its error's first line (for a checker
+verdict, the violation count and the first violated axiom), and exits
+1 if any failed.  Not part of tier-1.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ points so the whole benchmark suite runs in minutes; set
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Sequence, Tuple
 
 from ..core import ProtocolConfig, Service
@@ -94,14 +94,10 @@ def make_fig1() -> SweepSpec:
 
 
 def make_fig2() -> SweepSpec:
-    base = make_fig1()
-    return SweepSpec(
-        figure_id="fig2",
+    return replace(
+        make_fig1(), figure_id="fig2",
         title="Safe delivery latency vs throughput, 1-gigabit network",
-        link=base.link, service=Service.SAFE, payload_size=1350,
-        profiles=base.profiles, protocols=base.protocols,
-        offered_mbps=base.offered_mbps,
-        duration_s=base.duration_s, warmup_s=base.warmup_s,
+        service=Service.SAFE,
     )
 
 
@@ -122,14 +118,10 @@ def make_fig3() -> SweepSpec:
 
 
 def make_fig5() -> SweepSpec:
-    base = make_fig3()
-    return SweepSpec(
-        figure_id="fig5",
+    return replace(
+        make_fig3(), figure_id="fig5",
         title="Safe delivery latency vs throughput, 10-gigabit network",
-        link=base.link, service=Service.SAFE, payload_size=1350,
-        profiles=base.profiles, protocols=base.protocols,
-        offered_mbps=base.offered_mbps,
-        duration_s=base.duration_s, warmup_s=base.warmup_s,
+        service=Service.SAFE,
     )
 
 
@@ -166,22 +158,12 @@ def make_fig4() -> Tuple[SweepSpec, SweepSpec]:
 def make_fig6() -> Tuple[SweepSpec, SweepSpec]:
     small, large = make_fig4()
     return (
-        SweepSpec(
-            figure_id="fig6-1350",
-            title="Accelerated, 1350-byte payloads, 10G (Safe)",
-            link=small.link, service=Service.SAFE, payload_size=1350,
-            profiles=small.profiles, protocols=small.protocols,
-            offered_mbps=small.offered_mbps,
-            duration_s=small.duration_s, warmup_s=small.warmup_s,
-        ),
-        SweepSpec(
-            figure_id="fig6-8850",
-            title="Accelerated, 8850-byte payloads, 10G (Safe)",
-            link=large.link, service=Service.SAFE, payload_size=8850,
-            profiles=large.profiles, protocols=large.protocols,
-            offered_mbps=large.offered_mbps,
-            duration_s=large.duration_s, warmup_s=large.warmup_s,
-        ),
+        replace(small, figure_id="fig6-1350",
+                title="Accelerated, 1350-byte payloads, 10G (Safe)",
+                service=Service.SAFE),
+        replace(large, figure_id="fig6-8850",
+                title="Accelerated, 8850-byte payloads, 10G (Safe)",
+                service=Service.SAFE),
     )
 
 

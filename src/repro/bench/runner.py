@@ -93,11 +93,6 @@ def run_sweep(
                     achieved_mbps=result.achieved_mbps,
                     latency_us=result.latency_us,
                     saturated=result.saturated,
-                    extra={
-                        "rounds_per_s": result.rounds_per_s,
-                        "switch_drops": float(result.switch_drops),
-                        "retransmissions": float(result.retransmissions),
-                    },
                 )
             )
     finally:

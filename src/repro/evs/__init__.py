@@ -6,6 +6,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "configuration": (
         "Configuration", "ConfigurationKind", "ConfigChange", "AppMessage",
     ),
-    "semantics": ("EVSViolation", "check_all", "check_virtual_synchrony"),
-    "checker": ("EVSChecker",),
+    "semantics": ("EVSViolation", "check_virtual_synchrony"),
+    "checker": ("EVSChecker", "keyed_logs"),
 })

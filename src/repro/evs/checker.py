@@ -1,11 +1,14 @@
-"""EVSChecker: validate whole-run invariants across fault campaigns.
+"""EVSChecker: the one judge of a run's EVS invariants.
 
 Wraps the per-axiom checkers of :mod:`repro.evs.semantics` into one
-object that takes every process incarnation's app_log (a crashed node
-that restarts contributes one log per incarnation — a restarted daemon
-has total amnesia, so each incarnation is its own EVS process) and
-returns *all* violations instead of stopping at the first.  This is
-what the fault-injection campaign runner asserts after every scenario:
+object that takes every process incarnation's app_log, keyed
+``(pid, incarnation)`` by :func:`keyed_logs` (a crashed node that
+restarts contributes one log per incarnation — a restarted daemon has
+total amnesia, so each incarnation is its own EVS process), and
+returns *all* violations instead of stopping at the first.  Both EVS
+substrates, the logical-tick :class:`~repro.harness.evsnet.EVSNetwork`
+and the packet-time :class:`~repro.sim.evs_node.SimEVSCluster`, hand
+it logs of that one shape.  It checks:
 
 * agreed-order prefix consistency and the EVS equality guarantee
   (virtual synchrony) across continuing members,
@@ -17,7 +20,7 @@ what the fault-injection campaign runner asserts after every scenario:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .configuration import AppMessage
 from .semantics import (
@@ -28,14 +31,25 @@ from .semantics import (
     check_virtual_synchrony,
 )
 
-#: Logs are keyed by pid or by (pid, incarnation).
-LogKey = Hashable
+#: Every log is keyed ``(pid, incarnation)``; incarnations count from 0.
+LogKey = Tuple[int, int]
 
 
-def _pid_of(key: LogKey) -> int:
-    if isinstance(key, tuple):
-        return key[0]
-    return key  # type: ignore[return-value]
+def keyed_logs(
+    incarnations: Mapping[int, Sequence[Any]],
+) -> Dict[LogKey, Sequence[Event]]:
+    """Checker input from per-pid incarnation lists, oldest first.
+
+    Each entry is anything with an ``app_log`` (an
+    :class:`~repro.membership.EVSProcess`); crashed incarnations are
+    included, since their delivered prefix must still be consistent
+    with the survivors'.
+    """
+    return {
+        (pid, incarnation): process.app_log
+        for pid, processes in incarnations.items()
+        for incarnation, process in enumerate(processes)
+    }
 
 
 class EVSChecker:
@@ -64,7 +78,7 @@ class EVSChecker:
         """
         for key, log in logs.items():
             label = "log %r" % (key,)
-            self._run(label, check_self_inclusion, log, _pid_of(key))
+            self._run(label, check_self_inclusion, log, key[0])
             for check in PER_LOG_CHECKS:
                 self._run(label, check, log)
         self._run("cross-log", check_virtual_synchrony, logs)
@@ -94,8 +108,10 @@ class EVSChecker:
             )
 
     def assert_ok(self) -> None:
+        """Raise on any violation; the first line names the first one."""
         if self.violations:
-            raise EVSViolation(
-                "%d EVS violation(s):\n%s"
-                % (len(self.violations), "\n".join(self.violations))
-            )
+            first, *rest = self.violations
+            raise EVSViolation("\n".join(
+                ["%d EVS violation(s), first: %s"
+                 % (len(self.violations), first)] + rest
+            ))

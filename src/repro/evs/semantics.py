@@ -1,10 +1,11 @@
 """Executable EVS semantics: validate application event logs.
 
-Tests hand each process's ``app_log`` (AppMessage / ConfigChange
-sequence) to these checkers, which assert the Extended Virtual
-Synchrony axioms the service model of Section II promises.  Keeping the
-axioms in one place makes every membership test check ALL of them, not
-just the one it was written for.
+Each process's ``app_log`` (AppMessage / ConfigChange sequence) goes
+through these checkers, which assert the Extended Virtual Synchrony
+axioms the service model of Section II promises.  The axioms live here
+once; :class:`~repro.evs.checker.EVSChecker` runs all of them on a
+run's logs, so every membership test checks ALL of them, not just the
+one it was written for.
 """
 
 from __future__ import annotations
@@ -236,8 +237,8 @@ def check_no_duplicates(log: Sequence[Event]) -> None:
 
 
 #: The per-log axioms that follow :func:`check_self_inclusion` (the one
-#: that also needs the pid), in checking order — :func:`check_all` and
-#: :class:`~repro.evs.checker.EVSChecker` both walk this tuple.
+#: that also needs the pid), in the order
+#: :class:`~repro.evs.checker.EVSChecker` runs them.
 PER_LOG_CHECKS = (
     check_messages_within_configuration,
     check_seq_order_within_configuration,
@@ -247,12 +248,3 @@ PER_LOG_CHECKS = (
     check_no_duplicates,
 )
 
-
-def check_all(logs: Dict[int, Sequence[Event]]) -> None:
-    """Run every per-log axiom plus cross-log virtual synchrony; raises
-    the first violation."""
-    for pid, log in logs.items():
-        check_self_inclusion(log, pid)
-        for check in PER_LOG_CHECKS:
-            check(log)
-    check_virtual_synchrony(logs)

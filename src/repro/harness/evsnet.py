@@ -15,7 +15,8 @@ from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set
 
 from ..core import ProtocolConfig, Service
 from ..core.driver import Inbox
-from ..membership import EVSProcess, MembershipTimeouts, Outgoing, State
+from ..evs import keyed_logs
+from ..membership import EVSProcess, MembershipTimeouts, Outgoing, on_one_ring
 
 
 class EVSNetwork:
@@ -30,14 +31,18 @@ class EVSNetwork:
         self.pids = list(pids)
         self._config = config
         self._timeouts = timeouts
+        #: The live incarnation of each pid.
         self.processes: Dict[int, EVSProcess] = {
             pid: EVSProcess(pid, config, timeouts) for pid in self.pids
         }
+        #: Every incarnation of each pid, oldest first (the live one
+        #: last): crashed ones' delivered prefixes still matter for EVS
+        #: checking.
+        self.incarnations: Dict[int, List[EVSProcess]] = {
+            pid: [process] for pid, process in self.processes.items()
+        }
         self._groups: List[Set[int]] = [set(self.pids)]
         self.crashed: Set[int] = set()
-        #: Earlier incarnations of restarted pids, oldest first.  Their
-        #: delivered prefixes still matter for EVS checking.
-        self.archived: Dict[int, List[EVSProcess]] = {}
         #: Per process: control messages, and the two ring sockets.
         #: Entries are ``(src, payload)`` pairs.
         self._ctrl: Dict[int, Deque] = {p: deque() for p in self.pids}
@@ -64,19 +69,19 @@ class EVSNetwork:
         """Merge all partitions back into one network."""
         self._groups = [set(self.pids) - self.crashed]
 
-    def spawn(self, pid: int,
-              config: Optional[ProtocolConfig] = None,
-              timeouts: Optional[MembershipTimeouts] = None) -> EVSProcess:
+    def spawn(self, pid: int) -> EVSProcess:
         """Start a brand-new process mid-run (late join).
 
-        It boots as a singleton, floods a join, and the membership
-        algorithm merges it into whichever partition group it lands in.
+        It runs the network's config and timeouts, boots as a singleton,
+        floods a join, and the membership algorithm merges it into
+        whichever partition group it lands in.
         """
         if pid in self.processes:
             raise ValueError("pid %r already exists" % pid)
-        process = EVSProcess(pid, config, timeouts)
+        process = EVSProcess(pid, self._config, self._timeouts)
         self.pids.append(pid)
         self.processes[pid] = process
+        self.incarnations[pid] = [process]
         self._ctrl[pid] = deque()
         self._ring[pid] = Inbox()
         # The newcomer lands in the largest current group (the healed
@@ -87,24 +92,20 @@ class EVSNetwork:
         return process
 
     def restart(self, pid: int) -> EVSProcess:
-        """Reboot a crashed process as a fresh, amnesiac incarnation.
+        """Reboot a crashed process as its next incarnation
+        (:meth:`EVSProcess.restarted`).
 
-        The old incarnation's log is archived (its delivered prefix
-        still has to be consistent with the survivors'); the new
-        process bootstraps as a singleton and rejoins via the normal
-        membership path, landing in the largest current group.
+        The old incarnation stays in :attr:`incarnations` (its
+        delivered prefix still has to be consistent with the
+        survivors'); the new process bootstraps as a singleton and
+        rejoins via the normal membership path, landing in the largest
+        current group.
         """
         if pid not in self.crashed:
             raise ValueError("pid %r is not crashed" % pid)
         self.crashed.discard(pid)
-        old = self.processes[pid]
-        self.archived.setdefault(pid, []).append(old)
-        # Volatile state is gone, but the ring epoch survives on
-        # "disk" (Totem's stable-storage ring sequence number) so the
-        # new incarnation can never re-mint an old ring id.
-        process = EVSProcess(pid, self._config, self._timeouts,
-                             stable_ring_seq=old.stable_ring_seq)
-        self.processes[pid] = process
+        process = self.processes[pid] = self.processes[pid].restarted()
+        self.incarnations[pid].append(process)
         if self._groups:
             max(self._groups, key=len).add(pid)
         else:
@@ -201,45 +202,23 @@ class EVSNetwork:
     # -- invariant checking -------------------------------------------------------
 
     def logs(self) -> Dict:
-        """Every incarnation's app_log (crashed included — their
-        delivered prefix must still be consistent with the survivors').
-
-        Keys are bare pids until the first :meth:`restart`; after one,
-        keys become ``(pid, incarnation)`` so each amnesiac reboot is
-        checked as its own EVS process (the checker accepts both).
-        """
-        if not self.archived:
-            return {
-                pid: process.app_log
-                for pid, process in self.processes.items()
-            }
-        collected: Dict = {}
-        for pid, process in self.processes.items():
-            earlier = self.archived.get(pid, [])
-            for incarnation, old in enumerate(earlier):
-                collected[(pid, incarnation)] = old.app_log
-            collected[(pid, len(earlier))] = process.app_log
-        return collected
+        """Every incarnation's app_log, keyed ``(pid, incarnation)``
+        (:func:`~repro.evs.keyed_logs`) — the checker's input."""
+        return keyed_logs(self.incarnations)
 
     # -- convergence helpers ------------------------------------------------------
 
-    def _group_converged(self, group: Set[int]) -> bool:
-        live = sorted(group - self.crashed)
-        if not live:
-            return True
-        for pid in live:
-            process = self.processes[pid]
-            if process.state is not State.OPERATIONAL:
-                return False
-            if tuple(process.ring.members) != tuple(live):
-                return False
-            if self._ctrl[pid] or self._ring[pid].data:
-                return False
-        ring_ids = {self.processes[pid].ring.ring_id for pid in live}
-        return len(ring_ids) == 1
-
     def converged(self) -> bool:
-        return all(self._group_converged(set(g)) for g in self._groups)
+        """Each group's live processes are on one ring of exactly
+        themselves (:func:`~repro.membership.on_one_ring`), with no
+        control or data message left in their inboxes."""
+        for group in self._groups:
+            live = [pid for pid in group if pid not in self.crashed]
+            if not on_one_ring([self.processes[pid] for pid in live]):
+                return False
+            if any(self._ctrl[pid] or self._ring[pid].data for pid in live):
+                return False
+        return True
 
     def run_until_converged(self, max_steps: int = 20_000) -> int:
         for _i in range(max_steps):

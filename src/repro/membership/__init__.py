@@ -9,7 +9,9 @@ recovery of old-ring messages with EVS transitional semantics.
 from .._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "controller": ("EVSProcess", "MembershipTimeouts", "Outgoing", "State"),
+    "controller": (
+        "EVSProcess", "MembershipTimeouts", "Outgoing", "State", "on_one_ring",
+    ),
     "messages": (
         "JoinMessage", "CommitToken", "MemberInfo", "ProbeMessage",
         "RecoveryData", "RecoveryComplete", "GossipUpdate", "GossipPing",

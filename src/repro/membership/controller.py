@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import (
+    Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from ..core import (
     DataMessage,
@@ -93,6 +95,21 @@ class MembershipTimeouts:
     commit_ticks: int = 80
     #: How often an Operational process announces itself (merge discovery).
     probe_interval_ticks: int = 25
+
+
+def on_one_ring(processes: Sequence[EVSProcess]) -> bool:
+    """Membership has converged for these processes: every one is
+    Operational on one ring id whose members are exactly their pids.
+
+    The one convergence rule; each EVS substrate applies it per
+    connected component of live processes.
+    """
+    expected = tuple(sorted(process.pid for process in processes))
+    return all(
+        process.state is State.OPERATIONAL
+        and tuple(process.ring.members) == expected
+        for process in processes
+    ) and len({process.ring.ring_id for process in processes}) <= 1
 
 
 class EVSProcess:
@@ -309,6 +326,18 @@ class EVSProcess:
         would write it to disk.
         """
         return self._highest_ring_seq
+
+    def restarted(self) -> EVSProcess:
+        """The next incarnation of this process after a crash.
+
+        Same pid, config and timeouts; amnesiac for everything volatile
+        (no old-ring state, empty buffers — exactly what a restarted
+        daemon has).  Only the stable-storage ring epoch survives, so
+        the incarnation can never reuse a ring id.  Both EVS substrates
+        restart a process through here.
+        """
+        return EVSProcess(self.pid, self.config, self.timeouts,
+                          stable_ring_seq=self.stable_ring_seq)
 
     # ------------------------------------------------------------------
     # Operational internals

@@ -276,10 +276,11 @@ class MultiRingSimCluster:
                             message.payload)
         return merger.merged
 
-    def _evs_logs(self, ring_index: int) -> Dict[int, List[Any]]:
-        """Wrap each node's delivered stream as an EVS app-log."""
+    def _evs_logs(self, ring_index: int) -> Dict[Tuple[int, int], List[Any]]:
+        """Wrap each node's delivered stream as an EVS app-log, keyed
+        ``(pid, 0)``: no node restarts here."""
         members = tuple(range(self.n_nodes))
-        logs: Dict[int, List[Any]] = {}
+        logs: Dict[Tuple[int, int], List[Any]] = {}
         for pid in members:
             configuration = Configuration.regular(ring_index, members)
             log: List[Any] = [ConfigChange(configuration)]
@@ -289,7 +290,7 @@ class MultiRingSimCluster:
                     payload=message.payload,
                     safe=message.service is Service.SAFE,
                 ))
-            logs[pid] = log
+            logs[(pid, 0)] = log
         return logs
 
     def check(self) -> Tuple[List[str], List[str]]:

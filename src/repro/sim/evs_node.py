@@ -20,6 +20,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..core import ProtocolConfig, Service
 from ..core.driver import Inbox
+from ..evs import keyed_logs
 from ..membership import (
     EVSProcess,
     GossipDetector,
@@ -28,6 +29,7 @@ from ..membership import (
     PeerAlive,
     PeerConfirm,
     State,
+    on_one_ring,
 )
 from ..membership.messages import GossipPingReq
 from ..net import (
@@ -87,8 +89,6 @@ class SimEVSNode:
         self.pid = pid
         self.spec = spec
         self.profile = profile
-        self._config = config
-        self._timeouts = timeouts
         #: Static host list the detector boots from (a restarted daemon
         #: re-reads its config file; it does NOT remember incarnations);
         #: ``None`` keeps the controller's own probe flooding.
@@ -108,17 +108,22 @@ class SimEVSNode:
         self.ctrl_frames_sent = 0
         self.ctrl_bytes_sent = 0
         self.ctrl_frames_received = 0
-        #: How many times this node has been (re)started.
-        self.incarnation = 0
-        #: EVSProcess instances of previous incarnations (their app_log
-        #: still matters for EVS checking: a crashed process's delivered
-        #: prefix must be consistent with the survivors').
-        self.archived_processes: List[EVSProcess] = []
-        self._boot(EVSProcess(pid, config, timeouts), "%d" % pid)
+        #: Every incarnation's EVSProcess, oldest first (the live one
+        #: last): a crashed process's delivered prefix must still be
+        #: consistent with the survivors'.
+        self.incarnations: List[EVSProcess] = []
+        self._boot(EVSProcess(pid, config, timeouts))
 
-    def _boot(self, process: EVSProcess, tag: str) -> None:
+    @property
+    def incarnation(self) -> int:
+        """How many times this node has been restarted."""
+        return len(self.incarnations) - 1
+
+    def _boot(self, process: EVSProcess) -> None:
         """Start one incarnation: its process, sim loops and detector."""
         self.process = process
+        self.incarnations.append(process)
+        tag = "%d.%d" % (self.pid, self.incarnation)
         spawn = self.sim.spawn
         self._loops = [
             spawn(self._cpu_loop(), "evscpu" + tag),
@@ -155,41 +160,21 @@ class SimEVSNode:
         self._ring.clear()
 
     def restart(self) -> None:
-        """Boot a fresh incarnation after a crash.
+        """Boot the next incarnation after a crash
+        (:meth:`EVSProcess.restarted`).
 
-        The new process has amnesia for everything volatile (no
-        old-ring state, empty buffers — exactly what a restarted daemon
-        has) and floods a join as a singleton; membership merges it
-        back in.  Only the stable-storage ring epoch survives, so the
-        incarnation can never reuse a ring id (see EVSProcess).
+        It floods a join as a singleton; membership merges it back in.
         """
         if not self.crashed:
             raise RuntimeError("node %d is not crashed" % self.pid)
         self.crashed = False
-        self.incarnation += 1
-        self.archived_processes.append(self.process)
-        self._boot(
-            EVSProcess(
-                self.pid, self._config, self._timeouts,
-                stable_ring_seq=self.process.stable_ring_seq,
-            ),
-            "%d.%d" % (self.pid, self.incarnation),
-        )
+        self._boot(self.process.restarted())
 
     def submit(self, payload: Any, service: Service = Service.AGREED) -> None:
         self.process.submit(payload, service, self.PAYLOAD_SIZE)
 
     def delivered_payloads(self) -> List[Any]:
         return [m.payload for m in self.process.delivered_messages()]
-
-    def incarnation_logs(self) -> List[Tuple[int, List[Any]]]:
-        """Every incarnation's app_log, oldest first, with its index."""
-        logs = [
-            (index, process.app_log)
-            for index, process in enumerate(self.archived_processes)
-        ]
-        logs.append((self.incarnation, self.process.app_log))
-        return logs
 
     @property
     def state(self) -> State:
@@ -422,12 +407,11 @@ class SimEVSCluster:
         self.switch.heal()
 
     def logs(self) -> Dict[Tuple[int, int], List[Any]]:
-        """Every (pid, incarnation) app_log — checker input."""
-        collected: Dict[Tuple[int, int], List[Any]] = {}
-        for pid, node in self.nodes.items():
-            for incarnation, log in node.incarnation_logs():
-                collected[(pid, incarnation)] = log
-        return collected
+        """Every incarnation's app_log, keyed ``(pid, incarnation)``
+        (:func:`~repro.evs.keyed_logs`) — the checker's input."""
+        return keyed_logs(
+            {pid: node.incarnations for pid, node in self.nodes.items()}
+        )
 
     def ctrl_traffic(self) -> Dict[str, float]:
         """Aggregate control-plane load (frames/bytes, plus per-node
@@ -453,6 +437,8 @@ class SimEVSCluster:
     # -- convergence --------------------------------------------------------
 
     def converged(self) -> bool:
+        """Each connected component of live nodes is on one ring of
+        exactly its members (:func:`~repro.membership.on_one_ring`)."""
         live = self.live_nodes()
         if not live:
             return True
@@ -471,17 +457,10 @@ class SimEVSCluster:
             components = list(groups.values())
         else:
             components = [live]
-        for component in components:
-            expected = tuple(sorted(n.pid for n in component))
-            if not all(
-                n.state is State.OPERATIONAL
-                and tuple(n.process.ring.members) == expected
-                for n in component
-            ):
-                return False
-            if len({n.process.ring.ring_id for n in component}) != 1:
-                return False
-        return True
+        return all(
+            on_one_ring([n.process for n in component])
+            for component in components
+        )
 
     def run_until_converged(self, timeout_s: float = 5.0) -> float:
         """Run until all live nodes share one operational ring.

@@ -14,7 +14,6 @@ class SeriesPoint:
     achieved_mbps: float
     latency_us: float
     saturated: bool = False
-    extra: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -71,7 +70,6 @@ class Figure:
         for offered in offered_values:
             cells = []
             for label in self.labels():
-                latency = self.series[label].latency_at(offered)
                 point = next(
                     (p for p in self.series[label].points
                      if abs(p.offered_mbps - offered) < 1e-6),

@@ -1,16 +1,22 @@
 """The EVS axiom checkers — unit tests plus full-stack enforcement.
 
 The second half runs real membership scenarios and feeds every
-process's log through check_all, so ALL the axioms are enforced on
-every scenario, not just the property each scenario was written for.
+incarnation's log through the one judge, ``EVSChecker``, so ALL the
+axioms are enforced on every scenario, not just the property each
+scenario was written for.
 """
 
 import pytest
 
 from repro.core import Service
-from repro.evs import AppMessage, ConfigChange, Configuration, EVSViolation
+from repro.evs import (
+    AppMessage,
+    ConfigChange,
+    Configuration,
+    EVSChecker,
+    EVSViolation,
+)
 from repro.evs.semantics import (
-    check_all,
     check_messages_within_configuration,
     check_no_duplicates,
     check_self_inclusion,
@@ -96,7 +102,7 @@ def test_open_segment_divergence_detected():
 
 def test_clean_log_passes_everything():
     logs = {
-        pid: [
+        (pid, 0): [
             regular(pid, (pid,)),
             transitional(pid, (pid,)),
             regular(100, (1, 2)),
@@ -105,19 +111,17 @@ def test_clean_log_passes_everything():
         ]
         for pid in (1, 2)
     }
-    check_all(logs)
+    assert EVSChecker().check_logs(logs) == []
 
 
 # ---------------------------------------------------------------------------
 # Full-stack enforcement on real membership scenarios
 # ---------------------------------------------------------------------------
 
-def logs_of(net):
-    return {
-        pid: net.processes[pid].app_log
-        for pid in net.pids
-        if pid not in net.crashed
-    }
+def assert_evs(net):
+    checker = EVSChecker()
+    checker.check_logs(net.logs())
+    checker.assert_ok()
 
 
 def test_axioms_hold_through_formation_and_traffic():
@@ -127,7 +131,7 @@ def test_axioms_hold_through_formation_and_traffic():
         for i in range(8):
             net.submit(pid, (pid, i), Service.SAFE if i % 2 else Service.AGREED)
     net.run_quiet(400)
-    check_all(logs_of(net))
+    assert_evs(net)
 
 
 def test_axioms_hold_through_crash():
@@ -140,7 +144,7 @@ def test_axioms_hold_through_crash():
     net.crash(4)
     net.run_until_converged()
     net.run_quiet(300)
-    check_all(logs_of(net))
+    assert_evs(net)
 
 
 def test_axioms_hold_through_partition_and_merge():
@@ -154,13 +158,13 @@ def test_axioms_hold_through_partition_and_merge():
     net.submit(1, "left")
     net.submit(4, "right")
     net.run_quiet(300)
-    check_all(logs_of(net))
+    assert_evs(net)
     net.heal()
     net.run_until_converged()
     for pid in net.pids:
         net.submit(pid, ("post", pid))
     net.run_quiet(400)
-    check_all(logs_of(net))
+    assert_evs(net)
 
 
 def test_axioms_hold_through_late_join_and_cascade():
@@ -174,4 +178,4 @@ def test_axioms_hold_through_late_join_and_cascade():
     net.run_until_converged()
     net.submit(8, "late")
     net.run_quiet(300)
-    check_all(logs_of(net))
+    assert_evs(net)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.core import Service
 from repro.evs import EVSChecker
-from repro.evs.semantics import check_all
 from repro.harness.evsnet import EVSNetwork
 from repro.membership import MembershipTimeouts
 
@@ -28,6 +27,13 @@ CHURN_TIMEOUTS = MembershipTimeouts(
 
 def live(net):
     return [pid for pid in net.pids if pid not in net.crashed]
+
+
+def assert_evs(net):
+    """Every incarnation's log, crashed ones included, passes the judge."""
+    checker = EVSChecker()
+    checker.check_logs(net.logs())
+    checker.assert_ok()
 
 
 def random_partition(rng, pids):
@@ -120,9 +126,7 @@ def test_restart_cannot_reuse_ring_id():
     net.heal()
     net.run_until_converged()
     net.run_quiet(100)
-    checker = EVSChecker()
-    checker.check_logs(net.logs())
-    checker.assert_ok()
+    assert_evs(net)
 
 
 def run_churn_schedule(seed, n, operations):
@@ -157,9 +161,7 @@ def run_churn_schedule(seed, n, operations):
         net.restart(pid)
     net.run_until_converged(max_steps=120_000)
     net.run_quiet(500)
-    checker = EVSChecker()
-    checker.check_logs(net.logs())
-    checker.assert_ok()
+    assert_evs(net)
 
 
 @settings(max_examples=12, deadline=None,
@@ -215,12 +217,7 @@ def run_schedule(seed, n, operations):
         net.run_until_converged(max_steps=60_000)
         net.run_quiet(400)
 
-    logs = {
-        pid: net.processes[pid].app_log
-        for pid in live(net)
-    }
-    if logs:
-        check_all(logs)
-        # Every survivor ends on the same ring.
-        rings = {net.processes[pid].ring.ring_id for pid in live(net)}
-        assert len(rings) == 1
+    assert_evs(net)
+    # Every survivor ends on the same ring.
+    rings = {net.processes[pid].ring.ring_id for pid in live(net)}
+    assert len(rings) == 1

@@ -6,6 +6,7 @@ or ordering between ``processes=1`` and ``processes=N`` is a bug.
 """
 
 import dataclasses
+import multiprocessing
 
 from repro.bench import default_processes, run_sweep, series_label
 from repro.bench.experiments import make_fig1
@@ -34,20 +35,60 @@ def test_parallel_matches_serial_exactly():
     assert serial.to_markdown() == parallel.to_markdown()
 
 
-def test_progress_hook_fires_once_per_point():
-    spec = small_spec()
-    seen = []
-    run_sweep(spec, progress=seen.append, processes=2)
-    # The pool's imap is ordered: the lines name the points in grid
-    # order, (profile, protocol, load), whichever worker finishes first.
-    grid = [
+def grid_prefixes(spec):
+    """How each progress line starts, in grid order (profile, protocol,
+    load)."""
+    return [
         "%s %s @%.0f Mbps " % (
             spec.figure_id, series_label(profile.name, protocol), load)
         for profile in spec.profiles
         for protocol in spec.protocols
         for load in spec.offered_mbps
     ]
+
+
+def test_progress_hook_fires_once_per_point():
+    spec = small_spec()
+    seen = []
+    run_sweep(spec, progress=seen.append, processes=2)
+    # The pool's imap is ordered: the lines name the points in grid
+    # order, (profile, protocol, load), whichever worker finishes first.
+    grid = grid_prefixes(spec)
     assert len(seen) == len(grid) == 8
+    assert all(line.startswith(prefix) for line, prefix in zip(seen, grid))
+
+
+class ReversingPool:
+    """A stand-in pool whose completion order the test controls:
+    ``imap`` maps in order, ``imap_unordered`` returns the results
+    reversed, as a real pool may when the last points finish first."""
+
+    def __init__(self, processes):
+        self.processes = processes
+
+    def imap(self, func, iterable):
+        return map(func, iterable)
+
+    def imap_unordered(self, func, iterable):
+        return reversed([func(item) for item in iterable])
+
+    def close(self):
+        pass
+
+    def join(self):
+        pass
+
+
+def test_pooled_sweep_reads_results_in_grid_order(monkeypatch):
+    spec = small_spec()
+    serial = run_sweep(spec, processes=1)
+    monkeypatch.setattr(multiprocessing, "Pool", ReversingPool)
+    seen = []
+    pooled = run_sweep(spec, progress=seen.append, processes=2)
+    assert pooled.to_csv() == serial.to_csv()
+    assert pooled.to_markdown() == serial.to_markdown()
+    grid = grid_prefixes(spec)
+    assert len(seen) == len(grid)
     assert all(line.startswith(prefix) for line, prefix in zip(seen, grid))
 
 
